@@ -104,15 +104,16 @@ def _emit(cfg, name: str, header, rows, checks, extra=None, t0=None):
     summary = {
         "command": name,
         "config": {k: v for k, v in cfg.items() if k != "out"},
-        "wall_time_s": None if t0 is None else time.time() - t0,
+        "wall_time_s": None if t0 is None else time.perf_counter() - t0,
         "checks": checks,
         "pass": ok,
     }
     if extra:
         summary.update(extra)
+    # strict JSON: a non-finite number raises here instead of being written
+    text = json.dumps(summary, indent=2, default=float, allow_nan=False)
     with open(os.path.join(out, f"{name}.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, default=float)
-        fh.write("\n")
+        fh.write(text + "\n")
     for c in checks:
         print(f"[{'PASS' if c['pass'] else 'FAIL'}] {name}: {c['name']}")
     return 0 if ok else 1
@@ -126,7 +127,7 @@ def _slope_dict(fit):
 
 
 def cmd_kernel_check(cfg):
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows, checks = [], []
     grid = make_grid(int(cfg["grid"]))
     tol = float(cfg["tol"])
@@ -170,7 +171,7 @@ def cmd_kernel_check(cfg):
 
 
 def cmd_star_slopes(cfg):
-    t0 = time.time()
+    t0 = time.perf_counter()
     two_j_list = _int_list(cfg["two_j"])
     d_list = [t + 1 for t in two_j_list]
     corpus = calibration_corpus(int(cfg["pairs"]), int(cfg["band_limit"]), int(cfg["seed"]))
@@ -223,7 +224,7 @@ def cmd_star_slopes(cfg):
 
 
 def cmd_gap(cfg):
-    t0 = time.time()
+    t0 = time.perf_counter()
     lambdas = _float_list(cfg["lambdas"])
     n = int(cfg["thetas"])
     thetas = np.linspace(0.0, pi, n)
@@ -239,7 +240,7 @@ def cmd_gap(cfg):
 
 
 def cmd_chern(cfg):
-    t0 = time.time()
+    t0 = time.perf_counter()
     two_s = int(cfg["two_s"])
     params = ModelParams(int(cfg["two_j"]), two_s, float(cfg["lam"]))
     n = int(cfg["grid"])
@@ -254,7 +255,7 @@ def cmd_chern(cfg):
 
 
 def cmd_bands(cfg):
-    t0 = time.time()
+    t0 = time.perf_counter()
     two_j_list = _int_list(cfg["two_j"])
     lam, m = float(cfg["lam"]), float(cfg["band"])
     rows, checks, extra = [], [], {"fits": {}}
@@ -276,7 +277,7 @@ def cmd_bands(cfg):
 
 
 def cmd_invariance_slopes(cfg):
-    t0 = time.time()
+    t0 = time.perf_counter()
     two_j_list = _int_list(cfg["two_j"])
     lam, m = float(cfg["lam"]), float(cfg["band"])
     rows, checks, extra = [], [], {"fits": {}}
@@ -299,7 +300,7 @@ def cmd_invariance_slopes(cfg):
 
 
 def cmd_obstruction(cfg):
-    t0 = time.time()
+    t0 = time.perf_counter()
     params = ModelParams(int(cfg["two_j"]), 1, float(cfg["lam"]))
     clusters = exact_band_projection(build_hamiltonian(params), params.d_s)
     d_j = params.d_j
@@ -318,7 +319,7 @@ def cmd_obstruction(cfg):
 
 
 def cmd_egorov(cfg):
-    t0 = time.time()
+    t0 = time.perf_counter()
     obs = {"n1": 0, "n2": 1, "n3": 2}
     name = str(cfg["observable"])
     if name not in obs:
@@ -338,7 +339,7 @@ def cmd_egorov(cfg):
 
 
 def cmd_calibrate(cfg):
-    t0 = time.time()
+    t0 = time.perf_counter()
     corpus = calibration_corpus(int(cfg["pairs"]), int(cfg["band_limit"]), int(cfg["seed"]))
     two_j_list = tuple(_int_list(cfg["two_j"]))
     rows, checks, extra = [], [], {"reports": {}}

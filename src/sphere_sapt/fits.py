@@ -8,15 +8,39 @@ import numpy as np
 
 __all__ = ["SlopeFit", "loglog_slope"]
 
-# two-sided 97.5% Student-t quantiles by degrees of freedom
-_T975 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447, 7: 2.365, 8: 2.306}
+# two-sided 95% (upper 97.5%) Student-t quantiles for 1..30 degrees of freedom
+_T975 = (
+    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+    2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+    2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+)
+_Z975 = 1.959963984540054
+
+
+def _t975(dof: int) -> float:
+    """Upper 97.5% Student-t quantile.
+
+    Tabulated to 30 degrees of freedom; beyond that the Cornish-Fisher
+    expansion about the normal quantile (Abramowitz & Stegun 26.7.5), whose
+    truncation error there is below 1e-6.
+    """
+    if dof <= len(_T975):
+        return _T975[dof - 1]
+    z = _Z975
+    g = (
+        (z**3 + z) / 4,
+        (5 * z**5 + 16 * z**3 + 3 * z) / 96,
+        (3 * z**7 + 19 * z**5 + 17 * z**3 - 15 * z) / 384,
+        (79 * z**9 + 776 * z**7 + 1482 * z**5 - 1920 * z**3 - 945 * z) / 92160,
+    )
+    return z + sum(gk / dof ** (k + 1) for k, gk in enumerate(g))
 
 
 @dataclass(frozen=True)
 class SlopeFit:
     slope: float
     intercept: float
-    ci95: float  # half-width of the 95% confidence interval on the slope
+    ci95: float | None  # half-width of the 95% slope interval; None for two points
     n_points: int
     residual: float  # rms residual in log space
 
@@ -41,15 +65,14 @@ def loglog_slope(x, y) -> SlopeFit:
     coef, _, _, _ = np.linalg.lstsq(A, ly, rcond=None)
     resid = ly - A @ coef
     if n == 2:
-        return SlopeFit(float(coef[0]), float(coef[1]), float("inf"), n, 0.0)
+        return SlopeFit(float(coef[0]), float(coef[1]), None, n, 0.0)
     dof = n - 2
     s2 = float(resid @ resid) / dof
     cov = s2 * np.linalg.inv(A.T @ A)
-    tq = _T975.get(dof, 1.96)
     return SlopeFit(
         float(coef[0]),
         float(coef[1]),
-        float(tq * np.sqrt(cov[0, 0])),
+        float(_t975(dof) * np.sqrt(cov[0, 0])),
         n,
         float(np.sqrt(np.mean(resid**2))),
     )

@@ -1,32 +1,24 @@
 """Exact finite-dimensional su(2) representation theory.
 
-Spin matrices, Clebsch-Gordan coefficients (Racah sum formula with exact
-rational intermediates), trace-orthonormal tensor operators, ZYZ rotations
-and spin coherent states.  Basis ordering everywhere: index 0 is the
-highest weight, so J3 = diag(j, j-1, ..., -j).
+Spin matrices, trace-orthonormal tensor operators stored as one real
+orthogonal matrix per band offset m, ZYZ rotations and spin coherent
+states.  Basis ordering everywhere: index 0 is the highest weight, so
+J3 = diag(j, j-1, ..., -j).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial, sqrt
 
 import numpy as np
 
 __all__ = [
     "SpinIrrep",
-    "TensorOperator",
     "make_irrep",
-    "clebsch_gordan",
-    "tensor_operator",
     "tensor_basis",
     "wigner_zyz",
     "coherent_state",
-    "save_cg_cache",
-    "load_cg_cache",
 ]
 
 
@@ -56,15 +48,6 @@ class SpinIrrep:
         return np.stack([self.J1, self.J2, self.J3])
 
 
-@dataclass(frozen=True)
-class TensorOperator:
-    """Trace-orthonormal spherical tensor operator on a spin irrep."""
-
-    l: int
-    m: int
-    matrix: np.ndarray
-
-
 @lru_cache(maxsize=None)
 def make_irrep(two_j: int) -> SpinIrrep:
     """Standard ladder-operator construction of the spin-j matrices."""
@@ -88,105 +71,30 @@ def make_irrep(two_j: int) -> SpinIrrep:
 
 
 # ---------------------------------------------------------------------------
-# Clebsch-Gordan coefficients
-# ---------------------------------------------------------------------------
-
-# process-wide cache; keys are doubled-integer tuples
-_CG_TABLE: dict[tuple[int, int, int, int, int, int], float] = {}
-
-
-def _as_two(x) -> int:
-    two = 2 * x
-    itwo = int(round(two))
-    if abs(two - itwo) > 1e-9:
-        raise ValueError(f"{x} is not a half-integer")
-    return itwo
-
-
-def _cg_exact(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> Fraction:
-    """Signed square of the CG coefficient as an exact rational.
-
-    Racah sum formula; the returned Fraction is sign(C) * C^2 so that the
-    float conversion C = sign * sqrt(|.|) loses no precision to cancellation.
-    """
-    if tM != tm1 + tm2:
-        return Fraction(0)
-    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tM) > tJ:
-        return Fraction(0)
-    if tJ > tj1 + tj2 or tJ < abs(tj1 - tj2) or (tj1 + tj2 - tJ) % 2 != 0:
-        return Fraction(0)
-    if (tj1 + tm1) % 2 != 0 or (tj2 + tm2) % 2 != 0 or (tJ + tM) % 2 != 0:
-        return Fraction(0)
-
-    def f(two_n: int) -> int:
-        if two_n % 2 != 0 or two_n < 0:
-            raise ValueError("factorial of non-integer in CG")
-        return factorial(two_n // 2)
-
-    pref = Fraction(tJ + 1, 1) * Fraction(
-        f(tj1 + tj2 - tJ) * f(tj1 - tj2 + tJ) * f(-tj1 + tj2 + tJ),
-        f(tj1 + tj2 + tJ + 2),
-    )
-    pref *= Fraction(
-        f(tJ + tM) * f(tJ - tM) * f(tj1 - tm1) * f(tj1 + tm1) * f(tj2 - tm2) * f(tj2 + tm2)
-    )
-
-    s = Fraction(0)
-    kmin = max(0, -(tJ - tj2 + tm1) // 2, -(tJ - tj1 - tm2) // 2)
-    kmax = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    for k in range(kmin, kmax + 1):
-        den = (
-            factorial(k)
-            * f(tj1 + tj2 - tJ - 2 * k)
-            * f(tj1 - tm1 - 2 * k)
-            * f(tj2 + tm2 - 2 * k)
-            * f(tJ - tj2 + tm1 + 2 * k)
-            * f(tJ - tj1 - tm2 + 2 * k)
-        )
-        s += Fraction((-1) ** k, den)
-    if s == 0:
-        return Fraction(0)
-    sign = 1 if s > 0 else -1
-    return sign * pref * s * s
-
-
-def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
-    """<j1 m1; j2 m2 | J M> in the Condon-Shortley convention.
-
-    Arguments may be integers or half-integers.  Invalid couplings return 0.
-    """
-    key = (_as_two(j1), _as_two(m1), _as_two(j2), _as_two(m2), _as_two(J), _as_two(M))
-    val = _CG_TABLE.get(key)
-    if val is None:
-        sq = _cg_exact(*key)
-        sign = 1.0 if sq >= 0 else -1.0
-        val = sign * sqrt(abs(float(sq)))
-        _CG_TABLE[key] = val
-    return val
-
-
-# ---------------------------------------------------------------------------
 # Tensor operators
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TensorBasis:
-    """All tensor operators of an irrep in diagonal-band storage.
+    """All tensor operators of an irrep, one orthogonal matrix per band offset.
 
-    diag[(l, m)] is the vector of nonzero entries of T_lm, which sit on the
-    matrix diagonal with offset m (row i, column i + m for m >= 0).
+    Q[m] (0 <= m <= 2j) is a real orthogonal (d-m) x (d-m) matrix whose row
+    l - m holds the nonzero entries of T_lm, which sit on the matrix diagonal
+    with offset m (row i, column i + m).  Negative offsets follow from
+    T_{l,-m} = (-1)^m T_lm^T.
     """
 
     two_j: int
-    diag: dict = field(repr=False)
+    Q: tuple = field(repr=False)
 
     @property
     def d(self) -> int:
         return self.two_j + 1
 
     def dense(self, l: int, m: int) -> np.ndarray:
-        return np.diag(self.diag[(l, m)], k=m)
+        band = self.Q[abs(m)][l - abs(m)]
+        return np.diag(band if m >= 0 else (-1) ** m * band, k=m)
 
 
 @lru_cache(maxsize=None)
@@ -194,50 +102,38 @@ def tensor_basis(two_j: int) -> TensorBasis:
     """Build the full set {T_lm : l <= two_j, |m| <= l}.
 
     For each band offset m >= 0 the family {T_lm}_{l >= m} is generated by a
-    Stieltjes recurrence: the seed T_mm is the trace-normalized m-th power
-    of J+ with sign (-1)^m, and multiplying by the diagonal row quantum
-    number followed by full Gram-Schmidt reorthogonalization steps up in l.
-    This stays orthonormal to machine precision at large dimensions, where
-    the naive ladder descent in m loses accuracy.  Negative offsets follow
-    from T_lm^dagger = (-1)^m T_{l,-m}.  The result coincides with the
-    Clebsch-Gordan matrix-element construction in the Condon-Shortley
-    convention (cross-checked in the test suite).
+    Stieltjes (Lanczos) recurrence: the seed T_mm is the trace-normalized
+    m-th power of J+ with sign (-1)^m, and multiplying by the diagonal row
+    quantum number steps up in l.  Each step is orthogonalized twice against
+    all earlier rows of Q[m], one matrix product per pass ("twice is
+    enough", CGS2), which keeps Q[m] orthogonal to machine precision at any
+    dimension.  The seed is grown from the one of offset m - 1 by a single
+    ladder factor and renormalized, so it never overflows.  The result
+    coincides with the Clebsch-Gordan matrix-element construction in the
+    Condon-Shortley convention (cross-checked in the test suite).
     """
     d = two_j + 1
     j = two_j / 2
-    diag: dict[tuple[int, int], np.ndarray] = {}
-    for m in range(two_j + 1):
-        nlen = d - m
-        m1 = j - np.arange(nlen)  # row quantum numbers of the band
-        v = np.ones(nlen)
-        for k in range(m):
-            mm = m1 - m + k
-            v *= np.sqrt((j - mm) * (j + mm + 1))
-        v = (-1) ** m * v / np.linalg.norm(v)
-        fam = [v]
-        for _ in range(m + 1, two_j + 1):
-            w = m1 * fam[-1]
+    Q = []
+    seed = np.full(d, d**-0.5)
+    for m in range(d):
+        n = d - m
+        if m:
+            # (J+^m)[i, i+m] / (J+^(m-1))[i, i+m-1] = sqrt((i+m)(2j-i-m+1))
+            i = np.arange(n)
+            seed = seed[:n] * np.sqrt((i + m) * (two_j - i - m + 1))
+            seed /= np.linalg.norm(seed)
+        m1 = j - np.arange(n)  # row quantum numbers of the band
+        Qm = np.empty((n, n))
+        Qm[0] = (-1) ** m * seed
+        for r in range(1, n):
+            w = m1 * Qm[r - 1]
             for _pass in range(2):
-                for u in fam:
-                    w = w - (u @ w) * u
-            fam.append(w / np.linalg.norm(w))
-        for l in range(m, two_j + 1):
-            diag[(l, m)] = fam[l - m]
-            if m:
-                diag[(l, -m)] = (-1) ** m * fam[l - m]
-    for v in diag.values():
-        v.setflags(write=False)
-    return TensorBasis(two_j, diag)
-
-
-def tensor_operator(irrep: SpinIrrep, l: int, m: int) -> TensorOperator:
-    """Dense trace-orthonormal tensor operator T_lm."""
-    if not 0 <= l <= irrep.two_j:
-        raise ValueError(f"l={l} outside 0..{irrep.two_j}")
-    if abs(m) > l:
-        raise ValueError(f"|m|={abs(m)} exceeds l={l}")
-    basis = tensor_basis(irrep.two_j)
-    return TensorOperator(l, m, basis.dense(l, m).astype(complex))
+                w -= Qm[:r].T @ (Qm[:r] @ w)
+            Qm[r] = w / np.linalg.norm(w)
+        Qm.setflags(write=False)
+        Q.append(Qm)
+    return TensorBasis(two_j, tuple(Q))
 
 
 # ---------------------------------------------------------------------------
@@ -282,69 +178,3 @@ def coherent_state(irrep: SpinIrrep, n: np.ndarray) -> np.ndarray:
     phi = np.arctan2(n[1], n[0])
     u = wigner_zyz(irrep, phi, theta, phi)
     return u.conj().T[:, 0].copy()
-
-
-# ---------------------------------------------------------------------------
-# Binary cache for the tensor-operator Clebsch-Gordan tables
-# ---------------------------------------------------------------------------
-
-_CACHE_MAGIC = b"CGSW"
-_CACHE_VERSION = 1
-
-
-def save_cg_cache(path, max_two_j: int) -> None:
-    """Write tensor-basis band tables for all two_j <= max_two_j.
-
-    Layout: magic, uint32 version, uint32 max_two_j, then for each two_j in
-    ascending order the band vectors of T_lm in (l asc, m desc) order as
-    packed little-endian float64.  A pure accelerator; never authoritative.
-    """
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<II", _CACHE_VERSION, max_two_j))
-        for two_j in range(max_two_j + 1):
-            basis = tensor_basis(two_j)
-            for l in range(two_j + 1):
-                for m in range(l, -l - 1, -1):
-                    v = np.asarray(basis.diag[(l, m)], dtype="<f8")
-                    fh.write(v.tobytes())
-
-
-def load_cg_cache(path) -> int:
-    """Load a cache written by save_cg_cache into the process-wide caches.
-
-    Returns the max_two_j covered.  Raises ValueError on a bad header.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CACHE_MAGIC:
-            raise ValueError("bad cache magic")
-        version, max_two_j = struct.unpack("<II", fh.read(8))
-        if version != _CACHE_VERSION:
-            raise ValueError(f"unsupported cache version {version}")
-        for two_j in range(max_two_j + 1):
-            d = two_j + 1
-            diag: dict[tuple[int, int], np.ndarray] = {}
-            for l in range(two_j + 1):
-                for m in range(l, -l - 1, -1):
-                    n = d - abs(m)
-                    buf = fh.read(8 * n)
-                    if len(buf) != 8 * n:
-                        raise ValueError("truncated cache file")
-                    v = np.frombuffer(buf, dtype="<f8").copy()
-                    v.setflags(write=False)
-                    diag[(l, m)] = v
-            _PRELOADED[two_j] = TensorBasis(two_j, diag)
-    return max_two_j
-
-
-_PRELOADED: dict[int, TensorBasis] = {}
-
-_tensor_basis_raw = tensor_basis
-
-
-def tensor_basis(two_j: int) -> TensorBasis:  # noqa: F811
-    pre = _PRELOADED.get(two_j)
-    if pre is not None:
-        return pre
-    return _tensor_basis_raw(two_j)

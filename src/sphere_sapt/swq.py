@@ -10,7 +10,9 @@ both maps are diagonal in the tensor-operator basis:
 which makes the round trips exact.  Matrix-valued (fast-sector) symbols
 quantize entrywise: the result acts on H_slow (x) H_fast as kron(T, b).
 Coherent-state lower symbols are a further diagonal rescaling by the
-Clebsch-Gordan factor <j j; l 0 | j j>.
+Clebsch-Gordan factor <j j; l 0 | j j>.  With the tensor basis stored as one
+orthogonal matrix Q[m] per band offset, each transform is one matrix product
+per m.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .spin import SpinIrrep, clebsch_gordan, make_irrep, tensor_basis
+from .spin import SpinIrrep, make_irrep, tensor_basis
 from .sphere import Grid, SphereSymbol, ylm_at
 
 __all__ = [
@@ -51,31 +53,37 @@ class SWKernel:
     def at(self, theta: float, phi: float) -> np.ndarray:
         """Dense kernel matrix Delta(n) at a single point."""
         L = self.two_j
-        Y = ylm_at(L, theta, phi)
-        basis = tensor_basis(L)
-        d = self.d
-        out = np.zeros((d, d), dtype=complex)
-        for l in range(L + 1):
-            for m in range(-l, l + 1):
-                out += np.diag(Y[l, L + m].conj() * basis.diag[(l, m)], k=m)
-        return sqrt(4 * pi / d) * out
+        Yc = ylm_at(L, theta, phi).conj()
+        Q = tensor_basis(L).Q
+        out = np.zeros((self.d, self.d), dtype=complex)
+        for m in range(-L, L + 1):
+            r, c, sign = _band(self.d, m)
+            out[r, c] = sign * (Q[abs(m)].T @ Yc[abs(m) :, L + m])
+        return sqrt(4 * pi / self.d) * out
 
     def samples(self, grid: Grid) -> np.ndarray:
         """Kernel at every grid node, shape (n_theta, n_phi, d, d)."""
         d = self.d
-        delta = SphereSymbol(np.zeros((self.two_j + 1, 2 * self.two_j + 1, d, d), complex))
         L = self.two_j
-        basis = tensor_basis(L)
-        c = delta.coeffs
-        for l in range(L + 1):
-            for m in range(-l, l + 1):
-                # conj(Y_lm) = (-1)^m Y_{l,-m}
-                c[l, L - m] += (-1) ** m * sqrt(4 * pi / d) * np.diag(basis.diag[(l, m)], k=m)
-        return grid.synthesize(delta)
+        Q = tensor_basis(L).Q
+        c = np.zeros((L + 1, 2 * L + 1, d, d), complex)
+        pref = sqrt(4 * pi / d)
+        for m in range(-L, L + 1):
+            r, cols, sign = _band(d, m)
+            # conj(Y_lm) = (-1)^m Y_{l,-m}
+            c[abs(m) :, L - m][:, r, cols] = (-1) ** m * sign * pref * Q[abs(m)]
+        return grid.synthesize(SphereSymbol(c))
 
 
 def build_kernel(irrep: SpinIrrep) -> SWKernel:
     return SWKernel(irrep)
+
+
+def _band(d: int, m: int):
+    """Row and column indices of the offset-m diagonal, and the sign of
+    T_lm relative to row l - |m| of Q[|m|]."""
+    r = np.arange(d - abs(m)) + max(0, -m)
+    return r, r + m, (-1) ** m if m < 0 else 1
 
 
 def quantize(sym: SphereSymbol, kernel: SWKernel) -> np.ndarray:
@@ -86,26 +94,18 @@ def quantize(sym: SphereSymbol, kernel: SWKernel) -> np.ndarray:
     """
     L = min(sym.L, kernel.two_j)
     d = kernel.d
-    basis = tensor_basis(kernel.two_j)
+    Q = tensor_basis(kernel.two_j).Q
     fast = sym.fast_shape
     k = fast[0] if fast else 1
-    A = np.zeros((d, k, d, k), dtype=complex)
+    A = np.zeros((d, d, k * k), dtype=complex)
     Loff = sym.L
     pref = sqrt(d / (4 * pi))
-    rows = np.arange(d)
-    for l in range(L + 1):
-        for m in range(-l, l + 1):
-            b = sym.coeffs[l, Loff + m]
-            if not np.any(b):
-                continue
-            band = basis.diag[(l, m)]
-            r = rows[: d - abs(m)] + max(0, -m)
-            cidx = r + m
-            if fast:
-                A[r, :, cidx, :] += pref * band[:, None, None] * b[None, :, :]
-            else:
-                A[r, 0, cidx, 0] += pref * band * b
-    out = A.reshape(d * k, d * k)
+    for m in range(-L, L + 1):
+        am = abs(m)
+        r, c, sign = _band(d, m)
+        b = sym.coeffs[am : L + 1, Loff + m].reshape(L + 1 - am, k * k)
+        A[r, c] = (sign * pref) * (Q[am][: L + 1 - am].T @ b)
+    out = A.reshape(d, d, k, k).transpose(0, 2, 1, 3).reshape(d * k, d * k)
     return out if fast else out.reshape(d, d)
 
 
@@ -120,25 +120,25 @@ def dequantize(A: np.ndarray, kernel: SWKernel, fast_dim: int | None = None) -> 
     k = fast_dim or 1
     A4 = np.asarray(A, dtype=complex).reshape(d, k, d, k)
     L = kernel.two_j
-    basis = tensor_basis(L)
-    shape = (L + 1, 2 * L + 1) + ((k, k) if fast_dim else ())
-    coeffs = np.zeros(shape, dtype=complex)
+    Q = tensor_basis(L).Q
+    coeffs = np.zeros((L + 1, 2 * L + 1, k * k), dtype=complex)
     pref = sqrt(4 * pi / d)
-    rows = np.arange(d)
     for m in range(-L, L + 1):
-        r = rows[: d - abs(m)] + max(0, -m)
-        Dm = A4[r, :, r + m, :]  # (d-|m|, k, k)
-        for l in range(abs(m), L + 1):
-            val = pref * np.tensordot(basis.diag[(l, m)].conj(), Dm, axes=([0], [0]))
-            coeffs[l, L + m] = val if fast_dim else val[0, 0]
-    return SphereSymbol(coeffs)
+        r, c, sign = _band(d, m)
+        band = A4[r, :, c, :].reshape(d - abs(m), k * k)
+        coeffs[abs(m) :, L + m] = (sign * pref) * (Q[abs(m)] @ band)
+    shape = (L + 1, 2 * L + 1) + ((k, k) if fast_dim else ())
+    return SphereSymbol(coeffs.reshape(shape))
 
 
 @lru_cache(maxsize=None)
 def _lower_scale(two_j: int) -> np.ndarray:
-    """r_l = <j j; l 0 | j j>, the lower-symbol shrink factor per l."""
-    j = two_j / 2
-    return np.array([clebsch_gordan(j, j, l, 0, j, j) for l in range(two_j + 1)])
+    """r_l = <j j; l 0 | j j>, the lower-symbol shrink factor per l.
+
+    r_0 = 1 and r_l / r_{l-1} = sqrt((2j - l + 1) / (2j + l + 1)).
+    """
+    l = np.arange(1, two_j + 1)
+    return np.sqrt(np.cumprod(np.concatenate([[1.0], (two_j - l + 1) / (two_j + l + 1)])))
 
 
 def lower_symbol(A: np.ndarray, irrep: SpinIrrep, fast_dim: int | None = None) -> SphereSymbol:

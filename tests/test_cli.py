@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from sphere_sapt.cli import main
@@ -83,3 +84,22 @@ def test_kernel_check_subcommand(tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "kernel-check.json").read_text())
     assert all(c["pass"] for c in summary["checks"])
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_egorov_beyond_two_j_99_is_finite(tmp_path):
+    # from two_j = 99 on, the unnormalized seed J+^m of the basis exceeds the float range
+    assert main(["egorov", "--two-j", "20,40,80,120", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "egorov.csv").read_text().splitlines()[1:]
+    values = [float(r.split(",")[2]) for r in rows]
+    assert len(values) == 4 and all(np.isfinite(values))
+
+
+def test_two_point_sweep_writes_strict_json(tmp_path):
+    assert main(["star-slopes", "--two-j", "10,20", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "star-slopes.json").read_text()
+    summary = json.loads(text, parse_constant=_reject_constant)
+    assert all(c["ci95"] is None for c in summary["checks"] if "slope" in c)

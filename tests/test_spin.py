@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
+from cg_oracle import clebsch_gordan
 from sphere_sapt.spin import (
-    clebsch_gordan,
     coherent_state,
-    load_cg_cache,
     make_irrep,
     rotation_from_zyz,
-    save_cg_cache,
     tensor_basis,
-    tensor_operator,
     wigner_zyz,
 )
 
@@ -100,6 +97,17 @@ def test_tensor_basis_orthonormal(two_j):
     assert np.max(np.abs(G - np.eye(len(flat)))) < 1e-12
 
 
+@pytest.mark.parametrize("two_j", [99, 200, 400])
+def test_tensor_basis_finite_orthogonal_large(two_j):
+    # from two_j = 99 on, the unnormalized seed J+^m exceeds the float range
+    tb = tensor_basis(two_j)
+    assert len(tb.Q) == two_j + 1
+    for m, Q in enumerate(tb.Q):
+        assert Q.shape == (two_j + 1 - m, two_j + 1 - m)
+        assert np.all(np.isfinite(Q))
+        assert np.max(np.abs(Q @ Q.T - np.eye(len(Q)))) < 1e-13
+
+
 @pytest.mark.parametrize("two_j", [3, 8, 41])
 def test_tensor_conjugation(two_j):
     tb = tensor_basis(two_j)
@@ -125,12 +133,6 @@ def test_tensor_ladder_relations(two_j):
             else:
                 rhs = np.zeros_like(T)
             assert np.max(np.abs(lhs - rhs)) < 1e-11
-
-
-def test_tensor_operator_wrapper():
-    ir = make_irrep(4)
-    top = tensor_operator(ir, 2, -1)
-    assert np.allclose(top.matrix, tensor_basis(4).dense(2, -1))
 
 
 def test_wigner_rotation_consistency():
@@ -163,19 +165,3 @@ def test_coherent_state_expectations():
         assert abs(np.vdot(z, z) - 1) < 1e-12
         ev = np.array([np.vdot(z, J @ z).real for J in ir.Jvec])
         assert np.max(np.abs(ev - j * n)) < 1e-12
-
-
-def test_cg_cache_roundtrip(tmp_path):
-    path = tmp_path / "cg.npz"
-    save_cg_cache(path, 4)
-    n = load_cg_cache(path)
-    assert n > 0
-    # basis built from the cache agrees with the direct construction
-    assert np.allclose(tensor_basis(3).dense(2, 1), _cg_tensor(3, 2, 1))
-
-
-def test_cg_cache_rejects_bad_file(tmp_path):
-    path = tmp_path / "junk.npz"
-    path.write_bytes(b"not an archive")
-    with pytest.raises(ValueError):
-        load_cg_cache(path)

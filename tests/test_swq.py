@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from cg_oracle import clebsch_gordan
 
 from sphere_sapt.spin import coherent_state, make_irrep
 from sphere_sapt.sphere import SphereSymbol, make_grid, synthesize_at, vector_symbol_coeffs
@@ -9,6 +10,7 @@ from sphere_sapt.swq import (
     SWKernel,
     dequantize,
     kernel_property_residuals,
+    _lower_scale,
     lower_symbol,
     quantize,
     raise_lower_symbol,
@@ -57,6 +59,16 @@ def test_roundtrip_symbol_to_operator():
         sym = _random_symbol(two_j, rng)
         back = dequantize(quantize(sym, ker), ker)
         assert np.max(np.abs(back.truncated(two_j).coeffs - sym.coeffs)) < 1e-12
+
+
+@pytest.mark.parametrize("two_j", [99, 200, 400])
+def test_roundtrip_symbol_to_operator_large(two_j):
+    rng = np.random.default_rng(two_j)
+    ker = SWKernel(make_irrep(two_j))
+    sym = _random_symbol(two_j, rng)
+    back = dequantize(quantize(sym, ker), ker)
+    assert np.all(np.isfinite(back.coeffs))
+    assert np.max(np.abs(back.coeffs - sym.coeffs)) < 1e-12
 
 
 def test_roundtrip_operator_to_symbol():
@@ -129,3 +141,10 @@ def test_raise_lower_roundtrip_on_constants():
     back = lower_symbol(T, ir)
     grid = make_grid(4)
     assert np.max(np.abs(grid.synthesize(back.truncated(2)) - 1)) < 1e-12
+
+
+def test_lower_scale_matches_clebsch_gordan():
+    for two_j in (*range(1, 12), 40, 79, 80):
+        j = two_j / 2
+        want = [clebsch_gordan(j, j, l, 0, j, j) for l in range(two_j + 1)]
+        assert np.max(np.abs(_lower_scale(two_j) - want)) < 1e-15
