@@ -2,9 +2,20 @@
 
 Every numerical check is a subcommand writing a CSV (data rows only, byte
 deterministic for a fixed seed) and a JSON summary (config echo, wall time,
-pass/fail per check).  Exit codes: 0 success, 1 failed check, 2 bad
-arguments.  Output directory: --out flag, else SPHERE_SAPT_OUT, else cwd.
-An optional key=value config file can pre-set options; explicit flags win.
+pass/fail per check, slope fits).  A subcommand returns its rows, checks
+and extra summary keys; `main` alone times it, writes the files and maps
+what it raises to an exit code:
+
+    0  every check passed
+    1  a check failed, or the computation failed (ArithmeticError: e.g. a
+       band split that does not separate, or a non-finite result)
+    2  bad input (ValueError, LookupError, OSError: e.g. an unknown band
+       label, config key or file, or fewer than two sizes for a slope)
+
+A run that raises writes no file.  Output directory: --out flag, else
+SPHERE_SAPT_OUT, else cwd.  An optional key=value config file can pre-set
+options; its keys are the option names, its values are converted like the
+flags, and explicit flags win.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ import json
 import os
 import sys
 import time
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -56,25 +67,24 @@ from .swq import (
     quantize,
 )
 
-DEFAULTS = {
-    "kernel-check": {"two_j": "1,2,3,5,10,20", "grid": 48, "tol": 1e-10},
-    "star-slopes": {"two_j": "10,20,40,80", "pairs": 10, "band_limit": 4, "seed": 17},
-    "gap": {"lambdas": "0.5,0.45,0.55,0.05,0.95,0.495,0.505", "thetas": 64},
-    "chern": {"two_s": 1, "lam": 0.8, "grid": 40, "two_j": 8},
-    "bands": {"lam": 0.2, "band": 0.5, "two_j": "10,20,40,80", "orders": "0,1"},
-    "invariance-slopes": {"lam": 0.2, "band": 0.5, "two_j": "10,20,40,80", "orders": "0,1"},
-    "obstruction": {"lam": 0.8, "two_j": 8},
-    "egorov": {"lam": 0.2, "band": 0.5, "observable": "n1", "time": 1.0, "two_j": "10,20,40,80"},
-    "calibrate": {"two_j": "10,20,40,80", "pairs": 6, "band_limit": 3, "seed": 11},
-}
-
 
 def _int_list(s) -> list[int]:
     return [int(x) for x in str(s).split(",") if x != ""]
 
 
 def _float_list(s) -> list[float]:
-    return [float(x) for x in str(s).split(",") if x != ""]
+    xs = [float(x) for x in str(s).split(",") if x != ""]
+    if not all(map(isfinite, xs)):
+        raise ValueError(f"non-finite value in {s!r}")
+    return xs
+
+
+def _slope_sweep(cfg) -> list[int]:
+    """The two_j values of a slope fit: at least two different ones."""
+    two_j = _int_list(cfg["two_j"])
+    if len(set(two_j)) < 2:
+        raise ValueError(f"a slope needs at least two different two_j values, got {cfg['two_j']!r}")
+    return two_j
 
 
 def _fmt(x) -> str:
@@ -83,35 +93,35 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _out_dir(cfg) -> str:
-    out = cfg.get("out") or os.environ.get("SPHERE_SAPT_OUT") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+def _emit(cfg, name: str, header, rows, checks, extra, wall_time_s: float) -> int:
+    """Write <name>.csv and <name>.json; 0 if every check passed, else 1.
 
-
-def _write_csv(path: str, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
-
-
-def _emit(cfg, name: str, header, rows, checks, extra=None, t0=None):
-    out = _out_dir(cfg)
-    _write_csv(os.path.join(out, f"{name}.csv"), header, rows)
+    Everything is checked and serialized before a file is opened, so a
+    non-finite value raises ArithmeticError and leaves no partial output.
+    """
+    for row in rows:
+        if not all(isfinite(x) for x in row if isinstance(x, float)):
+            raise ArithmeticError(f"{name}: non-finite value in row {tuple(map(_fmt, row))}")
     ok = all(c["pass"] for c in checks)
     summary = {
         "command": name,
         "config": {k: v for k, v in cfg.items() if k != "out"},
-        "wall_time_s": None if t0 is None else time.perf_counter() - t0,
+        "wall_time_s": wall_time_s,
         "checks": checks,
         "pass": ok,
+        **extra,
     }
-    if extra:
-        summary.update(extra)
-    # strict JSON: a non-finite number raises here instead of being written
-    text = json.dumps(summary, indent=2, default=float, allow_nan=False)
+    try:  # strict JSON
+        text = json.dumps(summary, indent=2, default=float, allow_nan=False)
+    except ValueError as e:
+        raise ArithmeticError(f"{name}: non-finite value in the summary ({e})") from e
+    out = cfg.get("out") or os.environ.get("SPHERE_SAPT_OUT") or "."
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, f"{name}.csv"), "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_fmt(x) for x in row])
     with open(os.path.join(out, f"{name}.json"), "w") as fh:
         fh.write(text + "\n")
     for c in checks:
@@ -119,18 +129,13 @@ def _emit(cfg, name: str, header, rows, checks, extra=None, t0=None):
     return 0 if ok else 1
 
 
-def _slope_dict(fit):
-    return {"slope": fit.slope, "ci95": fit.ci95, "n_points": fit.n_points}
-
-
-# -- subcommands -------------------------------------------------------------
+# -- subcommands: each returns (rows, checks, extra summary keys) -----------
 
 
 def cmd_kernel_check(cfg):
-    t0 = time.perf_counter()
     rows, checks = [], []
-    grid = make_grid(int(cfg["grid"]))
-    tol = float(cfg["tol"])
+    grid = make_grid(cfg["grid"])
+    tol = cfg["tol"]
     rng = np.random.default_rng(23)
     for two_j in _int_list(cfg["two_j"]):
         d = two_j + 1
@@ -167,67 +172,57 @@ def cmd_kernel_check(cfg):
         for prop, val in res.items():
             rows.append((two_j, prop, val))
         checks.append({"name": f"two_j={two_j} residuals < {tol}", "pass": worst < tol, "worst": worst})
-    return _emit(cfg, "kernel-check", ("two_j", "property", "residual"), rows, checks, t0=t0)
+    return rows, checks, {}
 
 
 def cmd_star_slopes(cfg):
-    t0 = time.perf_counter()
-    two_j_list = _int_list(cfg["two_j"])
+    two_j_list = _slope_sweep(cfg)
     d_list = [t + 1 for t in two_j_list]
-    corpus = calibration_corpus(int(cfg["pairs"]), int(cfg["band_limit"]), int(cfg["seed"]))
-    L_out = 2 * int(cfg["band_limit"])
+    corpus = calibration_corpus(cfg["pairs"], cfg["band_limit"], cfg["seed"])
+    L_out = 2 * cfg["band_limit"]
     grid = make_grid(2 * L_out)
 
     def sup(sym):
         return float(np.max(np.abs(grid.synthesize(sym.truncated(L_out)))))
 
     rows = []
-    sup_k = {0: [], 1: []}
-    sup_comm = []
+    sups = {"trunc_err_k0": [], "trunc_err_k1": [], "commutator_residual": []}
     for two_j, d in zip(two_j_list, d_list):
         ker = SWKernel(make_irrep(two_j))
-        w0 = w1 = wc = 0.0
+        worst = dict.fromkeys(sups, 0.0)
         for f, g in corpus:
             ex = star_exact(f, g, ker)
             F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
-            for k, acc in ((0, "w0"), (1, "w1")):
+            for k in (0, 1):
                 tr = moyal_truncation(F, G, k, CALIBRATED).evaluate(d)
-                err = sup(_combine([(1.0, ex), (-1.0, tr)]))
-                if k == 0:
-                    w0 = max(w0, err)
-                else:
-                    w1 = max(w1, err)
+                q = f"trunc_err_k{k}"
+                worst[q] = max(worst[q], sup(_combine([(1.0, ex), (-1.0, tr)])))
             comm = _combine(
                 [(1.0, ex), (-1.0, star_exact(g, f, ker)), (-2j / d, poisson_bracket(f, g))]
             )
-            wc = max(wc, sup(comm))
-        sup_k[0].append(w0)
-        sup_k[1].append(w1)
-        sup_comm.append(wc)
-        rows += [(d, "trunc_err_k0", w0), (d, "trunc_err_k1", w1), (d, "commutator_residual", wc)]
+            worst["commutator_residual"] = max(worst["commutator_residual"], sup(comm))
+        for q, v in worst.items():
+            sups[q].append(v)
+            rows.append((d, q, v))
 
-    fit0 = loglog_slope(d_list, sup_k[0])
-    fit1 = loglog_slope(d_list, sup_k[1])
-    fitc = loglog_slope(d_list, sup_comm)
+    fit0, fit1, fitc = (loglog_slope(d_list, v) for v in sups.values())
     # printed order-1 term on the unit pair: exact 1*1 = 1, printed gives -1/2 d^-1
     one = SphereSymbol.constant(1.0)
     b11 = order1_bilinear(one, one, PRINTED_MOYAL)
     anomaly = float(grid.synthesize(b11.truncated(0)).real.flat[0])
     checks = [
-        {"name": "k=0 slope -1 +/- 0.3", "pass": abs(fit0.slope + 1) < 0.3, **_slope_dict(fit0)},
-        {"name": "k=1 slope -2 +/- 0.3", "pass": abs(fit1.slope + 2) < 0.3, **_slope_dict(fit1)},
-        {"name": "commutator residual at least O(d^-2)", "pass": fitc.slope < -1.7, **_slope_dict(fitc)},
+        {"name": "k=0 slope -1 +/- 0.3", "pass": abs(fit0.slope + 1) < 0.3, **fit0.as_dict()},
+        {"name": "k=1 slope -2 +/- 0.3", "pass": abs(fit1.slope + 2) < 0.3, **fit1.as_dict()},
+        {"name": "commutator residual at least O(d^-2)", "pass": fitc.slope < -1.7, **fitc.as_dict()},
         {"name": "printed order-1 on (1,1) equals -1/2", "pass": abs(anomaly + 0.5) < 1e-10, "value": anomaly},
     ]
     extra = {"printed_unit_anomaly": {"order1_value": anomaly, "note": "exact 1*1 = 1; printed set deviates by -d^-1/2"}}
-    return _emit(cfg, "star-slopes", ("d_j", "quantity", "value"), rows, checks, extra, t0=t0)
+    return rows, checks, extra
 
 
 def cmd_gap(cfg):
-    t0 = time.perf_counter()
     lambdas = _float_list(cfg["lambdas"])
-    n = int(cfg["thetas"])
-    thetas = np.linspace(0.0, pi, n)
+    thetas = np.linspace(0.0, pi, cfg["thetas"])
     rows = []
     worst = 0.0
     for lam in lambdas:
@@ -235,15 +230,13 @@ def cmd_gap(cfg):
         for th, v in zip(thetas, prof):
             rows.append((lam, float(th), float(v)))
         worst = max(worst, abs(float(gap_N(pi, lam)) - abs(1 - 2 * lam)))
-    checks = [{"name": "N(pi, lam) = |1 - 2 lam|", "pass": worst < 1e-12, "worst": worst}]
-    return _emit(cfg, "gap", ("lambda", "theta", "N"), rows, checks, t0=t0)
+    return rows, [{"name": "N(pi, lam) = |1 - 2 lam|", "pass": worst < 1e-12, "worst": worst}], {}
 
 
 def cmd_chern(cfg):
-    t0 = time.perf_counter()
-    two_s = int(cfg["two_s"])
-    params = ModelParams(int(cfg["two_j"]), two_s, float(cfg["lam"]))
-    n = int(cfg["grid"])
+    two_s = cfg["two_s"]
+    params = ModelParams(cfg["two_j"], two_s, cfg["lam"])
+    n = cfg["grid"]
     rows, checks = [], []
     for k in range(two_s + 1):
         m = two_s / 2 - k
@@ -251,57 +244,46 @@ def cmd_chern(cfg):
         ca = chern_analytic(params, m)
         rows.append((m, cp, ca))
         checks.append({"name": f"band m={m}: plaquette == analytic", "pass": cp == ca, "plaquette": cp, "analytic": ca})
-    return _emit(cfg, "chern", ("band", "chern_plaquette", "chern_analytic"), rows, checks, t0=t0)
+    return rows, checks, {}
+
+
+def _order_sweep(cfg, sweep, key: str, quantity: str, gate):
+    """Rows, checks and fits of a per-order slope sweep of band cfg["band"].
+
+    `sweep` is a sapt function returning values under `key` and a "fit";
+    `gate(order, slope)` gives the check's name and verdict.
+    """
+    two_j_list = _slope_sweep(cfg)
+    rows, checks, fits = [], [], {}
+    for order in _int_list(cfg["orders"]):
+        r = sweep(cfg["lam"], cfg["band"], two_j_list, order=order, cs=CALIBRATED)
+        rows += [(tj + 1, f"{quantity}_order{order}", v) for tj, v in zip(two_j_list, r[key])]
+        name, ok = gate(order, r["fit"].slope)
+        fits[f"order{order}"] = r["fit"].as_dict()
+        checks.append({"name": name, "pass": ok, **fits[f"order{order}"]})
+    return rows, checks, {"fits": fits}
 
 
 def cmd_bands(cfg):
-    t0 = time.perf_counter()
-    two_j_list = _int_list(cfg["two_j"])
-    lam, m = float(cfg["lam"]), float(cfg["band"])
-    rows, checks, extra = [], [], {"fits": {}}
-    target = {0: (-1.0, 0.3), 1: (-2.0, 0.4)}
-    for order in _int_list(cfg["orders"]):
-        r = band_spectrum_compare(lam, m, two_j_list, order=order, cs=CALIBRATED)
-        for tj, hdist in zip(two_j_list, r["hausdorff"]):
-            rows.append((tj + 1, f"hausdorff_order{order}", hdist))
-        want, tol = target.get(order, (-(order + 1), 0.4))
-        checks.append(
-            {
-                "name": f"order {order} Hausdorff slope {want} +/- {tol}",
-                "pass": abs(r["fit"].slope - want) < tol,
-                **_slope_dict(r["fit"]),
-            }
-        )
-        extra["fits"][f"order{order}"] = _slope_dict(r["fit"])
-    return _emit(cfg, "bands", ("d_j", "quantity", "value"), rows, checks, extra, t0=t0)
+    def gate(order, slope):
+        want, tol = {0: (-1.0, 0.3), 1: (-2.0, 0.4)}.get(order, (-(order + 1), 0.4))
+        return f"order {order} Hausdorff slope {want} +/- {tol}", abs(slope - want) < tol
+
+    return _order_sweep(cfg, band_spectrum_compare, "hausdorff", "hausdorff", gate)
 
 
 def cmd_invariance_slopes(cfg):
-    t0 = time.perf_counter()
-    two_j_list = _int_list(cfg["two_j"])
-    lam, m = float(cfg["lam"]), float(cfg["band"])
-    rows, checks, extra = [], [], {"fits": {}}
-    for order in _int_list(cfg["orders"]):
-        r = almost_invariance_norms(lam, m, two_j_list, order=order, cs=CALIBRATED)
-        for tj, v in zip(two_j_list, r["norms"]):
-            rows.append((tj + 1, f"commutator_norm_order{order}", v))
-        # this model beats the generic O(d^-1) bound already at order 0;
-        # require at least the advertised decay
+    # this model beats the generic O(d^-1) bound already at order 0;
+    # require at least the advertised decay
+    def gate(order, slope):
         want = -(order + 1)
-        checks.append(
-            {
-                "name": f"order {order} slope <= {want} + 0.3",
-                "pass": r["fit"].slope < want + 0.3,
-                **_slope_dict(r["fit"]),
-            }
-        )
-        extra["fits"][f"order{order}"] = _slope_dict(r["fit"])
-    return _emit(cfg, "invariance-slopes", ("d_j", "quantity", "value"), rows, checks, extra, t0=t0)
+        return f"order {order} slope <= {want} + 0.3", slope < want + 0.3
+
+    return _order_sweep(cfg, almost_invariance_norms, "norms", "commutator_norm", gate)
 
 
 def cmd_obstruction(cfg):
-    t0 = time.perf_counter()
-    params = ModelParams(int(cfg["two_j"]), 1, float(cfg["lam"]))
+    params = ModelParams(cfg["two_j"], 1, cfg["lam"])
     clusters = exact_band_projection(build_hamiltonian(params), params.d_s)
     d_j = params.d_j
     rows, checks = [], []
@@ -315,39 +297,30 @@ def cmd_obstruction(cfg):
                 "rank": int(c.rank),
             }
         )
-    return _emit(cfg, "obstruction", ("band", "exact_rank", "reference_rank", "expected_rank"), rows, checks, t0=t0)
+    return rows, checks, {}
 
 
 def cmd_egorov(cfg):
-    t0 = time.perf_counter()
     obs = {"n1": 0, "n2": 1, "n3": 2}
-    name = str(cfg["observable"])
+    name = cfg["observable"]
     if name not in obs:
         raise ValueError(f"unknown observable {name!r}, expected one of {sorted(obs)}")
-    o0 = vector_symbol_coeffs()[obs[name]]
-    two_j_list = _int_list(cfg["two_j"])
-    r = egorov_error(float(cfg["lam"]), float(cfg["band"]), o0, float(cfg["time"]), two_j_list)
+    two_j_list = _slope_sweep(cfg)
+    r = egorov_error(cfg["lam"], cfg["band"], vector_symbol_coeffs()[obs[name]], cfg["time"], two_j_list)
     rows = [(tj + 1, f"egorov_error_{name}", e) for tj, e in zip(two_j_list, r["errors"])]
-    checks = [
-        {
-            "name": "error decays at least O(d^-1)",
-            "pass": r["fit"].slope < -0.7,
-            **_slope_dict(r["fit"]),
-        }
-    ]
-    return _emit(cfg, "egorov", ("d_j", "quantity", "value"), rows, checks, {"fit": _slope_dict(r["fit"])}, t0=t0)
+    fit = r["fit"].as_dict()
+    return rows, [{"name": "error decays at least O(d^-1)", "pass": r["fit"].slope < -0.7, **fit}], {"fit": fit}
 
 
 def cmd_calibrate(cfg):
-    t0 = time.perf_counter()
-    corpus = calibration_corpus(int(cfg["pairs"]), int(cfg["band_limit"]), int(cfg["seed"]))
-    two_j_list = tuple(_int_list(cfg["two_j"]))
-    rows, checks, extra = [], [], {"reports": {}}
+    corpus = calibration_corpus(cfg["pairs"], cfg["band_limit"], cfg["seed"])
+    two_j_list = tuple(_slope_sweep(cfg))
+    rows, checks, reports = [], [], {}
     for product in ("sw", "berezin"):
         cs, rep = calibrate_order1(two_j_list, corpus, product=product)
         for t in rep["terms"]:
             rows.append((product, t["ansatz"], t["coefficient"], t["std_error"]))
-        extra["reports"][product] = rep
+        reports[product] = rep
         checks.append(
             {
                 "name": f"{product}: residual slope better than -0.7",
@@ -362,54 +335,92 @@ def cmd_calibrate(cfg):
                 "c_const": cs.c_const,
             }
         )
-    return _emit(
-        cfg, "calibrate", ("product", "ansatz", "coefficient", "std_error"), rows, checks, extra, t0=t0
-    )
+    return rows, checks, {"reports": reports}
 
 
+# name -> (run, CSV header, defaults); each option's type is its default's type
 COMMANDS = {
-    "kernel-check": cmd_kernel_check,
-    "star-slopes": cmd_star_slopes,
-    "gap": cmd_gap,
-    "chern": cmd_chern,
-    "bands": cmd_bands,
-    "invariance-slopes": cmd_invariance_slopes,
-    "obstruction": cmd_obstruction,
-    "egorov": cmd_egorov,
-    "calibrate": cmd_calibrate,
+    "kernel-check": (
+        cmd_kernel_check,
+        ("two_j", "property", "residual"),
+        {"two_j": "1,2,3,5,10,20", "grid": 48, "tol": 1e-10},
+    ),
+    "star-slopes": (
+        cmd_star_slopes,
+        ("d_j", "quantity", "value"),
+        {"two_j": "10,20,40,80", "pairs": 10, "band_limit": 4, "seed": 17},
+    ),
+    "gap": (
+        cmd_gap,
+        ("lambda", "theta", "N"),
+        {"lambdas": "0.5,0.45,0.55,0.05,0.95,0.495,0.505", "thetas": 64},
+    ),
+    "chern": (
+        cmd_chern,
+        ("band", "chern_plaquette", "chern_analytic"),
+        {"two_s": 1, "lam": 0.8, "grid": 40, "two_j": 8},
+    ),
+    "bands": (
+        cmd_bands,
+        ("d_j", "quantity", "value"),
+        {"lam": 0.2, "band": 0.5, "two_j": "10,20,40,80", "orders": "0,1"},
+    ),
+    "invariance-slopes": (
+        cmd_invariance_slopes,
+        ("d_j", "quantity", "value"),
+        {"lam": 0.2, "band": 0.5, "two_j": "10,20,40,80", "orders": "0,1"},
+    ),
+    "obstruction": (
+        cmd_obstruction,
+        ("band", "exact_rank", "reference_rank", "expected_rank"),
+        {"lam": 0.8, "two_j": 8},
+    ),
+    "egorov": (
+        cmd_egorov,
+        ("d_j", "quantity", "value"),
+        {"lam": 0.2, "band": 0.5, "observable": "n1", "time": 1.0, "two_j": "10,20,40,80"},
+    ),
+    "calibrate": (
+        cmd_calibrate,
+        ("product", "ansatz", "coefficient", "std_error"),
+        {"two_j": "10,20,40,80", "pairs": 6, "band_limit": 3, "seed": 11},
+    ),
+}
+
+HELP = {
+    "two_j": "spin dimension(s) two_j, comma separated",
+    "two_s": "fast-sector spin dimension two_s",
+    "lam": "coupling parameter",
+    "lambdas": "comma separated couplings",
+    "thetas": "number of theta samples",
+    "grid": "grid resolution",
+    "band": "band label m",
+    "orders": "truncation orders, comma separated",
+    "pairs": "number of random symbol pairs",
+    "band_limit": "band limit of random symbols",
+    "seed": "random seed",
+    "observable": "observable name (n1, n2, n3)",
+    "time": "evolution time T",
+    "tol": "residual tolerance",
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sphere-sapt", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    flags = {
-        "two_j": ("--two-j", str, "spin dimension(s) two_j, comma separated"),
-        "two_s": ("--two-s", int, "fast-sector spin dimension two_s"),
-        "lam": ("--lambda", float, "coupling parameter"),
-        "lambdas": ("--lambdas", str, "comma separated couplings"),
-        "thetas": ("--thetas", int, "number of theta samples"),
-        "grid": ("--grid", int, "grid resolution"),
-        "band": ("--band", float, "band label m"),
-        "orders": ("--orders", str, "truncation orders, comma separated"),
-        "pairs": ("--pairs", int, "number of random symbol pairs"),
-        "band_limit": ("--band-limit", int, "band limit of random symbols"),
-        "seed": ("--seed", int, "random seed"),
-        "observable": ("--observable", str, "observable name (n1, n2, n3)"),
-        "time": ("--time", float, "evolution time T"),
-        "tol": ("--tol", float, "residual tolerance"),
-    }
-    for name, defaults in DEFAULTS.items():
+    for name, (_, _, defaults) in COMMANDS.items():
         sp = sub.add_parser(name)
-        for key in defaults:
-            flag, typ, helptext = flags[key]
-            sp.add_argument(flag, dest=key, type=typ, default=argparse.SUPPRESS, help=helptext)
+        for key, default in defaults.items():
+            flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+            sp.add_argument(flag, dest=key, type=type(default), default=argparse.SUPPRESS, help=HELP[key])
         sp.add_argument("--out", default=argparse.SUPPRESS, help="output directory")
         sp.add_argument("--config", default=argparse.SUPPRESS, help="key=value config file")
     return p
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, defaults: dict) -> dict:
+    """Options from key=value lines, converted with the type of their default."""
+    known = {"out": "", **defaults}
     out = {}
     with open(path) as fh:
         for line in fh:
@@ -419,29 +430,32 @@ def _load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             k, v = line.split("=", 1)
-            out[k.strip().replace("-", "_")] = v.strip()
+            k = k.strip().replace("-", "_")
+            if k not in known:
+                raise ValueError(f"unknown config key {k!r} in {path}")
+            out[k] = type(known[k])(v.strip())
     return out
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    provided = vars(args)
-    cmd = provided.pop("command")
-    cfg = dict(DEFAULTS[cmd])
-    if "config" in provided:
-        path = provided.pop("config")
-        try:
-            file_vals = _load_config_file(path)
-        except (OSError, ValueError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        for k, v in file_vals.items():
-            if k in cfg or k == "out":
-                cfg[k] = v
-    cfg.update(provided)
+    provided = vars(_build_parser().parse_args(argv))
+    name = provided.pop("command")
+    run, header, defaults = COMMANDS[name]
     try:
-        return COMMANDS[cmd](cfg)
-    except (ValueError, KeyError) as e:
+        cfg = dict(defaults)
+        if "config" in provided:
+            cfg.update(_load_config_file(provided.pop("config"), defaults))
+        cfg.update(provided)
+        bad = [k for k, v in cfg.items() if isinstance(v, float) and not isfinite(v)]
+        if bad:
+            raise ValueError(f"non-finite value of {', '.join(bad)}")
+        t0 = time.perf_counter()
+        rows, checks, extra = run(cfg)
+        return _emit(cfg, name, header, rows, checks, extra, time.perf_counter() - t0)
+    except ArithmeticError as e:  # before ValueError: a BandSplitError is both
+        print(f"failed: {e}", file=sys.stderr)
+        return 1
+    except (ValueError, LookupError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -26,9 +26,9 @@ from .sphere import Grid, SphereSymbol, vector_symbol_coeffs
 __all__ = [
     "ModelParams",
     "BandData",
+    "band_index",
     "build_hamiltonian",
     "hamiltonian_symbol",
-    "lower_hamiltonian_symbol",
     "gap_N",
     "gap_profile",
     "tilt_angles",
@@ -79,6 +79,14 @@ class BandData:
     degenerate: bool
 
 
+def band_index(two_s: int, m: float) -> int:
+    """Position k of band m = s - k in s, s-1, ..., -s; any other label is rejected."""
+    k = two_s / 2 - float(m)
+    if not (k.is_integer() and 0 <= k <= two_s):
+        raise ValueError(f"band label m={m} is not one of s, s-1, ..., -s for s = {two_s / 2}")
+    return int(k)
+
+
 def build_hamiltonian(params: ModelParams) -> np.ndarray:
     """Exact Hamiltonian matrix on H_slow (x) H_fast."""
     J = params.slow.Jvec
@@ -123,28 +131,20 @@ def hamiltonian_symbol(params: ModelParams, order: int = 1) -> list[SphereSymbol
     return terms
 
 
+def _symbol_field(params: ModelParams, grid: Grid, c: float) -> np.ndarray:
+    """Samples of (1-lam) S3 + c n.S at the grid nodes."""
+    S = np.asarray(params.fast.Jvec)
+    return (1 - params.lam) * S[2][None, None] + c * np.einsum("atp,aij->tpij", grid.nvec, S)
+
+
 def exact_symbol_field(params: ModelParams, grid: Grid) -> np.ndarray:
     """Samples of the full symbol (1-lam) S3 + lam sqrt(1-d^{-2}) n.S."""
-    S = params.fast.Jvec
-    n = grid.nvec
-    fac = params.lam * sqrt(1 - params.d_j ** (-2))
-    field = (1 - params.lam) * np.asarray(S[2])[None, None]
-    field = field + fac * np.einsum("atp,aij->tpij", n, np.asarray(S))
-    return field
+    return _symbol_field(params, grid, params.lam * sqrt(1 - params.d_j ** (-2)))
 
 
 def lower_hamiltonian_symbol_field(params: ModelParams, grid: Grid) -> np.ndarray:
     """Samples of (1-lam) S3 + lam (1 - 1/d) n.S (coherent-state symbol)."""
-    S = params.fast.Jvec
-    n = grid.nvec
-    fac = params.lam * (1 - 1 / params.d_j)
-    return (1 - params.lam) * np.asarray(S[2])[None, None] + fac * np.einsum(
-        "atp,aij->tpij", n, np.asarray(S)
-    )
-
-
-# kept for symmetry with the operator API
-lower_hamiltonian_symbol = lower_hamiltonian_symbol_field
+    return _symbol_field(params, grid, params.lam * (1 - 1 / params.d_j))
 
 
 def gap_N(theta, lam: float):
@@ -203,11 +203,7 @@ def reference_unitary_field(params: ModelParams, theta, phi) -> np.ndarray:
 
 def principal_symbol_field(params: ModelParams, grid: Grid) -> np.ndarray:
     """H_0(n) = (1-lam) S3 + lam n.S sampled at the nodes."""
-    S = params.fast.Jvec
-    n = grid.nvec
-    return (1 - params.lam) * np.asarray(S[2])[None, None] + params.lam * np.einsum(
-        "atp,aij->tpij", n, np.asarray(S)
-    )
+    return _symbol_field(params, grid, params.lam)
 
 
 def principal_bands(params: ModelParams, theta, phi, m: float) -> BandData:
@@ -216,11 +212,7 @@ def principal_bands(params: ModelParams, theta, phi, m: float) -> BandData:
     m runs over s, s-1, ..., -s.  The collective degeneracy at
     (lam = 1/2, n = -e3) is flagged, not silently returned.
     """
-    two_s = params.two_s
-    ms = np.round(2 * np.asarray(m)) / 2
-    idx = int(round(two_s / 2 - ms))
-    if not 0 <= idx <= two_s:
-        raise ValueError(f"band label m={m} outside -s..s")
+    idx = band_index(params.two_s, m)
     theta = np.asarray(theta, dtype=float)
     N = gap_N(theta, params.lam)
     degenerate = bool(np.any(N < 1e-12))
@@ -229,5 +221,5 @@ def principal_bands(params: ModelParams, theta, phi, m: float) -> BandData:
     e_m[idx] = 1.0
     frame = np.einsum("...ba,b->...a", u0.conj(), e_m)  # u0^dagger psi_m
     projector = frame[..., :, None] * frame[..., None, :].conj()
-    energy = N * float(ms)
-    return BandData(float(ms), energy, frame, projector, u0, degenerate)
+    energy = N * float(m)
+    return BandData(float(m), energy, frame, projector, u0, degenerate)

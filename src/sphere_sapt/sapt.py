@@ -12,13 +12,13 @@ calibrated expansions can be compared downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
 
 import numpy as np
 
-from .fits import SlopeFit, loglog_slope
+from .fits import loglog_slope
 from .model import (
     ModelParams,
+    band_index,
     build_hamiltonian,
     gap_N,
     hamiltonian_symbol,
@@ -31,6 +31,7 @@ from .swq import SWKernel, dequantize, quantize
 
 __all__ = [
     "BandCluster",
+    "BandSplitError",
     "moyal_projection",
     "almost_invariance_norms",
     "exact_band_projection",
@@ -44,13 +45,6 @@ __all__ = [
 # sign in s = EGOROV_TIME_SIGN * (d_j / 2) * t relating operator time s to
 # classical time t; fixed once by the precession direction test in the suite
 EGOROV_TIME_SIGN = -1.0
-
-
-def _band_index(two_s: int, m: float) -> int:
-    idx = int(round(two_s / 2 - m))
-    if not 0 <= idx <= two_s:
-        raise ValueError(f"band label m={m} outside -s..s")
-    return idx
 
 
 def _mesh(grid: Grid):
@@ -73,7 +67,7 @@ def moyal_projection(
     """
     if abs(params.lam - 0.5) < 1e-12:
         raise ValueError("no spectral gap at lam = 1/2")
-    idx = _band_index(params.two_s, m)
+    idx = band_index(params.two_s, m)
     grid = make_grid(4 * L)
     th2, ph2 = _mesh(grid)
     bd = principal_bands(params, th2, ph2, m)
@@ -136,6 +130,15 @@ def almost_invariance_norms(
     return {"two_j": list(two_j_list), "norms": norms, "fit": loglog_slope([t + 1 for t in two_j_list], norms)}
 
 
+class BandSplitError(ArithmeticError, ValueError):
+    """The exact spectrum does not split into separated band clusters.
+
+    A failed computation, hence an ArithmeticError; also a ValueError, so
+    callers that treat the spectrum as unusable input still catch it (the
+    pattern of numpy's AxisError, both a ValueError and an IndexError).
+    """
+
+
 @dataclass
 class BandCluster:
     m: float
@@ -157,7 +160,7 @@ def exact_band_projection(H: np.ndarray, d_s: int, gap_ratio: float = 3.0):
     cut_pos = np.sort(np.argsort(gaps)[-(d_s - 1):])
     intra = np.delete(gaps, cut_pos)
     if len(intra) and np.min(gaps[cut_pos]) < gap_ratio * np.max(intra):
-        raise ValueError("spectral clusters not separated; no clean band split")
+        raise BandSplitError("spectral clusters not separated; no clean band split")
     bounds = [0] + list(cut_pos + 1) + [len(w)]
     s = (d_s - 1) / 2
     out = []
@@ -177,7 +180,7 @@ def _energy_symbol(params: ModelParams, m: float, grid: Grid, L: int) -> SphereS
 
 
 def _h1_star_machinery(params, m, cs, L) -> SphereSymbol:
-    idx = _band_index(params.two_s, m)
+    idx = band_index(params.two_s, m)
     grid = make_grid(4 * L)
     th2, ph2 = _mesh(grid)
     bd = principal_bands(params, th2, ph2, m)
@@ -196,7 +199,7 @@ def _h1_closed_form(params, m, cs, L) -> SphereSymbol:
     """Analytic-derivative evaluation of the same first-order block (s=1/2)."""
     if params.two_s != 1:
         raise ValueError("closed-form path implemented for two_s = 1")
-    idx = _band_index(1, m)
+    idx = band_index(1, m)
     sgn = 1.0 if idx == 0 else -1.0  # band +/-
     lam = params.lam
     grid = make_grid(4 * L)
@@ -272,6 +275,7 @@ def effective_hamiltonian(
     """Scalar effective symbol h0 + d^-1 h1 of band m (lam != 1/2)."""
     if abs(params.lam - 0.5) < 1e-12:
         raise ValueError("no spectral gap at lam = 1/2")
+    band_index(params.two_s, m)
     grid = make_grid(4 * L)
     h0 = _energy_symbol(params, m, grid, L)
     if order == 0:
@@ -314,7 +318,7 @@ def band_spectrum_compare(
         hq = quantize(h.evaluate(d, order), ker)
         eff = np.linalg.eigvalsh(hq)
         cluster = exact_band_projection(build_hamiltonian(params), params.d_s)
-        exact = next(c for c in cluster if abs(c.m - m) < 1e-9).eigenvalues
+        exact = cluster[band_index(two_s, m)].eigenvalues
         dists.append(_hausdorff(exact, eff))
     return {
         "two_j": list(two_j_list),
@@ -326,32 +330,18 @@ def band_spectrum_compare(
 # -- semiclassical propagation ----------------------------------------------
 
 
-def _flow_field(lam: float, m: float, n: np.ndarray) -> np.ndarray:
-    """Velocity n x grad E of the band-energy precession, E = m N(theta)."""
+def classical_flow(lam: float, m: float, n0: np.ndarray, T: float) -> np.ndarray:
+    """Points n0 moved for time T by the precession flow n' = n x grad E.
+
+    E = m N(theta) depends on n3 alone, so n3 is conserved and the flow is
+    the exact rotation about e3 by the angle -m lam(1-lam) T / N(n3).
+    """
+    n = np.asarray(n0, dtype=float)
     ct = np.clip(n[..., 2], -1.0, 1.0)
     N = np.sqrt(lam**2 + (1 - lam) ** 2 + 2 * lam * (1 - lam) * ct)
-    # dE/dtheta / sin(theta) stays bounded: m dN/dtheta = -m lam(1-lam) sin/N
-    rate = -float(m) * lam * (1 - lam) / N
-    v = np.empty_like(n)
-    v[..., 0] = -rate * n[..., 1]
-    v[..., 1] = rate * n[..., 0]
-    v[..., 2] = 0.0
-    return v
-
-
-def classical_flow(lam: float, m: float, n0: np.ndarray, T: float, dt: float = 1e-3):
-    """RK4 integration of the precession flow; unit norm is re-imposed."""
-    n = np.array(n0, dtype=float, copy=True)
-    steps = int(round(abs(T) / dt))
-    h = np.sign(T) * abs(T) / max(steps, 1)
-    for _ in range(max(steps, 1)):
-        k1 = _flow_field(lam, m, n)
-        k2 = _flow_field(lam, m, n + 0.5 * h * k1)
-        k3 = _flow_field(lam, m, n + 0.5 * h * k2)
-        k4 = _flow_field(lam, m, n + h * k3)
-        n = n + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        n = n / np.linalg.norm(n, axis=-1, keepdims=True)
-    return n
+    a = -float(m) * lam * (1 - lam) * T / N
+    c, s = np.cos(a), np.sin(a)
+    return np.stack([c * n[..., 0] - s * n[..., 1], s * n[..., 0] + c * n[..., 1], n[..., 2]], axis=-1)
 
 
 def egorov_error(
@@ -360,20 +350,19 @@ def egorov_error(
     o0: SphereSymbol,
     T: float,
     two_j_list,
-    dt: float = 1e-3,
     L: int = 24,
 ):
     """Sup-norm gap between Heisenberg-evolved and classically flowed symbols.
 
     Quantum side: conjugation by exp(-i h s) with s = (d_j/2) T and
-    h = quantize(h0).  Classical side: o0 composed with the RK4 flow.
+    h = quantize(h0).  Classical side: o0 composed with the precession flow.
     """
     grid = make_grid(48)
     th2, ph2 = _mesh(grid)
     nodes = np.stack(
         [np.sin(th2) * np.cos(ph2), np.sin(th2) * np.sin(ph2), np.cos(th2)], axis=-1
     )
-    flowed = classical_flow(lam, m, nodes.reshape(-1, 3), T, dt=dt)
+    flowed = classical_flow(lam, m, nodes.reshape(-1, 3), T)
     thf = np.arccos(np.clip(flowed[:, 2], -1, 1))
     phf = np.arctan2(flowed[:, 1], flowed[:, 0])
     o_cl = synthesize_at(o0, thf, phf).reshape(th2.shape)

@@ -15,7 +15,7 @@ truncations evaluate as sum_k d^{-k} z_k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -293,6 +293,8 @@ def random_hermitian_symbol(L: int, rng) -> SphereSymbol:
 
 
 def calibration_corpus(n_pairs: int = 6, L: int = 3, seed: int = 11):
+    if n_pairs < 1 or L < 0:
+        raise ValueError(f"a corpus needs n_pairs >= 1 and L >= 0, got {n_pairs} and {L}")
     rng = np.random.default_rng(seed)
     return [
         (random_hermitian_symbol(L, rng), random_hermitian_symbol(L, rng))

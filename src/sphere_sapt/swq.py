@@ -23,12 +23,11 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .spin import SpinIrrep, make_irrep, tensor_basis
+from .spin import SpinIrrep, tensor_basis
 from .sphere import Grid, SphereSymbol, ylm_at
 
 __all__ = [
     "SWKernel",
-    "build_kernel",
     "quantize",
     "dequantize",
     "lower_symbol",
@@ -73,10 +72,6 @@ class SWKernel:
             # conj(Y_lm) = (-1)^m Y_{l,-m}
             c[abs(m) :, L - m][:, r, cols] = (-1) ** m * sign * pref * Q[abs(m)]
         return grid.synthesize(SphereSymbol(c))
-
-
-def build_kernel(irrep: SpinIrrep) -> SWKernel:
-    return SWKernel(irrep)
 
 
 def _band(d: int, m: int):

@@ -1,10 +1,15 @@
 """Command-line harness: determinism, exit codes, config handling."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sphere_sapt import cli
 from sphere_sapt.cli import main
 
 
@@ -103,3 +108,128 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
     text = (tmp_path / "star-slopes.json").read_text()
     summary = json.loads(text, parse_constant=_reject_constant)
     assert all(c["ci95"] is None for c in summary["checks"] if "slope" in c)
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["egorov", "--two-j", "10"], 2),  # one size gives no slope
+        (["bands", "--band", "0.7"], 2),  # not a band label of s = 1/2
+        (["bands", "--band", "5"], 2),
+        (["invariance-slopes", "--band", "0.7", "--two-j", "10,20"], 2),  # not snapped to 0.5
+        (["bands", "--lambda", "0.45", "--two-j", "10,20"], 1),  # clusters do not separate
+        (["gap", "--config", "misspelled.cfg"], 2),  # unknown config key
+        (["chern", "--lambda", "0.5"], 2),  # gap closing
+        (["gap", "--lambdas", "0.2,nan"], 2),  # non-finite input
+        (["egorov", "--time", "inf"], 2),
+        (["star-slopes", "--pairs", "0", "--two-j", "2,4"], 2),  # empty corpus
+    ],
+)
+def test_exit_codes(tmp_path, monkeypatch, capsys, argv, want):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "misspelled.cfg").write_text("lamda=0.3\n")
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == want
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("failed: " if want == 1 else "error: ")
+    assert not out.exists()
+
+
+def test_failed_computation_exits_1(tmp_path, monkeypatch):
+    def broken(*args):
+        raise ArithmeticError("plaquette sum 0.5 not an integer")
+
+    monkeypatch.setattr(cli, "chern_plaquette", broken)
+    assert main(["chern", "--grid", "8", "--out", str(tmp_path)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_nonfinite_row_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "gap_N", lambda theta, lam: np.full(np.shape(theta), np.nan))
+    assert main(["gap", "--thetas", "4", "--out", str(tmp_path)]) == 1
+    assert "non-finite value in row" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_values_take_the_option_type(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("thetas=5\nlambdas=0.2\n")
+    assert main(["gap", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "gap.json").read_text())["config"]["thetas"] == 5
+    cfg.write_text("thetas=5.5\n")
+    assert main(["gap", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_fits_carry_intercept_and_residual(tmp_path):
+    assert main(["egorov", "--two-j", "10,20,40", "--out", str(tmp_path)]) == 0
+    fit = json.loads((tmp_path / "egorov.json").read_text())["fit"]
+    assert set(fit) == {"slope", "intercept", "ci95", "n_points", "residual"}
+    assert fit["n_points"] == 3 and fit["residual"] >= 0
+
+
+# -- property test over the argument space ------------------------------------
+
+_FLOATS = st.one_of(st.sampled_from([0.0, 0.2, 0.45, 0.5, 0.8, 1.0, float("nan")]), st.floats(-0.5, 1.5))
+_SIZES = st.integers(-2, 12)
+
+
+def _joined(elements):
+    return st.lists(elements, max_size=4).map(lambda xs: ",".join(map(str, xs)))
+
+
+_VALUES = {
+    "lam": _FLOATS,
+    "lambdas": _joined(_FLOATS),
+    "two_s": st.integers(-1, 3),
+    "thetas": st.integers(-2, 16),
+    "grid": st.integers(-2, 16),
+    "band": st.one_of(st.sampled_from([0.5, -0.5, 0.0, 1.0, 0.7, 5.0, float("nan")]), st.floats(-2, 2)),
+    "orders": _joined(st.integers(-1, 2)),
+    "pairs": st.integers(-1, 3),
+    "band_limit": st.integers(-1, 3),
+    "seed": st.integers(-1, 50),
+    "observable": st.sampled_from(["n1", "n2", "n3", "n4", ""]),
+    "time": st.one_of(st.sampled_from([0.0, float("nan")]), st.floats(-2, 2)),
+    "tol": st.floats(0, 1),
+}
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, config-file lines) with every option of a command drawn small."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    argv, lines = [name], []
+    for key, default in cli.COMMANDS[name][2].items():
+        if key == "two_j":
+            value = draw(_SIZES if isinstance(default, int) else _joined(_SIZES))
+        else:
+            value = draw(_VALUES[key])
+        where = draw(st.sampled_from(["default", "flag", "config"]))
+        if where == "flag":
+            argv.append(f"--{'lambda' if key == 'lam' else key.replace('_', '-')}={value}")
+        elif where == "config":
+            lines.append(f"{key}={value}")
+    return argv, lines
+
+
+def _strict(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_invocations())
+def test_any_invocation_exits_cleanly(invocation):
+    argv, lines = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        if lines:
+            (Path(tmp) / "run.cfg").write_text("\n".join(lines) + "\n")
+            argv = argv + ["--config", str(Path(tmp) / "run.cfg")]
+        rc = main(argv + ["--out", str(out)])
+        assert rc in (0, 1, 2)
+        written = sorted(out.iterdir()) if out.exists() else []
+        if rc == 2:
+            assert written == []
+        for path in written:
+            if path.suffix == ".json":
+                json.loads(path.read_text(), parse_constant=_strict)

@@ -5,6 +5,7 @@ import pytest
 
 from sphere_sapt.model import (
     ModelParams,
+    band_index,
     build_hamiltonian,
     exact_symbol_field,
     gap_N,
@@ -148,3 +149,17 @@ def test_band_label_validation():
     p = ModelParams(4, 1, 0.2)
     with pytest.raises(ValueError):
         principal_bands(p, np.array([1.0]), np.array([0.0]), 1.5)
+
+
+@pytest.mark.parametrize("two_s, m, want", [(1, 0.5, 0), (1, -0.5, 1), (2, 1, 0), (2, 0.0, 1), (3, -1.5, 3)])
+def test_band_index_of_valid_labels(two_s, m, want):
+    assert band_index(two_s, m) == want
+
+
+@pytest.mark.parametrize("m", [0.7, 0.5 + 1e-12, 5.0, -1.5, 0.0, float("nan"), float("inf")])
+def test_band_index_rejects_other_labels(m):
+    # no rounding to the nearest label: 0.7 must not become 0.5
+    with pytest.raises(ValueError):
+        band_index(1, m)
+    with pytest.raises(ValueError):
+        principal_bands(ModelParams(4, 1, 0.2), np.array([1.0]), np.array([0.0]), m)

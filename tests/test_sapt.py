@@ -7,6 +7,7 @@ from sphere_sapt.fits import loglog_slope
 from sphere_sapt.model import ModelParams, build_hamiltonian, gap_N
 from sphere_sapt.sapt import (
     EGOROV_TIME_SIGN,
+    BandSplitError,
     almost_invariance_norms,
     band_spectrum_compare,
     classical_flow,
@@ -115,6 +116,28 @@ def test_band_split_fails_at_degeneracy():
         exact_band_projection(build_hamiltonian(p), 2)
 
 
+def test_band_split_failure_is_a_failed_computation():
+    with pytest.raises(ArithmeticError):
+        exact_band_projection(build_hamiltonian(ModelParams(8, 1, 0.5)), 2)
+    assert issubclass(BandSplitError, ValueError)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda p: moyal_projection(p, 0.7, order=0, L=8),
+        lambda p: moyal_projection(p, 0.7, order=1, L=8),
+        lambda p: effective_hamiltonian(p, 0.7, order=0, L=8),
+        lambda p: effective_hamiltonian(p, 0.7, order=1, path="star_machinery", L=8),
+        lambda p: effective_hamiltonian(p, 0.7, order=1, path="closed_form", L=8),
+        lambda p: band_spectrum_compare(p.lam, 5.0, [10, 20], order=0, L=8),
+    ],
+)
+def test_band_label_is_never_rounded(build):
+    with pytest.raises(ValueError, match="band label"):
+        build(ModelParams(10, 1, LAM))
+
+
 def test_effective_hamiltonian_two_paths_agree():
     p = ModelParams(10, 1, LAM)
     grid = make_grid(48)
@@ -143,11 +166,30 @@ def test_classical_flow_conserves_invariants():
     rng = np.random.default_rng(15)
     n0 = rng.normal(size=(6, 3))
     n0 /= np.linalg.norm(n0, axis=1, keepdims=True)
-    nT = classical_flow(LAM, BAND, n0, 2.0, dt=1e-3)
+    nT = classical_flow(LAM, BAND, n0, 2.0)
     assert np.max(np.abs(np.linalg.norm(nT, axis=1) - 1)) < 1e-12
     E0 = BAND * gap_N(np.arccos(np.clip(n0[:, 2], -1, 1)), LAM)
     ET = BAND * gap_N(np.arccos(np.clip(nT[:, 2], -1, 1)), LAM)
     assert np.max(np.abs(ET - E0)) < 1e-12
+
+
+def test_classical_flow_matches_integrated_precession():
+    # RK4 on n' = n x grad E with E = m N(theta), the flow the rotation solves
+    def field(n):
+        rate = -BAND * LAM * (1 - LAM) / gap_N(np.arccos(n[:, 2]), LAM)
+        return np.stack([-rate * n[:, 1], rate * n[:, 0], 0 * n[:, 2]], axis=1)
+
+    rng = np.random.default_rng(16)
+    n = rng.normal(size=(6, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    want, h = n.copy(), 1e-3
+    for _ in range(2000):
+        k1 = field(want)
+        k2 = field(want + h / 2 * k1)
+        k3 = field(want + h / 2 * k2)
+        k4 = field(want + h * k3)
+        want = want + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    assert np.max(np.abs(classical_flow(LAM, BAND, n, 2000 * h) - want)) < 1e-12
 
 
 def test_egorov_height_is_invariant():
