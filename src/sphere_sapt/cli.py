@@ -93,6 +93,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _nonfinite_key(obj, path: str = "") -> str | None:
+    """JSON key path (e.g. "checks[0].slope") of the first non-finite float."""
+    if isinstance(obj, float):
+        return None if isfinite(obj) else path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, (list, tuple)) else ()
+    for k, v in items:
+        key = f"[{k}]" if isinstance(k, int) else f".{k}" if path else str(k)
+        found = _nonfinite_key(v, path + key)
+        if found is not None:
+            return found
+    return None
+
+
 def _emit(cfg, name: str, header, rows, checks, extra, wall_time_s: float) -> int:
     """Write <name>.csv and <name>.json; 0 if every check passed, else 1.
 
@@ -114,7 +127,7 @@ def _emit(cfg, name: str, header, rows, checks, extra, wall_time_s: float) -> in
     try:  # strict JSON
         text = json.dumps(summary, indent=2, default=float, allow_nan=False)
     except ValueError as e:
-        raise ArithmeticError(f"{name}: non-finite value in the summary ({e})") from e
+        raise ArithmeticError(f"{name}: non-finite value in the summary at {_nonfinite_key(summary)}") from e
     out = cfg.get("out") or os.environ.get("SPHERE_SAPT_OUT") or "."
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, f"{name}.csv"), "w", newline="") as fh:
@@ -133,6 +146,8 @@ def _emit(cfg, name: str, header, rows, checks, extra, wall_time_s: float) -> in
 
 
 def cmd_kernel_check(cfg):
+    if cfg["grid"] < 1:
+        raise ValueError(f"--grid must be >= 1 (the reproducing-property nodes need n_phi >= 2), got {cfg['grid']}")
     rows, checks = [], []
     grid = make_grid(cfg["grid"])
     tol = cfg["tol"]
@@ -313,8 +328,13 @@ def cmd_egorov(cfg):
 
 
 def cmd_calibrate(cfg):
-    corpus = calibration_corpus(cfg["pairs"], cfg["band_limit"], cfg["seed"])
+    L = cfg["band_limit"]
+    if L < 1:  # constant symbols leave the order-1 ansatz singular
+        raise ValueError(f"--band-limit must be >= 1 for a calibration, got {L}")
     two_j_list = tuple(_slope_sweep(cfg))
+    if min(two_j_list) < 2 * L:  # exact products of band-limit-L symbols reach l = 2L
+        raise ValueError(f"--two-j values must be >= 2 * --band-limit = {2 * L}, got {min(two_j_list)}")
+    corpus = calibration_corpus(cfg["pairs"], L, cfg["seed"])
     rows, checks, reports = [], [], {}
     for product in ("sw", "berezin"):
         cs, rep = calibrate_order1(two_j_list, corpus, product=product)

@@ -55,12 +55,19 @@ class SlopeFit:
 
 
 def loglog_slope(x, y) -> SlopeFit:
-    """Fit log y = slope log x + intercept with a slope confidence interval."""
-    lx = np.log(np.asarray(x, dtype=float))
-    ly = np.log(np.asarray(y, dtype=float))
-    n = len(lx)
+    """Fit log y = slope log x + intercept with a slope confidence interval.
+
+    Raises ArithmeticError naming the first point that has no logarithm.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    n = len(x)
     if n < 2:
         raise ValueError("need at least two points for a slope")
+    bad = np.flatnonzero(~((x > 0) & (y > 0)))
+    if bad.size:
+        i = bad[0]
+        raise ArithmeticError(f"log-log fit needs positive values, got y = {float(y[i])!r} at x = {float(x[i])!r}")
+    lx, ly = np.log(x), np.log(y)
     A = np.stack([lx, np.ones(n)], axis=1)
     coef, _, _, _ = np.linalg.lstsq(A, ly, rcond=None)
     resid = ly - A @ coef

@@ -62,17 +62,10 @@ class SphereSymbol:
 
     def hermiticity_residual(self) -> float:
         """Max deviation from a_{l,-m} = (-1)^m conj-transpose(a_{lm})."""
-        L = self.L
-        res = 0.0
-        for m in range(-L, L + 1):
-            a = self.coeffs[:, L + m]
-            b = self.coeffs[:, L - m]
-            sign = (-1) ** m
-            if self.is_scalar:
-                res = max(res, float(np.max(np.abs(b - sign * a.conj()))))
-            else:
-                res = max(res, float(np.max(np.abs(b - sign * a.conj().swapaxes(-1, -2)))))
-        return res
+        c = self.coeffs
+        sign = ((-1.0) ** np.arange(-self.L, self.L + 1)).reshape((1, -1) + (1,) * (c.ndim - 2))
+        ct = c.conj() if self.is_scalar else c.conj().swapaxes(-1, -2)
+        return float(np.max(np.abs(c[:, ::-1] - sign * ct)))
 
     @staticmethod
     def constant(value, L: int = 0) -> "SphereSymbol":
@@ -90,31 +83,36 @@ def _legendre_tables(L: int, x: np.ndarray):
     Returns (P, dP), each of shape (L+1, L+1, len(x)) indexed [l, m] for
     m >= 0.  Normalization: int P_lm(x)^2 dx dphi-factor = orthonormal
     spherical harmonics, i.e. Y_lm(theta, phi) = P_lm(cos theta) e^{i m phi}.
+    The l-recurrence runs over every m at once, one numpy step per l.
     """
-    nx = len(x)
     sx = np.sqrt(np.clip(1.0 - x * x, 0.0, None))  # sin(theta) > 0 off poles
-    P = np.zeros((L + 1, L + 1, nx))
+    P = np.zeros((L + 1, L + 1, len(x)))
     P[0, 0] = 1.0 / sqrt(4 * pi)
     for m in range(1, L + 1):
         P[m, m] = -sqrt((2 * m + 1) / (2 * m)) * sx * P[m - 1, m - 1]
-    for m in range(0, L):
-        P[m + 1, m] = sqrt(2 * m + 3) * x * P[m, m]
-    for m in range(0, L + 1):
-        for l in range(m + 2, L + 1):
-            a = sqrt((4 * l * l - 1) / (l * l - m * m))
-            b = sqrt((2 * l + 1) / (2 * l - 3) * ((l - 1) ** 2 - m * m) / (l * l - m * m))
-            P[l, m] = a * x * P[l - 1, m] - b * P[l - 2, m]
+    m = np.arange(L)
+    P[m + 1, m] = np.sqrt(2 * m + 3)[:, None] * x * P[m, m]
+    for l in range(2, L + 1):
+        m = np.arange(l - 1)
+        a = np.sqrt((4 * l * l - 1) / (l * l - m * m))[:, None]
+        b = np.sqrt((2 * l + 1) / (2 * l - 3) * ((l - 1) ** 2 - m * m) / (l * l - m * m))[:, None]
+        P[l, : l - 1] = a * x * P[l - 1, : l - 1] - b * P[l - 2, : l - 1]
     # d/dtheta P_lm = m cot(theta) P_lm + sqrt((l-m)(l+m+1)) P_{l,m+1}
     # pole nodes only ever consume P (quadrature grids exclude the poles),
     # so a finite stand-in for cot there keeps dP free of nans
     cot = np.divide(x, sx, out=np.zeros_like(x), where=sx > 0)
-    dP = np.zeros_like(P)
-    for m in range(0, L + 1):
-        for l in range(m, L + 1):
-            dP[l, m] = m * cot * P[l, m]
-            if m + 1 <= l:
-                dP[l, m] += sqrt((l - m) * (l + m + 1)) * P[l, m + 1]
+    l, m = np.ogrid[: L + 1, : L + 1]
+    dP = m[..., None] * cot * P
+    dP[:, :L] += np.sqrt(np.clip((l - m) * (l + m + 1), 0, None))[:, :L, None] * P[:, 1:]
     return P, dP
+
+
+def _wrap_add(f: np.ndarray, fm: np.ndarray) -> None:
+    """f[:, i mod n] += fm[i] for theta columns fm[i]; f has n columns."""
+    n = f.shape[1]
+    for k in range(0, len(fm), n):
+        block = fm[k : k + n].transpose(1, 0, 2)
+        f[:, : block.shape[1]] += block
 
 
 class Grid:
@@ -137,7 +135,6 @@ class Grid:
         self.n_theta = n_theta
         self.n_phi = n_phi
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._phases: dict[int, np.ndarray] = {}
 
     # -- cached tables ------------------------------------------------------
 
@@ -149,36 +146,11 @@ class Grid:
         self._tables = {L: tab}
         return tab
 
-    def _phase(self, L: int) -> np.ndarray:
-        ph = self._phases.get(L)
-        if ph is None:
-            m = np.arange(-L, L + 1)
-            ph = np.exp(1j * np.outer(m, self.phi))
-            self._phases[L] = ph
-        return ph
-
-    def _fold(self, L: int, deriv: bool = False) -> np.ndarray:
-        """Table Y[l, m+L, itheta] of P_l|m| with the sign for negative m."""
-        P, dP = self._tab(L)
-        T = dP if deriv else P
-        out = np.zeros((L + 1, 2 * L + 1, self.n_theta))
-        for m in range(-L, L + 1):
-            am = abs(m)
-            sign = (-1) ** m if m < 0 else 1
-            out[am:, m + L] = sign * T[am:, am, :][: L + 1 - am]
-        return out
-
     @property
     def nvec(self) -> np.ndarray:
         """Unit normals at the nodes, shape (3, n_theta, n_phi)."""
         st = np.sin(self.theta)[:, None]
-        return np.stack(
-            [
-                st * np.cos(self.phi)[None, :],
-                st * np.sin(self.phi)[None, :],
-                np.broadcast_to(self.x[:, None], (self.n_theta, self.n_phi)).copy(),
-            ]
-        )
+        return np.stack(np.broadcast_arrays(st * np.cos(self.phi), st * np.sin(self.phi), self.x[:, None]))
 
     # -- transforms ---------------------------------------------------------
 
@@ -187,10 +159,22 @@ class Grid:
         return self._synth(sym.coeffs, deriv=False)
 
     def _synth(self, coeffs: np.ndarray, deriv: bool) -> np.ndarray:
+        # f_m(theta) = sum_l P_l|m| c_lm as one real matmul over m >= 0 and
+        # one over m < 0, on float views of the complex columns; f_m lands
+        # at phi index m mod n_phi (aliased m add up), then one inverse FFT
         L = coeffs.shape[0] - 1
-        Y = self._fold(L, deriv=deriv)
-        fm = np.einsum("lmt,lm...->mt...", Y, coeffs)
-        return np.einsum("mt...,mp->tp...", fm, self._phase(L))
+        P, dP = self._tab(L)
+        T = (dP if deriv else P)[: L + 1, : L + 1].transpose(1, 2, 0)  # [m, theta, l]
+        c = np.ascontiguousarray(coeffs, dtype=complex).reshape(L + 1, 2 * L + 1, -1)
+        cf = c.view(float).transpose(1, 0, 2)  # [m + L, l, re/im of fast]
+        out = np.zeros((self.n_theta, self.n_phi, c.shape[-1]), dtype=complex)
+        f = out.view(float)
+        _wrap_add(f, T @ cf[L:])  # m = 0, 1, ..., L
+        neg = T[1:] @ cf[:L][::-1]  # m = -1, -2, ..., -L
+        neg[::2] *= -1  # P_l,-m = (-1)^m P_lm
+        _wrap_add(f[:, ::-1], neg)
+        np.fft.ifft(out, axis=1, norm="forward", out=out)
+        return out.reshape((self.n_theta, self.n_phi) + coeffs.shape[2:])
 
     def synthesize_gradient(self, sym: SphereSymbol):
         """Tangential gradient samples (f_theta, f_phi_over_sin)."""
@@ -206,11 +190,17 @@ class Grid:
     def analyze(self, samples: np.ndarray, L: int) -> SphereSymbol:
         """Project grid samples onto Y_lm for l <= L."""
         samples = np.asarray(samples, dtype=complex)
-        gm = np.einsum("tp...,mp->mt...", samples, self._phase(L).conj())
-        wt = self.w_theta.reshape((1, -1) + (1,) * (samples.ndim - 2))
-        Y = self._fold(L)
-        coeffs = np.einsum("lmt,mt...->lm...", Y, gm * wt)
-        return SphereSymbol(coeffs)
+        g = np.fft.fft(samples.reshape(self.n_theta, self.n_phi, -1), axis=1)
+        g *= self.w_theta[:, None, None]
+        T = self._tab(L)[0][: L + 1, : L + 1].transpose(1, 0, 2)  # [m, l, theta]
+        coeffs = np.zeros((L + 1, 2 * L + 1, g.shape[-1]), dtype=complex)
+        cf = coeffs.view(float).transpose(1, 0, 2)
+        m = np.arange(L + 1)
+        gf = g.view(float)
+        np.matmul(T, gf[:, m % self.n_phi].transpose(1, 0, 2), out=cf[L:])
+        np.matmul(T[1:], gf[:, -m[1:] % self.n_phi].transpose(1, 0, 2), out=cf[:L][::-1])
+        coeffs[:, :L][:, ::-2] *= -1  # P_l,-m = (-1)^m P_lm
+        return SphereSymbol(coeffs.reshape((L + 1, 2 * L + 1) + samples.shape[2:]))
 
     def integrate_samples(self, samples: np.ndarray):
         """Integral over S^2 with the total-mass-4pi measure."""
@@ -265,44 +255,27 @@ def gradient_bilinears(f: SphereSymbol, g: SphereSymbol, grid: Grid | None = Non
 def vector_symbol_coeffs(L: int = 1) -> list[SphereSymbol]:
     """The scalar symbols n_1, n_2, n_3 (unit-vector components)."""
     r = sqrt(2 * pi / 3)
-    out = []
-    for comp in range(3):
-        c = np.zeros((L + 1, 2 * L + 1), dtype=complex)
-        if comp == 0:
-            c[1, L - 1] = r
-            c[1, L + 1] = -r
-        elif comp == 1:
-            c[1, L - 1] = 1j * r
-            c[1, L + 1] = 1j * r
-        else:
-            c[1, L] = sqrt(4 * pi / 3)
-        out.append(SphereSymbol(c))
-    return out
+    c = np.zeros((3, L + 1, 2 * L + 1), dtype=complex)
+    c[0, 1, [L - 1, L + 1]] = r, -r
+    c[1, 1, [L - 1, L + 1]] = 1j * r
+    c[2, 1, L] = sqrt(4 * pi / 3)
+    return [SphereSymbol(ci) for ci in c]
+
+
+def _ylm(L: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Y_lm at points (theta, phi), shape (L+1, 2L+1, n_points)."""
+    m = np.arange(-L, L + 1)
+    sign = np.where(m < 0, (-1.0) ** m, 1.0)[:, None]
+    return sign * _legendre_tables(L, np.cos(theta))[0][:, abs(m)] * np.exp(1j * np.outer(m, phi))
 
 
 def synthesize_at(sym: SphereSymbol, theta, phi):
     """Evaluate a symbol at arbitrary points (vectorized, off-grid)."""
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
-    L = sym.L
-    P, _ = _legendre_tables(L, np.cos(theta))
-    out = 0
-    for m in range(-L, L + 1):
-        am = abs(m)
-        sign = (-1) ** m if m < 0 else 1
-        Ym = sign * P[am:, am, :][: L + 1 - am] * np.exp(1j * m * phi)[None, :]
-        c = sym.coeffs[am:, m + L]
-        out = out + np.einsum("lx,l...->x...", Ym, c)
-    return out
+    return np.einsum("lmx,lm...->x...", _ylm(sym.L, theta, phi), sym.coeffs)
 
 
 def ylm_at(L: int, theta: float, phi: float) -> np.ndarray:
     """Dense Y_lm values at a single point, shape (L+1, 2L+1)."""
-    x = np.array([np.cos(theta)])
-    P, _ = _legendre_tables(L, x)
-    out = np.zeros((L + 1, 2 * L + 1), dtype=complex)
-    for m in range(-L, L + 1):
-        am = abs(m)
-        sign = (-1) ** m if m < 0 else 1
-        out[am:, m + L] = sign * P[am:, am, 0][: L + 1 - am] * np.exp(1j * m * phi)
-    return out
+    return _ylm(L, np.array([theta]), np.array([phi]))[..., 0]

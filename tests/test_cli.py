@@ -123,6 +123,11 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
         (["gap", "--lambdas", "0.2,nan"], 2),  # non-finite input
         (["egorov", "--time", "inf"], 2),
         (["star-slopes", "--pairs", "0", "--two-j", "2,4"], 2),  # empty corpus
+        (["invariance-slopes", "--lambda", "0", "--two-j", "10,20"], 1),  # norms are exactly 0
+        (["star-slopes", "--band-limit", "0", "--two-j", "10,20"], 1),  # errors are exactly 0
+        (["calibrate", "--band-limit", "0"], 2),
+        (["calibrate", "--two-j", "1,8,2,4"], 2),  # below 2 * band limit
+        (["kernel-check", "--grid", "0", "--two-j", "0"], 2),
     ],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, argv, want):
@@ -132,7 +137,18 @@ def test_exit_codes(tmp_path, monkeypatch, capsys, argv, want):
     assert main(argv + ["--out", str(out)]) == want
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("failed: " if want == 1 else "error: ")
+    assert _CAUSES.get(tuple(argv), "") in err[0]
     assert not out.exists()
+
+
+# the message of an exit names the cause: the option, or the value and its x
+_CAUSES = {
+    ("invariance-slopes", "--lambda", "0", "--two-j", "10,20"): "positive values, got y = 0.0 at x = 11.0",
+    ("star-slopes", "--band-limit", "0", "--two-j", "10,20"): "positive values, got y = 0.0 at x = 11.0",
+    ("calibrate", "--band-limit", "0"): "--band-limit must be >= 1",
+    ("calibrate", "--two-j", "1,8,2,4"): "--two-j values must be >= 2 * --band-limit = 6, got 1",
+    ("kernel-check", "--grid", "0", "--two-j", "0"): "--grid must be >= 1",
+}
 
 
 def test_failed_computation_exits_1(tmp_path, monkeypatch):
@@ -148,6 +164,13 @@ def test_nonfinite_row_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(cli, "gap_N", lambda theta, lam: np.full(np.shape(theta), np.nan))
     assert main(["gap", "--thetas", "4", "--out", str(tmp_path)]) == 1
     assert "non-finite value in row" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_nonfinite_summary_names_the_key(tmp_path):
+    checks = [{"name": "ok", "pass": True}, {"name": "fit", "pass": True, "slope": float("nan")}]
+    with pytest.raises(ArithmeticError, match=r"summary at checks\[1\]\.slope$"):
+        cli._emit({"out": str(tmp_path)}, "demo", ("x",), [], checks, {}, 0.0)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -28,3 +28,9 @@ def test_interval_widens_with_t_quantile():
     resid = np.log(y) - (fit.slope * lx + fit.intercept)
     se = np.sqrt(resid @ resid / 10 / np.sum((lx - lx.mean()) ** 2))
     assert fit.ci95 == pytest.approx(2.228 * se, rel=1e-9)
+
+
+@pytest.mark.parametrize("y, bad", [([0.5, 0.0, 0.0], "y = 0.0 at x = 20.0"), ([1.0, 0.5, -0.1], "y = -0.1 at x = 40.0")])
+def test_nonpositive_value_raises_naming_it(y, bad):
+    with pytest.raises(ArithmeticError, match=bad):
+        loglog_slope([10, 20, 40], y)

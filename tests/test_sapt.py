@@ -162,6 +162,21 @@ def test_band_spectrum_slopes():
     assert r1["fit"].slope < -1.6
 
 
+def test_band_limit_24_is_converged_to_two_j_160():
+    # N(theta) is not band-limited, so the symbols are cut at L; doubling L
+    # from 24 to 48 moves the norms by 2.3e-10 and the Hausdorff distances
+    # by 1.0e-7 at two_j <= 160 (from 12 to 24 it is 5e-5, which fails)
+    two_j = (40, 80, 160)
+
+    def values(L):
+        norms = almost_invariance_norms(LAM, BAND, two_j, order=1, cs=CALIBRATED, L=L)["norms"]
+        dists = band_spectrum_compare(LAM, BAND, two_j, order=1, cs=CALIBRATED, L=L)["hausdorff"]
+        return np.array(norms + dists)
+
+    coarse, fine = values(24), values(48)
+    assert np.max(np.abs(coarse - fine) / fine) < 1e-6
+
+
 def test_classical_flow_conserves_invariants():
     rng = np.random.default_rng(15)
     n0 = rng.normal(size=(6, 3))
