@@ -142,12 +142,22 @@ def _emit(cfg, name: str, header, rows, checks, extra, wall_time_s: float) -> in
     return 0 if ok else 1
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 # -- subcommands: each returns (rows, checks, extra summary keys) -----------
 
 
 def cmd_kernel_check(cfg):
     if cfg["grid"] < 1:
         raise ValueError(f"--grid must be >= 1 (the reproducing-property nodes need n_phi >= 2), got {cfg['grid']}")
+    memory = _physical_memory()
+    for two_j in _int_list(cfg["two_j"]):
+        # kernel_property_residuals holds at most ~12 theta rows of n_phi d x d samples
+        need = 12 * (max(cfg["grid"], 2 * two_j) + 1) * (two_j + 1) ** 2 * 16
+        if need > memory:
+            raise ValueError(f"--two-j {two_j} needs ~{need / 2**30:.1f} GiB, more than the {memory / 2**30:.1f} GiB of physical memory")
     rows, checks = [], []
     grid = make_grid(cfg["grid"])
     tol = cfg["tol"]

@@ -24,7 +24,7 @@ from math import pi, sqrt
 import numpy as np
 
 from .spin import SpinIrrep, tensor_basis
-from .sphere import Grid, SphereSymbol, ylm_at
+from .sphere import Grid, SphereSymbol, _legendre_tables
 
 __all__ = [
     "SWKernel",
@@ -51,27 +51,34 @@ class SWKernel:
 
     def at(self, theta: float, phi: float) -> np.ndarray:
         """Dense kernel matrix Delta(n) at a single point."""
-        L = self.two_j
-        Yc = ylm_at(L, theta, phi).conj()
-        Q = tensor_basis(L).Q
-        out = np.zeros((self.d, self.d), dtype=complex)
-        for m in range(-L, L + 1):
-            r, c, sign = _band(self.d, m)
-            out[r, c] = sign * (Q[abs(m)].T @ Yc[abs(m) :, L + m])
-        return sqrt(4 * pi / self.d) * out
+        P = _legendre_tables(self.two_j, np.array([np.cos(theta)]))[0]
+        return next(_rows(self.two_j, P, np.array([phi])))[0]
 
-    def samples(self, grid: Grid) -> np.ndarray:
-        """Kernel at every grid node, shape (n_theta, n_phi, d, d)."""
-        d = self.d
-        L = self.two_j
-        Q = tensor_basis(L).Q
-        c = np.zeros((L + 1, 2 * L + 1, d, d), complex)
-        pref = sqrt(4 * pi / d)
-        for m in range(-L, L + 1):
-            r, cols, sign = _band(d, m)
-            # conj(Y_lm) = (-1)^m Y_{l,-m}
-            c[abs(m) :, L - m][:, r, cols] = (-1) ** m * sign * pref * Q[abs(m)]
-        return grid.synthesize(SphereSymbol(c))
+    def samples(self, grid: Grid):
+        """Kernel at the grid nodes, yielded one theta row (n_phi, d, d) at a time."""
+        return _rows(self.two_j, grid._tab(self.two_j)[0], grid.phi)
+
+
+def _rows(two_j: int, P: np.ndarray, phi: np.ndarray):
+    """Delta at the nodes (theta_t, phi_p) one row t at a time, from a
+    Legendre table P[l, m, t] (l, m <= 2j at least) at cos(theta_t).
+
+    Diagonal m of Delta is e^{-i m phi} g_|m|(theta), g_m = sqrt(4 pi / d)
+    P[m:, m]^T Q[m].  No sign is needed for m < 0: the (-1)^m of conj(Y_lm)
+    = (-1)^m Y_{l,-m} cancels the (-1)^m of T_{l,-m} = (-1)^m T_lm^T.
+    """
+    d = two_j + 1
+    Q = tensor_basis(two_j).Q
+    g = [sqrt(4 * pi / d) * (P[m:d, m].T @ Q[m]) for m in range(d)]  # (n_theta, d - m)
+    m = np.arange(-two_j, d)
+    phase = np.exp(-1j * np.outer(phi, m))  # (n_phi, 2j + 1)
+    for t in range(P.shape[2]):
+        row = np.zeros((len(phi), d * d), dtype=complex)
+        for k, mk in enumerate(m):
+            # diagonal mk of the flat d x d layout: start (0, mk) or (|mk|, 0), step d + 1
+            diag = row[:, (mk if mk >= 0 else -mk * d) :: d + 1][:, : d - abs(mk)]
+            np.multiply(phase[:, k, None], g[abs(mk)][t], out=diag)
+        yield row.reshape(len(phi), d, d)
 
 
 def _band(d: int, m: int):
@@ -172,35 +179,32 @@ def kernel_property_residuals(kernel: SWKernel, grid: Grid, n_group: int = 20, s
 
     d = kernel.d
     rng = np.random.default_rng(seed)
-    samp = kernel.samples(grid)
-    res = {}
-    res["hermitian"] = float(np.max(np.abs(samp - samp.conj().swapaxes(-1, -2))))
-    mean = (d / (4 * pi)) * grid.integrate_samples(samp)
-    res["normalized"] = float(np.max(np.abs(mean - np.eye(d))))
+    # reproducing targets at three nodes; 20 random hermitian pairs (AB[2i], AB[2i + 1])
+    nodes = [(0, 0), (grid.n_theta // 2, grid.n_phi // 3), (grid.n_theta - 1, 1)]
+    targets = [kernel.at(grid.theta[it], grid.phi[ip]) for it, ip in nodes]
+    draws = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(40))
+    AB = [X + X.conj().T for X in draws]
+    # f_X(n) = tr(Delta(n) X) for every X at once: row2d @ M, M[:, i] = X_i^T flattened
+    M = np.stack([X.T.ravel() for X in targets + AB], axis=1)
 
-    # reproducing property at a few nodes
-    worst = 0.0
-    wt = grid.w_theta
-    for it, ip in [(0, 0), (grid.n_theta // 2, grid.n_phi // 3), (grid.n_theta - 1, 1)]:
-        target = samp[it, ip]
-        overlap = np.einsum("tpab,ba->tp", samp, target)  # tr(Delta(m) Delta(n))
-        rec = (d / (4 * pi)) * np.einsum("tp,t,tpab->ab", overlap, wt, samp)
-        worst = max(worst, float(np.max(np.abs(rec - target))))
-    res["reproducing"] = worst
-
-    # trace duality on random hermitian pairs
-    worst = 0.0
-    for _ in range(20):
-        A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        B = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        A = A + A.conj().T
-        B = B + B.conj().T
-        fa = np.einsum("tpab,ba->tp", samp, A)
-        fb = np.einsum("tpab,ba->tp", samp, B)
-        lhs = np.trace(A @ B)
-        rhs = (d / (4 * pi)) * grid.integrate_samples(fa * fb)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    res["trace_duality"] = float(worst)
+    # one pass over the theta rows: integrals are w_theta-weighted sums over phi
+    herm = 0.0
+    mean = np.zeros(d * d, dtype=complex)
+    rec = np.zeros((3, d * d), dtype=complex)  # int tr(Delta(m) Delta(n)) Delta(m) dm
+    fab = np.zeros(20, dtype=complex)  # int f_A f_B
+    for w, row in zip(grid.w_theta, kernel.samples(grid)):
+        herm = max(herm, float(np.max(np.abs(row - row.conj().swapaxes(-1, -2)))))
+        row2d = row.reshape(grid.n_phi, d * d)
+        mean += w * row2d.sum(axis=0)
+        F = row2d @ M
+        rec += (w * F[:, :3]).T @ row2d
+        fab += w * np.sum(F[:, 3::2] * F[:, 4::2], axis=0)
+    pref = d / (4 * pi)
+    res = {"hermitian": herm}
+    res["normalized"] = float(np.max(np.abs(pref * mean.reshape(d, d) - np.eye(d))))
+    res["reproducing"] = max(float(np.max(np.abs(pref * r.reshape(d, d) - T))) for r, T in zip(rec, targets))
+    lhs = [np.trace(A @ B) for A, B in zip(AB[::2], AB[1::2])]
+    res["trace_duality"] = float(max(abs(a - pref * b) / max(1.0, abs(a)) for a, b in zip(lhs, fab)))
 
     # covariance over random group elements
     worst = 0.0

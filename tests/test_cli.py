@@ -91,6 +91,17 @@ def test_kernel_check_subcommand(tmp_path):
     assert all(c["pass"] for c in summary["checks"])
 
 
+def test_kernel_check_rejects_sizes_beyond_physical_memory(tmp_path, monkeypatch, capsys):
+    # with 1 MB of memory two_j = 1 fits (12 rows of 49 * 2^2 * 16 B) but 20 does not
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr(cli, "kernel_property_residuals", lambda *a: pytest.fail("work started"))
+    out = tmp_path / "out"
+    assert main(["kernel-check", "--two-j", "1,20", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --two-j 20 needs") and "physical memory" in err
+    assert not out.exists()
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

@@ -209,7 +209,7 @@ def test_legendre_tables_equal_the_loop_recurrence():
 
 
 def test_synthesis_memory_stays_near_its_output():
-    # the kernel-check shape at two_j = 30: d x d kernel samples, F = 961.
+    # a large matrix-valued shape: d x d samples at two_j = 30, F = 961.
     # Peak / output measured with tracemalloc: 2.02 for the dense-DFT
     # einsum, 4.03 for a version that concatenated the +-m coefficient
     # stacks and copied the result through moveaxis, 1.51 for the in-place

@@ -1,11 +1,14 @@
 """Quantization/dequantization kernel on the sphere and coherent-state symbols."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from cg_oracle import clebsch_gordan
+from swq_oracle import kernel_samples
 
-from sphere_sapt.spin import coherent_state, make_irrep
-from sphere_sapt.sphere import SphereSymbol, make_grid, synthesize_at, vector_symbol_coeffs
+from sphere_sapt.spin import coherent_state, make_irrep, tensor_basis
+from sphere_sapt.sphere import Grid, SphereSymbol, make_grid, synthesize_at, vector_symbol_coeffs
 from sphere_sapt.swq import (
     SWKernel,
     dequantize,
@@ -32,6 +35,63 @@ def test_kernel_axioms_small(two_j):
     ker = SWKernel(make_irrep(two_j))
     res = kernel_property_residuals(ker, make_grid(4 * two_j), n_group=5)
     assert max(res.values()) < 1e-10
+
+
+# (two_j, grid L_exact); make_grid(12) has n_phi = 13 < 2j + 1 = 21, so the
+# phases e^{-i m phi} of different m alias on its nodes
+@pytest.mark.parametrize("two_j, L_exact", [(1, 2), (2, 4), (5, 10), (10, 20), (10, 12), (30, 60)])
+def test_streamed_samples_match_the_synthesis_oracle(two_j, L_exact):
+    ker = SWKernel(make_irrep(two_j))
+    grid = make_grid(L_exact)
+    rows = list(ker.samples(grid))
+    assert len(rows) == grid.n_theta
+    assert all(r.shape == (grid.n_phi, ker.d, ker.d) for r in rows)
+    assert np.max(np.abs(np.stack(rows) - kernel_samples(ker, grid))) < 1e-13
+
+
+def test_kernel_at_matches_the_sampled_rows():
+    ker = SWKernel(make_irrep(4))
+    grid = make_grid(8)
+    for t, row in enumerate(ker.samples(grid)):
+        for p in range(grid.n_phi):
+            assert np.max(np.abs(ker.at(grid.theta[t], grid.phi[p]) - row[p])) < 1e-13
+
+
+def test_kernel_gates_fail_on_a_perturbed_entry(monkeypatch):
+    # every gate must be able to fail: scale entry (0, 1) of every sample
+    samples = SWKernel.samples
+
+    def perturbed(self, grid):
+        for row in samples(self, grid):
+            row[:, 0, 1] *= 1 + 1e-6
+            yield row
+
+    monkeypatch.setattr(SWKernel, "samples", perturbed)
+    res = kernel_property_residuals(SWKernel(make_irrep(4)), make_grid(8), n_group=2)
+    for key in ("hermitian", "reproducing", "trace_duality"):
+        assert res[key] > 1e-8, key
+
+
+def test_kernel_axioms_at_two_j_60_in_a_few_rows_of_memory():
+    # one theta row at two_j = 60 on make_grid(120) is n_phi d^2 16 B =
+    # 121 * 61^2 * 16 B = 6.9 MiB.  Sampled one row at a time, the whole check
+    # peaked at 5.5 rows here (8.1 in a first draft).  The full
+    # (n_theta, n_phi, d, d) sample array and its temporaries peak at about
+    # 3 n_theta rows: 95 rows at two_j = 30, 183 rows (1.26 GB) at 60.  The
+    # kernel-check memory check at entry assumes 12 rows.
+    two_j = 60
+    ker = SWKernel(make_irrep(two_j))
+    tensor_basis(two_j)  # a process-wide cache, not part of the working set
+    grid = Grid(120)  # uncached: its Legendre table is built under the trace
+    row_bytes = grid.n_phi * ker.d**2 * 16
+    tracemalloc.start()
+    try:
+        res = kernel_property_residuals(ker, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(res.values()) < 1e-10, res
+    assert peak <= 12 * row_bytes, peak / row_bytes
 
 
 def test_quantize_constant_is_identity():
