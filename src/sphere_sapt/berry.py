@@ -1,11 +1,10 @@
-"""Berry connection, curvature and Chern numbers of the principal bands.
+"""Chern numbers of the principal bands.
 
 The band bundle over the sphere is spanned by psi_m(n) = u0(n)^dagger e_m
-with u0 the ZYZ reference unitary of the model.  In this gauge the
-connection has A_theta = 0 and a closed-form A_phi depending only on the
-tilted polar angle; the curvature integrates to the Chern number, which
-jumps as the coupling crosses 1/2.  A gauge-invariant plaquette method on
-the frames provides an exactly integer cross-check.
+with u0 the ZYZ reference unitary of the model.  Its Chern number is 0 for
+lam < 1/2 and -2m above, jumping as the coupling crosses 1/2.  A
+gauge-invariant plaquette method on the frames provides an exactly integer
+cross-check.
 """
 
 from __future__ import annotations
@@ -14,33 +13,12 @@ from math import pi
 
 import numpy as np
 
-from .model import ModelParams, gap_N, principal_bands, tilt_angles
+from .model import ModelParams, gap_N, principal_bands
 
 __all__ = [
-    "berry_connection",
-    "berry_curvature",
     "chern_analytic",
     "chern_plaquette",
 ]
-
-
-def berry_connection(params: ModelParams, m: float, theta):
-    """(A_theta, A_phi) of band m in the reference gauge.
-
-    A_theta = 0 identically; A_phi(theta) = -m (1 - cos theta') with theta'
-    the tilted polar angle.  A_phi here multiplies d phi (not normalized by
-    sin theta).
-    """
-    theta = np.asarray(theta, dtype=float)
-    ct, _, _ = tilt_angles(theta, params.lam)
-    return np.zeros_like(theta), -float(m) * (1.0 - ct)
-
-
-def berry_curvature(params: ModelParams, m: float, theta):
-    """F_theta_phi(theta) = d A_phi / d theta = -m sin(theta') theta''."""
-    theta = np.asarray(theta, dtype=float)
-    _, st, dtp = tilt_angles(theta, params.lam)
-    return -float(m) * st * dtp
 
 
 def chern_analytic(params: ModelParams, m: float) -> int:

@@ -34,7 +34,6 @@ __all__ = [
     "tilt_angles",
     "reference_unitary_field",
     "principal_bands",
-    "principal_symbol_field",
 ]
 
 
@@ -199,11 +198,6 @@ def reference_unitary_field(params: ModelParams, theta, phi) -> np.ndarray:
     ct, st, _ = tilt_angles(theta, params.lam)
     beta = np.arctan2(st, ct)
     return _zyz_field(params.two_s, phi, beta, phi)
-
-
-def principal_symbol_field(params: ModelParams, grid: Grid) -> np.ndarray:
-    """H_0(n) = (1-lam) S3 + lam n.S sampled at the nodes."""
-    return _symbol_field(params, grid, params.lam)
 
 
 def principal_bands(params: ModelParams, theta, phi, m: float) -> BandData:

@@ -12,6 +12,7 @@ calibrated expansions can be compared downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +52,20 @@ def _mesh(grid: Grid):
     return np.meshgrid(grid.theta, grid.phi, indexing="ij")
 
 
+@lru_cache(maxsize=None)
+def _symbol_grid(L_exact: int, two_s: int) -> Grid:
+    """Grid for the band symbols of a spin two_s / 2 fast sector.
+
+    H0 = (1-lam) S3 + lam n.S is covariant under rotations about e3, and so
+    are u0, the band projectors and energies: entry (a, b) of each field is
+    e^{i (m_b - m_a) phi} g(theta) with |m_b - m_a| <= two_s.  Products,
+    gradients and the eigenbasis solve keep that form, so 2 two_s + 1 phi
+    nodes carry every transform here exactly; the grid's synthesis refuses
+    a symbol with content at |m| > two_s.
+    """
+    return Grid(L_exact, two_s)
+
+
 def moyal_projection(
     params: ModelParams,
     m: float,
@@ -68,7 +83,7 @@ def moyal_projection(
     if abs(params.lam - 0.5) < 1e-12:
         raise ValueError("no spectral gap at lam = 1/2")
     idx = band_index(params.two_s, m)
-    grid = make_grid(4 * L)
+    grid = _symbol_grid(4 * L, params.two_s)
     th2, ph2 = _mesh(grid)
     bd = principal_bands(params, th2, ph2, m)
     pi0 = grid.analyze(bd.projector, L)
@@ -78,9 +93,9 @@ def moyal_projection(
         raise ValueError("projection implemented through order 1")
 
     H0 = hamiltonian_symbol(params, order=0)[0]
-    B = order1_bilinear(pi0, pi0, cs)
+    B = order1_bilinear(pi0, pi0, cs, grid)
     G = _combine(
-        [(1.0, order1_bilinear(pi0, H0, cs)), (-1.0, order1_bilinear(H0, pi0, cs))]
+        [(1.0, order1_bilinear(pi0, H0, cs, grid)), (-1.0, order1_bilinear(H0, pi0, cs, grid))]
     )
     Bf = grid.synthesize(B)
     Gf = grid.synthesize(G)
@@ -181,14 +196,14 @@ def _energy_symbol(params: ModelParams, m: float, grid: Grid, L: int) -> SphereS
 
 def _h1_star_machinery(params, m, cs, L) -> SphereSymbol:
     idx = band_index(params.two_s, m)
-    grid = make_grid(4 * L)
+    grid = _symbol_grid(4 * L, params.two_s)
     th2, ph2 = _mesh(grid)
     bd = principal_bands(params, th2, ph2, m)
     u0sym = grid.analyze(bd.u0, L)
     H0 = hamiltonian_symbol(params, order=0)[0]
     Esym = _energy_symbol(params, m, grid, L)
     X = _combine(
-        [(1.0, order1_bilinear(u0sym, H0, cs)), (-1.0, order1_bilinear(Esym, u0sym, cs))]
+        [(1.0, order1_bilinear(u0sym, H0, cs, grid)), (-1.0, order1_bilinear(Esym, u0sym, cs, grid))]
     )
     Xf = grid.synthesize(X)
     h1f = (Xf @ bd.u0.conj().swapaxes(-1, -2))[..., idx, idx]
@@ -202,7 +217,7 @@ def _h1_closed_form(params, m, cs, L) -> SphereSymbol:
     idx = band_index(1, m)
     sgn = 1.0 if idx == 0 else -1.0  # band +/-
     lam = params.lam
-    grid = make_grid(4 * L)
+    grid = _symbol_grid(4 * L, params.two_s)
     th2, ph2 = _mesh(grid)
     st_, ct_ = np.sin(th2), np.cos(th2)
     N = gap_N(th2, lam)
@@ -276,7 +291,7 @@ def effective_hamiltonian(
     if abs(params.lam - 0.5) < 1e-12:
         raise ValueError("no spectral gap at lam = 1/2")
     band_index(params.two_s, m)
-    grid = make_grid(4 * L)
+    grid = _symbol_grid(4 * L, params.two_s)
     h0 = _energy_symbol(params, m, grid, L)
     if order == 0:
         return SemiclassicalSymbol([h0])
@@ -291,9 +306,23 @@ def effective_hamiltonian(
     return SemiclassicalSymbol([h0, h1])
 
 
+def _farthest_from(a: np.ndarray, b: np.ndarray) -> float:
+    """max over x in a of the distance from x to the nearest point of b.
+
+    A sorted merge: the nearest point is one of the two neighbours of x in
+    sorted b, and |x - y| rounds monotonically in y, so this is the same
+    float as the minimum over all of b.
+    """
+    b = np.sort(b)
+    i = np.searchsorted(b, a)
+    below = b[np.maximum(i - 1, 0)]
+    above = b[np.minimum(i, len(b) - 1)]
+    return float(np.max(np.minimum(np.abs(a - below), np.abs(a - above))))
+
+
 def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    d = np.abs(a[:, None] - b[None, :])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    """Hausdorff distance of two finite sets of reals, in O(n) memory and O(n log n) time."""
+    return max(_farthest_from(a, b), _farthest_from(b, a))
 
 
 def band_spectrum_compare(

@@ -1,6 +1,7 @@
 """Band-limited calculus on the two-sphere.
 
-Gauss-Legendre x uniform-phi quadrature grids, complex orthonormal
+Gauss-Legendre x uniform-phi quadrature grids (optionally with an
+azimuthal band limit that keeps only 2M+1 phi nodes), complex orthonormal
 spherical harmonics with Condon-Shortley phase (orthonormal for the
 un-normalized measure, total mass 4 pi), analysis/synthesis, tangential
 gradients from analytic theta/phi derivatives, and the rotation-invariant
@@ -25,9 +26,7 @@ __all__ = [
     "make_grid",
     "angular_square",
     "gradient_bilinears",
-    "integrate",
     "vector_symbol_coeffs",
-    "ylm_at",
 ]
 
 
@@ -77,34 +76,43 @@ class SphereSymbol:
         return SphereSymbol(c)
 
 
-def _legendre_tables(L: int, x: np.ndarray):
-    """Fully normalized associated Legendre P_lm(x) and d/dtheta tables.
+def _legendre(L: int, x: np.ndarray, K: int) -> np.ndarray:
+    """Fully normalized associated Legendre P_lm(x) for l <= L, m <= K <= L.
 
-    Returns (P, dP), each of shape (L+1, L+1, len(x)) indexed [l, m] for
-    m >= 0.  Normalization: int P_lm(x)^2 dx dphi-factor = orthonormal
-    spherical harmonics, i.e. Y_lm(theta, phi) = P_lm(cos theta) e^{i m phi}.
-    The l-recurrence runs over every m at once, one numpy step per l.
+    Shape (L+1, K+1, len(x)), indexed [l, m].  Normalization: int P_lm(x)^2
+    dx dphi-factor = orthonormal spherical harmonics, i.e. Y_lm(theta, phi) =
+    P_lm(cos theta) e^{i m phi}.  The l-recurrence runs over every m at once,
+    one numpy step per l; each entry is computed as in the full table, so
+    the columns m <= K equal the full table's bit for bit.
     """
     sx = np.sqrt(np.clip(1.0 - x * x, 0.0, None))  # sin(theta) > 0 off poles
-    P = np.zeros((L + 1, L + 1, len(x)))
+    P = np.zeros((L + 1, K + 1, len(x)))
     P[0, 0] = 1.0 / sqrt(4 * pi)
-    for m in range(1, L + 1):
+    for m in range(1, K + 1):
         P[m, m] = -sqrt((2 * m + 1) / (2 * m)) * sx * P[m - 1, m - 1]
-    m = np.arange(L)
+    m = np.arange(min(L, K + 1))
     P[m + 1, m] = np.sqrt(2 * m + 3)[:, None] * x * P[m, m]
     for l in range(2, L + 1):
-        m = np.arange(l - 1)
+        m = np.arange(min(l - 1, K + 1))
         a = np.sqrt((4 * l * l - 1) / (l * l - m * m))[:, None]
         b = np.sqrt((2 * l + 1) / (2 * l - 3) * ((l - 1) ** 2 - m * m) / (l * l - m * m))[:, None]
-        P[l, : l - 1] = a * x * P[l - 1, : l - 1] - b * P[l - 2, : l - 1]
+        P[l, : len(m)] = a * x * P[l - 1, : len(m)] - b * P[l - 2, : len(m)]
+    return P
+
+
+def _theta_derivative(P: np.ndarray, x: np.ndarray, K: int) -> np.ndarray:
+    """d/dtheta P_lm for m <= K, from a table P that holds m <= K + 1 (or
+    m <= K = L, as P_{l,L+1} = 0)."""
     # d/dtheta P_lm = m cot(theta) P_lm + sqrt((l-m)(l+m+1)) P_{l,m+1}
     # pole nodes only ever consume P (quadrature grids exclude the poles),
     # so a finite stand-in for cot there keeps dP free of nans
+    sx = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
     cot = np.divide(x, sx, out=np.zeros_like(x), where=sx > 0)
-    l, m = np.ogrid[: L + 1, : L + 1]
-    dP = m[..., None] * cot * P
-    dP[:, :L] += np.sqrt(np.clip((l - m) * (l + m + 1), 0, None))[:, :L, None] * P[:, 1:]
-    return P, dP
+    l, m = np.ogrid[: P.shape[0], : K + 1]
+    dP = m[..., None] * cot * P[:, : K + 1]
+    k = P.shape[1] - 1  # columns m whose P_{l,m+1} the table holds
+    dP[:, :k] += np.sqrt(np.clip((l - m) * (l + m + 1), 0, None))[:, :k, None] * P[:, 1:]
+    return dP
 
 
 def _wrap_add(f: np.ndarray, fm: np.ndarray) -> None:
@@ -119,32 +127,48 @@ class Grid:
     """Quadrature grid exact for spherical-harmonic products up to L_exact.
 
     Gauss-Legendre nodes in cos(theta) (never at the poles), uniform phi,
-    weights summing to 4 pi.
+    weights summing to 4 pi.  With an azimuthal band limit M the grid has
+    2M+1 phi nodes instead of L_exact+1 and serves only symbols and samples
+    whose phi content lies in |m| <= M, such as fields covariant under
+    rotations about e3 (entry (a, b) = e^{i (m_b - m_a) phi} g(theta)).  For
+    them it is as exact as the full grid; synthesis refuses coefficients at
+    |m| > M, which its nodes would alias.
     """
 
-    def __init__(self, L_exact: int):
+    def __init__(self, L_exact: int, M: int | None = None):
         self.L_exact = int(L_exact)
+        self.M = None if M is None else int(M)
         n_theta = self.L_exact // 2 + 1
         x, wx = np.polynomial.legendre.leggauss(n_theta)
         order = np.argsort(-x)  # theta ascending
         self.x = x[order]
         self.theta = np.arccos(self.x)
-        n_phi = self.L_exact + 1
+        n_phi = self.L_exact + 1 if M is None else 2 * self.M + 1
         self.phi = 2 * pi * np.arange(n_phi) / n_phi
         self.w_theta = wx[order] * (2 * pi / n_phi)  # per-node weight, any phi
         self.n_theta = n_theta
         self.n_phi = n_phi
-        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # one (P, dP) pair for the largest band limit asked so far; dP is None
+        # until a gradient synthesis asks for it
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
 
     # -- cached tables ------------------------------------------------------
 
-    def _tab(self, L: int):
-        for Lt, tab in self._tables.items():
+    def _mmax(self, L: int) -> int:
+        """Largest |m| of a band-L transform on this grid."""
+        return L if self.M is None else min(L, self.M)
+
+    def _tab(self, L: int, deriv: bool = False):
+        """(P, dP) for a band limit >= L and m <= _mmax (P holds m + 1 too)."""
+        for Lt, (P, dP) in self._tables.items():
             if Lt >= L:
-                return tab
-        tab = _legendre_tables(L, self.x)
-        self._tables = {L: tab}
-        return tab
+                break
+        else:
+            Lt, P, dP = L, _legendre(L, self.x, min(L, self._mmax(L) + 1)), None
+        if deriv and dP is None:
+            dP = _theta_derivative(P, self.x, self._mmax(Lt))
+        self._tables = {Lt: (P, dP)}
+        return P, dP
 
     @property
     def nvec(self) -> np.ndarray:
@@ -163,14 +187,17 @@ class Grid:
         # one over m < 0, on float views of the complex columns; f_m lands
         # at phi index m mod n_phi (aliased m add up), then one inverse FFT
         L = coeffs.shape[0] - 1
-        P, dP = self._tab(L)
-        T = (dP if deriv else P)[: L + 1, : L + 1].transpose(1, 2, 0)  # [m, theta, l]
+        mm = self._mmax(L)
         c = np.ascontiguousarray(coeffs, dtype=complex).reshape(L + 1, 2 * L + 1, -1)
+        if c[:, : L - mm].any() or c[:, L + mm + 1 :].any():
+            raise ValueError(f"symbol has content at |m| > {self.M}, which {self.n_phi} phi nodes alias")
+        P, dP = self._tab(L, deriv)
+        T = (dP if deriv else P)[: L + 1, : mm + 1].transpose(1, 2, 0)  # [m, theta, l]
         cf = c.view(float).transpose(1, 0, 2)  # [m + L, l, re/im of fast]
         out = np.zeros((self.n_theta, self.n_phi, c.shape[-1]), dtype=complex)
         f = out.view(float)
-        _wrap_add(f, T @ cf[L:])  # m = 0, 1, ..., L
-        neg = T[1:] @ cf[:L][::-1]  # m = -1, -2, ..., -L
+        _wrap_add(f, T @ cf[L : L + mm + 1])  # m = 0, 1, ..., mm
+        neg = T[1:] @ cf[L - mm : L][::-1]  # m = -1, -2, ..., -mm
         neg[::2] *= -1  # P_l,-m = (-1)^m P_lm
         _wrap_add(f[:, ::-1], neg)
         np.fft.ifft(out, axis=1, norm="forward", out=out)
@@ -188,34 +215,25 @@ class Grid:
         return f_th, f_ph
 
     def analyze(self, samples: np.ndarray, L: int) -> SphereSymbol:
-        """Project grid samples onto Y_lm for l <= L."""
+        """Project grid samples onto Y_lm for l <= L (and |m| <= M)."""
         samples = np.asarray(samples, dtype=complex)
         g = np.fft.fft(samples.reshape(self.n_theta, self.n_phi, -1), axis=1)
         g *= self.w_theta[:, None, None]
-        T = self._tab(L)[0][: L + 1, : L + 1].transpose(1, 0, 2)  # [m, l, theta]
+        mm = self._mmax(L)
+        T = self._tab(L)[0][: L + 1, : mm + 1].transpose(1, 0, 2)  # [m, l, theta]
         coeffs = np.zeros((L + 1, 2 * L + 1, g.shape[-1]), dtype=complex)
         cf = coeffs.view(float).transpose(1, 0, 2)
-        m = np.arange(L + 1)
+        m = np.arange(mm + 1)
         gf = g.view(float)
-        np.matmul(T, gf[:, m % self.n_phi].transpose(1, 0, 2), out=cf[L:])
-        np.matmul(T[1:], gf[:, -m[1:] % self.n_phi].transpose(1, 0, 2), out=cf[:L][::-1])
-        coeffs[:, :L][:, ::-2] *= -1  # P_l,-m = (-1)^m P_lm
+        np.matmul(T, gf[:, m % self.n_phi].transpose(1, 0, 2), out=cf[L : L + mm + 1])
+        np.matmul(T[1:], gf[:, -m[1:] % self.n_phi].transpose(1, 0, 2), out=cf[L - mm : L][::-1])
+        coeffs[:, L - mm : L][:, ::-2] *= -1  # P_l,-m = (-1)^m P_lm
         return SphereSymbol(coeffs.reshape((L + 1, 2 * L + 1) + samples.shape[2:]))
-
-    def integrate_samples(self, samples: np.ndarray):
-        """Integral over S^2 with the total-mass-4pi measure."""
-        wt = self.w_theta.reshape((-1, 1) + (1,) * (np.ndim(samples) - 2))
-        return np.sum(samples * wt, axis=(0, 1))
 
 
 @lru_cache(maxsize=None)
 def make_grid(L_exact: int) -> Grid:
     return Grid(L_exact)
-
-
-def integrate(sym: SphereSymbol, grid: Grid):
-    """Integral of a symbol; for band-limited input only the l=0 term counts."""
-    return sym.coeffs[0, sym.L] * sqrt(4 * pi)
 
 
 def angular_square(sym: SphereSymbol) -> SphereSymbol:
@@ -266,7 +284,7 @@ def _ylm(L: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Y_lm at points (theta, phi), shape (L+1, 2L+1, n_points)."""
     m = np.arange(-L, L + 1)
     sign = np.where(m < 0, (-1.0) ** m, 1.0)[:, None]
-    return sign * _legendre_tables(L, np.cos(theta))[0][:, abs(m)] * np.exp(1j * np.outer(m, phi))
+    return sign * _legendre(L, np.cos(theta), L)[:, abs(m)] * np.exp(1j * np.outer(m, phi))
 
 
 def synthesize_at(sym: SphereSymbol, theta, phi):
@@ -274,8 +292,3 @@ def synthesize_at(sym: SphereSymbol, theta, phi):
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
     return np.einsum("lmx,lm...->x...", _ylm(sym.L, theta, phi), sym.coeffs)
-
-
-def ylm_at(L: int, theta: float, phi: float) -> np.ndarray:
-    """Dense Y_lm values at a single point, shape (L+1, 2L+1)."""
-    return _ylm(L, np.array([theta]), np.array([phi]))[..., 0]

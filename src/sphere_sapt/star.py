@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sphere import (
+    Grid,
     SphereSymbol,
     angular_square,
     gradient_bilinears,
@@ -122,10 +123,11 @@ def _combine(parts) -> SphereSymbol:
     return SphereSymbol(out)
 
 
-def symbol_product(f: SphereSymbol, g: SphereSymbol) -> SphereSymbol:
+def symbol_product(f: SphereSymbol, g: SphereSymbol, grid: Grid | None = None) -> SphereSymbol:
     """Pointwise product, exact at band limit L_f + L_g."""
     L = f.L + g.L
-    grid = make_grid(2 * L)
+    if grid is None:
+        grid = make_grid(2 * L)
     fs = grid.synthesize(f)
     gs = grid.synthesize(g)
     if f.fast_shape and g.fast_shape:
@@ -163,17 +165,22 @@ def poisson_bracket(f: SphereSymbol, g: SphereSymbol) -> SphereSymbol:
     return cross
 
 
-def order1_bilinear(f: SphereSymbol, g: SphereSymbol, cs: CoefficientSet) -> SphereSymbol:
-    """B(f, g) with the given coefficient set; see CoefficientSet."""
-    dot, cross = gradient_bilinears(f, g)
+def order1_bilinear(
+    f: SphereSymbol, g: SphereSymbol, cs: CoefficientSet, grid: Grid | None = None
+) -> SphereSymbol:
+    """B(f, g) with the given coefficient set; see CoefficientSet.
+
+    grid, if given, carries every product (it must be exact at L_f + L_g).
+    """
+    dot, cross = gradient_bilinears(f, g, grid=grid)
     parts = [(1j * cs.c_cross, cross)]
     if cs.c_dot:
         parts.append((cs.c_dot, dot))
     if cs.c_const:
-        parts.append((cs.c_const, symbol_product(f, g)))
+        parts.append((cs.c_const, symbol_product(f, g, grid)))
     if cs.c_lap:
-        parts.append((cs.c_lap, symbol_product(angular_square(f), g)))
-        parts.append((cs.c_lap, symbol_product(f, angular_square(g))))
+        parts.append((cs.c_lap, symbol_product(angular_square(f), g, grid)))
+        parts.append((cs.c_lap, symbol_product(f, angular_square(g), grid)))
     return _combine(parts)
 
 

@@ -24,7 +24,7 @@ from math import pi, sqrt
 import numpy as np
 
 from .spin import SpinIrrep, tensor_basis
-from .sphere import Grid, SphereSymbol, _legendre_tables
+from .sphere import Grid, SphereSymbol, _legendre
 
 __all__ = [
     "SWKernel",
@@ -51,7 +51,7 @@ class SWKernel:
 
     def at(self, theta: float, phi: float) -> np.ndarray:
         """Dense kernel matrix Delta(n) at a single point."""
-        P = _legendre_tables(self.two_j, np.array([np.cos(theta)]))[0]
+        P = _legendre(self.two_j, np.array([np.cos(theta)]), self.two_j)
         return next(_rows(self.two_j, P, np.array([phi])))[0]
 
     def samples(self, grid: Grid):
@@ -173,11 +173,19 @@ def kernel_property_residuals(kernel: SWKernel, grid: Grid, n_group: int = 20, s
     """Numerical residuals of the five defining kernel properties.
 
     Returns a dict with keys 'hermitian', 'normalized', 'reproducing',
-    'trace_duality', 'covariant'.
+    'trace_duality', 'covariant'.  The integrals are over products of two
+    kernels, of degree 2 two_j and phi frequency up to 2 two_j, so a grid
+    that cannot integrate those exactly is refused with ValueError.
     """
     from .spin import rotation_from_zyz, wigner_zyz
 
     d = kernel.d
+    if grid.L_exact < 2 * kernel.two_j or grid.n_phi <= 2 * kernel.two_j:
+        raise ValueError(
+            f"a grid exact to degree {grid.L_exact} with {grid.n_phi} phi nodes cannot integrate "
+            f"products of two kernels at two_j = {kernel.two_j}; it needs L_exact >= {2 * kernel.two_j} "
+            f"and n_phi >= {2 * kernel.two_j + 1}"
+        )
     rng = np.random.default_rng(seed)
     # reproducing targets at three nodes; 20 random hermitian pairs (AB[2i], AB[2i + 1])
     nodes = [(0, 0), (grid.n_theta // 2, grid.n_phi // 3), (grid.n_theta - 1, 1)]

@@ -3,7 +3,8 @@
 Associated Legendre tables by the (l, m) loop recurrence, and synthesis and
 analysis with the phi sum as a dense DFT einsum over a folded table
 Y[l, m+L, theta].  The package does the phi step as an FFT and the theta
-step as one matmul per m; the tests compare both against these.
+step as one matmul per m; the tests compare both against these.  Point
+values of Y_lm and the quadrature sum of a symbol's samples round it off.
 """
 
 from __future__ import annotations
@@ -75,3 +76,18 @@ def analyze(grid, samples: np.ndarray, L: int) -> np.ndarray:
     gm = np.einsum("tp...,mp->mt...", samples, _phase(grid, L).conj())
     wt = grid.w_theta.reshape((1, -1) + (1,) * (samples.ndim - 2))
     return np.einsum("lmt,mt...->lm...", _fold(grid, L), gm * wt)
+
+
+def ylm_at(L: int, theta: float, phi: float) -> np.ndarray:
+    """Dense Y_lm values at a single point, shape (L+1, 2L+1)."""
+    P = legendre_tables(L, np.array([np.cos(theta)]))[0][..., 0]
+    m = np.arange(-L, L + 1)
+    sign = np.where(m < 0, (-1.0) ** m, 1.0)
+    return sign * P[:, abs(m)] * np.exp(1j * m * phi)
+
+
+def integrate(grid, sym) -> complex:
+    """Integral of a symbol over S^2 (total mass 4 pi) by the grid's quadrature."""
+    samples = grid.synthesize(sym)
+    wt = grid.w_theta.reshape((-1, 1) + (1,) * (samples.ndim - 2))
+    return np.sum(samples * wt, axis=(0, 1))

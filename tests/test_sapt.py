@@ -1,8 +1,12 @@
 """Adiabatic projections, effective Hamiltonians, and semiclassical dynamics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from sapt_oracle import hausdorff
 
+from sphere_sapt import sapt
 from sphere_sapt.fits import loglog_slope
 from sphere_sapt.model import ModelParams, build_hamiltonian, gap_N
 from sphere_sapt.sapt import (
@@ -18,7 +22,7 @@ from sphere_sapt.sapt import (
 )
 from sphere_sapt.sphere import make_grid, vector_symbol_coeffs
 from sphere_sapt.spin import make_irrep
-from sphere_sapt.star import CALIBRATED, PRINTED_MOYAL, _combine, star_exact
+from sphere_sapt.star import CALIBRATED, CALIBRATED_BEREZIN, PRINTED_MOYAL, _combine, star_exact
 from sphere_sapt.swq import SWKernel, quantize
 
 LAM = 0.2
@@ -175,6 +179,52 @@ def test_band_limit_24_is_converged_to_two_j_160():
 
     coarse, fine = values(24), values(48)
     assert np.max(np.abs(coarse - fine) / fine) < 1e-6
+
+
+def _band_symbols(two_s, lam, cs, L=8):
+    p = ModelParams(10, two_s, lam)
+    m = two_s / 2
+    out = [moyal_projection(p, m, order=1, cs=cs, L=L)]
+    out.append(effective_hamiltonian(p, m, order=1, path="star_machinery", cs=cs, L=L))
+    if two_s == 1:
+        out.append(effective_hamiltonian(p, m, order=1, path="closed_form", cs=cs, L=L))
+    return [t.coeffs for sym in out for t in sym.terms]
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 3])
+@pytest.mark.parametrize("lam", [0.2, 0.8])
+@pytest.mark.parametrize("cs", [CALIBRATED, PRINTED_MOYAL, CALIBRATED_BEREZIN], ids=lambda cs: cs.name)
+def test_symbols_on_the_covariant_grid_equal_the_full_grid(monkeypatch, two_s, lam, cs):
+    # 2 two_s + 1 phi nodes are exact for the e3-covariant band fields: the
+    # symbols move from the full 4L-grid ones by round-off only
+    reduced = _band_symbols(two_s, lam, cs)
+    monkeypatch.setattr(sapt, "_symbol_grid", lambda L_exact, two_s: make_grid(L_exact))
+    full = _band_symbols(two_s, lam, cs)
+    for got, want in zip(reduced, full, strict=True):
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_projection_at_band_limit_96_in_little_memory():
+    # tracemalloc peak of moyal_projection at L = 96, two_j = 40, grid and
+    # Legendre tables built under the trace: 239 MiB on the full make_grid(384)
+    # with its 385 phi nodes, 21 MiB on the 3-node covariant grid
+    sapt._symbol_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        moyal_projection(ModelParams(40, 1, LAM), BAND, order=1, cs=CALIBRATED, L=96)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hausdorff_sorted_merge_equals_the_distance_matrix(seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=37), rng.normal(size=23)
+    ties = np.round(rng.normal(size=40), 1)  # repeated values and exact ties
+    for x, y in [(a, b), (b, a), (a, a[:1]), (ties[:25], ties[25:]), (ties, ties[::-1] + 0.05)]:
+        assert sapt._hausdorff(x, y) == hausdorff(x, y)
 
 
 def test_classical_flow_conserves_invariants():

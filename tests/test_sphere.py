@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from sphere_sapt.sphere import (
     Grid,
     SphereSymbol,
-    _legendre_tables,
+    _legendre,
+    _theta_derivative,
     angular_square,
     gradient_bilinears,
-    integrate,
     make_grid,
     synthesize_at,
     vector_symbol_coeffs,
-    ylm_at,
 )
 
 
@@ -56,7 +55,7 @@ def test_quadrature_exactness():
     for l, m in [(0, 0), (1, 0), (2, 1), (5, -3), (6, 6)]:
         c = np.zeros((l + 1, 2 * l + 1), dtype=complex)
         c[l, l + m] = 1.0
-        val = integrate(SphereSymbol(c), grid)
+        val = oracle.integrate(grid, SphereSymbol(c))
         want = np.sqrt(4 * np.pi) if l == 0 else 0.0
         assert abs(val - want) < 1e-13
 
@@ -124,7 +123,7 @@ def test_synthesize_at_poles():
 
 def test_ylm_at_against_closed_forms():
     th, ph = 0.7, 2.1
-    Y = ylm_at(2, th, ph)
+    Y = oracle.ylm_at(2, th, ph)
     y00 = 1 / np.sqrt(4 * np.pi)
     y10 = np.sqrt(3 / (4 * np.pi)) * np.cos(th)
     y11 = -np.sqrt(3 / (8 * np.pi)) * np.sin(th) * np.exp(1j * ph)
@@ -204,8 +203,20 @@ def test_analyze_with_a_larger_cached_table():
 def test_legendre_tables_equal_the_loop_recurrence():
     x = np.cos(make_grid(64).theta)
     for L in (0, 1, 2, 7, 40):
-        for got, want in zip(_legendre_tables(L, x), oracle.legendre_tables(L, x)):
+        P = _legendre(L, x, L)
+        for got, want in zip((P, _theta_derivative(P, x, L)), oracle.legendre_tables(L, x)):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("M", [0, 1, 3])
+def test_m_limited_tables_are_the_first_columns_of_the_full_ones(M):
+    full, limited = Grid(80), Grid(80, M)
+    for L in (0, 1, 2, 7, 40):
+        want = full._tab(L, deriv=True)
+        got = limited._tab(L, deriv=True)
+        K = min(L, M)
+        for g, w in zip(got, want):
+            assert np.array_equal(g[: L + 1, : K + 1], w[: L + 1, : K + 1])
 
 
 def test_synthesis_memory_stays_near_its_output():
@@ -224,3 +235,40 @@ def test_synthesis_memory_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * out.nbytes
+
+
+# -- the azimuthally band-limited grid ---------------------------------------
+
+
+def _m_limited_symbol(L, M, rng, fast=()):
+    c = _random_symbol(L, rng, fast).coeffs
+    c[:, : L - M] = 0
+    c[:, L + M + 1 :] = 0
+    return SphereSymbol(c)
+
+
+@pytest.mark.parametrize("L, M, fast", [(8, 0, ()), (8, 1, (2, 2)), (12, 3, (4, 4)), (2, 3, ())])
+def test_m_limited_grid_transforms_match_dense_oracle(L, M, fast):
+    rng = np.random.default_rng(L + M)
+    sym = _m_limited_symbol(L, M, rng, fast)
+    grid = Grid(2 * L, M)
+    assert grid.n_phi == 2 * M + 1
+    samples = grid.synthesize(sym)
+    assert _rel(samples, oracle.synthesize(grid, sym.coeffs)) < 1e-12
+    for got, want in zip(grid.synthesize_gradient(sym), oracle.synthesize_gradient(grid, sym.coeffs)):
+        assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))  # d/dphi = 0 at M = 0
+    back = grid.analyze(samples, L).coeffs
+    assert _rel(back, sym.coeffs) < 1e-12
+
+
+def test_m_limited_grid_refuses_content_it_would_alias():
+    grid = Grid(16, 1)
+    for m in (2, -2):
+        c = np.zeros((3, 5, 2, 2), dtype=complex)
+        c[2, 2 + m] = 1e-300  # any nonzero coefficient at |m| = M + 1
+        with pytest.raises(ValueError, match=r"\|m\| > 1"):
+            grid.synthesize(SphereSymbol(c))
+        with pytest.raises(ValueError, match=r"\|m\| > 1"):
+            grid.synthesize_gradient(SphereSymbol(c))
+        c[2, 2 + m] = 0
+        assert np.max(np.abs(grid.synthesize(SphereSymbol(c)))) == 0

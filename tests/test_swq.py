@@ -72,6 +72,16 @@ def test_kernel_gates_fail_on_a_perturbed_entry(monkeypatch):
         assert res[key] > 1e-8, key
 
 
+@pytest.mark.parametrize("grid", [make_grid(12), make_grid(19), Grid(40, 9)], ids=["L12", "L19", "L40-M9"])
+def test_kernel_axioms_refuse_a_grid_too_coarse_for_kernel_products(grid):
+    # two_j = 10 needs L_exact >= 20 and n_phi >= 21; make_grid(12) used to
+    # report reproducing 1.16 and trace_duality 8.05 as if the kernel failed
+    with pytest.raises(ValueError, match="two_j = 10"):
+        kernel_property_residuals(SWKernel(make_irrep(10)), grid, n_group=1)
+    res = kernel_property_residuals(SWKernel(make_irrep(10)), Grid(40, 10), n_group=1)
+    assert max(res.values()) < 1e-10, res
+
+
 def test_kernel_axioms_at_two_j_60_in_a_few_rows_of_memory():
     # one theta row at two_j = 60 on make_grid(120) is n_phi d^2 16 B =
     # 121 * 61^2 * 16 B = 6.9 MiB.  Sampled one row at a time, the whole check
