@@ -210,21 +210,22 @@ def cmd_star_slopes(cfg):
     def sup(sym):
         return float(np.max(np.abs(grid.synthesize(sym.truncated(L_out)))))
 
+    # each pair's truncation series and Poisson bracket do not depend on d
+    series = []
+    for f, g in corpus:
+        F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
+        series.append((f, g, moyal_truncation(F, G, 1, CALIBRATED), poisson_bracket(f, g)))
     rows = []
     sups = {"trunc_err_k0": [], "trunc_err_k1": [], "commutator_residual": []}
     for two_j, d in zip(two_j_list, d_list):
         ker = SWKernel(make_irrep(two_j))
         worst = dict.fromkeys(sups, 0.0)
-        for f, g in corpus:
+        for f, g, tr, pb in series:
             ex = star_exact(f, g, ker)
-            F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
             for k in (0, 1):
-                tr = moyal_truncation(F, G, k, CALIBRATED).evaluate(d)
                 q = f"trunc_err_k{k}"
-                worst[q] = max(worst[q], sup(_combine([(1.0, ex), (-1.0, tr)])))
-            comm = _combine(
-                [(1.0, ex), (-1.0, star_exact(g, f, ker)), (-2j / d, poisson_bracket(f, g))]
-            )
+                worst[q] = max(worst[q], sup(_combine([(1.0, ex), (-1.0, tr.evaluate(d, k))])))
+            comm = _combine([(1.0, ex), (-1.0, star_exact(g, f, ker)), (-2j / d, pb)])
             worst["commutator_residual"] = max(worst["commutator_residual"], sup(comm))
         for q, v in worst.items():
             sups[q].append(v)

@@ -15,12 +15,11 @@ azimuth phi' = phi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, pi, sqrt
 
 import numpy as np
 
-from .spin import SpinIrrep, make_irrep
+from .spin import SpinIrrep, make_irrep, wigner_zyz
 from .sphere import Grid, SphereSymbol, vector_symbol_coeffs
 
 __all__ = [
@@ -169,24 +168,6 @@ def tilt_angles(theta, lam: float):
     return ct, st, dtp
 
 
-@lru_cache(maxsize=None)
-def _s2_eig(two_s: int):
-    irr = make_irrep(two_s)
-    w, V = np.linalg.eigh(irr.J2)
-    return w, V
-
-
-def _zyz_field(two_s: int, alpha, beta, gamma) -> np.ndarray:
-    """exp(-i alpha S3) exp(i beta S2) exp(i gamma S3) over node arrays."""
-    irr = make_irrep(two_s)
-    mv = irr.j - np.arange(irr.d)
-    w, V = _s2_eig(two_s)
-    mid = np.einsum("ak,...k,bk->...ab", V, np.exp(1j * np.multiply.outer(beta, w)), V.conj())
-    left = np.exp(-1j * np.multiply.outer(alpha, mv))
-    right = np.exp(1j * np.multiply.outer(gamma, mv))
-    return left[..., :, None] * mid * right[..., None, :]
-
-
 def reference_unitary_field(params: ModelParams, theta, phi) -> np.ndarray:
     """u0(n) rotating the tilted axis to e3: u0 H0 u0^dagger = N S3.
 
@@ -197,7 +178,7 @@ def reference_unitary_field(params: ModelParams, theta, phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     ct, st, _ = tilt_angles(theta, params.lam)
     beta = np.arctan2(st, ct)
-    return _zyz_field(params.two_s, phi, beta, phi)
+    return wigner_zyz(params.fast, phi, beta, phi)
 
 
 def principal_bands(params: ModelParams, theta, phi, m: float) -> BandData:

@@ -27,7 +27,7 @@ from .model import (
     tilt_angles,
 )
 from .sphere import Grid, SphereSymbol, make_grid, synthesize_at
-from .star import CALIBRATED, CoefficientSet, SemiclassicalSymbol, order1_bilinear, _combine
+from .star import CALIBRATED, CoefficientSet, SemiclassicalSymbol, order1_samples
 from .swq import SWKernel, dequantize, quantize
 
 __all__ = [
@@ -93,12 +93,8 @@ def moyal_projection(
         raise ValueError("projection implemented through order 1")
 
     H0 = hamiltonian_symbol(params, order=0)[0]
-    B = order1_bilinear(pi0, pi0, cs, grid)
-    G = _combine(
-        [(1.0, order1_bilinear(pi0, H0, cs, grid)), (-1.0, order1_bilinear(H0, pi0, cs, grid))]
-    )
-    Bf = grid.synthesize(B)
-    Gf = grid.synthesize(G)
+    Bf = order1_samples(pi0, pi0, cs, grid)
+    Gf = order1_samples(pi0, H0, cs, grid) - order1_samples(H0, pi0, cs, grid)
     u0 = bd.u0
     u0c = u0.conj().swapaxes(-1, -2)
 
@@ -132,11 +128,9 @@ def almost_invariance_norms(
 ):
     """Spectral norms of [H, quantize(projection)] across dimensions + slope."""
     norms = []
-    proj = None
+    proj = moyal_projection(ModelParams(two_j_list[0], two_s, lam), m, order=order, cs=cs, L=L)
     for two_j in two_j_list:
         params = ModelParams(two_j, two_s, lam)
-        if proj is None:
-            proj = moyal_projection(params, m, order=order, cs=cs, L=L)
         d = params.d_j
         sym = proj.evaluate(d, order)
         P = quantize(sym, SWKernel(params.slow))
@@ -162,11 +156,11 @@ class BandCluster:
     rank: int
 
 
-def exact_band_projection(H: np.ndarray, d_s: int, gap_ratio: float = 3.0):
+def exact_band_projection(H: np.ndarray, d_s: int):
     """Cluster the exact spectrum into d_s bands (highest band first).
 
     Splits the sorted spectrum at the d_s - 1 largest gaps; demands they
-    exceed gap_ratio times the largest intra-cluster gap.
+    exceed 3 times the largest intra-cluster gap.
     """
     w, V = np.linalg.eigh(H)
     if d_s == 1:
@@ -174,7 +168,7 @@ def exact_band_projection(H: np.ndarray, d_s: int, gap_ratio: float = 3.0):
     gaps = np.diff(w)
     cut_pos = np.sort(np.argsort(gaps)[-(d_s - 1):])
     intra = np.delete(gaps, cut_pos)
-    if len(intra) and np.min(gaps[cut_pos]) < gap_ratio * np.max(intra):
+    if len(intra) and np.min(gaps[cut_pos]) < 3.0 * np.max(intra):
         raise BandSplitError("spectral clusters not separated; no clean band split")
     bounds = [0] + list(cut_pos + 1) + [len(w)]
     s = (d_s - 1) / 2
@@ -202,10 +196,7 @@ def _h1_star_machinery(params, m, cs, L) -> SphereSymbol:
     u0sym = grid.analyze(bd.u0, L)
     H0 = hamiltonian_symbol(params, order=0)[0]
     Esym = _energy_symbol(params, m, grid, L)
-    X = _combine(
-        [(1.0, order1_bilinear(u0sym, H0, cs, grid)), (-1.0, order1_bilinear(Esym, u0sym, cs, grid))]
-    )
-    Xf = grid.synthesize(X)
+    Xf = order1_samples(u0sym, H0, cs, grid) - order1_samples(Esym, u0sym, cs, grid)
     h1f = (Xf @ bd.u0.conj().swapaxes(-1, -2))[..., idx, idx]
     return grid.analyze(h1f, L)
 
@@ -332,16 +323,13 @@ def band_spectrum_compare(
     order: int = 1,
     cs: CoefficientSet = CALIBRATED,
     two_s: int = 1,
-    path: str = "star_machinery",
     L: int = 24,
 ):
     """Hausdorff distance between exact band clusters and effective spectra."""
     dists = []
-    h = None
+    h = effective_hamiltonian(ModelParams(two_j_list[0], two_s, lam), m, order=order, cs=cs, L=L)
     for two_j in two_j_list:
         params = ModelParams(two_j, two_s, lam)
-        if h is None:
-            h = effective_hamiltonian(params, m, order=order, path=path, cs=cs, L=L)
         d = params.d_j
         ker = SWKernel(params.slow)
         hq = quantize(h.evaluate(d, order), ker)
@@ -397,12 +385,12 @@ def egorov_error(
     o_cl = synthesize_at(o0, thf, phf).reshape(th2.shape)
 
     errs = []
+    h0 = effective_hamiltonian(ModelParams(two_j_list[0], 1, lam), m, order=0, L=L).term(0)
     for two_j in two_j_list:
         params = ModelParams(two_j, 1, lam)
         d = params.d_j
         ker = SWKernel(params.slow)
-        h = effective_hamiltonian(params, m, order=0, L=L)
-        hq = quantize(h.evaluate(d, 0), ker)
+        hq = quantize(h0, ker)
         oq = quantize(o0, ker)
         w, V = np.linalg.eigh(hq)
         s = EGOROV_TIME_SIGN * (d / 2) * T

@@ -25,6 +25,7 @@ __all__ = [
     "SphereSymbol",
     "make_grid",
     "angular_square",
+    "gradient_samples",
     "gradient_bilinears",
     "vector_symbol_coeffs",
 ]
@@ -255,18 +256,24 @@ def _pointwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def gradient_bilinears(f: SphereSymbol, g: SphereSymbol, grid: Grid | None = None):
-    """(grad f . grad g, n . (grad f x grad g)) as symbols at L_f + L_g.
+def gradient_samples(f: SphereSymbol, g: SphereSymbol, grid: Grid):
+    """Samples of (grad f . grad g, n . (grad f x grad g)) at the grid nodes.
 
-    Factor order is preserved for matrix-valued symbols.
+    Pointwise, so exact on any grid that can synthesize f and g; factor
+    order is preserved for matrix-valued symbols.
     """
-    L_out = f.L + g.L
-    if grid is None:
-        grid = make_grid(2 * L_out)
     f_th, f_ph = grid.synthesize_gradient(f)
     g_th, g_ph = grid.synthesize_gradient(g)
     dot = _pointwise(f_th, g_th) + _pointwise(f_ph, g_ph)
     cross = _pointwise(f_th, g_ph) - _pointwise(f_ph, g_th)
+    return dot, cross
+
+
+def gradient_bilinears(f: SphereSymbol, g: SphereSymbol):
+    """(grad f . grad g, n . (grad f x grad g)) as symbols at L_f + L_g."""
+    L_out = f.L + g.L
+    grid = make_grid(2 * L_out)
+    dot, cross = gradient_samples(f, g, grid)
     return grid.analyze(dot, L_out), grid.analyze(cross, L_out)
 
 

@@ -148,13 +148,18 @@ def _j2_eig(two_j: int):
     return w, V
 
 
-def wigner_zyz(irrep: SpinIrrep, alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Rotation matrix exp(-i alpha J3) exp(i beta J2) exp(i gamma J3)."""
-    j = irrep.j
-    mvals = j - np.arange(irrep.d)
+def wigner_zyz(irrep: SpinIrrep, alpha, beta, gamma) -> np.ndarray:
+    """Rotation matrix exp(-i alpha J3) exp(i beta J2) exp(i gamma J3).
+
+    The angles may be arrays of one shape; the result then has that shape
+    followed by (d, d).
+    """
+    mvals = irrep.j - np.arange(irrep.d)
     w, V = _j2_eig(irrep.two_j)
-    mid = (V * np.exp(1j * beta * w)) @ V.conj().T
-    return np.exp(-1j * alpha * mvals)[:, None] * mid * np.exp(1j * gamma * mvals)[None, :]
+    mid = np.einsum("ak,...k,bk->...ab", V, np.exp(1j * np.multiply.outer(beta, w)), V.conj())
+    left = np.exp(-1j * np.multiply.outer(alpha, mvals))
+    right = np.exp(1j * np.multiply.outer(gamma, mvals))
+    return left[..., :, None] * mid * right[..., None, :]
 
 
 def rotation_from_zyz(alpha: float, beta: float, gamma: float) -> np.ndarray:

@@ -19,14 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fits import loglog_slope
 from .sphere import (
     Grid,
     SphereSymbol,
+    _pointwise,
     angular_square,
     gradient_bilinears,
+    gradient_samples,
     make_grid,
 )
-from .spin import SpinIrrep
+from .spin import SpinIrrep, make_irrep
 from .swq import SWKernel, dequantize, lower_symbol, quantize, raise_lower_symbol
 
 __all__ = [
@@ -40,6 +43,7 @@ __all__ = [
     "star_exact",
     "berezin_exact",
     "poisson_bracket",
+    "order1_samples",
     "order1_bilinear",
     "moyal_truncation",
     "berezin_truncation",
@@ -123,22 +127,11 @@ def _combine(parts) -> SphereSymbol:
     return SphereSymbol(out)
 
 
-def symbol_product(f: SphereSymbol, g: SphereSymbol, grid: Grid | None = None) -> SphereSymbol:
+def symbol_product(f: SphereSymbol, g: SphereSymbol) -> SphereSymbol:
     """Pointwise product, exact at band limit L_f + L_g."""
     L = f.L + g.L
-    if grid is None:
-        grid = make_grid(2 * L)
-    fs = grid.synthesize(f)
-    gs = grid.synthesize(g)
-    if f.fast_shape and g.fast_shape:
-        prod = fs @ gs
-    elif f.fast_shape:
-        prod = fs * gs[..., None, None]
-    elif g.fast_shape:
-        prod = fs[..., None, None] * gs
-    else:
-        prod = fs * gs
-    return grid.analyze(prod, L)
+    grid = make_grid(2 * L)
+    return grid.analyze(_pointwise(grid.synthesize(f), grid.synthesize(g)), L)
 
 
 def star_exact(f: SphereSymbol, g: SphereSymbol, kernel: SWKernel) -> SphereSymbol:
@@ -165,23 +158,31 @@ def poisson_bracket(f: SphereSymbol, g: SphereSymbol) -> SphereSymbol:
     return cross
 
 
-def order1_bilinear(
-    f: SphereSymbol, g: SphereSymbol, cs: CoefficientSet, grid: Grid | None = None
-) -> SphereSymbol:
-    """B(f, g) with the given coefficient set; see CoefficientSet.
+def order1_samples(f: SphereSymbol, g: SphereSymbol, cs: CoefficientSet, grid: Grid) -> np.ndarray:
+    """B(f, g) at the grid nodes; see CoefficientSet.
 
-    grid, if given, carries every product (it must be exact at L_f + L_g).
+    Pointwise, so exact on any grid that can synthesize f and g.  Lam f and
+    Lam g are synthesized only when cs has a Laplacian term.
     """
-    dot, cross = gradient_bilinears(f, g, grid=grid)
-    parts = [(1j * cs.c_cross, cross)]
+    dot, cross = gradient_samples(f, g, grid)
+    out = 1j * cs.c_cross * cross
     if cs.c_dot:
-        parts.append((cs.c_dot, dot))
-    if cs.c_const:
-        parts.append((cs.c_const, symbol_product(f, g, grid)))
-    if cs.c_lap:
-        parts.append((cs.c_lap, symbol_product(angular_square(f), g, grid)))
-        parts.append((cs.c_lap, symbol_product(f, angular_square(g), grid)))
-    return _combine(parts)
+        out += cs.c_dot * dot
+    if cs.c_const or cs.c_lap:
+        fs, gs = grid.synthesize(f), grid.synthesize(g)
+        if cs.c_const:
+            out += cs.c_const * _pointwise(fs, gs)
+        if cs.c_lap:
+            lf, lg = grid.synthesize(angular_square(f)), grid.synthesize(angular_square(g))
+            out += cs.c_lap * (_pointwise(lf, gs) + _pointwise(fs, lg))
+    return out
+
+
+def order1_bilinear(f: SphereSymbol, g: SphereSymbol, cs: CoefficientSet) -> SphereSymbol:
+    """B(f, g) as a symbol at L_f + L_g; see CoefficientSet."""
+    L_out = f.L + g.L
+    grid = make_grid(2 * L_out)
+    return grid.analyze(order1_samples(f, g, cs, grid), L_out)
 
 
 def _order2_moyal(x0, x1, y0, y1, x2, y2) -> SphereSymbol:
@@ -317,64 +318,55 @@ def calibrate_order1(
 ):
     """Fit the order-1 symmetric-part coefficients from exact star products.
 
-    Richardson-extrapolates d (star_exact - fg) over the two largest
+    Richardson-extrapolates d (star_exact - fg) over the three largest
     dimensions to isolate the true order-1 term, then least-squares fits it
     over the ansatz {fg, (Lam f) g + f (Lam g), grad f . grad g}.  The
     antisymmetric Poisson part is held at the printed value i n.(f x g)
     unless fix_poisson is False, in which case its coefficient is fitted too
-    (consistency check: it must come back as 1).
+    (consistency check: it must come back as 1).  Each exact product is
+    computed once per pair and dimension, as samples on one grid that also
+    carries the ansatz, the target and the residuals.
 
     Returns (CoefficientSet, report dict ready for JSON).
     """
     if corpus is None:
         corpus = calibration_corpus()
     two_j_list = sorted(two_j_list)
-    d_list = [tj + 1 for tj in two_j_list]
-
-    from .spin import make_irrep
-
-    def exact(f, g, tj):
-        irr = make_irrep(tj)
-        if product == "sw":
-            return star_exact(f, g, SWKernel(irr))
-        return berezin_exact(f, g, irr)
-
+    d_list = np.array([tj + 1 for tj in two_j_list], dtype=float)
     L_out = max(f.L + g.L for f, g in corpus)
     grid = make_grid(2 * L_out)
 
     def samples(sym):
-        return grid.synthesize(sym.truncated(L_out)).ravel()
+        return grid.synthesize(sym).ravel()
+
+    def exact(f, g, tj):
+        irr = make_irrep(tj)
+        prod = star_exact(f, g, SWKernel(irr)) if product == "sw" else berezin_exact(f, g, irr)
+        return samples(prod.truncated(L_out))
 
     # Richardson through the three largest d: writing R_d = d (star - fg)
     # = T1 + T2/d + T3/d^2 + ..., the weights w_i with sum w_i = 1 and
     # sum w_i d_i^{-1} = sum w_i d_i^{-2} = 0 recover T1 up to O(1/(d1 d2 d3))
-    tjs = two_j_list[-3:]
-    ds = np.array([tj + 1 for tj in tjs], dtype=float)
+    ds = d_list[-3:]
     V = np.vander(1.0 / ds, len(ds), increasing=True).T
     rhs = np.zeros(len(ds))
     rhs[0] = 1.0
     wts = np.linalg.solve(V, rhs)
-    targets, feats = [], []
+    names = ["f*g", "(Lam f)g + f(Lam g)", "grad.grad"]
+    if not fix_poisson:
+        names.append("i n.(grad x grad)")
+    pairs, targets = [], []
     for f, g in corpus:
-        fg = symbol_product(f, g)
-        Rs = [
-            _combine([(d, exact(f, g, tj)), (-d, fg)]) for tj, d in zip(tjs, ds)
-        ]
-        T1 = _combine(list(zip(wts, Rs)))
-        dot, cross = gradient_bilinears(f, g)
-        lap = _combine(
-            [(1.0, symbol_product(angular_square(f), g)), (1.0, symbol_product(f, angular_square(g)))]
-        )
-        t = samples(T1)
-        cols = [samples(fg), samples(lap), samples(dot)]
-        if fix_poisson:
-            t = t - 1j * samples(cross)
-        else:
-            cols.append(1j * samples(cross))
-        targets.append(t)
-        feats.append(np.stack(cols, axis=1))
+        fs, gs = samples(f), samples(g)
+        dot, cross = gradient_samples(f, g, grid)
+        lap = samples(angular_square(f)) * gs + fs * samples(angular_square(g))
+        cols = np.stack([fs * gs, lap, dot.ravel(), 1j * cross.ravel()], axis=1)
+        ex = np.stack([exact(f, g, tj) for tj in two_j_list])
+        t = wts @ (ds[:, None] * (ex[-3:] - cols[:, 0]))
+        targets.append(t - cols[:, 3] if fix_poisson else t)
+        pairs.append((cols, ex))
 
-    A = np.vstack(feats)
+    A = np.vstack([cols[:, : len(names)] for cols, _ in pairs])
     b = np.concatenate(targets)
     # real least squares over stacked real/imag parts
     Ar = np.vstack([A.real, A.imag])
@@ -385,10 +377,6 @@ def calibrate_order1(
     sigma2 = float(resid @ resid) / dof
     cov = sigma2 * np.linalg.inv(Ar.T @ Ar)
     err = np.sqrt(np.diag(cov))
-
-    names = ["f*g", "(Lam f)g + f(Lam g)", "grad.grad"]
-    if not fix_poisson:
-        names.append("i n.(grad x grad)")
     cs = CoefficientSet(
         "calibrated",
         float(coef[0]),
@@ -397,18 +385,15 @@ def calibrate_order1(
         1.0 if fix_poisson else float(coef[3]),
     )
 
-    # residual decay of the fitted order-1 truncation across all d
-    sups = []
-    for tj, d in zip(two_j_list, d_list):
-        worst = 0.0
-        for f, g in corpus:
-            tr = _combine(
-                [(1.0, symbol_product(f, g)), (1.0 / d, order1_bilinear(f, g, cs))]
-            )
-            diff = _combine([(1.0, exact(f, g, tj)), (-1.0, tr)])
-            worst = max(worst, float(np.max(np.abs(grid.synthesize(diff.truncated(L_out))))))
-        sups.append(worst)
-    slope = float(np.polyfit(np.log(d_list), np.log(sups), 1)[0])
+    # residual decay of the fitted order-1 truncation fg + B/d across all d;
+    # B is the ansatz with the fitted coefficients
+    full = np.array([cs.c_const, cs.c_lap, cs.c_dot, cs.c_cross])
+    sups = np.zeros(len(d_list))
+    for cols, ex in pairs:
+        trunc = cols[:, 0] + np.outer(1.0 / d_list, cols @ full)
+        sups = np.maximum(sups, np.max(np.abs(ex - trunc), axis=1))
+    sups = sups.tolist()
+    slope = loglog_slope(d_list, sups).slope
 
     report = {
         "product": product,

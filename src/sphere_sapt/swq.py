@@ -162,14 +162,12 @@ def raise_lower_symbol(sym: SphereSymbol, irrep: SpinIrrep) -> np.ndarray:
         if np.max(np.abs(sym.coeffs[irrep.two_j + 1 :])) > 1e-12:
             raise ValueError("symbol has components with l > 2j; not a lower symbol")
         sym = sym.truncated(irrep.two_j)
-    sym = sym.truncated(irrep.two_j)
-    r = _lower_scale(irrep.two_j)
-    shape = (irrep.two_j + 1, 1) + (1,) * (sym.coeffs.ndim - 2)
-    scaled = SphereSymbol(sym.coeffs / r.reshape(shape))
-    return quantize(scaled, SWKernel(irrep))
+    r = _lower_scale(irrep.two_j)[: sym.L + 1]
+    shape = (sym.L + 1, 1) + (1,) * (sym.coeffs.ndim - 2)
+    return quantize(SphereSymbol(sym.coeffs / r.reshape(shape)), SWKernel(irrep))
 
 
-def kernel_property_residuals(kernel: SWKernel, grid: Grid, n_group: int = 20, seed: int = 7):
+def kernel_property_residuals(kernel: SWKernel, grid: Grid, n_group: int = 20):
     """Numerical residuals of the five defining kernel properties.
 
     Returns a dict with keys 'hermitian', 'normalized', 'reproducing',
@@ -186,7 +184,7 @@ def kernel_property_residuals(kernel: SWKernel, grid: Grid, n_group: int = 20, s
             f"products of two kernels at two_j = {kernel.two_j}; it needs L_exact >= {2 * kernel.two_j} "
             f"and n_phi >= {2 * kernel.two_j + 1}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     # reproducing targets at three nodes; 20 random hermitian pairs (AB[2i], AB[2i + 1])
     nodes = [(0, 0), (grid.n_theta // 2, grid.n_phi // 3), (grid.n_theta - 1, 1)]
     targets = [kernel.at(grid.theta[it], grid.phi[ip]) for it, ip in nodes]

@@ -8,7 +8,7 @@ from sapt_oracle import hausdorff
 
 from sphere_sapt import sapt
 from sphere_sapt.fits import loglog_slope
-from sphere_sapt.model import ModelParams, build_hamiltonian, gap_N
+from sphere_sapt.model import ModelParams, build_hamiltonian, gap_N, hamiltonian_symbol, principal_bands
 from sphere_sapt.sapt import (
     EGOROV_TIME_SIGN,
     BandSplitError,
@@ -20,9 +20,19 @@ from sphere_sapt.sapt import (
     exact_band_projection,
     moyal_projection,
 )
-from sphere_sapt.sphere import make_grid, vector_symbol_coeffs
+from sphere_sapt.sphere import angular_square, gradient_bilinears, make_grid, synthesize_at, vector_symbol_coeffs
 from sphere_sapt.spin import make_irrep
-from sphere_sapt.star import CALIBRATED, CALIBRATED_BEREZIN, PRINTED_MOYAL, _combine, star_exact
+from sphere_sapt.star import (
+    CALIBRATED,
+    CALIBRATED_BEREZIN,
+    PRINTED_BEREZIN,
+    PRINTED_MOYAL,
+    _combine,
+    order1_bilinear,
+    order1_samples,
+    star_exact,
+    symbol_product,
+)
 from sphere_sapt.swq import SWKernel, quantize
 
 LAM = 0.2
@@ -205,17 +215,58 @@ def test_symbols_on_the_covariant_grid_equal_the_full_grid(monkeypatch, two_s, l
 
 
 def test_projection_at_band_limit_96_in_little_memory():
-    # tracemalloc peak of moyal_projection at L = 96, two_j = 40, grid and
-    # Legendre tables built under the trace: 239 MiB on the full make_grid(384)
-    # with its 385 phi nodes, 21 MiB on the 3-node covariant grid
-    sapt._symbol_grid.cache_clear()
-    tracemalloc.start()
-    try:
-        moyal_projection(ModelParams(40, 1, LAM), BAND, order=1, cs=CALIBRATED, L=96)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20, peak / 2**20
+    # tracemalloc peak of moyal_projection at two_j = 40, grid and Legendre
+    # tables built under the trace.  L = 96: 239 MiB on the full
+    # make_grid(384) with its 385 phi nodes, 21 MiB on the 3-node covariant
+    # grid with the order-1 bilinears as dense band-2L coefficient arrays,
+    # 4 MiB with them as samples on the grid.  L = 192: 80 MiB and 13 MiB
+    for L, bound_mib in [(96, 64), (192, 32)]:
+        sapt._symbol_grid.cache_clear()
+        tracemalloc.start()
+        try:
+            moyal_projection(ModelParams(40, 1, LAM), BAND, order=1, cs=CALIBRATED, L=L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, (L, peak / 2**20)
+
+
+def _covariant_pairs(L):
+    # scalar x scalar, scalar x matrix and matrix x matrix pairs of e3-covariant
+    # band fields (entry (a, b) carries phi content m_b - m_a only)
+    p = ModelParams(10, 1, LAM)
+    grid = sapt._symbol_grid(4 * L, 1)
+    th, ph = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    bd = principal_bands(p, th, ph, BAND)
+    E, u0, pi0 = (grid.analyze(x, L) for x in (bd.energy, bd.u0, bd.projector))
+    H0 = hamiltonian_symbol(p, order=0)[0]
+    n1 = vector_symbol_coeffs()[0]
+    return [(E, n1), (n1, E), (E, u0), (u0, E), (pi0, H0), (H0, pi0), (u0, pi0)]
+
+
+def _bilinear_from_parts(f, g, cs):
+    # B(f, g) assembled in coefficients from separately analyzed parts
+    dot, cross = gradient_bilinears(f, g)
+    lap = [symbol_product(angular_square(f), g), symbol_product(f, angular_square(g))]
+    parts = [(1j * cs.c_cross, cross), (cs.c_dot, dot), (cs.c_const, symbol_product(f, g))]
+    return _combine(parts + [(cs.c_lap, x) for x in lap])
+
+
+@pytest.mark.parametrize(
+    "cs", [CALIBRATED, CALIBRATED_BEREZIN, PRINTED_MOYAL, PRINTED_BEREZIN], ids=lambda cs: cs.name
+)
+@pytest.mark.parametrize("covariant", [False, True], ids=["make_grid", "symbol_grid"])
+def test_order1_samples_equal_the_synthesized_bilinear(cs, covariant):
+    # the bilinear's round-off at |m| > 1 would trip the covariant grid's
+    # alias guard, so it is evaluated at the nodes point by point
+    L = 8
+    grid = sapt._symbol_grid(4 * L, 1) if covariant else make_grid(4 * L)
+    th, ph = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    for f, g in _covariant_pairs(L):
+        got = order1_samples(f, g, cs, grid)
+        for sym in (order1_bilinear(f, g, cs), _bilinear_from_parts(f, g, cs)):
+            want = synthesize_at(sym, th, ph).reshape(got.shape)
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("seed", range(4))

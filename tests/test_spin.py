@@ -151,6 +151,12 @@ def test_wigner_rotation_consistency():
         rot = np.einsum("ab,aij->bij", R, Js)
         conj = np.stack([U @ J @ U.conj().T for J in Js])
         assert np.max(np.abs(rot - conj)) < 1e-11
+    # array angles give the stack of the single rotations
+    angles = rng.uniform(0, 2 * np.pi, size=(3, 2, 5))
+    Us = wigner_zyz(ir, *angles)
+    assert Us.shape == (2, 5, ir.d, ir.d)
+    for i in np.ndindex(2, 5):
+        assert np.max(np.abs(Us[i] - wigner_zyz(ir, *angles[(slice(None),) + i]))) < 1e-14
 
 
 def test_coherent_state_expectations():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sphere_sapt import star
 from sphere_sapt.fits import loglog_slope
 from sphere_sapt.spin import make_irrep
 from sphere_sapt.sphere import SphereSymbol, make_grid, vector_symbol_coeffs
@@ -235,6 +236,19 @@ def test_calibration_recovers_frozen_constants():
     assert abs(csb.c_lap) < 1e-3
     assert abs(csb.c_dot - 1.0) < 1e-3  # opposite sign to the printed table
     assert repb["residual_slope"] < -1.7
+
+
+def test_calibration_computes_each_exact_product_once(monkeypatch):
+    calls = []
+    for name in ("star_exact", "berezin_exact"):
+        fn = getattr(star, name)
+        monkeypatch.setattr(star, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    corpus = calibration_corpus(2, 2, seed=11)
+    two_j = (10, 20, 40, 80)
+    for product, name in (("sw", "star_exact"), ("berezin", "berezin_exact")):
+        calls.clear()
+        calibrate_order1(two_j, corpus, product=product)
+        assert calls == [name] * (len(corpus) * len(two_j))
 
 
 def test_calibration_free_poisson_consistency():
