@@ -1,9 +1,8 @@
 """Exact finite-dimensional su(2) representation theory.
 
 Spin matrices, trace-orthonormal tensor operators stored as one real
-orthogonal matrix per band offset m, ZYZ rotations and spin coherent
-states.  Basis ordering everywhere: index 0 is the highest weight, so
-J3 = diag(j, j-1, ..., -j).
+orthogonal matrix per band offset m, and ZYZ rotations.  Basis ordering
+everywhere: index 0 is the highest weight, so J3 = diag(j, j-1, ..., -j).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ __all__ = [
     "make_irrep",
     "tensor_basis",
     "wigner_zyz",
-    "coherent_state",
 ]
 
 
@@ -38,10 +36,6 @@ class SpinIrrep:
     @property
     def j(self) -> float:
         return self.two_j / 2
-
-    @property
-    def casimir(self) -> float:
-        return self.j * (self.j + 1)
 
     @property
     def Jvec(self) -> np.ndarray:
@@ -92,10 +86,6 @@ class TensorBasis:
     def d(self) -> int:
         return self.two_j + 1
 
-    def dense(self, l: int, m: int) -> np.ndarray:
-        band = self.Q[abs(m)][l - abs(m)]
-        return np.diag(band if m >= 0 else (-1) ** m * band, k=m)
-
 
 @lru_cache(maxsize=None)
 def tensor_basis(two_j: int) -> TensorBasis:
@@ -137,7 +127,7 @@ def tensor_basis(two_j: int) -> TensorBasis:
 
 
 # ---------------------------------------------------------------------------
-# Rotations and coherent states
+# Rotations
 # ---------------------------------------------------------------------------
 
 
@@ -172,14 +162,3 @@ def rotation_from_zyz(alpha: float, beta: float, gamma: float) -> np.ndarray:
         for a_ in range(3):
             R[a_, b] = 0.5 * np.trace(sig[a_] @ v).real
     return R
-
-
-def coherent_state(irrep: SpinIrrep, n: np.ndarray) -> np.ndarray:
-    """Spin coherent state: the highest-weight vector rotated to point n."""
-    n = np.asarray(n, dtype=float)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-10:
-        raise ValueError("coherent_state requires a unit vector")
-    theta = np.arccos(np.clip(n[2], -1, 1))
-    phi = np.arctan2(n[1], n[0])
-    u = wigner_zyz(irrep, phi, theta, phi)
-    return u.conj().T[:, 0].copy()

@@ -15,7 +15,8 @@ truncations evaluate as sum_k d^{-k} z_k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -53,12 +54,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Order-1 symmetric-part coefficients of a star truncation.
+    """Coefficients of a star truncation: order 1, and order 2 if printed.
 
     The order-1 bilinear is
         B(f, g) = c_const f g + c_lap ((Lam f) g + f (Lam g))
                   + c_dot grad f . grad g + i c_cross n . (grad f x grad g)
-    order2 selects which printed order-2 table (if any) the truncation uses.
+    order2 holds b2 for the order-2 term b2 . I(x0, y0) over the eight
+    invariants of _invariant_samples, or () for a set without a table.
     """
 
     name: str
@@ -66,19 +68,19 @@ class CoefficientSet:
     c_lap: float
     c_dot: float
     c_cross: float
-    order2: str | None = None  # "moyal", "berezin", or None
+    order2: tuple = ()
 
 
-PRINTED_MOYAL = CoefficientSet("printed_moyal", -0.5, 1.0, 0.0, 1.0, order2="moyal")
-PRINTED_BEREZIN = CoefficientSet("printed_berezin", -0.5, 0.0, -1.0, 1.0, order2="berezin")
+PRINTED_MOYAL = CoefficientSet(
+    "printed_moyal", -0.5, 1.0, 0.0, 1.0, (-0.5, 0.25, -2.25, -3.5, 0.0, -6.0, 1.0, 0.0)
+)
+PRINTED_BEREZIN = CoefficientSet(
+    "printed_berezin", -0.5, 0.0, -1.0, 1.0, (-0.5, 0.5, -0.5, -3.0, 0.5, -6.0, 0.5, -0.5)
+)
 # frozen outputs of calibrate_order1; revalidated in the test suite.  Note the
 # coherent-state gradient term calibrates to +1, opposite to the printed sign.
 CALIBRATED = CoefficientSet("calibrated", 0.0, 0.0, 0.0, 1.0)
 CALIBRATED_BEREZIN = CoefficientSet("calibrated_berezin", 0.0, 0.0, 1.0, 1.0)
-
-
-def _zero_like(shape_src: SphereSymbol) -> SphereSymbol:
-    return SphereSymbol(np.zeros((1, 1) + shape_src.fast_shape, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -95,35 +97,23 @@ class SemiclassicalSymbol:
         return SemiclassicalSymbol([sym])
 
     def term(self, k: int) -> SphereSymbol:
-        if k < len(self.terms):
-            return self.terms[k]
-        return _zero_like(self.terms[0])
+        return self.terms[k]
 
     def evaluate(self, d: int, order: int | None = None) -> SphereSymbol:
-        """Sum the truncated series at dimension d."""
-        if order is None:
-            order = len(self.terms) - 1
-        parts = [(float(d) ** (-k), self.term(k)) for k in range(order + 1)]
-        return _combine(parts)
+        """Sum the series at dimension d, through term `order` if given."""
+        terms = self.terms if order is None else self.terms[: order + 1]
+        return _combine([(float(d) ** (-k), t) for k, t in enumerate(terms)])
 
     def hermiticity_residual(self) -> float:
         return max(t.hermiticity_residual() for t in self.terms)
 
 
 def _combine(parts) -> SphereSymbol:
-    """Weighted sum of symbols with mixed band limits."""
+    """Weighted sum of symbols with mixed band limits and one fast shape."""
     L = max(s.L for _, s in parts)
-    fast = ()
-    for _, s in parts:
-        if s.fast_shape:
-            fast = s.fast_shape
-    out = np.zeros((L + 1, 2 * L + 1) + fast, dtype=complex)
+    out = np.zeros((L + 1, 2 * L + 1) + parts[0][1].fast_shape, dtype=complex)
     for w, s in parts:
-        c = s.truncated(L).coeffs
-        if fast and not s.fast_shape:
-            eye = np.eye(fast[0])
-            c = c[..., None, None] * eye
-        out += w * c
+        out += w * s.truncated(L).coeffs
     return SphereSymbol(out)
 
 
@@ -185,89 +175,62 @@ def order1_bilinear(f: SphereSymbol, g: SphereSymbol, cs: CoefficientSet) -> Sph
     return grid.analyze(order1_samples(f, g, cs, grid), L_out)
 
 
-def _order2_moyal(x0, x1, y0, y1, x2, y2) -> SphereSymbol:
-    lx0, ly0 = angular_square(x0), angular_square(y0)
-    dot00, cross00 = gradient_bilinears(x0, y0)
-    dot01, cross01 = gradient_bilinears(x0, y1)
-    dot10, cross10 = gradient_bilinears(x1, y0)
-    dotL0, crossL0 = gradient_bilinears(lx0, y0)
-    dot0L, cross0L = gradient_bilinears(x0, ly0)
-    parts = [
-        (1.0, symbol_product(x0, y2)),
-        (1.0, symbol_product(x1, y1)),
-        (1.0, symbol_product(x2, y0)),
-        (-0.5, symbol_product(lx0, ly0)),
-        (0.25, angular_square(dot00)),
-        (-2.25, dotL0),
-        (-2.25, dot0L),
-        (-3.5, dot00),
-        (1.0, symbol_product(lx0, y1)),
-        (1.0, symbol_product(angular_square(x1), y0)),
-        (1.0, symbol_product(x0, angular_square(y1))),
-        (1.0, symbol_product(x1, ly0)),
-        (1j, cross01),
-        (1j, cross10),
-        (-6j, cross00),
-        (1j, crossL0),
-        (1j, cross0L),
-    ]
-    return _combine(parts)
+# entries of _invariant_samples that Lam acts on after analysis
+_LAM_AFTER = (1, 7)
 
 
-def _order2_berezin(x0, x1, y0, y1, x2, y2) -> SphereSymbol:
-    lx0, ly0 = angular_square(x0), angular_square(y0)
-    dot00, cross00 = gradient_bilinears(x0, y0)
-    dot01, cross01 = gradient_bilinears(x0, y1)
-    dot10, cross10 = gradient_bilinears(x1, y0)
-    dotL0, crossL0 = gradient_bilinears(lx0, y0)
-    dot0L, cross0L = gradient_bilinears(x0, ly0)
-    parts = [
-        (1.0, symbol_product(x0, y2)),
-        (1.0, symbol_product(x1, y1)),
-        (1.0, symbol_product(x2, y0)),
-        (-1.0, dot01),
-        (-1.0, dot10),
-        (-3.0, dot00),
-        (0.5, symbol_product(lx0, y0)),
-        (0.5, symbol_product(x0, ly0)),
-        (-0.5, symbol_product(lx0, ly0)),
-        (0.5, angular_square(dot00)),
-        (-0.5, dotL0),
-        (-0.5, dot0L),
-        (1j, cross01),
-        (1j, cross10),
-        (-6j, cross00),
-        (0.5j, crossL0),
-        (0.5j, cross0L),
-        (-0.5j, angular_square(cross00)),
-    ]
-    return _combine(parts)
+def _invariant_samples(x: SphereSymbol, y: SphereSymbol, grid: Grid) -> tuple:
+    """The eight order-2 invariants I(x, y) at the grid nodes.
+
+    In order: (Lam x)(Lam y), Lam(grad x . grad y), grad Lam x . grad y +
+    grad x . grad Lam y, grad x . grad y, (Lam x) y + x Lam y, i{x, y},
+    i({Lam x, y} + {x, Lam y}) and i Lam{x, y}.  Entries _LAM_AFTER hold the
+    bilinear that Lam acts on, since Lam of samples is not pointwise.
+    """
+    lx, ly = angular_square(x), angular_square(y)
+    xs, ys, lxs, lys = (grid.synthesize(s) for s in (x, y, lx, ly))
+    dot, cross = gradient_samples(x, y, grid)
+    dot_l, cross_l = (a + b for a, b in zip(gradient_samples(lx, y, grid), gradient_samples(x, ly, grid)))
+    lap = _pointwise(lxs, ys) + _pointwise(xs, lys)
+    return _pointwise(lxs, lys), dot, dot_l, dot, lap, 1j * cross, 1j * cross_l, 1j * cross
 
 
 def _truncation(
-    F: SemiclassicalSymbol, G: SemiclassicalSymbol, order: int, cs: CoefficientSet, table: str | None
+    F: SemiclassicalSymbol, G: SemiclassicalSymbol, order: int, cs: CoefficientSet
 ) -> SemiclassicalSymbol:
+    """Terms 0..order of the star series of F and G, each one analysis.
+
+    Term k sums the samples of x_i y_j over i + j = k, of B(x_i, y_j) over
+    i + j = k - 1 and, for k = 2, of cs.order2 . I(x0, y0).  A series term
+    that a factor lacks is zero.  The printed order-2 tables leave out B's
+    c_const term on x0 y1 and x1 y0.
+    """
     if order not in (0, 1, 2):
         raise ValueError("truncation order must be 0, 1 or 2")
-    x0, y0 = F.term(0), G.term(0)
-    terms = [symbol_product(x0, y0)]
-    if order >= 1:
-        x1, y1 = F.term(1), G.term(1)
-        terms.append(
-            _combine(
-                [
-                    (1.0, symbol_product(x0, y1)),
-                    (1.0, symbol_product(x1, y0)),
-                    (1.0, order1_bilinear(x0, y0, cs)),
-                ]
-            )
-        )
-    if order >= 2:
-        if table is None:
-            raise ValueError(f"coefficient set '{cs.name}' carries no order-2 table")
-        x2, y2 = F.term(2), G.term(2)
-        fn = _order2_moyal if table == "moyal" else _order2_berezin
-        terms.append(fn(x0, x1, y0, y1, x2, y2))
+    if order == 2 and not cs.order2:
+        raise ValueError(f"coefficient set '{cs.name}' carries no order-2 table")
+    bilinear = {1: cs, 2: replace(cs, c_const=0.0)}
+    terms = []
+    for k in range(order + 1):
+        pairs = [(i + j, x, y) for i, x in enumerate(F.terms) for j, y in enumerate(G.terms) if i + j <= k]
+        L = max(x.L + y.L for _, x, y in pairs)
+        grid = make_grid(2 * L)
+        parts, lam = [], None
+        for n, x, y in pairs:
+            if n == k:
+                parts.append(_pointwise(grid.synthesize(x), grid.synthesize(y)))
+            elif n == k - 1:
+                parts.append(order1_samples(x, y, bilinear[k], grid))
+            else:
+                inv = _invariant_samples(x, y, grid)
+                parts += [b * s for i, (b, s) in enumerate(zip(cs.order2, inv)) if i not in _LAM_AFTER]
+                lam = sum(cs.order2[i] * inv[i] for i in _LAM_AFTER)
+        samples = reduce(np.add, parts)
+        if lam is None:
+            terms.append(grid.analyze(samples, L))
+        else:
+            c = grid.analyze(np.stack([samples, lam], axis=2), L).coeffs
+            terms.append(SphereSymbol(c[:, :, 0] + angular_square(SphereSymbol(c[:, :, 1])).coeffs))
     return SemiclassicalSymbol(terms)
 
 
@@ -275,14 +238,14 @@ def moyal_truncation(
     F: SemiclassicalSymbol, G: SemiclassicalSymbol, order: int, cs: CoefficientSet = PRINTED_MOYAL
 ) -> SemiclassicalSymbol:
     """Truncated operator-kernel star series with the given coefficients."""
-    return _truncation(F, G, order, cs, cs.order2 if cs.order2 != "berezin" else None)
+    return _truncation(F, G, order, cs)
 
 
 def berezin_truncation(
     F: SemiclassicalSymbol, G: SemiclassicalSymbol, order: int, cs: CoefficientSet = PRINTED_BEREZIN
 ) -> SemiclassicalSymbol:
     """Truncated coherent-state star series with the given coefficients."""
-    return _truncation(F, G, order, cs, cs.order2 if cs.order2 != "moyal" else None)
+    return _truncation(F, G, order, cs)
 
 
 # -- calibration ------------------------------------------------------------
@@ -352,15 +315,14 @@ def calibrate_order1(
     rhs = np.zeros(len(ds))
     rhs[0] = 1.0
     wts = np.linalg.solve(V, rhs)
-    names = ["f*g", "(Lam f)g + f(Lam g)", "grad.grad"]
-    if not fix_poisson:
-        names.append("i n.(grad x grad)")
+    # the ansatz columns are B of the four unit coefficient sets
+    names = ["f*g", "(Lam f)g + f(Lam g)", "grad.grad", "i n.(grad x grad)"]
+    units = [CoefficientSet(nm, *row) for nm, row in zip(names, np.eye(4))]
+    if fix_poisson:
+        names = names[:3]
     pairs, targets = [], []
     for f, g in corpus:
-        fs, gs = samples(f), samples(g)
-        dot, cross = gradient_samples(f, g, grid)
-        lap = samples(angular_square(f)) * gs + fs * samples(angular_square(g))
-        cols = np.stack([fs * gs, lap, dot.ravel(), 1j * cross.ravel()], axis=1)
+        cols = np.stack([order1_samples(f, g, u, grid).ravel() for u in units], axis=1)
         ex = np.stack([exact(f, g, tj) for tj in two_j_list])
         t = wts @ (ds[:, None] * (ex[-3:] - cols[:, 0]))
         targets.append(t - cols[:, 3] if fix_poisson else t)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from sapt_oracle import hausdorff
+from sapt_oracle import hausdorff, heisenberg
 
 from sphere_sapt import sapt
 from sphere_sapt.fits import loglog_slope
@@ -27,13 +27,14 @@ from sphere_sapt.star import (
     CALIBRATED_BEREZIN,
     PRINTED_BEREZIN,
     PRINTED_MOYAL,
+    SemiclassicalSymbol,
     _combine,
     order1_bilinear,
     order1_samples,
     star_exact,
     symbol_product,
 )
-from sphere_sapt.swq import SWKernel, quantize
+from sphere_sapt.swq import SWKernel, dequantize, quantize
 
 LAM = 0.2
 BAND = 0.5
@@ -122,6 +123,14 @@ def test_band_ranks_higher_spin():
     p = ModelParams(10, 2, 0.8)
     clusters = exact_band_projection(build_hamiltonian(p), 3)
     assert tuple(c.rank for c in clusters) == (13, 11, 9)
+
+
+@pytest.mark.parametrize("two_j, two_s, lam", [(10, 1, 0.2), (10, 1, 0.8), (10, 2, 0.8), (6, 0, 0.3)])
+def test_band_clusters_partition_the_spectrum(two_j, two_s, lam):
+    H = build_hamiltonian(ModelParams(two_j, two_s, lam))
+    clusters = exact_band_projection(H, two_s + 1)
+    got = np.concatenate([c.eigenvalues for c in clusters[::-1]])
+    assert np.array_equal(got, np.linalg.eigvalsh(H))
 
 
 def test_band_split_fails_at_degeneracy():
@@ -319,6 +328,27 @@ def test_egorov_error_slope():
     # in-plane observables decay at least one order in 1/d (measured ~ -2)
     r = egorov_error(LAM, BAND, vector_symbol_coeffs()[0], 1.0, [10, 20, 40], L=16)
     assert r["fit"].slope < -0.7
+
+
+def test_egorov_diagonal_phase_matches_eigh_propagator(monkeypatch):
+    evolved = []
+    monkeypatch.setattr(sapt, "dequantize", lambda A, ker: evolved.append(A) or dequantize(A, ker))
+    two_j_list, o0, T = [10, 20, 40, 80], vector_symbol_coeffs()[0], 1.0
+    egorov_error(LAM, BAND, o0, T, two_j_list, L=16)
+    h0 = effective_hamiltonian(ModelParams(10, 1, LAM), BAND, order=0, L=16).term(0)
+    assert len(evolved) == len(two_j_list)
+    for two_j, got in zip(two_j_list, evolved):
+        ker = SWKernel(make_irrep(two_j))
+        want = heisenberg(quantize(h0, ker), quantize(o0, ker), EGOROV_TIME_SIGN * (two_j + 1) / 2 * T)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_egorov_refuses_a_non_diagonal_hamiltonian(monkeypatch):
+    # the diagonal phase holds only for an axisymmetric h0
+    tilted = SemiclassicalSymbol.leading(vector_symbol_coeffs()[0])
+    monkeypatch.setattr(sapt, "effective_hamiltonian", lambda *a, **k: tilted)
+    with pytest.raises(ArithmeticError, match="not diagonal"):
+        egorov_error(LAM, BAND, vector_symbol_coeffs()[2], 1.0, [10], L=16)
 
 
 def test_egorov_time_sign_frozen():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cg_oracle import clebsch_gordan
+from spin_oracle import coherent_state, dense
+
 from sphere_sapt.spin import (
-    coherent_state,
     make_irrep,
     rotation_from_zyz,
     tensor_basis,
@@ -79,7 +80,7 @@ def test_tensor_basis_matches_cg(two_j):
     for l in range(two_j + 1):
         for m in range(-l, l + 1):
             want = _cg_tensor(two_j, l, m)
-            got = tb.dense(l, m)
+            got = dense(tb, l, m)
             assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -88,7 +89,7 @@ def test_tensor_basis_orthonormal(two_j):
     tb = tensor_basis(two_j)
     flat = np.stack(
         [
-            tb.dense(l, m).ravel()
+            dense(tb, l, m).ravel()
             for l in range(two_j + 1)
             for m in range(-l, l + 1)
         ]
@@ -113,8 +114,8 @@ def test_tensor_conjugation(two_j):
     tb = tensor_basis(two_j)
     for l in range(min(two_j, 6) + 1):
         for m in range(-l, l + 1):
-            lhs = tb.dense(l, -m)
-            rhs = (-1) ** m * tb.dense(l, m).conj().T
+            lhs = dense(tb, l, -m)
+            rhs = (-1) ** m * dense(tb, l, m).conj().T
             assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
@@ -125,11 +126,11 @@ def test_tensor_ladder_relations(two_j):
     Jp = ir.J1 + 1j * ir.J2
     for l in (1, 2, min(two_j, 5)):
         for m in range(-l, l + 1):
-            T = tb.dense(l, m)
+            T = dense(tb, l, m)
             assert np.max(np.abs(ir.J3 @ T - T @ ir.J3 - m * T)) < 1e-12
             lhs = Jp @ T - T @ Jp
             if m < l:
-                rhs = np.sqrt(l * (l + 1) - m * (m + 1)) * tb.dense(l, m + 1)
+                rhs = np.sqrt(l * (l + 1) - m * (m + 1)) * dense(tb, l, m + 1)
             else:
                 rhs = np.zeros_like(T)
             assert np.max(np.abs(lhs - rhs)) < 1e-11

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from star_oracle import truncation
 
 from sphere_sapt import star
 from sphere_sapt.fits import loglog_slope
@@ -177,6 +178,36 @@ def test_printed_order2_antisymmetric_part_nonzero():
     t_gf = moyal_truncation(G, F, 2, PRINTED_MOYAL).term(2)
     anti = _combine([(1.0, t_fg), (-1.0, t_gf)])
     assert _sup(anti, make_grid(4 * anti.L)) > 1.0
+
+
+def _random_symbol(L, fast, rng):
+    c = rng.normal(size=(L + 1, 2 * L + 1) + fast) + 1j * rng.normal(size=(L + 1, 2 * L + 1) + fast)
+    l, m = np.ogrid[: L + 1, -L : L + 1]
+    c[abs(m) > l] = 0
+    return SphereSymbol(c)
+
+
+@pytest.mark.parametrize("fast", [(), (2, 2)])
+@pytest.mark.parametrize("lengths", [(1, 1), (3, 3), (2, 3), (3, 1)])
+def test_truncations_match_the_term_by_term_oracle(fast, lengths):
+    # every term of every set against the printed tables as sums of
+    # separately analyzed symbols, with and without x1, y1, x2, y2
+    rng = np.random.default_rng(sum(lengths) + len(fast))
+    F = SemiclassicalSymbol([_random_symbol(L, fast, rng) for L in (3, 2, 2)[: lengths[0]]])
+    G = SemiclassicalSymbol([_random_symbol(L, fast, rng) for L in (2, 3, 1)[: lengths[1]]])
+    tables = {"printed_moyal": "moyal", "printed_berezin": "berezin"}
+    for cs in (PRINTED_MOYAL, PRINTED_BEREZIN, CALIBRATED, CALIBRATED_BEREZIN):
+        for order in (0, 1, 2):
+            if order == 2 and cs.name not in tables:
+                with pytest.raises(ValueError, match="no order-2 table"):
+                    moyal_truncation(F, G, order, cs)
+                continue
+            got = berezin_truncation(F, G, order, cs).terms
+            want = truncation(F, G, order, cs, tables.get(cs.name))
+            assert len(got) == len(want) == order + 1
+            for a, b in zip(got, want):
+                assert a.coeffs.shape == b.coeffs.shape
+                assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12 * np.max(np.abs(b.coeffs))
 
 
 def test_truncation_hermiticity():

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from cg_oracle import clebsch_gordan
+from spin_oracle import coherent_state
 from swq_oracle import kernel_samples
 
-from sphere_sapt.spin import coherent_state, make_irrep, tensor_basis
+from sphere_sapt.spin import make_irrep, tensor_basis
 from sphere_sapt.sphere import Grid, SphereSymbol, make_grid, synthesize_at, vector_symbol_coeffs
 from sphere_sapt.swq import (
     SWKernel,
