@@ -247,6 +247,8 @@ def cmd_star_slopes(cfg):
 
 
 def cmd_gap(cfg):
+    if cfg["thetas"] < 1:
+        raise ValueError(f"--thetas must be >= 1, got {cfg['thetas']}")
     lambdas = _float_list(cfg["lambdas"])
     thetas = np.linspace(0.0, pi, cfg["thetas"])
     rows = []
@@ -260,6 +262,8 @@ def cmd_gap(cfg):
 
 
 def cmd_chern(cfg):
+    if cfg["grid"] < 1:
+        raise ValueError(f"--grid must be >= 1, got {cfg['grid']}")
     two_s = cfg["two_s"]
     params = ModelParams(cfg["two_j"], two_s, cfg["lam"])
     n = cfg["grid"]

@@ -3,10 +3,11 @@
 Order-1 pipeline: the band projector symbol pi0 and its first correction
 pi1 (solved node-wise in the fiber eigenbasis from the projection and
 commutation conditions of the star calculus), the effective band
-Hamiltonian h0 + d^-1 h1 through two independent evaluation paths, and the
-semiclassical (Egorov) propagation check against the classical precession
-flow.  All star-dependent pieces take a CoefficientSet so the printed and
-calibrated expansions can be compared downstream.
+Hamiltonian h0 + d^-1 h1 from the same calculus (its closed form from
+analytic derivatives, two_s = 1, is the oracle in tests/sapt_oracle.py),
+and the semiclassical (Egorov) propagation check against the classical
+precession flow.  All star-dependent pieces take a CoefficientSet so the
+printed and calibrated expansions can be compared downstream.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .model import (
     gap_N,
     hamiltonian_symbol,
     principal_bands,
-    tilt_angles,
 )
 from .sphere import Grid, SphereSymbol, make_grid, synthesize_at
 from .star import CALIBRATED, CoefficientSet, SemiclassicalSymbol, order1_samples
@@ -181,118 +181,35 @@ def exact_band_projection(H: np.ndarray, d_s: int):
 # -- effective Hamiltonian ---------------------------------------------------
 
 
-def _energy_symbol(params: ModelParams, m: float, grid: Grid, L: int) -> SphereSymbol:
-    th2, _ = _mesh(grid)
-    return grid.analyze(gap_N(th2, params.lam) * float(m), L)
-
-
-def _h1_star_machinery(params, m, cs, L) -> SphereSymbol:
-    idx = band_index(params.two_s, m)
-    grid = _symbol_grid(4 * L, params.two_s)
-    th2, ph2 = _mesh(grid)
-    bd = principal_bands(params, th2, ph2, m)
-    u0sym = grid.analyze(bd.u0, L)
-    H0 = hamiltonian_symbol(params, order=0)[0]
-    Esym = _energy_symbol(params, m, grid, L)
-    Xf = order1_samples(u0sym, H0, cs, grid) - order1_samples(Esym, u0sym, cs, grid)
-    h1f = (Xf @ bd.u0.conj().swapaxes(-1, -2))[..., idx, idx]
-    return grid.analyze(h1f, L)
-
-
-def _h1_closed_form(params, m, cs, L) -> SphereSymbol:
-    """Analytic-derivative evaluation of the same first-order block (s=1/2)."""
-    if params.two_s != 1:
-        raise ValueError("closed-form path implemented for two_s = 1")
-    idx = band_index(1, m)
-    sgn = 1.0 if idx == 0 else -1.0  # band +/-
-    lam = params.lam
-    grid = _symbol_grid(4 * L, params.two_s)
-    th2, ph2 = _mesh(grid)
-    st_, ct_ = np.sin(th2), np.cos(th2)
-    N = gap_N(th2, lam)
-    ctp, stp, dtp = tilt_angles(th2, lam)
-    # theta-derivatives of N and of the tilt angle
-    dN = -lam * (1 - lam) * st_ / N
-    d2N = -lam * (1 - lam) * (ct_ - st_ * dN / N) / N
-    d2tp = lam * (1 - lam) * (2 * lam - 1) * st_ / N**4
-
-    ch, sh = np.sqrt((1 + ctp) / 2), np.sqrt((1 - ctp) / 2)  # cos, sin of theta'/2
-    e_m = np.exp(-1j * ph2)
-    e_p = np.exp(1j * ph2)
-    z = np.zeros_like(th2)
-
-    def mat(a, b, c, d):
-        return np.stack(
-            [np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2
-        )
-
-    u0 = mat(ch + 0j, e_m * sh, -e_p * sh, ch + 0j)
-    du0 = 0.5 * dtp[..., None, None] * mat(-sh + 0j, e_m * ch, -e_p * ch, -sh + 0j)
-    pu0 = mat(z + 0j, -1j * e_m * sh, -1j * e_p * sh, z + 0j) / st_[..., None, None]
-    # Laplacian of entries f(theta) e^{i q phi}: f'' + cot f' - q^2 f / sin^2
-    d2ch = -0.5 * (0.5 * ch * dtp**2 + sh * d2tp)
-    d2sh = 0.5 * (-0.5 * sh * dtp**2 + ch * d2tp)
-    dch, dsh = -0.5 * sh * dtp, 0.5 * ch * dtp
-    cot = ct_ / st_
-    lap_ch = d2ch + cot * dch
-    lap_sh_q = d2sh + cot * dsh - sh / st_**2  # for q = +/- 1 entries
-    lu0 = mat(lap_ch + 0j, e_m * lap_sh_q, -e_p * lap_sh_q, lap_ch + 0j)
-
-    sig = np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1j], [1j, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
-    that = np.stack([ct_ * np.cos(ph2), ct_ * np.sin(ph2), -st_])
-    phat = np.stack([-np.sin(ph2), np.cos(ph2), z])
-    nvec = np.stack([st_ * np.cos(ph2), st_ * np.sin(ph2), ct_])
-    H0 = 0.5 * ((1 - lam) * sig[2][None, None] + lam * np.einsum("atp,aij->tpij", nvec, sig))
-    dH0 = 0.5 * lam * np.einsum("atp,aij->tpij", that, sig)
-    pH0 = 0.5 * lam * np.einsum("atp,aij->tpij", phat, sig)
-    lH0 = -lam * np.einsum("atp,aij->tpij", nvec, sig)  # Laplacian eigenvalue -2 on l=1
-
-    mm = float(m)
-    E = mm * N
-    dE = mm * dN
-    lE = mm * (d2N + cot * dN)
-
-    def B(f, g, df, dg, pf, pg, lf, lg):
-        out = cs.c_const * (f @ g) if cs.c_const else 0
-        if cs.c_lap:
-            out = out + cs.c_lap * (lf @ g + f @ lg)
-        if cs.c_dot:
-            out = out + cs.c_dot * (df @ dg + pf @ pg)
-        out = out + 1j * cs.c_cross * (df @ pg - pf @ dg)
-        return out
-
-    eye = np.eye(2)
-    Ef, dEf, pEf, lEf = (x[..., None, None] * eye for x in (E, dE, z, lE))
-    X = B(u0, H0, du0, dH0, pu0, pH0, lu0, lH0) - B(Ef, u0, dEf, du0, pEf, pu0, lEf, lu0)
-    h1f = (X @ u0.conj().swapaxes(-1, -2))[..., idx, idx]
-    return grid.analyze(h1f, L)
-
-
 def effective_hamiltonian(
     params: ModelParams,
     m: float,
     order: int = 1,
-    path: str = "star_machinery",
     cs: CoefficientSet = CALIBRATED,
     L: int = 24,
 ) -> SemiclassicalSymbol:
-    """Scalar effective symbol h0 + d^-1 h1 of band m (lam != 1/2)."""
+    """Scalar effective symbol h0 + d^-1 h1 of band m (lam != 1/2).
+
+    h0 = m N(theta) is the band energy.  h1 is entry (m, m) of
+    (B(u0, H0) - B(h0, u0)) u0^dagger, with B the order-1 star bilinear of
+    cs and u0 the fiber eigenbasis, all sampled on the band-symbol grid.
+    """
     if abs(params.lam - 0.5) < 1e-12:
         raise ValueError("no spectral gap at lam = 1/2")
-    band_index(params.two_s, m)
+    idx = band_index(params.two_s, m)
     grid = _symbol_grid(4 * L, params.two_s)
-    h0 = _energy_symbol(params, m, grid, L)
+    th2, ph2 = _mesh(grid)
+    h0 = grid.analyze(gap_N(th2, params.lam) * float(m), L)
     if order == 0:
         return SemiclassicalSymbol([h0])
     if order != 1:
         raise ValueError("effective Hamiltonian implemented through order 1")
-    if path == "star_machinery":
-        h1 = _h1_star_machinery(params, m, cs, L)
-    elif path == "closed_form":
-        h1 = _h1_closed_form(params, m, cs, L)
-    else:
-        raise ValueError(f"unknown path '{path}'")
-    return SemiclassicalSymbol([h0, h1])
+    bd = principal_bands(params, th2, ph2, m)
+    u0 = grid.analyze(bd.u0, L)
+    H0 = hamiltonian_symbol(params, order=0)[0]
+    X = order1_samples(u0, H0, cs, grid) - order1_samples(h0, u0, cs, grid)
+    h1 = (X @ bd.u0.conj().swapaxes(-1, -2))[..., idx, idx]
+    return SemiclassicalSymbol([h0, grid.analyze(h1, L)])
 
 
 def _farthest_from(a: np.ndarray, b: np.ndarray) -> float:

@@ -132,8 +132,10 @@ class Grid:
     2M+1 phi nodes instead of L_exact+1 and serves only symbols and samples
     whose phi content lies in |m| <= M, such as fields covariant under
     rotations about e3 (entry (a, b) = e^{i (m_b - m_a) phi} g(theta)).  For
-    them it is as exact as the full grid; synthesis refuses coefficients at
-    |m| > M, which its nodes would alias.
+    them it is as exact as the full grid.  Synthesis refuses coefficients at
+    |m| > M, which its nodes would alias, once they exceed 1e-12 of the
+    symbol's largest; below that (the round-off of a covariant symbol
+    analyzed on a full grid) it drops them.
     """
 
     def __init__(self, L_exact: int, M: int | None = None):
@@ -190,8 +192,11 @@ class Grid:
         L = coeffs.shape[0] - 1
         mm = self._mmax(L)
         c = np.ascontiguousarray(coeffs, dtype=complex).reshape(L + 1, 2 * L + 1, -1)
-        if c[:, : L - mm].any() or c[:, L + mm + 1 :].any():
-            raise ValueError(f"symbol has content at |m| > {self.M}, which {self.n_phi} phi nodes alias")
+        lo, hi = c[:, : L - mm], c[:, L + mm + 1 :]
+        if lo.any() or hi.any():
+            outside = max(np.abs(lo).max(initial=0.0), np.abs(hi).max(initial=0.0))
+            if outside > 1e-12 * np.abs(c).max():
+                raise ValueError(f"symbol has content at |m| > {self.M}, which {self.n_phi} phi nodes alias")
         P, dP = self._tab(L, deriv)
         T = (dP if deriv else P)[: L + 1, : mm + 1].transpose(1, 2, 0)  # [m, theta, l]
         cf = c.view(float).transpose(1, 0, 2)  # [m + L, l, re/im of fast]

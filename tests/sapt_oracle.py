@@ -1,11 +1,18 @@
 """Oracles for the tests: the Hausdorff distance from the full distance
-matrix (the package finds each nearest point by a sorted merge), and the
+matrix (the package finds each nearest point by a sorted merge), the
 Heisenberg conjugation through eigh (the package uses that quantize(h0) is
-diagonal)."""
+diagonal), and the order-1 effective Hamiltonian of a spin-1/2 fast sector
+from analytic theta-derivatives of u0, H0 and the band energy (the package
+forms the same block from synthesized symbols and their gradients)."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from sphere_sapt import sapt
+from sphere_sapt.model import band_index, gap_N, tilt_angles
+from sphere_sapt.sphere import SphereSymbol
+from sphere_sapt.star import CALIBRATED, SemiclassicalSymbol
 
 
 def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
@@ -18,3 +25,78 @@ def heisenberg(hq: np.ndarray, oq: np.ndarray, s: float) -> np.ndarray:
     w, V = np.linalg.eigh(hq)
     U = (V * np.exp(1j * w * s)) @ V.conj().T
     return U @ oq @ U.conj().T
+
+
+def h1_closed_form(params, m, cs, L) -> SphereSymbol:
+    """Analytic-derivative evaluation of the block sapt.effective_hamiltonian forms (s=1/2)."""
+    if params.two_s != 1:
+        raise ValueError("closed-form path implemented for two_s = 1")
+    idx = band_index(1, m)
+    sgn = 1.0 if idx == 0 else -1.0  # band +/-
+    lam = params.lam
+    grid = sapt._symbol_grid(4 * L, params.two_s)  # looked up per call: tests patch it
+    th2, ph2 = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    st_, ct_ = np.sin(th2), np.cos(th2)
+    N = gap_N(th2, lam)
+    ctp, stp, dtp = tilt_angles(th2, lam)
+    # theta-derivatives of N and of the tilt angle
+    dN = -lam * (1 - lam) * st_ / N
+    d2N = -lam * (1 - lam) * (ct_ - st_ * dN / N) / N
+    d2tp = lam * (1 - lam) * (2 * lam - 1) * st_ / N**4
+
+    ch, sh = np.sqrt((1 + ctp) / 2), np.sqrt((1 - ctp) / 2)  # cos, sin of theta'/2
+    e_m = np.exp(-1j * ph2)
+    e_p = np.exp(1j * ph2)
+    z = np.zeros_like(th2)
+
+    def mat(a, b, c, d):
+        return np.stack(
+            [np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2
+        )
+
+    u0 = mat(ch + 0j, e_m * sh, -e_p * sh, ch + 0j)
+    du0 = 0.5 * dtp[..., None, None] * mat(-sh + 0j, e_m * ch, -e_p * ch, -sh + 0j)
+    pu0 = mat(z + 0j, -1j * e_m * sh, -1j * e_p * sh, z + 0j) / st_[..., None, None]
+    # Laplacian of entries f(theta) e^{i q phi}: f'' + cot f' - q^2 f / sin^2
+    d2ch = -0.5 * (0.5 * ch * dtp**2 + sh * d2tp)
+    d2sh = 0.5 * (-0.5 * sh * dtp**2 + ch * d2tp)
+    dch, dsh = -0.5 * sh * dtp, 0.5 * ch * dtp
+    cot = ct_ / st_
+    lap_ch = d2ch + cot * dch
+    lap_sh_q = d2sh + cot * dsh - sh / st_**2  # for q = +/- 1 entries
+    lu0 = mat(lap_ch + 0j, e_m * lap_sh_q, -e_p * lap_sh_q, lap_ch + 0j)
+
+    sig = np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1j], [1j, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
+    that = np.stack([ct_ * np.cos(ph2), ct_ * np.sin(ph2), -st_])
+    phat = np.stack([-np.sin(ph2), np.cos(ph2), z])
+    nvec = np.stack([st_ * np.cos(ph2), st_ * np.sin(ph2), ct_])
+    H0 = 0.5 * ((1 - lam) * sig[2][None, None] + lam * np.einsum("atp,aij->tpij", nvec, sig))
+    dH0 = 0.5 * lam * np.einsum("atp,aij->tpij", that, sig)
+    pH0 = 0.5 * lam * np.einsum("atp,aij->tpij", phat, sig)
+    lH0 = -lam * np.einsum("atp,aij->tpij", nvec, sig)  # Laplacian eigenvalue -2 on l=1
+
+    mm = float(m)
+    E = mm * N
+    dE = mm * dN
+    lE = mm * (d2N + cot * dN)
+
+    def B(f, g, df, dg, pf, pg, lf, lg):
+        out = cs.c_const * (f @ g) if cs.c_const else 0
+        if cs.c_lap:
+            out = out + cs.c_lap * (lf @ g + f @ lg)
+        if cs.c_dot:
+            out = out + cs.c_dot * (df @ dg + pf @ pg)
+        out = out + 1j * cs.c_cross * (df @ pg - pf @ dg)
+        return out
+
+    eye = np.eye(2)
+    Ef, dEf, pEf, lEf = (x[..., None, None] * eye for x in (E, dE, z, lE))
+    X = B(u0, H0, du0, dH0, pu0, pH0, lu0, lH0) - B(Ef, u0, dEf, du0, pEf, pu0, lEf, lu0)
+    h1f = (X @ u0.conj().swapaxes(-1, -2))[..., idx, idx]
+    return grid.analyze(h1f, L)
+
+
+def closed_form_hamiltonian(params, m, cs=CALIBRATED, L=24) -> SemiclassicalSymbol:
+    """h0 + d^-1 h1 with h0 from the package and h1 from the closed form."""
+    h0 = sapt.effective_hamiltonian(params, m, order=0, L=L).term(0)
+    return SemiclassicalSymbol([h0, h1_closed_form(params, m, cs, L)])

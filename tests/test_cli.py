@@ -139,6 +139,10 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
         (["calibrate", "--band-limit", "0"], 2),
         (["calibrate", "--two-j", "1,8,2,4"], 2),  # below 2 * band limit
         (["kernel-check", "--grid", "0", "--two-j", "0"], 2),
+        (["chern", "--grid", "0"], 2),  # an empty lattice sums to Chern number 0
+        (["chern", "--grid", "-1"], 2),
+        (["gap", "--thetas", "0"], 2),  # would write a header-only CSV
+        (["gap", "--thetas", "-1"], 2),
     ],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, argv, want):
@@ -159,6 +163,10 @@ _CAUSES = {
     ("calibrate", "--band-limit", "0"): "--band-limit must be >= 1",
     ("calibrate", "--two-j", "1,8,2,4"): "--two-j values must be >= 2 * --band-limit = 6, got 1",
     ("kernel-check", "--grid", "0", "--two-j", "0"): "--grid must be >= 1",
+    ("chern", "--grid", "0"): "--grid must be >= 1",
+    ("chern", "--grid", "-1"): "--grid must be >= 1",
+    ("gap", "--thetas", "0"): "--thetas must be >= 1",
+    ("gap", "--thetas", "-1"): "--thetas must be >= 1",
 }
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from sapt_oracle import hausdorff, heisenberg
+from sapt_oracle import closed_form_hamiltonian, hausdorff, heisenberg
 
 from sphere_sapt import sapt
 from sphere_sapt.fits import loglog_slope
@@ -20,7 +20,14 @@ from sphere_sapt.sapt import (
     exact_band_projection,
     moyal_projection,
 )
-from sphere_sapt.sphere import angular_square, gradient_bilinears, make_grid, synthesize_at, vector_symbol_coeffs
+from sphere_sapt.sphere import (
+    SphereSymbol,
+    angular_square,
+    gradient_bilinears,
+    make_grid,
+    synthesize_at,
+    vector_symbol_coeffs,
+)
 from sphere_sapt.spin import make_irrep
 from sphere_sapt.star import (
     CALIBRATED,
@@ -151,8 +158,8 @@ def test_band_split_failure_is_a_failed_computation():
         lambda p: moyal_projection(p, 0.7, order=0, L=8),
         lambda p: moyal_projection(p, 0.7, order=1, L=8),
         lambda p: effective_hamiltonian(p, 0.7, order=0, L=8),
-        lambda p: effective_hamiltonian(p, 0.7, order=1, path="star_machinery", L=8),
-        lambda p: effective_hamiltonian(p, 0.7, order=1, path="closed_form", L=8),
+        lambda p: effective_hamiltonian(p, 0.7, order=1, L=8),
+        lambda p: closed_form_hamiltonian(p, 0.7, L=8),
         lambda p: band_spectrum_compare(p.lam, 5.0, [10, 20], order=0, L=8),
     ],
 )
@@ -162,18 +169,22 @@ def test_band_label_is_never_rounded(build):
 
 
 def test_effective_hamiltonian_two_paths_agree():
+    # both bands and all four coefficient sets.  At lam = 0.2 the paths
+    # differ by at most 1.7e-11 (PRINTED_MOYAL); at lam = 0.35 the band-limit
+    # error of the L = 24 factors alone reaches 1.4e-8, so lam stays 0.2
     p = ModelParams(10, 1, LAM)
     grid = make_grid(48)
-    for cs, tol in [(CALIBRATED, 1e-8), (PRINTED_MOYAL, 1e-8)]:
-        a = effective_hamiltonian(p, BAND, order=1, path="star_machinery", cs=cs)
-        b = effective_hamiltonian(p, BAND, order=1, path="closed_form", cs=cs)
-        diff = _combine([(1.0, a.term(1)), (-1.0, b.term(1))])
-        assert float(np.max(np.abs(grid.synthesize(diff.truncated(24))))) < tol
+    for m in (BAND, -BAND):
+        for cs in (CALIBRATED, PRINTED_MOYAL, CALIBRATED_BEREZIN, PRINTED_BEREZIN):
+            a = effective_hamiltonian(p, m, order=1, cs=cs)
+            b = closed_form_hamiltonian(p, m, cs=cs)
+            diff = _combine([(1.0, a.term(1)), (-1.0, b.term(1))])
+            assert float(np.max(np.abs(grid.synthesize(diff.truncated(24))))) < 1e-8, (m, cs.name)
 
 
 def test_effective_hamiltonian_correction_vanishes_decoupled():
     p = ModelParams(10, 1, 0.0)
-    h = effective_hamiltonian(p, BAND, order=1, path="closed_form")
+    h = closed_form_hamiltonian(p, BAND)
     grid = make_grid(24)
     assert float(np.max(np.abs(grid.synthesize(h.term(1))))) < 1e-12
 
@@ -204,9 +215,9 @@ def _band_symbols(two_s, lam, cs, L=8):
     p = ModelParams(10, two_s, lam)
     m = two_s / 2
     out = [moyal_projection(p, m, order=1, cs=cs, L=L)]
-    out.append(effective_hamiltonian(p, m, order=1, path="star_machinery", cs=cs, L=L))
+    out.append(effective_hamiltonian(p, m, order=1, cs=cs, L=L))
     if two_s == 1:
-        out.append(effective_hamiltonian(p, m, order=1, path="closed_form", cs=cs, L=L))
+        out.append(closed_form_hamiltonian(p, m, cs=cs, L=L))
     return [t.coeffs for sym in out for t in sym.terms]
 
 
@@ -266,8 +277,8 @@ def _bilinear_from_parts(f, g, cs):
 )
 @pytest.mark.parametrize("covariant", [False, True], ids=["make_grid", "symbol_grid"])
 def test_order1_samples_equal_the_synthesized_bilinear(cs, covariant):
-    # the bilinear's round-off at |m| > 1 would trip the covariant grid's
-    # alias guard, so it is evaluated at the nodes point by point
+    # the bilinears are evaluated at the nodes point by point, apart from
+    # the grid's own synthesis (which drops their round-off at |m| > 1)
     L = 8
     grid = sapt._symbol_grid(4 * L, 1) if covariant else make_grid(4 * L)
     th, ph = np.meshgrid(grid.theta, grid.phi, indexing="ij")
@@ -276,6 +287,25 @@ def test_order1_samples_equal_the_synthesized_bilinear(cs, covariant):
         for sym in (order1_bilinear(f, g, cs), _bilinear_from_parts(f, g, cs)):
             want = synthesize_at(sym, th, ph).reshape(got.shape)
             assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_covariant_grid_drops_alias_round_off_and_refuses_content():
+    # a covariant bilinear analyzed on the full grid has round-off of ~1e-18
+    # at |m| > 1, against a largest coefficient of 0.036: the covariant grid
+    # synthesizes it without that round-off, but content of 1e-9 of the
+    # largest coefficient at |m| = 2 would alias and raises
+    L = 8
+    grid = sapt._symbol_grid(4 * L, 1)
+    th, ph = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    E, u0 = _covariant_pairs(L)[2]
+    sym = order1_bilinear(E, u0, CALIBRATED)
+    got = grid.synthesize(sym)
+    want = synthesize_at(sym, th, ph).reshape(got.shape)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+    c = sym.coeffs.copy()
+    c[sym.L, sym.L + 2] = 1e-9 * np.max(np.abs(c))
+    with pytest.raises(ValueError, match=r"\|m\| > 1"):
+        grid.synthesize(SphereSymbol(c))
 
 
 @pytest.mark.parametrize("seed", range(4))
