@@ -53,10 +53,10 @@ from .star import (
     SemiclassicalSymbol,
     calibrate_order1,
     calibration_corpus,
-    moyal_truncation,
     order1_bilinear,
     poisson_bracket,
     star_exact,
+    star_truncation,
     _combine,
 )
 from .swq import (
@@ -152,8 +152,11 @@ def _physical_memory() -> int:
 def cmd_kernel_check(cfg):
     if cfg["grid"] < 1:
         raise ValueError(f"--grid must be >= 1 (the reproducing-property nodes need n_phi >= 2), got {cfg['grid']}")
+    two_j_list = _int_list(cfg["two_j"])
+    if not two_j_list:
+        raise ValueError(f"--two-j needs at least one value, got {cfg['two_j']!r}")
     memory = _physical_memory()
-    for two_j in _int_list(cfg["two_j"]):
+    for two_j in two_j_list:
         # kernel_property_residuals holds at most ~12 theta rows of n_phi d x d samples
         need = 12 * (max(cfg["grid"], 2 * two_j) + 1) * (two_j + 1) ** 2 * 16
         if need > memory:
@@ -162,7 +165,7 @@ def cmd_kernel_check(cfg):
     grid = make_grid(cfg["grid"])
     tol = cfg["tol"]
     rng = np.random.default_rng(23)
-    for two_j in _int_list(cfg["two_j"]):
+    for two_j in two_j_list:
         d = two_j + 1
         ker = SWKernel(make_irrep(two_j))
         g = grid if grid.L_exact >= 2 * two_j else make_grid(2 * two_j)
@@ -214,7 +217,7 @@ def cmd_star_slopes(cfg):
     series = []
     for f, g in corpus:
         F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
-        series.append((f, g, moyal_truncation(F, G, 1, CALIBRATED), poisson_bracket(f, g)))
+        series.append((f, g, star_truncation(F, G, 1, CALIBRATED), poisson_bracket(f, g)))
     rows = []
     sups = {"trunc_err_k0": [], "trunc_err_k1": [], "commutator_residual": []}
     for two_j, d in zip(two_j_list, d_list):
@@ -284,8 +287,11 @@ def _order_sweep(cfg, sweep, key: str, quantity: str, gate):
     `gate(order, slope)` gives the check's name and verdict.
     """
     two_j_list = _slope_sweep(cfg)
+    orders = _int_list(cfg["orders"])
+    if not orders:
+        raise ValueError(f"--orders needs at least one order, got {cfg['orders']!r}")
     rows, checks, fits = [], [], {}
-    for order in _int_list(cfg["orders"]):
+    for order in orders:
         r = sweep(cfg["lam"], cfg["band"], two_j_list, order=order, cs=CALIBRATED)
         rows += [(tj + 1, f"{quantity}_order{order}", v) for tj, v in zip(two_j_list, r[key])]
         name, ok = gate(order, r["fit"].slope)

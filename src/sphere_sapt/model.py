@@ -3,8 +3,7 @@
 H = (1 - lam) 1 (x) S3 + lam (2/d_slow) J . S on H_slow (x) H_fast, with the
 slow factor dequantized on the sphere.  Provides the exact operator-valued
 symbol, the principal bands E_m(n, lam) = N(n, lam) m, eigenframes and
-projectors, the gap profile, and the pointwise reference unitary in ZYZ
-form.
+projectors, the gap N, and the pointwise reference unitary in ZYZ form.
 
 Angle conventions: the tilted axis n_lam = ((1-lam) e3 + lam n)/N has polar
 angle theta' with cos(theta') = ((1-lam) + lam cos(theta))/N and
@@ -15,7 +14,7 @@ azimuth phi' = phi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, pi, sqrt
+from math import pi, sqrt
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "build_hamiltonian",
     "hamiltonian_symbol",
     "gap_N",
-    "gap_profile",
     "tilt_angles",
     "reference_unitary_field",
     "principal_bands",
@@ -43,6 +41,8 @@ class ModelParams:
     lam: float
 
     def __post_init__(self):
+        if self.two_s < 0:
+            raise ValueError(f"two_s must be >= 0, got {self.two_s}")
         if self.two_j <= self.two_s:
             raise ValueError("slow sector must be larger: two_j > two_s")
         if not 0.0 <= self.lam <= 1.0:
@@ -95,38 +95,14 @@ def build_hamiltonian(params: ModelParams) -> np.ndarray:
     return H
 
 
-def _ns_coeffs(fast: SpinIrrep, scale: float) -> np.ndarray:
-    """Coefficients of the matrix-valued symbol scale * n . S at L=1."""
-    S = fast.Jvec
-    nsyms = vector_symbol_coeffs()
-    k = fast.d
-    c = np.zeros((2, 3, k, k), dtype=complex)
-    for a in range(3):
-        c += nsyms[a].truncated(1).coeffs[..., None, None] * (scale * S[a])
-    return c
-
-
-def hamiltonian_symbol(params: ModelParams, order: int = 1) -> list[SphereSymbol]:
-    """Exact semiclassical symbol terms [H_0, H_1, ...] of the Hamiltonian.
-
-    H_0 = (1-lam) S3 + lam n.S; odd terms vanish; the even tail follows the
-    closed-form expansion of sqrt(1 - d^{-2}).
-    """
-    fast = params.fast
-    lam = params.lam
-    terms: list[SphereSymbol] = []
-    c0 = _ns_coeffs(fast, lam)
-    c0[0, 1] += sqrt(4 * pi) * (1 - lam) * np.asarray(fast.J3)
-    terms.append(SphereSymbol(c0))
-    for k in range(1, order + 1):
-        if k % 2 == 1:
-            terms.append(SphereSymbol(np.zeros_like(c0)))
-        else:
-            half = k // 2
-            coeff = lam * comb(2 * half, half) / (1 - 2 * half) / 4**half
-            # this is the d^{-2 half} coefficient; expansion is in 1/d
-            terms.append(SphereSymbol(_ns_coeffs(fast, coeff)))
-    return terms
+def hamiltonian_symbol(params: ModelParams) -> SphereSymbol:
+    """Principal symbol H_0 = (1-lam) S3 + lam n.S of the Hamiltonian, at L = 1."""
+    fast, lam = params.fast, params.lam
+    c = np.zeros((2, 3, fast.d, fast.d), dtype=complex)
+    for n, S in zip(vector_symbol_coeffs(), fast.Jvec):
+        c += n.coeffs[..., None, None] * (lam * S)
+    c[0, 1] += sqrt(4 * pi) * (1 - lam) * np.asarray(fast.J3)
+    return SphereSymbol(c)
 
 
 def _symbol_field(params: ModelParams, grid: Grid, c: float) -> np.ndarray:
@@ -149,13 +125,6 @@ def gap_N(theta, lam: float):
     """Spectral distance N(theta, lam) between adjacent principal bands."""
     c = np.cos(theta)
     return np.sqrt(lam**2 + (1 - lam) ** 2 + 2 * lam * (1 - lam) * c)
-
-
-def gap_profile(lam: float, n_theta: int = 181):
-    """(theta grid, N values, min N over theta)."""
-    theta = np.linspace(0.0, pi, n_theta)
-    prof = gap_N(theta, lam)
-    return theta, prof, float(prof.min())
 
 
 def tilt_angles(theta, lam: float):

@@ -92,7 +92,7 @@ def moyal_projection(
     if order != 1:
         raise ValueError("projection implemented through order 1")
 
-    H0 = hamiltonian_symbol(params, order=0)[0]
+    H0 = hamiltonian_symbol(params)
     Bf = order1_samples(pi0, pi0, cs, grid)
     Gf = order1_samples(pi0, H0, cs, grid) - order1_samples(H0, pi0, cs, grid)
     u0 = bd.u0
@@ -107,7 +107,6 @@ def moyal_projection(
     denom[denom == 0] = 1.0  # diagonal entries; overwritten below
 
     pi1p = Bp.copy()
-    pi1p[..., idx, idx] = -Bp[..., idx, idx]
     off = Gp / denom
     pi1p[..., idx, :] = off[..., idx, :]
     pi1p[..., :, idx] = off[..., :, idx]
@@ -123,14 +122,13 @@ def almost_invariance_norms(
     two_j_list,
     order: int = 1,
     cs: CoefficientSet = CALIBRATED,
-    two_s: int = 1,
     L: int = 24,
 ):
-    """Spectral norms of [H, quantize(projection)] across dimensions + slope."""
+    """Spectral norms of [H, quantize(projection)] across dimensions + slope; fast spin 1/2."""
     norms = []
-    proj = moyal_projection(ModelParams(two_j_list[0], two_s, lam), m, order=order, cs=cs, L=L)
+    proj = moyal_projection(ModelParams(two_j_list[0], 1, lam), m, order=order, cs=cs, L=L)
     for two_j in two_j_list:
-        params = ModelParams(two_j, two_s, lam)
+        params = ModelParams(two_j, 1, lam)
         d = params.d_j
         sym = proj.evaluate(d, order)
         P = quantize(sym, SWKernel(params.slow))
@@ -206,7 +204,7 @@ def effective_hamiltonian(
         raise ValueError("effective Hamiltonian implemented through order 1")
     bd = principal_bands(params, th2, ph2, m)
     u0 = grid.analyze(bd.u0, L)
-    H0 = hamiltonian_symbol(params, order=0)[0]
+    H0 = hamiltonian_symbol(params)
     X = order1_samples(u0, H0, cs, grid) - order1_samples(h0, u0, cs, grid)
     h1 = (X @ bd.u0.conj().swapaxes(-1, -2))[..., idx, idx]
     return SemiclassicalSymbol([h0, grid.analyze(h1, L)])
@@ -237,20 +235,19 @@ def band_spectrum_compare(
     two_j_list,
     order: int = 1,
     cs: CoefficientSet = CALIBRATED,
-    two_s: int = 1,
     L: int = 24,
 ):
-    """Hausdorff distance between exact band clusters and effective spectra."""
+    """Hausdorff distance between exact band clusters and effective spectra; fast spin 1/2."""
     dists = []
-    h = effective_hamiltonian(ModelParams(two_j_list[0], two_s, lam), m, order=order, cs=cs, L=L)
+    h = effective_hamiltonian(ModelParams(two_j_list[0], 1, lam), m, order=order, cs=cs, L=L)
     for two_j in two_j_list:
-        params = ModelParams(two_j, two_s, lam)
+        params = ModelParams(two_j, 1, lam)
         d = params.d_j
         ker = SWKernel(params.slow)
         hq = quantize(h.evaluate(d, order), ker)
         eff = np.linalg.eigvalsh(hq)
         cluster = exact_band_projection(build_hamiltonian(params), params.d_s)
-        exact = cluster[band_index(two_s, m)].eigenvalues
+        exact = cluster[band_index(1, m)].eigenvalues
         dists.append(_hausdorff(exact, eff))
     return {
         "two_j": list(two_j_list),
@@ -282,7 +279,6 @@ def egorov_error(
     o0: SphereSymbol,
     T: float,
     two_j_list,
-    L: int = 24,
 ):
     """Sup-norm gap between Heisenberg-evolved and classically flowed symbols.
 
@@ -302,7 +298,7 @@ def egorov_error(
     o_cl = synthesize_at(o0, thf, phf).reshape(th2.shape)
 
     errs = []
-    h0 = effective_hamiltonian(ModelParams(two_j_list[0], 1, lam), m, order=0, L=L).term(0)
+    h0 = effective_hamiltonian(ModelParams(two_j_list[0], 1, lam), m, order=0).term(0)
     for two_j in two_j_list:
         params = ModelParams(two_j, 1, lam)
         d = params.d_j

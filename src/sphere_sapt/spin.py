@@ -82,10 +82,6 @@ class TensorBasis:
     two_j: int
     Q: tuple = field(repr=False)
 
-    @property
-    def d(self) -> int:
-        return self.two_j + 1
-
 
 @lru_cache(maxsize=None)
 def tensor_basis(two_j: int) -> TensorBasis:

