@@ -2,7 +2,8 @@
 """Star-product convergence sweep.
 
 Runs the truncation-slope and calibration subcommands into out/star/ and
-prints the fitted slopes.  Roughly a minute at the default sizes.
+prints the fitted slopes.  About a second at the default sizes, start-up
+included.
 """
 
 import json

@@ -146,6 +146,13 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _check_memory(two_j: int, n_dense: int) -> None:
+    """ValueError naming the size if n_dense complex d x d matrices exceed physical memory."""
+    need, memory = n_dense * (two_j + 1) ** 2 * 16, _physical_memory()
+    if need > memory:
+        raise ValueError(f"--two-j {two_j} needs ~{need / 2**30:.1f} GiB, more than the {memory / 2**30:.1f} GiB of physical memory")
+
+
 # -- subcommands: each returns (rows, checks, extra summary keys) -----------
 
 
@@ -155,12 +162,9 @@ def cmd_kernel_check(cfg):
     two_j_list = _int_list(cfg["two_j"])
     if not two_j_list:
         raise ValueError(f"--two-j needs at least one value, got {cfg['two_j']!r}")
-    memory = _physical_memory()
     for two_j in two_j_list:
         # kernel_property_residuals holds at most ~12 theta rows of n_phi d x d samples
-        need = 12 * (max(cfg["grid"], 2 * two_j) + 1) * (two_j + 1) ** 2 * 16
-        if need > memory:
-            raise ValueError(f"--two-j {two_j} needs ~{need / 2**30:.1f} GiB, more than the {memory / 2**30:.1f} GiB of physical memory")
+        _check_memory(two_j, 12 * (max(cfg["grid"], 2 * two_j) + 1))
     rows, checks = [], []
     grid = make_grid(cfg["grid"])
     tol = cfg["tol"]
@@ -190,7 +194,7 @@ def cmd_kernel_check(cfg):
             H = build_hamiltonian(p)
             got = g.synthesize(dequantize(H, ker, fast_dim=2).truncated(1))
             worst_sym = max(worst_sym, float(np.max(np.abs(got - exact_symbol_field(p, g)))))
-            low = g.synthesize(lower_symbol(H, p.slow, fast_dim=2).truncated(1))
+            low = g.synthesize(lower_symbol(H, ker, fast_dim=2).truncated(1))
             worst_sym = max(
                 worst_sym,
                 float(np.max(np.abs(low - lower_hamiltonian_symbol_field(p, g)))),
@@ -205,13 +209,14 @@ def cmd_kernel_check(cfg):
 
 def cmd_star_slopes(cfg):
     two_j_list = _slope_sweep(cfg)
+    _check_memory(max(two_j_list), 3)  # A, B and AB of an exact star product
     d_list = [t + 1 for t in two_j_list]
     corpus = calibration_corpus(cfg["pairs"], cfg["band_limit"], cfg["seed"])
     L_out = 2 * cfg["band_limit"]
     grid = make_grid(2 * L_out)
 
     def sup(sym):
-        return float(np.max(np.abs(grid.synthesize(sym.truncated(L_out)))))
+        return float(np.max(np.abs(grid.synthesize(sym))))
 
     # each pair's truncation series and Poisson bracket do not depend on d
     series = []
@@ -221,14 +226,14 @@ def cmd_star_slopes(cfg):
     rows = []
     sups = {"trunc_err_k0": [], "trunc_err_k1": [], "commutator_residual": []}
     for two_j, d in zip(two_j_list, d_list):
-        ker = SWKernel(make_irrep(two_j))
+        irr = make_irrep(two_j)
         worst = dict.fromkeys(sups, 0.0)
         for f, g, tr, pb in series:
-            ex = star_exact(f, g, ker)
+            ex = star_exact(f, g, irr)
             for k in (0, 1):
                 q = f"trunc_err_k{k}"
                 worst[q] = max(worst[q], sup(_combine([(1.0, ex), (-1.0, tr.evaluate(d, k))])))
-            comm = _combine([(1.0, ex), (-1.0, star_exact(g, f, ker)), (-2j / d, pb)])
+            comm = _combine([(1.0, ex), (-1.0, star_exact(g, f, irr)), (-2j / d, pb)])
             worst["commutator_residual"] = max(worst["commutator_residual"], sup(comm))
         for q, v in worst.items():
             sups[q].append(v)
@@ -355,6 +360,7 @@ def cmd_calibrate(cfg):
     two_j_list = tuple(_slope_sweep(cfg))
     if min(two_j_list) < 2 * L:  # exact products of band-limit-L symbols reach l = 2L
         raise ValueError(f"--two-j values must be >= 2 * --band-limit = {2 * L}, got {min(two_j_list)}")
+    _check_memory(max(two_j_list), 3)  # A, B and AB of an exact star product
     corpus = calibration_corpus(cfg["pairs"], L, cfg["seed"])
     rows, checks, reports = [], [], {}
     for product in ("sw", "berezin"):

@@ -131,7 +131,7 @@ def almost_invariance_norms(
         params = ModelParams(two_j, 1, lam)
         d = params.d_j
         sym = proj.evaluate(d, order)
-        P = quantize(sym, SWKernel(params.slow))
+        P = quantize(sym, SWKernel(params.slow, sym.L))
         H = build_hamiltonian(params)
         norms.append(float(np.linalg.norm(H @ P - P @ H, 2)))
     return {"two_j": list(two_j_list), "norms": norms, "fit": loglog_slope([t + 1 for t in two_j_list], norms)}
@@ -243,8 +243,8 @@ def band_spectrum_compare(
     for two_j in two_j_list:
         params = ModelParams(two_j, 1, lam)
         d = params.d_j
-        ker = SWKernel(params.slow)
-        hq = quantize(h.evaluate(d, order), ker)
+        sym = h.evaluate(d, order)
+        hq = quantize(sym, SWKernel(params.slow, sym.L))
         eff = np.linalg.eigvalsh(hq)
         cluster = exact_band_projection(build_hamiltonian(params), params.d_s)
         exact = cluster[band_index(1, m)].eigenvalues

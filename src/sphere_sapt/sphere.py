@@ -68,13 +68,10 @@ class SphereSymbol:
         return float(np.max(np.abs(c[:, ::-1] - sign * ct)))
 
     @staticmethod
-    def constant(value, L: int = 0) -> "SphereSymbol":
-        """Constant symbol; value may be a scalar or a k x k matrix."""
+    def constant(value) -> "SphereSymbol":
+        """Constant symbol (band limit 0); value may be a scalar or a k x k matrix."""
         value = np.asarray(value, dtype=complex)
-        shape = (L + 1, 2 * L + 1) + value.shape
-        c = np.zeros(shape, dtype=complex)
-        c[0, L] = value * sqrt(4 * pi)
-        return SphereSymbol(c)
+        return SphereSymbol((value * sqrt(4 * pi)).reshape((1, 1) + value.shape))
 
 
 def _legendre(L: int, x: np.ndarray, K: int) -> np.ndarray:
@@ -282,13 +279,13 @@ def gradient_bilinears(f: SphereSymbol, g: SphereSymbol):
     return grid.analyze(dot, L_out), grid.analyze(cross, L_out)
 
 
-def vector_symbol_coeffs(L: int = 1) -> list[SphereSymbol]:
-    """The scalar symbols n_1, n_2, n_3 (unit-vector components)."""
+def vector_symbol_coeffs() -> list[SphereSymbol]:
+    """The scalar symbols n_1, n_2, n_3 (unit-vector components), band limit 1."""
     r = sqrt(2 * pi / 3)
-    c = np.zeros((3, L + 1, 2 * L + 1), dtype=complex)
-    c[0, 1, [L - 1, L + 1]] = r, -r
-    c[1, 1, [L - 1, L + 1]] = 1j * r
-    c[2, 1, L] = sqrt(4 * pi / 3)
+    c = np.zeros((3, 2, 3), dtype=complex)
+    c[0, 1, [0, 2]] = r, -r
+    c[1, 1, [0, 2]] = 1j * r
+    c[2, 1, 1] = sqrt(4 * pi / 3)
     return [SphereSymbol(ci) for ci in c]
 
 

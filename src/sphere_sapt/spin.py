@@ -1,8 +1,9 @@
 """Exact finite-dimensional su(2) representation theory.
 
 Spin matrices, trace-orthonormal tensor operators stored as one real
-orthogonal matrix per band offset m, and ZYZ rotations.  Basis ordering
-everywhere: index 0 is the highest weight, so J3 = diag(j, j-1, ..., -j).
+matrix per band offset m (all bands, or only those up to a band limit L),
+and ZYZ rotations.  Basis ordering everywhere: index 0 is the highest
+weight, so J3 = diag(j, j-1, ..., -j).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 __all__ = [
     "SpinIrrep",
     "make_irrep",
+    "band_basis",
     "tensor_basis",
     "wigner_zyz",
 ]
@@ -71,12 +73,13 @@ def make_irrep(two_j: int) -> SpinIrrep:
 
 @dataclass(frozen=True)
 class TensorBasis:
-    """All tensor operators of an irrep, one orthogonal matrix per band offset.
+    """Tensor operators T_lm (l <= L) of an irrep, one matrix per band offset.
 
-    Q[m] (0 <= m <= 2j) is a real orthogonal (d-m) x (d-m) matrix whose row
-    l - m holds the nonzero entries of T_lm, which sit on the matrix diagonal
-    with offset m (row i, column i + m).  Negative offsets follow from
-    T_{l,-m} = (-1)^m T_lm^T.
+    Q[m] (0 <= m <= L) is a real (L + 1 - m) x (d - m) matrix with
+    orthonormal rows; row l - m holds the nonzero entries of T_lm, which sit
+    on the matrix diagonal with offset m (row i, column i + m).  Negative
+    offsets follow from T_{l,-m} = (-1)^m T_lm^T.  In the full basis,
+    L = 2j, each Q[m] is square and orthogonal.
     """
 
     two_j: int
@@ -84,25 +87,29 @@ class TensorBasis:
 
 
 @lru_cache(maxsize=None)
-def tensor_basis(two_j: int) -> TensorBasis:
-    """Build the full set {T_lm : l <= two_j, |m| <= l}.
+def band_basis(two_j: int, L: int) -> TensorBasis:
+    """Build {T_lm : l <= L, |m| <= l} for 0 <= L <= two_j.
 
     For each band offset m >= 0 the family {T_lm}_{l >= m} is generated by a
     Stieltjes (Lanczos) recurrence: the seed T_mm is the trace-normalized
     m-th power of J+ with sign (-1)^m, and multiplying by the diagonal row
     quantum number steps up in l.  Each step is orthogonalized twice against
     all earlier rows of Q[m], one matrix product per pass ("twice is
-    enough", CGS2), which keeps Q[m] orthogonal to machine precision at any
+    enough", CGS2), which keeps Q[m] orthonormal to machine precision at any
     dimension.  The seed is grown from the one of offset m - 1 by a single
-    ladder factor and renormalized, so it never overflows.  The result
-    coincides with the Clebsch-Gordan matrix-element construction in the
-    Condon-Shortley convention (cross-checked in the test suite).
+    ladder factor and renormalized, so it never overflows.  Row r reads only
+    rows < r, so the rows l <= L are those of the full basis bit for bit, at
+    O(d L^3) work instead of O(d^4).  The result coincides with the
+    Clebsch-Gordan matrix-element construction in the Condon-Shortley
+    convention (cross-checked in the test suite).
     """
+    if not 0 <= L <= two_j:
+        raise ValueError(f"a tensor basis of two_j = {two_j} needs 0 <= L <= {two_j}, got L = {L}")
     d = two_j + 1
     j = two_j / 2
     Q = []
     seed = np.full(d, d**-0.5)
-    for m in range(d):
+    for m in range(L + 1):
         n = d - m
         if m:
             # (J+^m)[i, i+m] / (J+^(m-1))[i, i+m-1] = sqrt((i+m)(2j-i-m+1))
@@ -110,9 +117,9 @@ def tensor_basis(two_j: int) -> TensorBasis:
             seed = seed[:n] * np.sqrt((i + m) * (two_j - i - m + 1))
             seed /= np.linalg.norm(seed)
         m1 = j - np.arange(n)  # row quantum numbers of the band
-        Qm = np.empty((n, n))
+        Qm = np.empty((L + 1 - m, n))
         Qm[0] = (-1) ** m * seed
-        for r in range(1, n):
+        for r in range(1, L + 1 - m):
             w = m1 * Qm[r - 1]
             for _pass in range(2):
                 w -= Qm[:r].T @ (Qm[:r] @ w)
@@ -120,6 +127,11 @@ def tensor_basis(two_j: int) -> TensorBasis:
         Qm.setflags(write=False)
         Q.append(Qm)
     return TensorBasis(two_j, tuple(Q))
+
+
+def tensor_basis(two_j: int) -> TensorBasis:
+    """The full set {T_lm : l <= two_j, |m| <= l}."""
+    return band_basis(two_j, two_j)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Star products of sphere symbols.
 
 star_exact is the operator-product star: dequantize(quantize(f) quantize(g)).
+The product of operators of band limits L_f and L_g has no tensor component
+above L_f + L_g (the coupling rule of su(2) tensor operators, as in Varilly
+& Gracia-Bondia, Ann. Phys. 190, 107, 1989), so both exact products work on
+the band-(L_f + L_g) kernel and return that band, exactly.
 star_truncation assembles the asymptotic series from differential-operator
 bilinears with a given coefficient set: an operator-kernel set gives the
 star_exact series, a coherent-state set the berezin_exact one.  Two printed
@@ -125,22 +129,26 @@ def symbol_product(f: SphereSymbol, g: SphereSymbol) -> SphereSymbol:
     return grid.analyze(_pointwise(grid.synthesize(f), grid.synthesize(g)), L)
 
 
-def star_exact(f: SphereSymbol, g: SphereSymbol, kernel: SWKernel) -> SphereSymbol:
-    """dequantize(quantize(f) quantize(g)); the operator-product star."""
+def star_exact(f: SphereSymbol, g: SphereSymbol, irrep: SpinIrrep) -> SphereSymbol:
+    """dequantize(quantize(f) quantize(g)); the operator-product star, at
+    band limit min(L_f + L_g, 2j)."""
     if f.fast_shape != g.fast_shape:
         raise ValueError("factors must share the fast-sector shape")
     k = f.fast_shape[0] if f.fast_shape else None
+    kernel = SWKernel(irrep, f.L + g.L)
     A = quantize(f, kernel)
     B = quantize(g, kernel)
     return dequantize(A @ B, kernel, fast_dim=k)
 
 
 def berezin_exact(f: SphereSymbol, g: SphereSymbol, irrep: SpinIrrep) -> SphereSymbol:
-    """Lower symbol of the product of the operators with lower symbols f, g."""
+    """Lower symbol of the product of the operators with lower symbols f, g,
+    at band limit min(L_f + L_g, 2j)."""
     fd = f.fast_shape[0] if f.fast_shape else None
-    A = raise_lower_symbol(f, irrep)
-    B = raise_lower_symbol(g, irrep)
-    return lower_symbol(A @ B, irrep, fast_dim=fd)
+    kernel = SWKernel(irrep, f.L + g.L)
+    A = raise_lower_symbol(f, kernel)
+    B = raise_lower_symbol(g, kernel)
+    return lower_symbol(A @ B, kernel, fast_dim=fd)
 
 
 def poisson_bracket(f: SphereSymbol, g: SphereSymbol) -> SphereSymbol:
@@ -283,8 +291,8 @@ def calibrate_order1(two_j_list, corpus, product: str):
 
     def exact(f, g, tj):
         irr = make_irrep(tj)
-        prod = star_exact(f, g, SWKernel(irr)) if product == "sw" else berezin_exact(f, g, irr)
-        return samples(prod.truncated(L_out))
+        prod = star_exact(f, g, irr) if product == "sw" else berezin_exact(f, g, irr)
+        return samples(prod)
 
     # Richardson through the three largest d: writing R_d = d (star - fg)
     # = T1 + T2/d + T3/d^2 + ..., the weights w_i with sum w_i = 1 and

@@ -1,8 +1,11 @@
 """Operator-kernel quantization on the sphere.
 
 The kernel Delta(n) = sqrt(4 pi / d) sum_{l <= 2j, |m| <= l} conj(Y_lm(n)) T_lm
-turns band-limited functions into operators and back.  In coefficient space
-both maps are diagonal in the tensor-operator basis:
+turns band-limited functions into operators and back.  Cut at l <= L it is
+the band-L kernel, which reads only the rows l <= L of the tensor basis: it
+quantizes symbols of band limit <= L exactly, and dequantizes any operator
+to its components l <= L.  In coefficient space both maps are diagonal in
+the tensor-operator basis:
 
     quantize:    A = sqrt(d / 4 pi) sum b_lm T_lm
     dequantize:  b_lm = sqrt(4 pi / d) tr(T_lm^dagger A)
@@ -11,8 +14,7 @@ which makes the round trips exact.  Matrix-valued (fast-sector) symbols
 quantize entrywise: the result acts on H_slow (x) H_fast as kron(T, b).
 Coherent-state lower symbols are a further diagonal rescaling by the
 Clebsch-Gordan factor <j j; l 0 | j j>.  With the tensor basis stored as one
-orthogonal matrix Q[m] per band offset, each transform is one matrix product
-per m.
+matrix Q[m] per band offset, each transform is one matrix product per m.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .spin import SpinIrrep, tensor_basis
+from .spin import SpinIrrep, band_basis, tensor_basis
 from .sphere import Grid, SphereSymbol, _legendre
 
 __all__ = [
@@ -37,9 +39,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SWKernel:
-    """Quantization kernel for one spin irrep."""
+    """Quantization kernel of one spin irrep, cut at band limit L.
+
+    L defaults to 2j, the full kernel, and is capped there: no tensor
+    operator has l > 2j.
+    """
 
     irrep: SpinIrrep
+    L: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "L", self.two_j if self.L is None else min(self.L, self.two_j))
+
+    @property
+    def Q(self) -> tuple:
+        """Rows l <= L of the tensor basis, one matrix per offset m <= L.
+
+        The full kernel's rows come through tensor_basis, the one full-basis
+        entry point (the one the per-layer spans of bench/spans.py time).
+        """
+        return (tensor_basis(self.two_j) if self.L == self.two_j else band_basis(self.two_j, self.L)).Q
 
     @property
     def two_j(self) -> int:
@@ -51,27 +70,26 @@ class SWKernel:
 
     def at(self, theta: float, phi: float) -> np.ndarray:
         """Dense kernel matrix Delta(n) at a single point."""
-        P = _legendre(self.two_j, np.array([np.cos(theta)]), self.two_j)
-        return next(_rows(self.two_j, P, np.array([phi])))[0]
+        P = _legendre(self.L, np.array([np.cos(theta)]), self.L)
+        return next(_rows(self, P, np.array([phi])))[0]
 
     def samples(self, grid: Grid):
         """Kernel at the grid nodes, yielded one theta row (n_phi, d, d) at a time."""
-        return _rows(self.two_j, grid._tab(self.two_j)[0], grid.phi)
+        return _rows(self, grid._tab(self.L)[0], grid.phi)
 
 
-def _rows(two_j: int, P: np.ndarray, phi: np.ndarray):
-    """Delta at the nodes (theta_t, phi_p) one row t at a time, from a
-    Legendre table P[l, m, t] (l, m <= 2j at least) at cos(theta_t).
+def _rows(kernel: SWKernel, P: np.ndarray, phi: np.ndarray):
+    """The kernel at the nodes (theta_t, phi_p) one row t at a time, from a
+    Legendre table P[l, m, t] (l, m <= L at least) at cos(theta_t).
 
     Diagonal m of Delta is e^{-i m phi} g_|m|(theta), g_m = sqrt(4 pi / d)
-    P[m:, m]^T Q[m].  No sign is needed for m < 0: the (-1)^m of conj(Y_lm)
+    P[m:L+1, m]^T Q[m].  No sign is needed for m < 0: the (-1)^m of conj(Y_lm)
     = (-1)^m Y_{l,-m} cancels the (-1)^m of T_{l,-m} = (-1)^m T_lm^T.
     """
-    d = two_j + 1
-    Q = tensor_basis(two_j).Q
-    g = [sqrt(4 * pi / d) * (P[m:d, m].T @ Q[m]) for m in range(d)]  # (n_theta, d - m)
-    m = np.arange(-two_j, d)
-    phase = np.exp(-1j * np.outer(phi, m))  # (n_phi, 2j + 1)
+    d, L, Q = kernel.d, kernel.L, kernel.Q
+    g = [sqrt(4 * pi / d) * (P[m : L + 1, m].T @ Q[m]) for m in range(L + 1)]  # (n_theta, d - m)
+    m = np.arange(-L, L + 1)
+    phase = np.exp(-1j * np.outer(phi, m))  # (n_phi, 2L + 1)
     for t in range(P.shape[2]):
         row = np.zeros((len(phi), d * d), dtype=complex)
         for k, mk in enumerate(m):
@@ -89,14 +107,15 @@ def _band(d: int, m: int):
 
 
 def quantize(sym: SphereSymbol, kernel: SWKernel) -> np.ndarray:
-    """Operator of a symbol; components with l > 2j are projected out.
+    """Operator of a symbol; components with l > L are projected out (for
+    the full kernel those with l > 2j, which no operator has).
 
     Scalar symbols give a d x d matrix; k x k matrix-valued symbols give a
     (d k) x (d k) matrix on H_slow (x) H_fast.
     """
-    L = min(sym.L, kernel.two_j)
+    L = min(sym.L, kernel.L)
     d = kernel.d
-    Q = tensor_basis(kernel.two_j).Q
+    Q = kernel.Q
     fast = sym.fast_shape
     k = fast[0] if fast else 1
     A = np.zeros((d, d, k * k), dtype=complex)
@@ -112,17 +131,18 @@ def quantize(sym: SphereSymbol, kernel: SWKernel) -> np.ndarray:
 
 
 def dequantize(A: np.ndarray, kernel: SWKernel, fast_dim: int | None = None) -> SphereSymbol:
-    """Symbol of an operator; inverse of quantize on band limit 2j.
+    """Band-L symbol of an operator: its tensor components l <= L.
 
-    If fast_dim is given, A acts on H_slow (x) H_fast and the symbol is
+    With the full kernel, L = 2j, this is the inverse of quantize.  If
+    fast_dim is given, A acts on H_slow (x) H_fast and the symbol is
     fast_dim x fast_dim matrix-valued (partial trace over the slow sector
     against the kernel).
     """
     d = kernel.d
     k = fast_dim or 1
     A4 = np.asarray(A, dtype=complex).reshape(d, k, d, k)
-    L = kernel.two_j
-    Q = tensor_basis(L).Q
+    L = kernel.L
+    Q = kernel.Q
     coeffs = np.zeros((L + 1, 2 * L + 1, k * k), dtype=complex)
     pref = sqrt(4 * pi / d)
     for m in range(-L, L + 1):
@@ -143,28 +163,29 @@ def _lower_scale(two_j: int) -> np.ndarray:
     return np.sqrt(np.cumprod(np.concatenate([[1.0], (two_j - l + 1) / (two_j + l + 1)])))
 
 
-def lower_symbol(A: np.ndarray, irrep: SpinIrrep, fast_dim: int | None = None) -> SphereSymbol:
-    """Coherent-state diagonal expectation n -> <zeta_n| A |zeta_n>."""
-    kernel = SWKernel(irrep)
+def lower_symbol(A: np.ndarray, kernel: SWKernel, fast_dim: int | None = None) -> SphereSymbol:
+    """Coherent-state diagonal expectation n -> <zeta_n| A |zeta_n>, to band
+    limit L of the kernel."""
     sym = dequantize(A, kernel, fast_dim=fast_dim)
-    r = _lower_scale(irrep.two_j)
-    shape = (irrep.two_j + 1, 1) + (1,) * (sym.coeffs.ndim - 2)
+    r = _lower_scale(kernel.two_j)[: kernel.L + 1]
+    shape = (kernel.L + 1, 1) + (1,) * (sym.coeffs.ndim - 2)
     return SphereSymbol(sym.coeffs * r.reshape(shape))
 
 
-def raise_lower_symbol(sym: SphereSymbol, irrep: SpinIrrep) -> np.ndarray:
+def raise_lower_symbol(sym: SphereSymbol, kernel: SWKernel) -> np.ndarray:
     """Unique operator with the given lower symbol (inverse of lower_symbol).
 
     Requires the symbol to be in the range of the lower-symbol map
-    (band limit <= 2j).
+    (band limit <= 2j); components above the kernel's L are projected out.
     """
-    if sym.L > irrep.two_j:
-        if np.max(np.abs(sym.coeffs[irrep.two_j + 1 :])) > 1e-12:
+    two_j = kernel.two_j
+    if sym.L > two_j:
+        if np.max(np.abs(sym.coeffs[two_j + 1 :])) > 1e-12:
             raise ValueError("symbol has components with l > 2j; not a lower symbol")
-        sym = sym.truncated(irrep.two_j)
-    r = _lower_scale(irrep.two_j)[: sym.L + 1]
+        sym = sym.truncated(two_j)
+    r = _lower_scale(two_j)[: sym.L + 1]
     shape = (sym.L + 1, 1) + (1,) * (sym.coeffs.ndim - 2)
-    return quantize(SphereSymbol(sym.coeffs / r.reshape(shape)), SWKernel(irrep))
+    return quantize(SphereSymbol(sym.coeffs / r.reshape(shape)), kernel)
 
 
 def kernel_property_residuals(kernel: SWKernel, grid: Grid, n_group: int = 20):

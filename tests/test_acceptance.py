@@ -102,7 +102,7 @@ def test_acceptance_03_exact_symbol_identity():
             sym = dequantize(H, SWKernel(p.slow), fast_dim=2)
             got = grid.synthesize(sym.truncated(1))
             worst = max(worst, float(np.max(np.abs(got - exact_symbol_field(p, grid)))))
-            low = lower_symbol(H, p.slow, fast_dim=2)
+            low = lower_symbol(H, SWKernel(p.slow), fast_dim=2)
             gl = grid.synthesize(low.truncated(1))
             worst = max(
                 worst, float(np.max(np.abs(gl - lower_hamiltonian_symbol_field(p, grid))))
@@ -112,7 +112,7 @@ def test_acceptance_03_exact_symbol_identity():
 
 def test_acceptance_04_star_spot_value():
     n3 = vector_symbol_coeffs()[2]
-    prod = star_exact(n3, n3, SWKernel(make_irrep(1)))
+    prod = star_exact(n3, n3, make_irrep(1))
     grid = make_grid(4)
     dev = float(np.max(np.abs(grid.synthesize(prod.truncated(2)) - 1 / 3)))
     _report(4, f"n3 * n3 = 1/3 at two_j = 1, deviation {dev:.2e} < 1e-12", dev < 1e-12)
@@ -130,15 +130,15 @@ def test_acceptance_05_star_asymptotics():
 
     sups = {0: [], 1: [], "comm": []}
     for two_j, d in zip(two_j_list, d_list):
-        ker = SWKernel(make_irrep(two_j))
+        ir = make_irrep(two_j)
         w0 = w1 = wc = 0.0
         for f, g in corpus:
-            ex = star_exact(f, g, ker)
+            ex = star_exact(f, g, ir)
             F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
             w0 = max(w0, sup(_combine([(1.0, ex), (-1.0, star_truncation(F, G, 0, CALIBRATED).evaluate(d))])))
             w1 = max(w1, sup(_combine([(1.0, ex), (-1.0, star_truncation(F, G, 1, CALIBRATED).evaluate(d))])))
             comm = _combine(
-                [(1.0, ex), (-1.0, star_exact(g, f, ker)), (-2j / d, poisson_bracket(f, g))]
+                [(1.0, ex), (-1.0, star_exact(g, f, ir)), (-2j / d, poisson_bracket(f, g))]
             )
             wc = max(wc, sup(comm))
         sups[0].append(w0)

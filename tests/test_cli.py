@@ -102,6 +102,23 @@ def test_kernel_check_rejects_sizes_beyond_physical_memory(tmp_path, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["star-slopes", "--two-j", "10,1000000"], ["calibrate", "--two-j", "6,8,1000000"]])
+def test_exact_products_reject_sizes_beyond_physical_memory(argv, tmp_path, monkeypatch, capsys):
+    # A, B and AB at d = 10^6 + 1 take 3 d^2 16 B = 48 TB
+    monkeypatch.setattr(cli, "calibration_corpus", lambda *a: pytest.fail("work started"))
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --two-j 1000000 needs") and "physical memory" in err
+    assert not out.exists()
+
+
+def test_star_slopes_beyond_the_default_sizes(tmp_path):
+    assert main(["star-slopes", "--two-j", "80,160,320,640", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "star-slopes.json").read_text())
+    assert len(summary["checks"]) == 4 and summary["pass"] is True
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

@@ -62,7 +62,7 @@ def test_lower_symbol_identity(lam):
     # the coherent-state symbol carries the factor (1 - 1/d) instead
     p = ModelParams(5, 1, lam)
     grid = make_grid(2 * p.two_j)
-    sym = lower_symbol(build_hamiltonian(p), p.slow, fast_dim=p.d_s)
+    sym = lower_symbol(build_hamiltonian(p), SWKernel(p.slow), fast_dim=p.d_s)
     got = grid.synthesize(sym.truncated(1))
     want = lower_hamiltonian_symbol_field(p, grid)
     assert np.max(np.abs(got - want)) < 1e-10

@@ -71,8 +71,7 @@ def test_projection_star_idempotency_improves_with_order():
         for two_j in two_j_list:
             d = two_j + 1
             sym = proj.evaluate(d, order)
-            ker = SWKernel(make_irrep(two_j))
-            diff = _combine([(1.0, star_exact(sym, sym, ker)), (-1.0, sym)])
+            diff = _combine([(1.0, star_exact(sym, sym, make_irrep(two_j))), (-1.0, sym)])
             grid = make_grid(32)
             sups.append(float(np.max(np.abs(grid.synthesize(diff.truncated(16))))))
         slopes[order] = loglog_slope([t + 1 for t in two_j_list], sups).slope

@@ -1,11 +1,16 @@
 """The sweep scripts run end to end and read the JSON keys they rely on."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
@@ -15,3 +20,19 @@ def test_script_runs(path, tmp_path):
     spec.loader.exec_module(script)
     script.OUT = str(tmp_path)
     assert script.run() == 0
+
+
+@pytest.mark.parametrize("argv", [("star-slopes", "--two-j", "10,20"), ("calibrate",)], ids=lambda a: a[0])
+def test_bench_trace_runs(argv, tmp_path):
+    # bench/spans.py wraps tensor_basis(two_j) and dequantize(A, kernel,
+    # fast_dim=None) by these call shapes; a changed signature fails here.
+    # calibrate runs at its default sizes: below two_j = 80 its unit-pair
+    # gate fails on the physics, which would hide a failing hook
+    trace = tmp_path / "trace.json"
+    env = {**os.environ, "SPHERE_SAPT_BENCH_TRACE": str(trace)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    cmd = [sys.executable, str(ROOT / "bench" / "child.py"), "cli", *argv, "--out", str(tmp_path)]
+    run = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    counts = json.loads(trace.read_text())
+    assert counts["star.computed_coeffs"] == counts["star.useful_coeffs"] > 0

@@ -136,7 +136,7 @@ def test_ylm_at_against_closed_forms():
 
 def test_hermiticity_residual_sees_one_perturbed_coefficient():
     sigma_x = np.array([[0, 1], [1, 0]])
-    n1, n2, _ = vector_symbol_coeffs(2)
+    n1, n2 = (s.truncated(2) for s in vector_symbol_coeffs()[:2])
     for c in (n1.coeffs, n2.coeffs[..., None, None] * sigma_x):
         assert SphereSymbol(c).hermiticity_residual() < 1e-15
         c = c.copy()

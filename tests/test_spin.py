@@ -7,6 +7,7 @@ from cg_oracle import clebsch_gordan
 from spin_oracle import coherent_state, dense
 
 from sphere_sapt.spin import (
+    band_basis,
     make_irrep,
     rotation_from_zyz,
     tensor_basis,
@@ -105,6 +106,23 @@ def test_tensor_basis_finite_orthogonal_large(two_j):
     assert len(tb.Q) == two_j + 1
     for m, Q in enumerate(tb.Q):
         assert Q.shape == (two_j + 1 - m, two_j + 1 - m)
+        assert np.all(np.isfinite(Q))
+        assert np.max(np.abs(Q @ Q.T - np.eye(len(Q)))) < 1e-13
+
+
+def test_band_basis_rows_are_the_full_rows():
+    # row r of the recurrence reads only rows < r, so the cut changes no float
+    full, band = tensor_basis(400), band_basis(400, 48)
+    assert len(band.Q) == 49
+    for m, Q in enumerate(band.Q):
+        assert Q.shape == (49 - m, 401 - m)
+        assert np.array_equal(Q, full.Q[m][: 49 - m])
+    with pytest.raises(ValueError, match="0 <= L <= 400"):
+        band_basis(400, 401)
+
+
+def test_band_basis_finite_orthonormal_at_two_j_10_4():
+    for Q in band_basis(10**4, 24).Q:
         assert np.all(np.isfinite(Q))
         assert np.max(np.abs(Q @ Q.T - np.eye(len(Q)))) < 1e-13
 

@@ -24,11 +24,7 @@ from sphere_sapt.star import (
     star_truncation,
     symbol_product,
 )
-from sphere_sapt.swq import SWKernel
-
-
-def _kernel(two_j):
-    return SWKernel(make_irrep(two_j))
+from sphere_sapt.swq import SWKernel, dequantize, lower_symbol, quantize, raise_lower_symbol
 
 
 def _sup(sym, grid=None):
@@ -42,7 +38,7 @@ def test_height_square_closed_form(two_j):
     # n3 * n3 = 1/3 + (2/3) sqrt((d^2-4)/(d^2-1)) P2(cos theta)
     d = two_j + 1
     n3 = vector_symbol_coeffs()[2]
-    got = star_exact(n3, n3, _kernel(two_j))
+    got = star_exact(n3, n3, make_irrep(two_j))
     grid = make_grid(8)
     ct = np.cos(grid.theta)[:, None]
     scale = np.sqrt(max(d**2 - 4, 0) / (d**2 - 1))
@@ -53,40 +49,63 @@ def test_height_square_closed_form(two_j):
 
 def test_height_square_spin_half_is_constant():
     got = star_exact(
-        vector_symbol_coeffs()[2], vector_symbol_coeffs()[2], _kernel(1)
+        vector_symbol_coeffs()[2], vector_symbol_coeffs()[2], make_irrep(1)
     )
     grid = make_grid(4)
     assert np.max(np.abs(grid.synthesize(got.truncated(2)) - 1 / 3)) < 1e-12
 
 
+@pytest.mark.parametrize("two_j", [6, 40])
+def test_exact_products_stop_at_the_coupling_band(two_j):
+    # band-L_f and band-L_g operators multiply to tensor components l <= L_f + L_g,
+    # so the band-limited products equal the full-kernel ones, truncated there
+    ir = make_irrep(two_j)
+    f, g = calibration_corpus(1, 3, seed=21)[0]
+    L = f.L + g.L
+
+    def products(kernel):
+        sw = dequantize(quantize(f, kernel) @ quantize(g, kernel), kernel)
+        bz = lower_symbol(raise_lower_symbol(f, kernel) @ raise_lower_symbol(g, kernel), kernel)
+        return sw, bz
+
+    full = products(SWKernel(ir))
+    for got, want in zip((star_exact(f, g, ir), berezin_exact(f, g, ir)), full):
+        assert got.L == L
+        assert np.max(np.abs(got.coeffs - want.truncated(L).coeffs)) < 1e-13
+        assert np.max(np.abs(want.coeffs[L + 1 :]), initial=0.0) < 1e-13
+    # one band short misses the top row of the product
+    for short, want in zip(products(SWKernel(ir, L - 1)), full):
+        assert np.max(np.abs(short.truncated(L).coeffs - want.truncated(L).coeffs)) > 1e-2
+
+
 def test_unit_is_neutral():
     corpus = calibration_corpus(2, 3, seed=5)
     one = SphereSymbol.constant(1.0)
-    ker = _kernel(8)
+    ir = make_irrep(8)
     for f, _ in corpus:
         for left, right in ((one, f), (f, one)):
-            prod = star_exact(left, right, ker)
+            prod = star_exact(left, right, ir)
             diff = _combine([(1.0, prod), (-1.0, f)])
             assert _sup(diff, make_grid(12)) < 1e-12
 
 
 def test_associativity():
-    ker = _kernel(6)
+    ir = make_irrep(6)
     corpus = calibration_corpus(3, 2, seed=3)
     f, g = corpus[0]
     h, _ = corpus[1]
-    lhs = star_exact(star_exact(f, g, ker), h, ker)
-    rhs = star_exact(f, star_exact(g, h, ker), ker)
+    lhs = star_exact(star_exact(f, g, ir), h, ir)
+    rhs = star_exact(f, star_exact(g, h, ir), ir)
     diff = _combine([(1.0, lhs), (-1.0, rhs)])
     assert _sup(diff, make_grid(24)) < 1e-12
 
 
 def test_conjugation_law():
     # conj(f * g) = conj(g) * conj(f); for real symbols: swap of factors
-    ker = _kernel(5)
+    ir = make_irrep(5)
     f, g = calibration_corpus(1, 3, seed=9)[0]
-    fg = star_exact(f, g, ker)
-    gf = star_exact(g, f, ker)
+    fg = star_exact(f, g, ir)
+    gf = star_exact(g, f, ir)
     grid = make_grid(16)
     assert np.max(np.abs(np.conj(grid.synthesize(fg)) - grid.synthesize(gf))) < 1e-12
 
@@ -110,7 +129,7 @@ def _truncation_sups(two_j_list, order, cs, corpus):
         d = two_j + 1
         worst = 0.0
         for f, g in corpus:
-            ex = star_exact(f, g, _kernel(two_j))
+            ex = star_exact(f, g, make_irrep(two_j))
             F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
             tr = star_truncation(F, G, order, cs).evaluate(d)
             diff = _combine([(1.0, ex), (-1.0, tr)])
@@ -151,11 +170,11 @@ def test_commutator_tracks_poisson_bracket():
         d = two_j + 1
         worst = 0.0
         for f, g in corpus:
-            ker = _kernel(two_j)
+            ir = make_irrep(two_j)
             res = _combine(
                 [
-                    (1.0, star_exact(f, g, ker)),
-                    (-1.0, star_exact(g, f, ker)),
+                    (1.0, star_exact(f, g, ir)),
+                    (-1.0, star_exact(g, f, ir)),
                     (-2j / d, poisson_bracket(f, g)),
                 ]
             )
@@ -237,10 +256,9 @@ def test_berezin_spin_half_height_square():
     grid = make_grid(8)
     ct = np.cos(grid.theta)[:, None]
     # lower(raise(n3)^2): raise(n3) = 2 J3 / d...; direct operator oracle
-    from sphere_sapt.swq import lower_symbol, raise_lower_symbol
-
-    A = raise_lower_symbol(n3, ir)
-    want = grid.synthesize(lower_symbol(A @ A, ir).truncated(2))
+    ker = SWKernel(ir)
+    A = raise_lower_symbol(n3, ker)
+    want = grid.synthesize(lower_symbol(A @ A, ker).truncated(2))
     got = grid.synthesize(prod.truncated(2))
     assert np.max(np.abs(got - want)) < 1e-13
     assert np.max(np.abs(got.imag)) < 1e-13

@@ -196,7 +196,7 @@ def test_lower_symbol_matches_coherent_states():
     d = ir.d
     A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     A = A + A.conj().T
-    sym = lower_symbol(A, ir)
+    sym = lower_symbol(A, SWKernel(ir))
     for th, ph in [(0.4, 1.0), (1.7, 4.2), (2.9, 0.1)]:
         n = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
         z = coherent_state(ir, n)
@@ -206,10 +206,10 @@ def test_lower_symbol_matches_coherent_states():
 
 
 def test_raise_lower_roundtrip_on_constants():
-    ir = make_irrep(6)
-    T = raise_lower_symbol(SphereSymbol.constant(1.0), ir)
-    assert np.max(np.abs(T - np.eye(ir.d))) < 1e-12
-    back = lower_symbol(T, ir)
+    ker = SWKernel(make_irrep(6))
+    T = raise_lower_symbol(SphereSymbol.constant(1.0), ker)
+    assert np.max(np.abs(T - np.eye(ker.d))) < 1e-12
+    back = lower_symbol(T, ker)
     grid = make_grid(4)
     assert np.max(np.abs(grid.synthesize(back.truncated(2)) - 1)) < 1e-12
 
