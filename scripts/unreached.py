@@ -28,9 +28,6 @@ PKG = Path(cli.__file__).resolve().parent
 KEEP = {
     "cli._nonfinite_key": "error path: names the key of a non-finite summary value",
     "cli._load_config_file": "config path: --config is not a default",
-    "sphere.SphereSymbol.hermiticity_residual": "a health key of the run telemetry, ROADMAP item 1",
-    "star.SemiclassicalSymbol.hermiticity_residual": "a health key of the run telemetry, ROADMAP item 1",
-    "sphere.SphereSymbol.is_scalar": "a health key of the run telemetry, ROADMAP item 1",
     "star.symbol_product": "timed by bench/spans.py",
     "star._invariant_samples": "the order-2 truncations, ROADMAP item 5",
 }

@@ -38,8 +38,10 @@ from .model import (
     exact_symbol_field,
     gap_N,
     lower_hamiltonian_symbol_field,
+    sector_spectrum,
 )
 from .sapt import (
+    BAND_LIMIT,
     almost_invariance_norms,
     band_spectrum_compare,
     egorov_error,
@@ -146,9 +148,9 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _check_memory(two_j: int, n_dense: int) -> None:
-    """ValueError naming the size if n_dense complex d x d matrices exceed physical memory."""
-    need, memory = n_dense * (two_j + 1) ** 2 * 16, _physical_memory()
+def _check_memory(two_j: int, need: float) -> None:
+    """ValueError naming the size if a run at two_j needs more than physical memory (need in bytes)."""
+    memory = _physical_memory()
     if need > memory:
         raise ValueError(f"--two-j {two_j} needs ~{need / 2**30:.1f} GiB, more than the {memory / 2**30:.1f} GiB of physical memory")
 
@@ -164,7 +166,7 @@ def cmd_kernel_check(cfg):
         raise ValueError(f"--two-j needs at least one value, got {cfg['two_j']!r}")
     for two_j in two_j_list:
         # kernel_property_residuals holds at most ~12 theta rows of n_phi d x d samples
-        _check_memory(two_j, 12 * (max(cfg["grid"], 2 * two_j) + 1))
+        _check_memory(two_j, 12 * (max(cfg["grid"], 2 * two_j) + 1) * (two_j + 1) ** 2 * 16)
     rows, checks = [], []
     grid = make_grid(cfg["grid"])
     tol = cfg["tol"]
@@ -209,7 +211,7 @@ def cmd_kernel_check(cfg):
 
 def cmd_star_slopes(cfg):
     two_j_list = _slope_sweep(cfg)
-    _check_memory(max(two_j_list), 3)  # A, B and AB of an exact star product
+    _check_memory(max(two_j_list), 3 * (max(two_j_list) + 1) ** 2 * 16)  # A, B and AB of an exact star product
     d_list = [t + 1 for t in two_j_list]
     corpus = calibration_corpus(cfg["pairs"], cfg["band_limit"], cfg["seed"])
     L_out = 2 * cfg["band_limit"]
@@ -288,21 +290,28 @@ def cmd_chern(cfg):
 def _order_sweep(cfg, sweep, key: str, quantity: str, gate):
     """Rows, checks and fits of a per-order slope sweep of band cfg["band"].
 
-    `sweep` is a sapt function returning values under `key` and a "fit";
-    `gate(order, slope)` gives the check's name and verdict.
+    `sweep` is a sapt function returning values under `key`, a "fit" and
+    the "hermiticity" residual of its symbol; `gate(order, slope)` gives
+    the check's name and verdict.
     """
     two_j_list = _slope_sweep(cfg)
     orders = _int_list(cfg["orders"])
     if not orders:
         raise ValueError(f"--orders needs at least one order, got {cfg['orders']!r}")
-    rows, checks, fits = [], [], {}
+    # the sector path keeps the band-limited rows of Q[0] and Q[1] of every
+    # dimension (cached) and holds some hundred length-d float arrays
+    # (sector blocks, diagonals, spectra) of the largest
+    blocks = sum(2 * (BAND_LIMIT + 1) * (t + 1) for t in two_j_list)
+    _check_memory(max(two_j_list), 8 * (blocks + 100 * (max(two_j_list) + 1)))
+    rows, checks, fits, hermiticity = [], [], {}, {}
     for order in orders:
         r = sweep(cfg["lam"], cfg["band"], two_j_list, order=order, cs=CALIBRATED)
         rows += [(tj + 1, f"{quantity}_order{order}", v) for tj, v in zip(two_j_list, r[key])]
         name, ok = gate(order, r["fit"].slope)
         fits[f"order{order}"] = r["fit"].as_dict()
+        hermiticity[f"order{order}"] = r["hermiticity"]
         checks.append({"name": name, "pass": ok, **fits[f"order{order}"]})
-    return rows, checks, {"fits": fits}
+    return rows, checks, {"fits": fits, "health": {"symbol_hermiticity": hermiticity}}
 
 
 def cmd_bands(cfg):
@@ -325,7 +334,8 @@ def cmd_invariance_slopes(cfg):
 
 def cmd_obstruction(cfg):
     params = ModelParams(cfg["two_j"], 1, cfg["lam"])
-    clusters = exact_band_projection(build_hamiltonian(params), params.d_s)
+    _check_memory(params.two_j, 16 * 8 * params.d_j)  # some 16 arrays of the 2d sector eigenvalues
+    clusters = exact_band_projection(sector_spectrum(params), params.d_s)
     d_j = params.d_j
     rows, checks = [], []
     for c in clusters:
@@ -347,6 +357,12 @@ def cmd_egorov(cfg):
     if name not in obs:
         raise ValueError(f"unknown observable {name!r}, expected one of {sorted(obs)}")
     two_j_list = _slope_sweep(cfg)
+    # the full block Q[1] of every dimension (d^2 floats each, cached); at
+    # the largest, the evolved symbol's (2j+1)(4j+1) complex coefficients and
+    # their moduli (~6 d^2 floats) and the Legendre table of its synthesis on
+    # the 25 theta nodes of the error grid (~25 d^2 floats)
+    blocks = sum((t + 1) ** 2 for t in two_j_list)
+    _check_memory(max(two_j_list), 8 * (blocks + 31 * (max(two_j_list) + 1) ** 2))
     r = egorov_error(cfg["lam"], cfg["band"], vector_symbol_coeffs()[obs[name]], cfg["time"], two_j_list)
     rows = [(tj + 1, f"egorov_error_{name}", e) for tj, e in zip(two_j_list, r["errors"])]
     fit = r["fit"].as_dict()
@@ -360,7 +376,7 @@ def cmd_calibrate(cfg):
     two_j_list = tuple(_slope_sweep(cfg))
     if min(two_j_list) < 2 * L:  # exact products of band-limit-L symbols reach l = 2L
         raise ValueError(f"--two-j values must be >= 2 * --band-limit = {2 * L}, got {min(two_j_list)}")
-    _check_memory(max(two_j_list), 3)  # A, B and AB of an exact star product
+    _check_memory(max(two_j_list), 3 * (max(two_j_list) + 1) ** 2 * 16)  # A, B and AB of an exact star product
     corpus = calibration_corpus(cfg["pairs"], L, cfg["seed"])
     rows, checks, reports = [], [], {}
     for product in ("sw", "berezin"):

@@ -26,6 +26,8 @@ __all__ = [
     "BandData",
     "band_index",
     "build_hamiltonian",
+    "sector_blocks",
+    "sector_spectrum",
     "hamiltonian_symbol",
     "gap_N",
     "tilt_angles",
@@ -95,13 +97,45 @@ def build_hamiltonian(params: ModelParams) -> np.ndarray:
     return H
 
 
+def sector_blocks(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """H on the sectors of M = J3 (x) 1 + 1 (x) S3, for a spin-1/2 fast sector.
+
+    H commutes with M.  With slow index i (J3 = j - i) and fast spin up (+)
+    or down (-), sector M = j - i - 1/2 holds (i + 1, +) and (i, -), for
+    i = 0 .. d - 2, and J- S+ couples them with the ladder amplitude
+    sqrt((i + 1)(2j - i)).  Returns blocks, shape (d - 1, 2, 2), the real
+    symmetric block of each sector in the basis ((i + 1, +), (i, -)), and
+    edges, the energies of the two 1 x 1 sectors (0, +) and (d - 1, -),
+    M = +-(j + 1/2).  O(d) work and memory at any two_j.
+    """
+    if params.two_s != 1:
+        raise ValueError(f"the M-sectors are implemented for a spin-1/2 fast sector, got two_s = {params.two_s}")
+    lam, d, two_j = params.lam, params.d_j, params.two_j
+    mu = two_j / 2 - np.arange(d)  # slow J3 eigenvalues
+    up = (1 - lam) / 2 + lam / d * mu  # <(i, +)| H |(i, +)>
+    down = -(1 - lam) / 2 - lam / d * mu  # <(i, -)| H |(i, -)>
+    i = np.arange(d - 1)
+    c = lam / d * np.sqrt((i + 1) * (two_j - i))
+    blocks = np.stack([np.stack([up[1:], c], axis=-1), np.stack([c, down[:-1]], axis=-1)], axis=-2)
+    return blocks, np.array([up[0], down[-1]])
+
+
+def sector_spectrum(params: ModelParams) -> np.ndarray:
+    """The 2d eigenvalues of H (unsorted): both eigenvalues of every 2 x 2
+    sector block in closed form, then the two edge sectors."""
+    blocks, edges = sector_blocks(params)
+    a, b, c = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 0, 1]
+    mean, radius = (a + b) / 2, np.hypot((a - b) / 2, c)
+    return np.concatenate([mean + radius, mean - radius, edges])
+
+
 def hamiltonian_symbol(params: ModelParams) -> SphereSymbol:
     """Principal symbol H_0 = (1-lam) S3 + lam n.S of the Hamiltonian, at L = 1."""
     fast, lam = params.fast, params.lam
     c = np.zeros((2, 3, fast.d, fast.d), dtype=complex)
     for n, S in zip(vector_symbol_coeffs(), fast.Jvec):
         c += n.coeffs[..., None, None] * (lam * S)
-    c[0, 1] += sqrt(4 * pi) * (1 - lam) * np.asarray(fast.J3)
+    c[0, 1] += sqrt(4 * pi) * (1 - lam) * fast.Jvec[2]
     return SphereSymbol(c)
 
 

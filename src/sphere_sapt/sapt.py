@@ -8,6 +8,12 @@ analytic derivatives, two_s = 1, is the oracle in tests/sapt_oracle.py),
 and the semiclassical (Egorov) propagation check against the classical
 precession flow.  All star-dependent pieces take a CoefficientSet so the
 printed and calibrated expansions can be compared downstream.
+
+The operator side of the checks works on the sectors of M = J3 (x) 1 +
+1 (x) S3, which H and every quantized band symbol conserve: the exact
+spectrum, the invariance norm and the Heisenberg evolution read a few
+diagonals of each operator, O(d L) (Egorov: O(d^3)) instead of dense
+2d x 2d algebra and eigensolvers.
 """
 
 from __future__ import annotations
@@ -21,24 +27,29 @@ from .fits import loglog_slope
 from .model import (
     ModelParams,
     band_index,
-    build_hamiltonian,
     gap_N,
     hamiltonian_symbol,
     principal_bands,
+    sector_blocks,
+    sector_spectrum,
 )
 from .sphere import Grid, SphereSymbol, make_grid, synthesize_at
+from .spin import SpinIrrep
 from .star import CALIBRATED, CoefficientSet, SemiclassicalSymbol, order1_samples
-from .swq import SWKernel, dequantize, quantize
+from .swq import SWKernel, _band, dequantize_diagonal, quantize_diagonal
 
 __all__ = [
+    "BAND_LIMIT",
     "BandCluster",
     "BandSplitError",
     "moyal_projection",
+    "sector_commutator_norm",
     "almost_invariance_norms",
     "exact_band_projection",
     "effective_hamiltonian",
     "band_spectrum_compare",
     "classical_flow",
+    "heisenberg_symbol",
     "egorov_error",
     "EGOROV_TIME_SIGN",
 ]
@@ -46,6 +57,10 @@ __all__ = [
 # sign in s = EGOROV_TIME_SIGN * (d_j / 2) * t relating operator time s to
 # classical time t; fixed once by the precession direction test in the suite
 EGOROV_TIME_SIGN = -1.0
+# band limit of the projection and effective symbols: N(theta) is not
+# band-limited, and L = 24 is converged to 1e-6 relative up to two_j = 160
+# (tested), with the sector round-off growing with L at large d
+BAND_LIMIT = 24
 
 
 def _mesh(grid: Grid):
@@ -71,7 +86,7 @@ def moyal_projection(
     m: float,
     order: int = 1,
     cs: CoefficientSet = CALIBRATED,
-    L: int = 24,
+    L: int = BAND_LIMIT,
 ) -> SemiclassicalSymbol:
     """Projection symbol pi0 + d^-1 pi1 of band m.
 
@@ -116,25 +131,86 @@ def moyal_projection(
     return SemiclassicalSymbol([pi0, pi1])
 
 
+def _check_sectors(sym: SphereSymbol, what: str) -> None:
+    """ArithmeticError unless sym conserves M = J3 (x) 1 + 1 (x) S3.
+
+    Entry (a, b) of a k x k symbol may carry only e^{i m phi} with
+    m = a - b (a scalar symbol only m = 0); the sector path drops the rest.
+    Content beyond 1e-12 of the largest coefficient is more than the
+    round-off of the covariant band grid, and is refused.
+    """
+    k = sym.fast_shape[0] if sym.fast_shape else 1
+    c = sym.coeffs.reshape(sym.L + 1, 2 * sym.L + 1, k * k)
+    a, b = np.divmod(np.arange(k * k), k)
+    off = np.arange(-sym.L, sym.L + 1)[:, None] != (a - b)[None, :]
+    outside = float(np.abs(c[:, off]).max(initial=0.0))
+    if outside > 1e-12 * np.abs(c).max():
+        raise ArithmeticError(f"{what} has content {outside:.3g} off the M-sectors; its operator is not sector-diagonal")
+
+
+def _spectral_norms(C: np.ndarray) -> np.ndarray:
+    """Largest singular value of each 2 x 2 matrix C[i], in closed form.
+
+    With C = z0 1 + z . sigma (Pauli matrices, complex z0 and z), C^dagger C
+    = (|z0|^2 + |z|^2) 1 + v . sigma with the real vector
+    v = 2 Re(conj(z0) z) + i conj(z) x z, so sigma_max^2 = |z0|^2 + |z|^2 + |v|,
+    a sum of nonnegative terms with no cancellation.
+    """
+    z0 = (C[:, 0, 0] + C[:, 1, 1]) / 2
+    z = np.stack([C[:, 0, 1] + C[:, 1, 0], 1j * (C[:, 0, 1] - C[:, 1, 0]), C[:, 0, 0] - C[:, 1, 1]], axis=-1) / 2
+    v = 2 * (z0.conj()[:, None] * z).real - np.cross(z.conj(), z).imag
+    s = np.abs(z0) ** 2 + np.sum(np.abs(z) ** 2, axis=-1)
+    return np.sqrt(s + np.sqrt(np.sum(v**2, axis=-1)))
+
+
+def sector_commutator_norm(params: ModelParams, sym: SphereSymbol) -> float:
+    """||[H, quantize(sym)]||_2 for an M-conserving 2 x 2 symbol: the largest
+    norm over the 2 x 2 sectors (the 1 x 1 edge sectors commute).
+
+    The sector block of P = quantize(sym) on ((i + 1, +), (i, -)) takes the
+    offset-0 diagonals of entries (+, +) and (-, -), the offset -1 diagonal
+    of (+, -) and the offset +1 diagonal of (-, +).  With H's block
+    [[a, c], [c, b]] and P's [[p, q], [q', r]] the commutator is
+    [[c (q' - q), (a - b) q - c (p - r)], [(b - a) q' + c (p - r), c (q - q')]].
+    """
+    _check_sectors(sym, "the projection symbol")
+    H, _ = sector_blocks(params)
+    ker = SWKernel(params.slow, sym.L)
+    d0 = quantize_diagonal(sym, ker, 0)
+    p, r = d0[1:, 0, 0], d0[:-1, 1, 1]
+    q, q1 = quantize_diagonal(sym, ker, -1)[:, 0, 1], quantize_diagonal(sym, ker, 1)[:, 1, 0]
+    a, b, c = H[:, 0, 0], H[:, 1, 1], H[:, 0, 1]
+    C = np.empty((len(c), 2, 2), dtype=complex)
+    C[:, 0, 0] = c * (q1 - q)
+    C[:, 1, 1] = -C[:, 0, 0]
+    C[:, 0, 1] = (a - b) * q - c * (p - r)
+    C[:, 1, 0] = (b - a) * q1 + c * (p - r)
+    return float(np.max(_spectral_norms(C)))
+
+
 def almost_invariance_norms(
     lam: float,
     m: float,
     two_j_list,
     order: int = 1,
     cs: CoefficientSet = CALIBRATED,
-    L: int = 24,
+    L: int = BAND_LIMIT,
 ):
-    """Spectral norms of [H, quantize(projection)] across dimensions + slope; fast spin 1/2."""
-    norms = []
+    """Spectral norms of [H, quantize(projection)] across dimensions + slope; fast spin 1/2.
+
+    O(d L) per dimension on the M-sectors (sector_commutator_norm).
+    """
     proj = moyal_projection(ModelParams(two_j_list[0], 1, lam), m, order=order, cs=cs, L=L)
+    norms = []
     for two_j in two_j_list:
         params = ModelParams(two_j, 1, lam)
-        d = params.d_j
-        sym = proj.evaluate(d, order)
-        P = quantize(sym, SWKernel(params.slow, sym.L))
-        H = build_hamiltonian(params)
-        norms.append(float(np.linalg.norm(H @ P - P @ H, 2)))
-    return {"two_j": list(two_j_list), "norms": norms, "fit": loglog_slope([t + 1 for t in two_j_list], norms)}
+        norms.append(sector_commutator_norm(params, proj.evaluate(params.d_j, order)))
+    return {
+        "two_j": list(two_j_list),
+        "norms": norms,
+        "fit": loglog_slope([t + 1 for t in two_j_list], norms),
+        "hermiticity": proj.hermiticity_residual(),
+    }
 
 
 class BandSplitError(ArithmeticError, ValueError):
@@ -153,13 +229,13 @@ class BandCluster:
     rank: int
 
 
-def exact_band_projection(H: np.ndarray, d_s: int):
-    """Cluster the exact spectrum into d_s bands (highest band first).
+def exact_band_projection(spectrum: np.ndarray, d_s: int):
+    """Cluster an exact spectrum of H into d_s bands (highest band first).
 
     Splits the sorted spectrum at the d_s - 1 largest gaps; demands they
     exceed 3 times the largest intra-cluster gap.
     """
-    w = np.linalg.eigvalsh(H)
+    w = np.sort(spectrum)
     if d_s == 1:
         return [BandCluster(0.0, w, len(w))]
     gaps = np.diff(w)
@@ -184,7 +260,7 @@ def effective_hamiltonian(
     m: float,
     order: int = 1,
     cs: CoefficientSet = CALIBRATED,
-    L: int = 24,
+    L: int = BAND_LIMIT,
 ) -> SemiclassicalSymbol:
     """Scalar effective symbol h0 + d^-1 h1 of band m (lam != 1/2).
 
@@ -235,24 +311,28 @@ def band_spectrum_compare(
     two_j_list,
     order: int = 1,
     cs: CoefficientSet = CALIBRATED,
-    L: int = 24,
+    L: int = BAND_LIMIT,
 ):
-    """Hausdorff distance between exact band clusters and effective spectra; fast spin 1/2."""
+    """Hausdorff distance between exact band clusters and effective spectra; fast spin 1/2.
+
+    The exact spectrum comes from the M-sectors of H (model.sector_spectrum).
+    The effective symbol is axisymmetric, so its operator is diagonal in the
+    J3 basis and its spectrum is the offset-0 diagonal.  O(d L) per dimension.
+    """
     dists = []
     h = effective_hamiltonian(ModelParams(two_j_list[0], 1, lam), m, order=order, cs=cs, L=L)
     for two_j in two_j_list:
         params = ModelParams(two_j, 1, lam)
-        d = params.d_j
-        sym = h.evaluate(d, order)
-        hq = quantize(sym, SWKernel(params.slow, sym.L))
-        eff = np.linalg.eigvalsh(hq)
-        cluster = exact_band_projection(build_hamiltonian(params), params.d_s)
-        exact = cluster[band_index(1, m)].eigenvalues
-        dists.append(_hausdorff(exact, eff))
+        sym = h.evaluate(params.d_j, order)
+        _check_sectors(sym, "the effective symbol")
+        eff = quantize_diagonal(sym, SWKernel(params.slow, sym.L), 0).real
+        cluster = exact_band_projection(sector_spectrum(params), params.d_s)
+        dists.append(_hausdorff(cluster[band_index(1, m)].eigenvalues, eff))
     return {
         "two_j": list(two_j_list),
         "hausdorff": dists,
         "fit": loglog_slope([t + 1 for t in two_j_list], dists),
+        "hermiticity": h.hermiticity_residual(),
     }
 
 
@@ -273,6 +353,28 @@ def classical_flow(lam: float, m: float, n0: np.ndarray, T: float) -> np.ndarray
     return np.stack([c * n[..., 0] - s * n[..., 1], s * n[..., 0] + c * n[..., 1], n[..., 2]], axis=-1)
 
 
+def heisenberg_symbol(h0: SphereSymbol, o0: SphereSymbol, irrep: SpinIrrep, s: float) -> SphereSymbol:
+    """Symbol (full kernel) of exp(i s h) quantize(o0) exp(-i s h), h = quantize(h0).
+
+    h0 conserves M, so h is diagonal in the J3 basis with diagonal w, and the
+    evolution multiplies entry (r, r + m) of quantize(o0) by the phase
+    exp(i s (w_r - w_{r+m})).  Only the offsets m that o0 carries are built,
+    each from its own block Q[|m|] (O(d^2) memory, O(d^3) work, for any o0 of
+    band limit 1), never the full tensor basis.
+    """
+    _check_sectors(h0, "h0")
+    d, L = irrep.d, irrep.two_j
+    w = quantize_diagonal(h0, SWKernel(irrep, h0.L), 0).real
+    ker = SWKernel(irrep)
+    coeffs = np.zeros((L + 1, 2 * L + 1), dtype=complex)
+    for m in range(-min(o0.L, L), min(o0.L, L) + 1):
+        if np.any(o0.coeffs[:, o0.L + m]):
+            r, c = _band(d, m)
+            diag = quantize_diagonal(o0, ker, m) * np.exp(1j * s * (w[r] - w[c]))
+            coeffs[abs(m) :, L + m] = dequantize_diagonal(diag, ker, m)
+    return SphereSymbol(coeffs)
+
+
 def egorov_error(
     lam: float,
     m: float,
@@ -282,10 +384,10 @@ def egorov_error(
 ):
     """Sup-norm gap between Heisenberg-evolved and classically flowed symbols.
 
-    Quantum side: conjugation by exp(-i h s) with s = (d_j/2) T and
-    h = quantize(h0).  Classical side: o0 composed with the precession flow.
-    h0 = m N(theta) is axisymmetric, so h is diagonal in the J3 basis and the
-    propagator is a diagonal phase; ArithmeticError if h is not diagonal.
+    Quantum side: heisenberg_symbol with s = (d_j/2) T and h0 = m N(theta),
+    which is axisymmetric (ArithmeticError if it is not, as the propagator
+    is then no diagonal phase).  Classical side: o0 composed with the
+    precession flow.
     """
     grid = make_grid(48)
     th2, ph2 = _mesh(grid)
@@ -301,16 +403,8 @@ def egorov_error(
     h0 = effective_hamiltonian(ModelParams(two_j_list[0], 1, lam), m, order=0).term(0)
     for two_j in two_j_list:
         params = ModelParams(two_j, 1, lam)
-        d = params.d_j
-        ker = SWKernel(params.slow)
-        hq = quantize(h0, ker)
-        w = np.diagonal(hq)
-        if np.any(hq - np.diag(w)):
-            raise ArithmeticError("quantize(h0) is not diagonal; the propagator is not a diagonal phase")
-        oq = quantize(o0, ker)
-        s = EGOROV_TIME_SIGN * (d / 2) * T
-        ot = dequantize(oq * np.exp(1j * s * np.subtract.outer(w.real, w.real)), ker)
-        o_qu = grid.synthesize(ot)
+        s = EGOROV_TIME_SIGN * (params.d_j / 2) * T
+        o_qu = grid.synthesize(heisenberg_symbol(h0, o0, params.slow, s))
         errs.append(float(np.max(np.abs(o_qu - o_cl))))
     fit = loglog_slope([t + 1 for t in two_j_list], errs) if len(errs) > 1 else None
     return {"two_j": list(two_j_list), "errors": errs, "fit": fit}

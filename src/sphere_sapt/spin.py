@@ -9,13 +9,14 @@ weight, so J3 = diag(j, j-1, ..., -j).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 __all__ = [
     "SpinIrrep",
     "make_irrep",
+    "offset_block",
     "band_basis",
     "tensor_basis",
     "wigner_zyz",
@@ -24,12 +25,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpinIrrep:
-    """Irreducible su(2) representation of dimension d = two_j + 1."""
+    """Irreducible su(2) representation of dimension d = two_j + 1.
+
+    The dense spin matrices are built on first use, so an irrep that only
+    names a dimension (a quantization kernel, the sectors of the model)
+    costs nothing at any two_j.
+    """
 
     two_j: int
-    J1: np.ndarray
-    J2: np.ndarray
-    J3: np.ndarray
 
     @property
     def d(self) -> int:
@@ -39,31 +42,28 @@ class SpinIrrep:
     def j(self) -> float:
         return self.two_j / 2
 
-    @property
+    @cached_property
     def Jvec(self) -> np.ndarray:
-        return np.stack([self.J1, self.J2, self.J3])
+        """(J1, J2, J3) as one read-only (3, d, d) array, from the standard
+        ladder-operator construction."""
+        d, two_j = self.d, self.two_j
+        mvals = self.j - np.arange(d)  # descending j..-j
+        # J+ e_i = sqrt(i (2j+1-i)) e_{i-1}  (raising moves toward index 0)
+        i = np.arange(1, d)
+        Jp = np.zeros((d, d), dtype=complex)
+        Jp[i - 1, i] = np.sqrt(i * (two_j + 1 - i))
+        Jm = Jp.conj().T
+        out = np.stack([(Jp + Jm) / 2, (Jp - Jm) / 2j, np.diag(mvals).astype(complex)])
+        out.setflags(write=False)
+        return out
 
 
 @lru_cache(maxsize=None)
 def make_irrep(two_j: int) -> SpinIrrep:
-    """Standard ladder-operator construction of the spin-j matrices."""
+    """The spin-j irrep, one object per two_j."""
     if two_j < 0:
         raise ValueError("two_j must be a nonnegative integer")
-    d = two_j + 1
-    j = two_j / 2
-    mvals = j - np.arange(d)  # descending j..-j
-    # J+ e_i = sqrt(i (2j+1-i)) e_{i-1}  (raising moves toward index 0)
-    i = np.arange(1, d)
-    raise_amp = np.sqrt(i * (two_j + 1 - i))
-    Jp = np.zeros((d, d), dtype=complex)
-    Jp[i - 1, i] = raise_amp
-    Jm = Jp.conj().T
-    J1 = (Jp + Jm) / 2
-    J2 = (Jp - Jm) / 2j
-    J3 = np.diag(mvals).astype(complex)
-    for a in (J1, J2, J3):
-        a.setflags(write=False)
-    return SpinIrrep(two_j, J1, J2, J3)
+    return SpinIrrep(two_j)
 
 
 # ---------------------------------------------------------------------------
@@ -87,46 +87,65 @@ class TensorBasis:
 
 
 @lru_cache(maxsize=None)
-def band_basis(two_j: int, L: int) -> TensorBasis:
-    """Build {T_lm : l <= L, |m| <= l} for 0 <= L <= two_j.
+def _seed(two_j: int, m: int) -> np.ndarray:
+    """Entries of J+^m on its offset-m diagonal, trace-normalized.
 
-    For each band offset m >= 0 the family {T_lm}_{l >= m} is generated by a
-    Stieltjes (Lanczos) recurrence: the seed T_mm is the trace-normalized
-    m-th power of J+ with sign (-1)^m, and multiplying by the diagonal row
-    quantum number steps up in l.  Each step is orthogonalized twice against
-    all earlier rows of Q[m], one matrix product per pass ("twice is
-    enough", CGS2), which keeps Q[m] orthonormal to machine precision at any
-    dimension.  The seed is grown from the one of offset m - 1 by a single
-    ladder factor and renormalized, so it never overflows.  Row r reads only
-    rows < r, so the rows l <= L are those of the full basis bit for bit, at
-    O(d L^3) work instead of O(d^4).  The result coincides with the
-    Clebsch-Gordan matrix-element construction in the Condon-Shortley
-    convention (cross-checked in the test suite).
+    Grown from the seed of offset m - 1 by a single ladder factor and
+    renormalized, so it never overflows (J+^m itself does from two_j = 99).
+    """
+    if m == 0:
+        seed = np.full(two_j + 1, (two_j + 1) ** -0.5)
+    else:
+        # (J+^m)[i, i+m] / (J+^(m-1))[i, i+m-1] = sqrt((i+m)(2j-i-m+1))
+        i = np.arange(two_j + 1 - m)
+        seed = _seed(two_j, m - 1)[: len(i)] * np.sqrt((i + m) * (two_j - i - m + 1))
+        seed /= np.linalg.norm(seed)
+    seed.setflags(write=False)
+    return seed
+
+
+@lru_cache(maxsize=None)
+def offset_block(two_j: int, m: int, L: int) -> np.ndarray:
+    """Rows l <= L of Q[m]: the tensor operators T_lm, m <= l <= L, of one
+    band offset 0 <= m <= L <= two_j, as a (L + 1 - m) x (d - m) matrix.
+
+    The family {T_lm}_{l >= m} is generated by a Stieltjes (Lanczos)
+    recurrence: the seed T_mm is the trace-normalized m-th power of J+ with
+    sign (-1)^m, and multiplying by the diagonal row quantum number steps up
+    in l.  Each step is orthogonalized twice against all earlier rows, one
+    matrix product per pass ("twice is enough", CGS2), which keeps the
+    block orthonormal to machine precision at any dimension.  Row r reads
+    only rows < r, so the rows l <= L are those of the full basis bit for
+    bit, at O(d L^2) work; the offsets are independent of each other.
+    """
+    if not 0 <= m <= L <= two_j:
+        raise ValueError(f"a tensor basis of two_j = {two_j} needs 0 <= m <= L <= {two_j}, got m = {m}, L = {L}")
+    for k in range(m):  # fills the seed cache one offset at a time, never deeper than one call
+        _seed(two_j, k)
+    n = two_j + 1 - m
+    m1 = two_j / 2 - np.arange(n)  # row quantum numbers of the band
+    Qm = np.empty((L + 1 - m, n))
+    Qm[0] = (-1) ** m * _seed(two_j, m)
+    for r in range(1, L + 1 - m):
+        w = m1 * Qm[r - 1]
+        for _pass in range(2):
+            w -= Qm[:r].T @ (Qm[:r] @ w)
+        Qm[r] = w / np.linalg.norm(w)
+    Qm.setflags(write=False)
+    return Qm
+
+
+@lru_cache(maxsize=None)
+def band_basis(two_j: int, L: int) -> TensorBasis:
+    """{T_lm : l <= L, |m| <= l} for 0 <= L <= two_j: the blocks offset_block(two_j, m, L), m <= L.
+
+    The result coincides with the Clebsch-Gordan matrix-element
+    construction in the Condon-Shortley convention (cross-checked in the
+    test suite).
     """
     if not 0 <= L <= two_j:
         raise ValueError(f"a tensor basis of two_j = {two_j} needs 0 <= L <= {two_j}, got L = {L}")
-    d = two_j + 1
-    j = two_j / 2
-    Q = []
-    seed = np.full(d, d**-0.5)
-    for m in range(L + 1):
-        n = d - m
-        if m:
-            # (J+^m)[i, i+m] / (J+^(m-1))[i, i+m-1] = sqrt((i+m)(2j-i-m+1))
-            i = np.arange(n)
-            seed = seed[:n] * np.sqrt((i + m) * (two_j - i - m + 1))
-            seed /= np.linalg.norm(seed)
-        m1 = j - np.arange(n)  # row quantum numbers of the band
-        Qm = np.empty((L + 1 - m, n))
-        Qm[0] = (-1) ** m * seed
-        for r in range(1, L + 1 - m):
-            w = m1 * Qm[r - 1]
-            for _pass in range(2):
-                w -= Qm[:r].T @ (Qm[:r] @ w)
-            Qm[r] = w / np.linalg.norm(w)
-        Qm.setflags(write=False)
-        Q.append(Qm)
-    return TensorBasis(two_j, tuple(Q))
+    return TensorBasis(two_j, tuple(offset_block(two_j, m, L) for m in range(L + 1)))
 
 
 def tensor_basis(two_j: int) -> TensorBasis:
@@ -142,7 +161,7 @@ def tensor_basis(two_j: int) -> TensorBasis:
 @lru_cache(maxsize=None)
 def _j2_eig(two_j: int):
     irr = make_irrep(two_j)
-    w, V = np.linalg.eigh(irr.J2)
+    w, V = np.linalg.eigh(irr.Jvec[1])
     return w, V
 
 

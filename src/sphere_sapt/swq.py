@@ -25,13 +25,15 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .spin import SpinIrrep, band_basis, tensor_basis
+from .spin import SpinIrrep, band_basis, offset_block, tensor_basis
 from .sphere import Grid, SphereSymbol, _legendre
 
 __all__ = [
     "SWKernel",
     "quantize",
+    "quantize_diagonal",
     "dequantize",
+    "dequantize_diagonal",
     "lower_symbol",
     "kernel_property_residuals",
 ]
@@ -59,6 +61,10 @@ class SWKernel:
         entry point (the one the per-layer spans of bench/spans.py time).
         """
         return (tensor_basis(self.two_j) if self.L == self.two_j else band_basis(self.two_j, self.L)).Q
+
+    def block(self, m: int) -> np.ndarray:
+        """Rows l <= L of Q[|m|] alone, built without the other offsets."""
+        return offset_block(self.two_j, abs(m), self.L)
 
     @property
     def two_j(self) -> int:
@@ -100,15 +106,38 @@ def _rows(kernel: SWKernel, P: np.ndarray, phi: np.ndarray):
 
 
 def _band(d: int, m: int):
-    """Row and column indices of the offset-m diagonal, and the sign of
-    T_lm relative to row l - |m| of Q[|m|]."""
+    """Row and column indices of the offset-m diagonal."""
     r = np.arange(d - abs(m)) + max(0, -m)
-    return r, r + m, (-1) ** m if m < 0 else 1
+    return r, r + m
+
+
+def _sign(m: int) -> int:
+    """Sign of T_lm relative to row l - |m| of Q[|m|]: T_{l,-m} = (-1)^m T_lm^T."""
+    return (-1) ** m if m < 0 else 1
+
+
+def _diagonal(sym: SphereSymbol, Qm: np.ndarray, m: int, L: int, pref: float) -> np.ndarray:
+    """Offset-m diagonal of the band-L operator of sym from the rows Qm of
+    Q[|m|], as (d - |m|, k*k); pref = sqrt(d / 4 pi)."""
+    am = abs(m)
+    b = sym.coeffs[am : L + 1, sym.L + m].reshape(L + 1 - am, -1)
+    return (_sign(m) * pref) * (Qm[: L + 1 - am].T @ b)
+
+
+def quantize_diagonal(sym: SphereSymbol, kernel: SWKernel, m: int) -> np.ndarray:
+    """Offset-m diagonal of quantize(sym, kernel): entry i is the slow
+    matrix element (r_i, r_i + m), r_i = i + max(0, -m), shape
+    (d - |m|,) + the fast shape.  Reads rows of Q[|m|] only."""
+    L, d, am = min(sym.L, kernel.L), kernel.d, abs(m)
+    if am > L:
+        return np.zeros((d - am,) + sym.fast_shape, dtype=complex)
+    return _diagonal(sym, kernel.block(m), m, L, sqrt(d / (4 * pi))).reshape((d - am,) + sym.fast_shape)
 
 
 def quantize(sym: SphereSymbol, kernel: SWKernel) -> np.ndarray:
-    """Operator of a symbol; components with l > L are projected out (for
-    the full kernel those with l > 2j, which no operator has).
+    """Operator of a symbol, the scatter of its diagonals; components with
+    l > L are projected out (for the full kernel those with l > 2j, which
+    no operator has).
 
     Scalar symbols give a d x d matrix; k x k matrix-valued symbols give a
     (d k) x (d k) matrix on H_slow (x) H_fast.
@@ -119,19 +148,27 @@ def quantize(sym: SphereSymbol, kernel: SWKernel) -> np.ndarray:
     fast = sym.fast_shape
     k = fast[0] if fast else 1
     A = np.zeros((d, d, k * k), dtype=complex)
-    Loff = sym.L
     pref = sqrt(d / (4 * pi))
     for m in range(-L, L + 1):
-        am = abs(m)
-        r, c, sign = _band(d, m)
-        b = sym.coeffs[am : L + 1, Loff + m].reshape(L + 1 - am, k * k)
-        A[r, c] = (sign * pref) * (Q[am][: L + 1 - am].T @ b)
+        r, c = _band(d, m)
+        A[r, c] = _diagonal(sym, Q[abs(m)], m, L, pref)
     out = A.reshape(d, d, k, k).transpose(0, 2, 1, 3).reshape(d * k, d * k)
     return out if fast else out.reshape(d, d)
 
 
+def dequantize_diagonal(diag: np.ndarray, kernel: SWKernel, m: int) -> np.ndarray:
+    """Coefficients b_lm, |m| <= l <= L, of an operator whose offset-m
+    diagonal is diag (laid out as quantize_diagonal returns it); shape
+    (L + 1 - |m|,) + the fast shape.  dequantize does the same per offset."""
+    d, am = kernel.d, abs(m)
+    band = np.asarray(diag).reshape(d - am, -1)
+    coeffs = (_sign(m) * sqrt(4 * pi / d)) * (kernel.block(m) @ band)
+    return coeffs.reshape((kernel.L + 1 - am,) + np.shape(diag)[1:])
+
+
 def dequantize(A: np.ndarray, kernel: SWKernel, fast_dim: int | None = None) -> SphereSymbol:
-    """Band-L symbol of an operator: its tensor components l <= L.
+    """Band-L symbol of an operator, gathered from its diagonals: its tensor
+    components l <= L.
 
     With the full kernel, L = 2j, this is the inverse of quantize.  If
     fast_dim is given, A acts on H_slow (x) H_fast and the symbol is
@@ -146,9 +183,9 @@ def dequantize(A: np.ndarray, kernel: SWKernel, fast_dim: int | None = None) -> 
     coeffs = np.zeros((L + 1, 2 * L + 1, k * k), dtype=complex)
     pref = sqrt(4 * pi / d)
     for m in range(-L, L + 1):
-        r, c, sign = _band(d, m)
+        r, c = _band(d, m)
         band = A4[r, :, c, :].reshape(d - abs(m), k * k)
-        coeffs[abs(m) :, L + m] = (sign * pref) * (Q[abs(m)] @ band)
+        coeffs[abs(m) :, L + m] = (_sign(m) * pref) * (Q[abs(m)] @ band)
     shape = (L + 1, 2 * L + 1) + ((k, k) if fast_dim else ())
     return SphereSymbol(coeffs.reshape(shape))
 

@@ -1,7 +1,8 @@
 """Oracles for the tests: the Hausdorff distance from the full distance
 matrix (the package finds each nearest point by a sorted merge), the
 Heisenberg conjugation through eigh (the package uses that quantize(h0) is
-diagonal), and the order-1 effective Hamiltonian of a spin-1/2 fast sector
+diagonal), the spectrum and the invariance norm from the dense 2d x 2d
+Hamiltonian (the package reads them off the M-sectors), and the order-1 effective Hamiltonian of a spin-1/2 fast sector
 from analytic theta-derivatives of u0, H0 and the band energy (the package
 forms the same block from synthesized symbols and their gradients)."""
 
@@ -10,14 +11,27 @@ from __future__ import annotations
 import numpy as np
 
 from sphere_sapt import sapt
-from sphere_sapt.model import band_index, gap_N, tilt_angles
+from sphere_sapt.model import ModelParams, band_index, build_hamiltonian, gap_N, tilt_angles
 from sphere_sapt.sphere import SphereSymbol
 from sphere_sapt.star import CALIBRATED, SemiclassicalSymbol
+from sphere_sapt.swq import SWKernel, quantize
 
 
 def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     d = np.abs(a[:, None] - b[None, :])
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def dense_spectrum(params: ModelParams) -> np.ndarray:
+    """Sorted eigenvalues of the dense Hamiltonian, any fast spin."""
+    return np.linalg.eigvalsh(build_hamiltonian(params))
+
+
+def dense_invariance_norm(params: ModelParams, sym: SphereSymbol) -> float:
+    """||[H, P]||_2 from the dense H and P = quantize(sym) (an SVD of size 2d)."""
+    P = quantize(sym, SWKernel(params.slow, sym.L))
+    H = build_hamiltonian(params)
+    return float(np.linalg.norm(H @ P - P @ H, 2))
 
 
 def heisenberg(hq: np.ndarray, oq: np.ndarray, s: float) -> np.ndarray:

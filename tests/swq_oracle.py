@@ -14,7 +14,7 @@ import numpy as np
 
 from sphere_sapt.sphere import SphereSymbol
 from sphere_sapt.spin import tensor_basis
-from sphere_sapt.swq import _band
+from sphere_sapt.swq import _band, _sign
 
 
 def kernel_samples(kernel, grid) -> np.ndarray:
@@ -25,7 +25,7 @@ def kernel_samples(kernel, grid) -> np.ndarray:
     c = np.zeros((L + 1, 2 * L + 1, d, d), complex)
     pref = sqrt(4 * pi / d)
     for m in range(-L, L + 1):
-        r, cols, sign = _band(d, m)
+        r, cols = _band(d, m)
         # conj(Y_lm) = (-1)^m Y_{l,-m}
-        c[abs(m) :, L - m][:, r, cols] = (-1) ** m * sign * pref * Q[abs(m)]
+        c[abs(m) :, L - m][:, r, cols] = (-1) ** m * _sign(m) * pref * Q[abs(m)]
     return grid.synthesize(SphereSymbol(c))

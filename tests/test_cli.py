@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,105 @@ def test_star_slopes_beyond_the_default_sizes(tmp_path):
     assert main(["star-slopes", "--two-j", "80,160,320,640", "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "star-slopes.json").read_text())
     assert len(summary["checks"]) == 4 and summary["pass"] is True
+
+
+# -- the model commands on the M-sectors, beyond the default sizes ------------
+
+
+@pytest.mark.parametrize(
+    "argv", [["bands", "--two-j", "10,100,1000,10000"], ["invariance-slopes", "--two-j", "10,100,1000"]]
+)
+def test_sweeps_over_three_decades_pass_their_gates(argv, tmp_path):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / f"{argv[0]}.json").read_text())
+    assert len(summary["checks"]) == 2 and summary["pass"] is True
+    assert set(summary["health"]["symbol_hermiticity"]) == {"order0", "order1"}
+    assert max(summary["health"]["symbol_hermiticity"].values()) < 1e-12
+
+
+def test_obstruction_at_two_j_10_5(tmp_path):
+    assert main(["obstruction", "--lambda", "0.8", "--two-j", "100000", "--out", str(tmp_path)]) == 0
+    rows = [r.split(",") for r in (tmp_path / "obstruction.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [("0.5", "100002"), ("-0.5", "100000")]
+
+
+def test_egorov_to_two_j_640(tmp_path):
+    assert main(["egorov", "--two-j", "20,40,80,160,320,640", "--out", str(tmp_path)]) == 0
+    assert abs(json.loads((tmp_path / "egorov.json").read_text())["fit"]["slope"] + 2) < 0.1
+
+
+def test_model_commands_build_no_dense_operator(tmp_path, monkeypatch):
+    # no 2d x 2d Hamiltonian, no eigensolver or SVD beyond the 2 x 2 fast
+    # sector, and no full tensor basis in the four sector commands
+    from sphere_sapt import model, spin, swq
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+
+        return call
+
+    eigh = np.linalg.eigh
+
+    def small_eigh(a, *args, **kwargs):
+        assert np.shape(a)[-1] <= 2, f"eigh of size {np.shape(a)[-1]}"
+        return eigh(a, *args, **kwargs)
+
+    for mod in (model, cli):
+        monkeypatch.setattr(mod, "build_hamiltonian", forbidden("build_hamiltonian"))
+    for mod in (spin, swq):
+        monkeypatch.setattr(mod, "tensor_basis", forbidden("tensor_basis"))
+    for mod in (np.linalg, np.linalg._linalg):  # numpy's own norm(ord=2) calls the latter's svd
+        monkeypatch.setattr(mod, "eigvalsh", forbidden("eigvalsh"))
+        monkeypatch.setattr(mod, "svd", forbidden("svd"))
+        monkeypatch.setattr(mod, "eigh", small_eigh)
+    for name in ("obstruction", "bands", "invariance-slopes", "egorov"):
+        assert main([name, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["bands", "--two-j", "10,10000000"], "band_spectrum_compare"),
+        (["invariance-slopes", "--two-j", "10,10000000"], "almost_invariance_norms"),
+        (["obstruction", "--two-j", "10000000"], "sector_spectrum"),
+        (["egorov", "--two-j", "10,10000"], "egorov_error"),
+    ],
+)
+def test_model_commands_reject_sizes_beyond_physical_memory(argv, work, tmp_path, monkeypatch, capsys):
+    # with 1 GiB: the sweeps hold ~1.2 kB per dimension (12 GB at d = 10^7),
+    # egorov ~260 d^2 B (26 GB at d = 10^4)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2**30)
+    monkeypatch.setattr(cli, work, lambda *a, **k: pytest.fail("work started"))
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --two-j {argv[2].split(',')[-1]} needs") and "physical memory" in err
+    assert not out.exists()
+
+
+def test_model_commands_fit_their_defaults_in_a_gibibyte(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2**30)
+    for name in ("obstruction", "bands", "invariance-slopes", "egorov"):
+        assert main([name, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["egorov", "--two-j", "20,320"], ["bands", "--two-j", "10,20000"], ["invariance-slopes", "--two-j", "10,20000"]],
+)
+def test_memory_counts_bound_the_measured_peak(argv, tmp_path, monkeypatch):
+    # the size check counts at least what the run allocates (tracemalloc
+    # sees numpy's buffers), so a path that grows past its count fails here
+    counted = []
+    monkeypatch.setattr(cli, "_check_memory", lambda two_j, need: counted.append(need))
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1 and peak < counted[0], (peak, counted)
 
 
 def _reject_constant(name):

@@ -4,11 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from sapt_oracle import closed_form_hamiltonian, hausdorff, heisenberg
+from sapt_oracle import closed_form_hamiltonian, dense_spectrum, hausdorff, heisenberg
 
-from sphere_sapt import sapt
+from sphere_sapt import sapt, swq
 from sphere_sapt.fits import loglog_slope
-from sphere_sapt.model import ModelParams, build_hamiltonian, gap_N, hamiltonian_symbol, principal_bands
+from sphere_sapt.model import ModelParams, gap_N, hamiltonian_symbol, principal_bands, sector_spectrum
 from sphere_sapt.sapt import (
     EGOROV_TIME_SIGN,
     BandSplitError,
@@ -18,6 +18,7 @@ from sphere_sapt.sapt import (
     effective_hamiltonian,
     egorov_error,
     exact_band_projection,
+    heisenberg_symbol,
     moyal_projection,
 )
 from sphere_sapt.sphere import (
@@ -111,7 +112,7 @@ def test_almost_invariance_slopes():
 def test_exact_band_ranks_shifted_in_topological_phase():
     for two_j, lam, want in [(10, 0.8, (12, 10)), (6, 0.8, (8, 6)), (2, 1.0, (4, 2))]:
         p = ModelParams(two_j, 1, lam)
-        clusters = exact_band_projection(build_hamiltonian(p), 2)
+        clusters = exact_band_projection(sector_spectrum(p), 2)
         ranks = tuple(c.rank for c in clusters)
         assert ranks == want
         assert clusters[0].m == 0.5 and clusters[1].m == -0.5
@@ -121,33 +122,33 @@ def test_exact_band_ranks_shifted_in_topological_phase():
 
 def test_exact_band_ranks_trivial_phase():
     p = ModelParams(10, 1, 0.2)
-    clusters = exact_band_projection(build_hamiltonian(p), 2)
+    clusters = exact_band_projection(sector_spectrum(p), 2)
     assert tuple(c.rank for c in clusters) == (p.d_j, p.d_j)
 
 
 def test_band_ranks_higher_spin():
     p = ModelParams(10, 2, 0.8)
-    clusters = exact_band_projection(build_hamiltonian(p), 3)
+    clusters = exact_band_projection(dense_spectrum(p), 3)
     assert tuple(c.rank for c in clusters) == (13, 11, 9)
 
 
 @pytest.mark.parametrize("two_j, two_s, lam", [(10, 1, 0.2), (10, 1, 0.8), (10, 2, 0.8), (6, 0, 0.3)])
 def test_band_clusters_partition_the_spectrum(two_j, two_s, lam):
-    H = build_hamiltonian(ModelParams(two_j, two_s, lam))
-    clusters = exact_band_projection(H, two_s + 1)
+    w = dense_spectrum(ModelParams(two_j, two_s, lam))
+    clusters = exact_band_projection(w[::-1], two_s + 1)  # any order
     got = np.concatenate([c.eigenvalues for c in clusters[::-1]])
-    assert np.array_equal(got, np.linalg.eigvalsh(H))
+    assert np.array_equal(got, w)
 
 
 def test_band_split_fails_at_degeneracy():
     p = ModelParams(8, 1, 0.5)
     with pytest.raises(ValueError):
-        exact_band_projection(build_hamiltonian(p), 2)
+        exact_band_projection(sector_spectrum(p), 2)
 
 
 def test_band_split_failure_is_a_failed_computation():
     with pytest.raises(ArithmeticError):
-        exact_band_projection(build_hamiltonian(ModelParams(8, 1, 0.5)), 2)
+        exact_band_projection(sector_spectrum(ModelParams(8, 1, 0.5)), 2)
     assert issubclass(BandSplitError, ValueError)
 
 
@@ -359,24 +360,35 @@ def test_egorov_error_slope():
     assert r["fit"].slope < -0.7
 
 
-def test_egorov_diagonal_phase_matches_eigh_propagator(monkeypatch):
-    evolved = []
-    monkeypatch.setattr(sapt, "dequantize", lambda A, ker: evolved.append(A) or dequantize(A, ker))
-    two_j_list, o0, T = [10, 20, 40, 80], vector_symbol_coeffs()[0], 1.0
-    egorov_error(LAM, BAND, o0, T, two_j_list)
+def test_egorov_diagonal_phase_matches_eigh_propagator():
+    # the evolved symbol from the diagonals equals the dense eigh propagator
+    # dequantized with the full kernel, for n1, n2 and n3 up to two_j = 80
     h0 = effective_hamiltonian(ModelParams(10, 1, LAM), BAND, order=0).term(0)
-    assert len(evolved) == len(two_j_list)
-    for two_j, got in zip(two_j_list, evolved):
-        ker = SWKernel(make_irrep(two_j))
-        want = heisenberg(quantize(h0, ker), quantize(o0, ker), EGOROV_TIME_SIGN * (two_j + 1) / 2 * T)
-        assert np.max(np.abs(got - want)) < 1e-12
+    for o0 in vector_symbol_coeffs():
+        for two_j in (10, 20, 40, 80):
+            ker = SWKernel(make_irrep(two_j))
+            s = EGOROV_TIME_SIGN * (two_j + 1) / 2 * 1.0
+            want = dequantize(heisenberg(quantize(h0, ker), quantize(o0, ker), s), ker).coeffs
+            got = heisenberg_symbol(h0, o0, make_irrep(two_j), s).coeffs
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want)), two_j
+
+
+def test_egorov_oracle_catches_a_reversed_phase(monkeypatch):
+    # rows and columns of each diagonal swapped: the phases run backwards
+    o0, s = vector_symbol_coeffs()[0], -20.5
+    h0 = effective_hamiltonian(ModelParams(10, 1, LAM), BAND, order=0).term(0)
+    ker = SWKernel(make_irrep(40))
+    want = dequantize(heisenberg(quantize(h0, ker), quantize(o0, ker), s), ker).coeffs
+    monkeypatch.setattr(sapt, "_band", lambda d, m: swq._band(d, m)[::-1])
+    got = heisenberg_symbol(h0, o0, make_irrep(40), s).coeffs
+    assert np.max(np.abs(got - want)) > 1e-2 * np.max(np.abs(want))
 
 
 def test_egorov_refuses_a_non_diagonal_hamiltonian(monkeypatch):
     # the diagonal phase holds only for an axisymmetric h0
     tilted = SemiclassicalSymbol.leading(vector_symbol_coeffs()[0])
     monkeypatch.setattr(sapt, "effective_hamiltonian", lambda *a, **k: tilted)
-    with pytest.raises(ArithmeticError, match="not diagonal"):
+    with pytest.raises(ArithmeticError, match="off the M-sectors"):
         egorov_error(LAM, BAND, vector_symbol_coeffs()[2], 1.0, [10])
 
 

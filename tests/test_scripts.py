@@ -36,3 +36,23 @@ def test_bench_trace_runs(argv, tmp_path):
     assert run.returncode == 0, run.stderr
     counts = json.loads(trace.read_text())
     assert counts["star.computed_coeffs"] == counts["star.useful_coeffs"] > 0
+
+
+def test_bench_trace_of_the_sector_commands(tmp_path):
+    # the model commands under the span tracer: no dense Hamiltonian, no
+    # full tensor basis and no band clustering beyond obstruction and bands
+    env = {**os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    calls = {}
+    for name in ("obstruction", "bands", "invariance-slopes", "egorov"):
+        env["SPHERE_SAPT_BENCH_TRACE"] = str(tmp_path / f"{name}.json")
+        cmd = [sys.executable, str(ROOT / "bench" / "child.py"), "cli", name, "--out", str(tmp_path)]
+        run = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        calls[name] = json.loads((tmp_path / f"{name}.json").read_text())
+    for name, c in calls.items():
+        assert c["model.build_hamiltonian.calls"] == 0 and c["spin.tensor_basis.calls"] == 0, name
+        assert c["swq.dequantize.calls"] == 0 and c["cli.nonzero_exits"] == 0, name
+    assert calls["obstruction"]["sapt.exact_band_projection.calls"] == 1
+    assert calls["bands"]["sapt.exact_band_projection.calls"] == 8  # 4 sizes, 2 orders
+    assert calls["egorov"]["sapt.egorov_error.calls"] == 1

@@ -1,0 +1,124 @@
+"""The M-sectors of the two-spin model against the dense 2d x 2d oracles.
+
+H and every quantized band symbol conserve M = J3 (x) 1 + 1 (x) S3, so the
+package reads the exact spectrum, the invariance norm and the Heisenberg
+evolution off 2 x 2 sector blocks and a few operator diagonals.  Each
+check below compares that path with the dense one and shows that a
+perturbed block (a ladder index off by one, a dropped edge sector, a
+diagonal read at the wrong offset) fails it.
+"""
+
+import numpy as np
+import pytest
+from sapt_oracle import dense_invariance_norm, dense_spectrum
+
+from sphere_sapt import model, sapt
+from sphere_sapt.model import ModelParams, build_hamiltonian, sector_blocks, sector_spectrum
+from sphere_sapt.sapt import moyal_projection, sector_commutator_norm
+from sphere_sapt.sphere import SphereSymbol
+from sphere_sapt.star import CALIBRATED
+from sphere_sapt.swq import quantize_diagonal
+
+
+def _spectrum_error(params) -> float:
+    got, want = np.sort(sector_spectrum(params)), dense_spectrum(params)
+    assert got.shape == want.shape, "the sectors miss eigenvalues"
+    return float(np.max(np.abs(got - want)))
+
+
+def _off_by_one(params):
+    # the ladder amplitude of J- S+ taken one index too low (sector_blocks is
+    # this module's binding, which monkeypatching the model leaves alone)
+    blocks, edges = sector_blocks(params)
+    i = np.arange(params.d_j - 1)
+    blocks = blocks.copy()
+    blocks[:, 0, 1] = blocks[:, 1, 0] = params.lam / params.d_j * np.sqrt(i * (params.two_j + 1 - i))
+    return blocks, edges
+
+
+@pytest.mark.parametrize("two_j", [2, 9, 40])
+@pytest.mark.parametrize("lam", [0.0, 0.2, 0.8, 1.0])
+def test_sector_blocks_rebuild_the_dense_hamiltonian(two_j, lam):
+    p = ModelParams(two_j, 1, lam)
+    blocks, edges = sector_blocks(p)
+    H = np.zeros((2 * p.d_j, 2 * p.d_j))
+    for i, block in enumerate(blocks):
+        idx = [2 * (i + 1), 2 * i + 1]  # (i + 1, +) and (i, -) in kron(slow, fast) order
+        H[np.ix_(idx, idx)] = block
+    H[0, 0], H[-1, -1] = edges
+    assert np.max(np.abs(H - build_hamiltonian(p))) < 1e-15
+
+
+@pytest.mark.parametrize("two_j", [2, 10, 40, 160, 320])
+@pytest.mark.parametrize("lam", [0.2, 0.8])
+def test_sector_spectrum_matches_eigvalsh(two_j, lam):
+    assert _spectrum_error(ModelParams(two_j, 1, lam)) < 1e-12
+
+
+def test_perturbed_sectors_fail_the_spectrum_oracle(monkeypatch):
+    p = ModelParams(40, 1, 0.2)
+    monkeypatch.setattr(model, "sector_blocks", _off_by_one)
+    assert _spectrum_error(p) > 1e-4
+    monkeypatch.setattr(model, "sector_blocks", lambda params: (sector_blocks(params)[0], sector_blocks(params)[1][:1]))
+    with pytest.raises(AssertionError, match="miss eigenvalues"):
+        _spectrum_error(p)
+
+
+def test_sectors_need_a_spin_half_fast_sector():
+    with pytest.raises(ValueError, match="two_s = 2"):
+        sector_blocks(ModelParams(10, 2, 0.2))
+
+
+def _projections():
+    return {
+        (lam, order): moyal_projection(ModelParams(10, 1, lam), 0.5, order=order, cs=CALIBRATED)
+        for lam in (0.2, 0.8)
+        for order in (0, 1)
+    }
+
+
+@pytest.mark.parametrize("two_j", [2, 10, 40, 160])
+def test_sector_norms_match_the_dense_norm(two_j):
+    for (lam, order), proj in _projections().items():
+        p = ModelParams(two_j, 1, lam)
+        sym = proj.evaluate(p.d_j, order)
+        got, want = sector_commutator_norm(p, sym), dense_invariance_norm(p, sym)
+        assert abs(got - want) < 1e-15 and abs(got - want) < 1e-10 * want, (lam, order)
+
+
+@pytest.mark.parametrize(
+    "target, perturbed",
+    [
+        ("sector_blocks", _off_by_one),
+        ("quantize_diagonal", lambda sym, ker, m: quantize_diagonal(sym, ker, -m)),  # offsets swapped
+    ],
+    ids=["ladder-off-by-one", "offsets-swapped"],
+)
+def test_perturbed_blocks_fail_the_norm_oracle(monkeypatch, target, perturbed):
+    p = ModelParams(40, 1, 0.2)
+    sym = _projections()[0.2, 1].evaluate(p.d_j, 1)
+    want = dense_invariance_norm(p, sym)
+    monkeypatch.setattr(sapt, target, perturbed)
+    assert abs(sector_commutator_norm(p, sym) - want) > 0.1 * want
+
+
+def test_spectral_norms_of_2x2_blocks_in_closed_form():
+    # random blocks, unitary multiples (both singular values equal, where
+    # sigma_max^2 = (f + sqrt(f^2 - 4 |det|^2)) / 2 would lose half the digits)
+    # and blocks at the scale of a commutator at d = 10^5
+    rng = np.random.default_rng(5)
+    C = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
+    for X in (C, 3.0 * np.linalg.qr(C)[0], 1e-10 * C):
+        want = np.linalg.norm(X, 2, axis=(1, 2))
+        assert np.max(np.abs(sapt._spectral_norms(X) - want) / want) < 4e-15
+
+
+def test_content_off_the_sectors_is_refused():
+    p = ModelParams(10, 1, 0.2)
+    sym = _projections()[0.2, 1].evaluate(p.d_j, 1)
+    c = sym.coeffs.copy()
+    c[3, sym.L + 2, 0, 0] = 1e-9 * np.max(np.abs(c))  # entry (+, +) may carry m = 0 only
+    with pytest.raises(ArithmeticError, match="off the M-sectors"):
+        sector_commutator_norm(p, SphereSymbol(c))
+    c[3, sym.L + 2, 0, 0] = 1e-14 * np.max(np.abs(c))  # round-off is dropped
+    assert sector_commutator_norm(p, SphereSymbol(c)) == pytest.approx(sector_commutator_norm(p, sym), rel=1e-9)

@@ -1,14 +1,18 @@
 """Spin irreps, Clebsch-Gordan coefficients, and the tensor-operator basis."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from cg_oracle import clebsch_gordan
 from spin_oracle import coherent_state, dense
 
+from sphere_sapt import spin
 from sphere_sapt.spin import (
     band_basis,
     make_irrep,
+    offset_block,
     rotation_from_zyz,
     tensor_basis,
     wigner_zyz,
@@ -19,9 +23,10 @@ def test_irrep_algebra():
     for two_j in (1, 2, 3, 7):
         ir = make_irrep(two_j)
         j = two_j / 2
-        comm = ir.J1 @ ir.J2 - ir.J2 @ ir.J1
-        assert np.allclose(comm, 1j * ir.J3, atol=1e-13)
-        casimir = ir.J1 @ ir.J1 + ir.J2 @ ir.J2 + ir.J3 @ ir.J3
+        J1, J2, J3 = ir.Jvec
+        comm = J1 @ J2 - J2 @ J1
+        assert np.allclose(comm, 1j * J3, atol=1e-13)
+        casimir = J1 @ J1 + J2 @ J2 + J3 @ J3
         assert np.allclose(casimir, j * (j + 1) * np.eye(ir.d), atol=1e-12)
 
 
@@ -121,6 +126,22 @@ def test_band_basis_rows_are_the_full_rows():
         band_basis(400, 401)
 
 
+def test_an_offset_built_alone_is_the_basis_rows(monkeypatch):
+    # one offset's block, built uncached from a cold seed cache (its seed
+    # grown from offset 0 up), is the same floats as in the full and band bases
+    want = {(40, 1, 40): tensor_basis(40).Q[1], (40, 7, 40): tensor_basis(40).Q[7], (400, 1, 48): band_basis(400, 48).Q[1]}
+    monkeypatch.setattr(spin, "_seed", lru_cache(maxsize=None)(spin._seed.__wrapped__))
+    for key, Q in want.items():
+        assert np.array_equal(spin.offset_block.__wrapped__(*key), Q), key
+    with pytest.raises(ValueError, match="0 <= m <= L <= 10"):
+        offset_block(10, 3, 2)
+
+
+def test_irrep_builds_no_dense_matrix_until_asked():
+    ir = make_irrep(10**6)
+    assert ir.d == 10**6 + 1 and "Jvec" not in vars(ir)
+
+
 def test_band_basis_finite_orthonormal_at_two_j_10_4():
     for Q in band_basis(10**4, 24).Q:
         assert np.all(np.isfinite(Q))
@@ -141,11 +162,12 @@ def test_tensor_conjugation(two_j):
 def test_tensor_ladder_relations(two_j):
     ir = make_irrep(two_j)
     tb = tensor_basis(two_j)
-    Jp = ir.J1 + 1j * ir.J2
+    J1, J2, J3 = ir.Jvec
+    Jp = J1 + 1j * J2
     for l in (1, 2, min(two_j, 5)):
         for m in range(-l, l + 1):
             T = dense(tb, l, m)
-            assert np.max(np.abs(ir.J3 @ T - T @ ir.J3 - m * T)) < 1e-12
+            assert np.max(np.abs(J3 @ T - T @ J3 - m * T)) < 1e-12
             lhs = Jp @ T - T @ Jp
             if m < l:
                 rhs = np.sqrt(l * (l + 1) - m * (m + 1)) * dense(tb, l, m + 1)

@@ -12,11 +12,14 @@ from sphere_sapt.spin import make_irrep, tensor_basis
 from sphere_sapt.sphere import Grid, SphereSymbol, make_grid, synthesize_at, vector_symbol_coeffs
 from sphere_sapt.swq import (
     SWKernel,
+    _band,
     dequantize,
+    dequantize_diagonal,
     kernel_property_residuals,
     _lower_scale,
     lower_symbol,
     quantize,
+    quantize_diagonal,
     raise_lower_symbol,
 )
 
@@ -29,6 +32,27 @@ def _random_symbol(L, rng, fast=()):
         c[l, : L - l] = 0
         c[l, L + l + 1 :] = 0
     return SphereSymbol(c)
+
+
+@pytest.mark.parametrize("fast", [(), (2, 2)], ids=["scalar", "2x2"])
+@pytest.mark.parametrize("kernel_L", [5, None], ids=["band", "full"])
+def test_each_diagonal_alone_is_that_of_the_operator(fast, kernel_L):
+    # quantize scatters the diagonals and dequantize gathers them, so each
+    # one computed alone is the same floats; offsets beyond L_sym are zero
+    two_j, L = 12, 5
+    sym = _random_symbol(L, np.random.default_rng(8), fast)
+    ker = SWKernel(make_irrep(two_j), kernel_L)
+    d, k = two_j + 1, (fast or (1,))[0]
+    A = quantize(sym, ker)
+    A4 = A.reshape(d, k, d, k)
+    back = dequantize(A, ker, fast_dim=fast[0] if fast else None).coeffs
+    for m in range(-L - 1, L + 2):
+        r, c = _band(d, m)
+        want = A4[r, :, c, :].reshape((d - abs(m),) + fast)
+        got = quantize_diagonal(sym, ker, m)
+        assert np.array_equal(got, want), m
+        if abs(m) <= ker.L:  # the band kernel has no rows beyond L
+            assert np.array_equal(dequantize_diagonal(got, ker, m), back[abs(m) :, ker.L + m]), m
 
 
 @pytest.mark.parametrize("two_j", [1, 3])
