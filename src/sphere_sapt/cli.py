@@ -155,6 +155,19 @@ def _check_memory(two_j: int, need: float) -> None:
         raise ValueError(f"--two-j {two_j} needs ~{need / 2**30:.1f} GiB, more than the {memory / 2**30:.1f} GiB of physical memory")
 
 
+def _check_star_memory(two_j_list, L: int) -> None:
+    """_check_memory for exact star products at band L = L_f + L_g over a sweep.
+
+    Per dimension they keep the kernel rows l <= L of Q[m], m <= L, their
+    seeds and the lower-symbol factors (cached); at the largest they hold
+    the row-indexed diagonals of both factors and of their product, one
+    step's temporaries and a complex copy of one kernel block; and a few
+    MiB of grids, tables and symbols that do not grow with d.
+    """
+    rows = sum(((L + 1) * (L + 4) // 2 + 1) * (t + 1) for t in two_j_list)
+    _check_memory(max(two_j_list), 8 * (rows + (12 * L + 10) * (max(two_j_list) + 1)) + 2**22)
+
+
 # -- subcommands: each returns (rows, checks, extra summary keys) -----------
 
 
@@ -211,7 +224,7 @@ def cmd_kernel_check(cfg):
 
 def cmd_star_slopes(cfg):
     two_j_list = _slope_sweep(cfg)
-    _check_memory(max(two_j_list), 3 * (max(two_j_list) + 1) ** 2 * 16)  # A, B and AB of an exact star product
+    _check_star_memory(two_j_list, 2 * cfg["band_limit"])
     d_list = [t + 1 for t in two_j_list]
     corpus = calibration_corpus(cfg["pairs"], cfg["band_limit"], cfg["seed"])
     L_out = 2 * cfg["band_limit"]
@@ -358,11 +371,14 @@ def cmd_egorov(cfg):
         raise ValueError(f"unknown observable {name!r}, expected one of {sorted(obs)}")
     two_j_list = _slope_sweep(cfg)
     # the full block Q[1] of every dimension (d^2 floats each, cached); at
-    # the largest, the evolved symbol's (2j+1)(4j+1) complex coefficients and
-    # their moduli (~6 d^2 floats) and the Legendre table of its synthesis on
-    # the 25 theta nodes of the error grid (~25 d^2 floats)
+    # the largest, the evolved symbol's (2j+1)(4j+1) complex coefficients
+    # (~4 d^2 floats), the complex copy of Q[1] that dequantize_diagonal
+    # multiplies by (~2 d^2), and the three Legendre columns m <= 2 of its
+    # synthesis on the 25 theta nodes of the error grid (75 d); plus ~2 MiB
+    # of grids and tables that do not grow with d
     blocks = sum((t + 1) ** 2 for t in two_j_list)
-    _check_memory(max(two_j_list), 8 * (blocks + 31 * (max(two_j_list) + 1) ** 2))
+    d = max(two_j_list) + 1
+    _check_memory(max(two_j_list), 8 * (blocks + 7 * d**2 + 75 * d) + 2**21)
     r = egorov_error(cfg["lam"], cfg["band"], vector_symbol_coeffs()[obs[name]], cfg["time"], two_j_list)
     rows = [(tj + 1, f"egorov_error_{name}", e) for tj, e in zip(two_j_list, r["errors"])]
     fit = r["fit"].as_dict()
@@ -376,7 +392,7 @@ def cmd_calibrate(cfg):
     two_j_list = tuple(_slope_sweep(cfg))
     if min(two_j_list) < 2 * L:  # exact products of band-limit-L symbols reach l = 2L
         raise ValueError(f"--two-j values must be >= 2 * --band-limit = {2 * L}, got {min(two_j_list)}")
-    _check_memory(max(two_j_list), 3 * (max(two_j_list) + 1) ** 2 * 16)  # A, B and AB of an exact star product
+    _check_star_memory(two_j_list, 2 * L)
     corpus = calibration_corpus(cfg["pairs"], L, cfg["seed"])
     rows, checks, reports = [], [], {}
     for product in ("sw", "berezin"):

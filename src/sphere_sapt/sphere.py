@@ -148,9 +148,9 @@ class Grid:
         self.w_theta = wx[order] * (2 * pi / n_phi)  # per-node weight, any phi
         self.n_theta = n_theta
         self.n_phi = n_phi
-        # one (P, dP) pair for the largest band limit asked so far; dP is None
-        # until a gradient synthesis asks for it
-        self._tables: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+        # one table for the largest band limit and column count asked so far,
+        # {L: (K, P, dP)}; dP is None until a gradient synthesis asks for it
+        self._tables: dict[int, tuple[int, np.ndarray, np.ndarray | None]] = {}
 
     # -- cached tables ------------------------------------------------------
 
@@ -158,16 +158,17 @@ class Grid:
         """Largest |m| of a band-L transform on this grid."""
         return L if self.M is None else min(L, self.M)
 
-    def _tab(self, L: int, deriv: bool = False):
-        """(P, dP) for a band limit >= L and m <= _mmax (P holds m + 1 too)."""
-        for Lt, (P, dP) in self._tables.items():
-            if Lt >= L:
-                break
-        else:
-            Lt, P, dP = L, _legendre(L, self.x, min(L, self._mmax(L) + 1)), None
+    def _tab(self, L: int, K: int | None = None, deriv: bool = False):
+        """(P, dP) for a band limit >= L: P holds the columns m <= K + 1 (or
+        up to the band), dP the columns m <= K; K defaults to _mmax(L)."""
+        K = self._mmax(L) if K is None else K
+        Lt, (Kt, P, dP) = next(iter(self._tables.items()), (-1, (-1, None, None)))
+        if Lt < L or Kt < K:
+            Lt, Kt = max(Lt, L), max(Kt, K)
+            P, dP = _legendre(Lt, self.x, min(Lt, Kt + 1)), None
         if deriv and dP is None:
-            dP = _theta_derivative(P, self.x, self._mmax(Lt))
-        self._tables = {Lt: (P, dP)}
+            dP = _theta_derivative(P, self.x, Kt)
+        self._tables = {Lt: (Kt, P, dP)}
         return P, dP
 
     @property
@@ -185,7 +186,9 @@ class Grid:
     def _synth(self, coeffs: np.ndarray, deriv: bool) -> np.ndarray:
         # f_m(theta) = sum_l P_l|m| c_lm as one real matmul over m >= 0 and
         # one over m < 0, on float views of the complex columns; f_m lands
-        # at phi index m mod n_phi (aliased m add up), then one inverse FFT
+        # at phi index m mod n_phi (aliased m add up), then one inverse FFT.
+        # Only the columns |m| <= K up to the last one with a nonzero
+        # coefficient are transformed: the others would add exact zeros
         L = coeffs.shape[0] - 1
         mm = self._mmax(L)
         c = np.ascontiguousarray(coeffs, dtype=complex).reshape(L + 1, 2 * L + 1, -1)
@@ -194,13 +197,16 @@ class Grid:
             outside = max(np.abs(lo).max(initial=0.0), np.abs(hi).max(initial=0.0))
             if outside > 1e-12 * np.abs(c).max():
                 raise ValueError(f"symbol has content at |m| > {self.M}, which {self.n_phi} phi nodes alias")
-        P, dP = self._tab(L, deriv)
-        T = (dP if deriv else P)[: L + 1, : mm + 1].transpose(1, 2, 0)  # [m, theta, l]
+        K = mm
+        while K and not (c[:, L - K].any() or c[:, L + K].any()):
+            K -= 1
+        P, dP = self._tab(L, K, deriv)
+        T = (dP if deriv else P)[: L + 1, : K + 1].transpose(1, 2, 0)  # [m, theta, l]
         cf = c.view(float).transpose(1, 0, 2)  # [m + L, l, re/im of fast]
         out = np.zeros((self.n_theta, self.n_phi, c.shape[-1]), dtype=complex)
         f = out.view(float)
-        _wrap_add(f, T @ cf[L : L + mm + 1])  # m = 0, 1, ..., mm
-        neg = T[1:] @ cf[L - mm : L][::-1]  # m = -1, -2, ..., -mm
+        _wrap_add(f, T @ cf[L : L + K + 1])  # m = 0, 1, ..., K
+        neg = T[1:] @ cf[L - K : L][::-1]  # m = -1, -2, ..., -K
         neg[::2] *= -1  # P_l,-m = (-1)^m P_lm
         _wrap_add(f[:, ::-1], neg)
         np.fft.ifft(out, axis=1, norm="forward", out=out)

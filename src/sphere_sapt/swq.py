@@ -15,6 +15,10 @@ quantize entrywise: the result acts on H_slow (x) H_fast as kron(T, b).
 Coherent-state lower symbols are a further diagonal rescaling by the
 Clebsch-Gordan factor <j j; l 0 | j j>.  With the tensor basis stored as one
 matrix Q[m] per band offset, each transform is one matrix product per m.
+quantize and dequantize scatter and gather dense matrices (the kernel
+checks); quantize_diagonal and dequantize_diagonal map one offset diagonal
+alone, from the rows of its own block Q[|m|], which is all the exact star
+products and the sapt sweeps read.
 """
 
 from __future__ import annotations
@@ -203,26 +207,12 @@ def _lower_scale(two_j: int) -> np.ndarray:
 def lower_symbol(A: np.ndarray, kernel: SWKernel, fast_dim: int | None = None) -> SphereSymbol:
     """Coherent-state diagonal expectation n -> <zeta_n| A |zeta_n>, to band
     limit L of the kernel."""
-    sym = dequantize(A, kernel, fast_dim=fast_dim)
-    r = _lower_scale(kernel.two_j)[: kernel.L + 1]
-    shape = (kernel.L + 1, 1) + (1,) * (sym.coeffs.ndim - 2)
-    return SphereSymbol(sym.coeffs * r.reshape(shape))
+    return _per_l(dequantize(A, kernel, fast_dim=fast_dim), _lower_scale(kernel.two_j))
 
 
-def raise_lower_symbol(sym: SphereSymbol, kernel: SWKernel) -> np.ndarray:
-    """Unique operator with the given lower symbol (inverse of lower_symbol).
-
-    Requires the symbol to be in the range of the lower-symbol map
-    (band limit <= 2j); components above the kernel's L are projected out.
-    """
-    two_j = kernel.two_j
-    if sym.L > two_j:
-        if np.max(np.abs(sym.coeffs[two_j + 1 :])) > 1e-12:
-            raise ValueError("symbol has components with l > 2j; not a lower symbol")
-        sym = sym.truncated(two_j)
-    r = _lower_scale(two_j)[: sym.L + 1]
-    shape = (sym.L + 1, 1) + (1,) * (sym.coeffs.ndim - 2)
-    return quantize(SphereSymbol(sym.coeffs / r.reshape(shape)), kernel)
+def _per_l(sym: SphereSymbol, w: np.ndarray) -> SphereSymbol:
+    """sym with its coefficient row l scaled by w[l]."""
+    return SphereSymbol(sym.coeffs * w[: sym.L + 1].reshape((-1, 1) + (1,) * len(sym.fast_shape)))
 
 
 def kernel_property_residuals(kernel: SWKernel, grid: Grid, n_group: int = 20):

@@ -1,13 +1,33 @@
-"""The printed order-2 tables as term-by-term sums of separately analyzed
-symbols, as an oracle for the tests; the package forms each truncation term
-as one analysis of samples over one basis of invariants."""
+"""Oracles of the star products for the tests.
+
+The exact products as dense d x d operator products (quantize, @,
+dequantize); the package multiplies the operators' offset diagonals.  The
+printed order-2 tables as term-by-term sums of separately analyzed symbols;
+the package forms each truncation term as one analysis of samples over one
+basis of invariants."""
 
 from __future__ import annotations
 
 import numpy as np
+from swq_oracle import raise_lower_symbol
 
 from sphere_sapt.sphere import SphereSymbol, angular_square, gradient_bilinears
 from sphere_sapt.star import _combine, order1_bilinear, symbol_product
+from sphere_sapt.swq import SWKernel, dequantize, lower_symbol, quantize
+
+
+def star_dense(f, g, irrep) -> SphereSymbol:
+    """dequantize(quantize(f) @ quantize(g)) on the band-(L_f + L_g) kernel."""
+    kernel = SWKernel(irrep, f.L + g.L)
+    k = f.fast_shape[0] if f.fast_shape else None
+    return dequantize(quantize(f, kernel) @ quantize(g, kernel), kernel, fast_dim=k)
+
+
+def berezin_dense(f, g, irrep) -> SphereSymbol:
+    """Lower symbol of raise(f) @ raise(g) on the band-(L_f + L_g) kernel."""
+    kernel = SWKernel(irrep, f.L + g.L)
+    k = f.fast_shape[0] if f.fast_shape else None
+    return lower_symbol(raise_lower_symbol(f, kernel) @ raise_lower_symbol(g, kernel), kernel, fast_dim=k)
 
 
 def _term(F, k) -> SphereSymbol:

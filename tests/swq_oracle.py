@@ -1,9 +1,13 @@
-"""Kernel samples through the band-limited synthesis, as an oracle for the tests.
+"""Dense-operator oracles of the quantization kernel for the tests.
 
-Delta(n) = sqrt(4 pi / d) sum_lm conj(Y_lm(n)) T_lm is built as one matrix
+kernel_samples: Delta(n) = sqrt(4 pi / d) sum_lm conj(Y_lm(n)) T_lm is built as one matrix
 valued symbol, a dense (2j+1, 4j+1, d, d) coefficient array, and sampled
 with `Grid.synthesize`.  The package evaluates the kernel one theta row at a
 time from its band diagonals; the tests compare both.
+
+raise_lower_symbol: the d x d operator with a given lower symbol; the
+package's coherent-state product divides by the lower-symbol factor on the
+operator diagonals instead.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from sphere_sapt.sphere import SphereSymbol
 from sphere_sapt.spin import tensor_basis
-from sphere_sapt.swq import _band, _sign
+from sphere_sapt.swq import _band, _lower_scale, _sign, quantize
 
 
 def kernel_samples(kernel, grid) -> np.ndarray:
@@ -29,3 +33,19 @@ def kernel_samples(kernel, grid) -> np.ndarray:
         # conj(Y_lm) = (-1)^m Y_{l,-m}
         c[abs(m) :, L - m][:, r, cols] = (-1) ** m * _sign(m) * pref * Q[abs(m)]
     return grid.synthesize(SphereSymbol(c))
+
+
+def raise_lower_symbol(sym: SphereSymbol, kernel) -> np.ndarray:
+    """Unique operator with the given lower symbol (inverse of lower_symbol).
+
+    Requires the symbol to be in the range of the lower-symbol map
+    (band limit <= 2j); components above the kernel's L are projected out.
+    """
+    two_j = kernel.two_j
+    if sym.L > two_j:
+        if np.max(np.abs(sym.coeffs[two_j + 1 :])) > 1e-12:
+            raise ValueError("symbol has components with l > 2j; not a lower symbol")
+        sym = sym.truncated(two_j)
+    r = _lower_scale(two_j)[: sym.L + 1]
+    shape = (sym.L + 1, 1) + (1,) * (sym.coeffs.ndim - 2)
+    return quantize(SphereSymbol(sym.coeffs / r.reshape(shape)), kernel)

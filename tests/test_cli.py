@@ -103,20 +103,29 @@ def test_kernel_check_rejects_sizes_beyond_physical_memory(tmp_path, monkeypatch
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["star-slopes", "--two-j", "10,1000000"], ["calibrate", "--two-j", "6,8,1000000"]])
+@pytest.mark.parametrize("argv", [["star-slopes", "--two-j", "10,1000000000"], ["calibrate", "--two-j", "6,8,1000000000"]])
 def test_exact_products_reject_sizes_beyond_physical_memory(argv, tmp_path, monkeypatch, capsys):
-    # A, B and AB at d = 10^6 + 1 take 3 d^2 16 B = 48 TB
+    # the kernel rows and diagonals at d = 10^9 + 1 take 118 or 161 floats
+    # per dimension at band 6 or 8, ~0.9 or 1.2 TiB
     monkeypatch.setattr(cli, "calibration_corpus", lambda *a: pytest.fail("work started"))
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --two-j 1000000 needs") and "physical memory" in err
+    assert err.startswith("error: --two-j 1000000000 needs") and "physical memory" in err
     assert not out.exists()
 
 
 def test_star_slopes_beyond_the_default_sizes(tmp_path):
     assert main(["star-slopes", "--two-j", "80,160,320,640", "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "star-slopes.json").read_text())
+    assert len(summary["checks"]) == 4 and summary["pass"] is True
+
+
+@pytest.mark.parametrize("name", ["star-slopes", "calibrate"])
+def test_exact_star_sweeps_to_two_j_5120(name, tmp_path):
+    # the banded products reach d ~ 5 10^3 with every gate passing
+    assert main([name, "--two-j", "640,1280,2560,5120", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / f"{name}.json").read_text())
     assert len(summary["checks"]) == 4 and summary["pass"] is True
 
 
@@ -185,7 +194,7 @@ def test_model_commands_build_no_dense_operator(tmp_path, monkeypatch):
 )
 def test_model_commands_reject_sizes_beyond_physical_memory(argv, work, tmp_path, monkeypatch, capsys):
     # with 1 GiB: the sweeps hold ~1.2 kB per dimension (12 GB at d = 10^7),
-    # egorov ~260 d^2 B (26 GB at d = 10^4)
+    # egorov ~64 d^2 B (6.4 GB at d = 10^4)
     monkeypatch.setattr(cli, "_physical_memory", lambda: 2**30)
     monkeypatch.setattr(cli, work, lambda *a, **k: pytest.fail("work started"))
     out = tmp_path / "out"
@@ -203,7 +212,13 @@ def test_model_commands_fit_their_defaults_in_a_gibibyte(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    [["egorov", "--two-j", "20,320"], ["bands", "--two-j", "10,20000"], ["invariance-slopes", "--two-j", "10,20000"]],
+    [
+        ["egorov", "--two-j", "20,320"],
+        ["bands", "--two-j", "10,20000"],
+        ["invariance-slopes", "--two-j", "10,20000"],
+        ["star-slopes", "--two-j", "640,1280,2560,5120"],
+        ["calibrate", "--two-j", "640,1280,2560,5120"],
+    ],
 )
 def test_memory_counts_bound_the_measured_peak(argv, tmp_path, monkeypatch):
     # the size check counts at least what the run allocates (tracemalloc

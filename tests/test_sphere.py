@@ -200,6 +200,24 @@ def test_analyze_with_a_larger_cached_table():
         assert _rel(grid.analyze(samples, L).coeffs, oracle.analyze(grid, samples, L)) < 1e-12
 
 
+def test_synthesis_builds_only_the_columns_a_symbol_carries():
+    # a band-40 symbol with content at |m| <= 1 needs the Legendre columns
+    # m <= 2 alone (m + 1 for the theta derivative); a full symbol of lower
+    # band and its gradient then widen the one cached table to cover both
+    rng = np.random.default_rng(9)
+    grid = Grid(80)  # a private grid, so the cache holds exactly what this test puts there
+    narrow = _random_symbol(40, rng)
+    narrow.coeffs[:, np.r_[:39, 42:81]] = 0
+    assert _rel(grid.synthesize(narrow), oracle.synthesize(grid, narrow.coeffs)) < 1e-12
+    (K, P, _), = grid._tables.values()
+    assert K == 1 and P.shape[:2] == (41, 3)
+    full = _random_symbol(12, rng, (2, 2))
+    for got, want in zip(grid.synthesize_gradient(full), oracle.synthesize_gradient(grid, full.coeffs)):
+        assert _rel(got, want) < 1e-12
+    assert _rel(grid.synthesize(narrow), oracle.synthesize(grid, narrow.coeffs)) < 1e-12
+    assert max(grid._tables) == 40 and grid._tables[40][0] == 12
+
+
 def test_legendre_tables_equal_the_loop_recurrence():
     x = np.cos(make_grid(64).theta)
     for L in (0, 1, 2, 7, 40):

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from star_oracle import truncation
+from star_oracle import berezin_dense, star_dense, truncation
+from swq_oracle import raise_lower_symbol
 
 from sphere_sapt import star
 from sphere_sapt.fits import loglog_slope
@@ -24,7 +25,7 @@ from sphere_sapt.star import (
     star_truncation,
     symbol_product,
 )
-from sphere_sapt.swq import SWKernel, dequantize, lower_symbol, quantize, raise_lower_symbol
+from sphere_sapt.swq import SWKernel, dequantize, lower_symbol, quantize
 
 
 def _sup(sym, grid=None):
@@ -76,6 +77,59 @@ def test_exact_products_stop_at_the_coupling_band(two_j):
     # one band short misses the top row of the product
     for short, want in zip(products(SWKernel(ir, L - 1)), full):
         assert np.max(np.abs(short.truncated(L).coeffs - want.truncated(L).coeffs)) > 1e-2
+
+
+def _factor_bands(two_j):
+    # L_f != L_g both ways and, up to two_j = 10, band sums past 2j, where the
+    # product's band (and its kernel's) is capped at 2j
+    bands = [(1, 2), (3, 1), (2, 4)] if two_j >= 4 else []
+    return bands + [(two_j, 1), (two_j - 1, two_j), (two_j, two_j)] if two_j <= 10 else bands
+
+
+@pytest.mark.parametrize("fast", [(), (2, 2)])
+@pytest.mark.parametrize("two_j", [1, 2, 3, 10, 80, 400])
+def test_banded_products_match_the_dense_oracle(two_j, fast):
+    rng = np.random.default_rng(two_j + len(fast))
+    ir = make_irrep(two_j)
+    for Lf, Lg in _factor_bands(two_j):
+        f, g = _random_symbol(Lf, fast, rng), _random_symbol(Lg, fast, rng)
+        L = min(Lf + Lg, two_j)
+        pairs = (star_exact(f, g, ir), star_dense(f, g, ir)), (berezin_exact(f, g, ir), berezin_dense(f, g, ir))
+        for got, want in pairs:
+            assert got.coeffs.shape == want.coeffs.shape == (L + 1, 2 * L + 1) + fast
+            assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-13 * max(1.0, np.max(np.abs(want.coeffs)))
+
+
+def test_exact_products_reject_what_they_cannot_multiply():
+    ir = make_irrep(2)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="fast-sector shape"):
+        star_exact(_random_symbol(1, (), rng), _random_symbol(1, (2, 2), rng), ir)
+    with pytest.raises(ValueError, match="not a lower symbol"):
+        berezin_exact(_random_symbol(3, (), rng), _random_symbol(1, (), rng), ir)
+
+
+def test_exact_products_build_no_dense_operator(monkeypatch, tmp_path):
+    # neither product nor the two commands that sweep them build a d x d
+    # operator, read a full tensor basis or call the dense transforms
+    from sphere_sapt import cli, spin, swq
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense operator path entered")
+
+    for mod in (swq, star, cli):
+        for name in ("quantize", "dequantize", "lower_symbol", "tensor_basis", "band_basis"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, forbidden)
+    monkeypatch.setattr(spin, "band_basis", forbidden)
+    monkeypatch.setattr(swq.SWKernel, "Q", property(forbidden))
+    rng = np.random.default_rng(3)
+    for fast in ((), (2, 2)):
+        f, g = _random_symbol(2, fast, rng), _random_symbol(3, fast, rng)
+        for product in (star_exact, berezin_exact):
+            assert product(f, g, make_irrep(300)).L == 5
+    for name in ("star-slopes", "calibrate"):
+        assert cli.main([name, "--out", str(tmp_path)]) == 0
 
 
 def test_unit_is_neutral():

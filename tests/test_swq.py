@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from cg_oracle import clebsch_gordan
 from spin_oracle import coherent_state
-from swq_oracle import kernel_samples
+from swq_oracle import kernel_samples, raise_lower_symbol
 
 from sphere_sapt.spin import make_irrep, tensor_basis
 from sphere_sapt.sphere import Grid, SphereSymbol, make_grid, synthesize_at, vector_symbol_coeffs
@@ -20,7 +20,6 @@ from sphere_sapt.swq import (
     lower_symbol,
     quantize,
     quantize_diagonal,
-    raise_lower_symbol,
 )
 
 
