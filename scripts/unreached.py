@@ -29,6 +29,7 @@ KEEP = {
     "cli._nonfinite_key": "error path: names the key of a non-finite summary value",
     "cli._load_config_file": "config path: --config is not a default",
     "star.symbol_product": "timed by bench/spans.py",
+    "spin.tensor_basis": "wrapped by name in bench/spans.py; the tests' full-basis entry point",
     "star._invariant_samples": "the order-2 truncations, ROADMAP item 5",
 }
 

@@ -30,20 +30,21 @@ def chern_analytic(params: ModelParams, m: float) -> int:
     return int(round(-2 * float(m)))
 
 
-def chern_plaquette(params: ModelParams, m: float, n_theta: int = 24, n_phi: int = 24) -> int:
-    """Lattice Chern number from plaquette phases of the band frames.
+def chern_plaquette(params: ModelParams, m: float, n: int) -> int:
+    """Lattice Chern number from plaquette phases of the band frames, on n
+    theta links and n phi nodes.
 
     Includes the pole rows; any pointwise frame gauge gives the same
     integer.  Raises at lam = 1/2 where the band touches its neighbour.
     """
     lam = params.lam
-    theta = np.linspace(0.0, pi, n_theta + 1)
-    phi = 2 * pi * np.arange(n_phi) / n_phi
+    theta = np.linspace(0.0, pi, n + 1)
+    phi = 2 * pi * np.arange(n) / n
     if np.min(gap_N(theta, lam)) < 1e-12:
         raise ValueError("band degeneracy on the grid; Chern number undefined")
     th2, ph2 = np.meshgrid(theta, phi, indexing="ij")
     bd = principal_bands(params, th2, ph2, m)
-    psi = bd.frame  # (n_theta+1, n_phi, d_s)
+    psi = bd.frame  # (n + 1, n, d_s)
 
     def link(a, b):
         z = np.sum(a.conj() * b, axis=-1)
@@ -53,7 +54,7 @@ def chern_plaquette(params: ModelParams, m: float, n_theta: int = 24, n_phi: int
     u_theta = link(psi[:-1], psi[1:])  # (theta links, phi)
     plaq = (
         u_phi[:-1]
-        * u_theta[:, (np.arange(n_phi) + 1) % n_phi]
+        * u_theta[:, (np.arange(n) + 1) % n]
         / (u_phi[1:] * u_theta)
     )
     total = float(np.sum(np.angle(plaq))) / (2 * pi)

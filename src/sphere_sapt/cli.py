@@ -160,9 +160,11 @@ def _check_star_memory(two_j_list, L: int) -> None:
 
     Per dimension they keep the kernel rows l <= L of Q[m], m <= L, their
     seeds and the lower-symbol factors (cached); at the largest they hold
-    the row-indexed diagonals of both factors and of their product, one
-    step's temporaries and a complex copy of one kernel block; and a few
-    MiB of grids, tables and symbols that do not grow with d.
+    the row-indexed diagonal arrays of both factors (2 L_f + 1 and 2 L_g + 1
+    rows of d at most, fewer if a factor's top offsets carry nothing) and
+    of their product, one step's temporaries and a complex copy of one
+    kernel block; and a few MiB of grids, tables and symbols that do not
+    grow with d.
     """
     rows = sum(((L + 1) * (L + 4) // 2 + 1) * (t + 1) for t in two_j_list)
     _check_memory(max(two_j_list), 8 * (rows + (12 * L + 10) * (max(two_j_list) + 1)) + 2**22)
@@ -293,7 +295,7 @@ def cmd_chern(cfg):
     rows, checks = [], []
     for k in range(two_s + 1):
         m = two_s / 2 - k
-        cp = chern_plaquette(params, m, n, n)
+        cp = chern_plaquette(params, m, n)
         ca = chern_analytic(params, m)
         rows.append((m, cp, ca))
         checks.append({"name": f"band m={m}: plaquette == analytic", "pass": cp == ca, "plaquette": cp, "analytic": ca})
@@ -313,7 +315,8 @@ def _order_sweep(cfg, sweep, key: str, quantity: str, gate):
         raise ValueError(f"--orders needs at least one order, got {cfg['orders']!r}")
     # the sector path keeps the band-limited rows of Q[0] and Q[1] of every
     # dimension (cached) and holds some hundred length-d float arrays
-    # (sector blocks, diagonals, spectra) of the largest
+    # (sector blocks, spectra, and the diagonal arrays of the symbols,
+    # trimmed to the offsets |m| <= 1 they carry: three rows) of the largest
     blocks = sum(2 * (BAND_LIMIT + 1) * (t + 1) for t in two_j_list)
     _check_memory(max(two_j_list), 8 * (blocks + 100 * (max(two_j_list) + 1)))
     rows, checks, fits, hermiticity = [], [], {}, {}
@@ -370,9 +373,11 @@ def cmd_egorov(cfg):
     if name not in obs:
         raise ValueError(f"unknown observable {name!r}, expected one of {sorted(obs)}")
     two_j_list = _slope_sweep(cfg)
-    # the full block Q[1] of every dimension (d^2 floats each, cached); at
-    # the largest, the evolved symbol's (2j+1)(4j+1) complex coefficients
-    # (~4 d^2 floats), the complex copy of Q[1] that dequantize_diagonal
+    # the full block Q[1] of every dimension (d^2 floats each, cached; the
+    # observable's diagonal array is trimmed to the offsets |m| <= 1 it
+    # carries, and an offset with no content builds no block); at the
+    # largest, the evolved symbol's (2j+1)(4j+1) complex coefficients
+    # (~4 d^2 floats), the complex copy of Q[1] that dequantize_diagonals
     # multiplies by (~2 d^2), and the three Legendre columns m <= 2 of its
     # synthesis on the 25 theta nodes of the error grid (75 d); plus ~2 MiB
     # of grids and tables that do not grow with d

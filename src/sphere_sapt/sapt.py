@@ -36,7 +36,7 @@ from .model import (
 from .sphere import Grid, SphereSymbol, make_grid, synthesize_at
 from .spin import SpinIrrep
 from .star import CALIBRATED, CoefficientSet, SemiclassicalSymbol, order1_samples
-from .swq import SWKernel, _band, dequantize_diagonal, quantize_diagonal
+from .swq import SWKernel, dequantize_diagonals, quantize_diagonals
 
 __all__ = [
     "BAND_LIMIT",
@@ -175,10 +175,10 @@ def sector_commutator_norm(params: ModelParams, sym: SphereSymbol) -> float:
     """
     _check_sectors(sym, "the projection symbol")
     H, _ = sector_blocks(params)
-    ker = SWKernel(params.slow, sym.L)
-    d0 = quantize_diagonal(sym, ker, 0)
-    p, r = d0[1:, 0, 0], d0[:-1, 1, 1]
-    q, q1 = quantize_diagonal(sym, ker, -1)[:, 0, 1], quantize_diagonal(sym, ker, 1)[:, 1, 0]
+    D = quantize_diagonals(sym, SWKernel(params.slow, sym.L))
+    K = len(D) // 2
+    p, r = D[K, 1:, 0, 0], D[K, :-1, 1, 1]
+    q, q1 = (D[K - 1, 1:, 0, 1], D[K + 1, :-1, 1, 0]) if K else (0.0, 0.0)  # K = 0: no offset +-1
     a, b, c = H[:, 0, 0], H[:, 1, 1], H[:, 0, 1]
     C = np.empty((len(c), 2, 2), dtype=complex)
     C[:, 0, 0] = c * (q1 - q)
@@ -325,7 +325,8 @@ def band_spectrum_compare(
         params = ModelParams(two_j, 1, lam)
         sym = h.evaluate(params.d_j, order)
         _check_sectors(sym, "the effective symbol")
-        eff = quantize_diagonal(sym, SWKernel(params.slow, sym.L), 0).real
+        D = quantize_diagonals(sym, SWKernel(params.slow, sym.L))
+        eff = D[len(D) // 2].real
         cluster = exact_band_projection(sector_spectrum(params), params.d_s)
         dists.append(_hausdorff(cluster[band_index(1, m)].eigenvalues, eff))
     return {
@@ -358,21 +359,20 @@ def heisenberg_symbol(h0: SphereSymbol, o0: SphereSymbol, irrep: SpinIrrep, s: f
 
     h0 conserves M, so h is diagonal in the J3 basis with diagonal w, and the
     evolution multiplies entry (r, r + m) of quantize(o0) by the phase
-    exp(i s (w_r - w_{r+m})).  Only the offsets m that o0 carries are built,
-    each from its own block Q[|m|] (O(d^2) memory, O(d^3) work, for any o0 of
-    band limit 1), never the full tensor basis.
+    exp(i s (w_r - w_{r+m})), row r of its diagonal m.  Only the offsets m
+    that o0 carries are built, each from its own block Q[|m|] (O(d^2)
+    memory, O(d^3) work, for any o0 of band limit 1), never the full
+    tensor basis.
     """
     _check_sectors(h0, "h0")
-    d, L = irrep.d, irrep.two_j
-    w = quantize_diagonal(h0, SWKernel(irrep, h0.L), 0).real
+    W = quantize_diagonals(h0, SWKernel(irrep, h0.L))
+    w = W[len(W) // 2].real
     ker = SWKernel(irrep)
-    coeffs = np.zeros((L + 1, 2 * L + 1), dtype=complex)
-    for m in range(-min(o0.L, L), min(o0.L, L) + 1):
-        if np.any(o0.coeffs[:, o0.L + m]):
-            r, c = _band(d, m)
-            diag = quantize_diagonal(o0, ker, m) * np.exp(1j * s * (w[r] - w[c]))
-            coeffs[abs(m) :, L + m] = dequantize_diagonal(diag, ker, m)
-    return SphereSymbol(coeffs)
+    D = quantize_diagonals(o0, ker)
+    K = len(D) // 2
+    # column r + m of each entry, clipped where it leaves the matrix and D is 0
+    c = np.clip(np.arange(irrep.d) + np.arange(-K, K + 1)[:, None], 0, irrep.d - 1)
+    return dequantize_diagonals(D * np.exp(1j * s * (w - w[c])), ker)
 
 
 def egorov_error(

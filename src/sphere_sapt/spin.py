@@ -1,14 +1,14 @@
 """Exact finite-dimensional su(2) representation theory.
 
 Spin matrices, trace-orthonormal tensor operators stored as one real
-matrix per band offset m (all bands, or only those up to a band limit L),
-and ZYZ rotations.  Basis ordering everywhere: index 0 is the highest
+matrix per band offset m (its rows up to a band limit L, built one offset
+at a time), and ZYZ rotations.  Basis ordering everywhere: index 0 is the highest
 weight, so J3 = diag(j, j-1, ..., -j).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -17,7 +17,6 @@ __all__ = [
     "SpinIrrep",
     "make_irrep",
     "offset_block",
-    "band_basis",
     "tensor_basis",
     "wigner_zyz",
 ]
@@ -71,21 +70,6 @@ def make_irrep(two_j: int) -> SpinIrrep:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TensorBasis:
-    """Tensor operators T_lm (l <= L) of an irrep, one matrix per band offset.
-
-    Q[m] (0 <= m <= L) is a real (L + 1 - m) x (d - m) matrix with
-    orthonormal rows; row l - m holds the nonzero entries of T_lm, which sit
-    on the matrix diagonal with offset m (row i, column i + m).  Negative
-    offsets follow from T_{l,-m} = (-1)^m T_lm^T.  In the full basis,
-    L = 2j, each Q[m] is square and orthogonal.
-    """
-
-    two_j: int
-    Q: tuple = field(repr=False)
-
-
 @lru_cache(maxsize=None)
 def _seed(two_j: int, m: int) -> np.ndarray:
     """Entries of J+^m on its offset-m diagonal, trace-normalized.
@@ -108,6 +92,13 @@ def _seed(two_j: int, m: int) -> np.ndarray:
 def offset_block(two_j: int, m: int, L: int) -> np.ndarray:
     """Rows l <= L of Q[m]: the tensor operators T_lm, m <= l <= L, of one
     band offset 0 <= m <= L <= two_j, as a (L + 1 - m) x (d - m) matrix.
+
+    Row l - m holds the nonzero entries of T_lm, which sit on the matrix
+    diagonal with offset m (row i, column i + m); negative offsets follow
+    from T_{l,-m} = (-1)^m T_lm^T.  At L = two_j the block is square and
+    orthogonal.  The result coincides with the Clebsch-Gordan
+    matrix-element construction in the Condon-Shortley convention
+    (cross-checked in the test suite).
 
     The family {T_lm}_{l >= m} is generated by a Stieltjes (Lanczos)
     recurrence: the seed T_mm is the trace-normalized m-th power of J+ with
@@ -136,21 +127,10 @@ def offset_block(two_j: int, m: int, L: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def band_basis(two_j: int, L: int) -> TensorBasis:
-    """{T_lm : l <= L, |m| <= l} for 0 <= L <= two_j: the blocks offset_block(two_j, m, L), m <= L.
-
-    The result coincides with the Clebsch-Gordan matrix-element
-    construction in the Condon-Shortley convention (cross-checked in the
-    test suite).
-    """
-    if not 0 <= L <= two_j:
-        raise ValueError(f"a tensor basis of two_j = {two_j} needs 0 <= L <= {two_j}, got L = {L}")
-    return TensorBasis(two_j, tuple(offset_block(two_j, m, L) for m in range(L + 1)))
-
-
-def tensor_basis(two_j: int) -> TensorBasis:
-    """The full set {T_lm : l <= two_j, |m| <= l}."""
-    return band_basis(two_j, two_j)
+def tensor_basis(two_j: int) -> tuple:
+    """The full set {T_lm : l <= two_j, |m| <= l}: the blocks
+    offset_block(two_j, m, two_j), m = 0..two_j (the cached blocks, not copies)."""
+    return tuple(offset_block(two_j, m, two_j) for m in range(two_j + 1))
 
 
 # ---------------------------------------------------------------------------

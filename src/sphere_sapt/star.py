@@ -5,9 +5,10 @@ The product of operators of band limits L_f and L_g has no tensor component
 above L_f + L_g (the coupling rule of su(2) tensor operators, as in Varilly
 & Gracia-Bondia, Ann. Phys. 190, 107, 1989), so both exact products work on
 the band-(L_f + L_g) kernel and return that band, exactly.  No d x d matrix
-is formed: a band-L operator is its 2L + 1 offset diagonals, the product of
-two is a banded product of diagonals in O(d L_f L_g), and each offset of
-the result is dequantized on its own.  The dense products are test oracles.
+is formed: a band-L operator is its array of offset diagonals
+(swq.quantize_diagonals), the product of two is a banded product of
+diagonals in O(d L_f L_g), and the result goes back through
+swq.dequantize_diagonals.  The dense products are test oracles.
 star_truncation assembles the asymptotic series from differential-operator
 bilinears with a given coefficient set: an operator-kernel set gives the
 star_exact series, a coherent-state set the berezin_exact one.  Two printed
@@ -40,7 +41,7 @@ from .sphere import (
     make_grid,
 )
 from .spin import SpinIrrep, make_irrep
-from .swq import SWKernel, _lower_scale, _per_l, dequantize_diagonal, quantize_diagonal
+from .swq import SWKernel, _lower_scale, _per_l, _span, dequantize_diagonals, quantize_diagonals
 
 __all__ = [
     "CoefficientSet",
@@ -107,10 +108,9 @@ class SemiclassicalSymbol:
     def term(self, k: int) -> SphereSymbol:
         return self.terms[k]
 
-    def evaluate(self, d: int, order: int | None = None) -> SphereSymbol:
-        """Sum the series at dimension d, through term `order` if given."""
-        terms = self.terms if order is None else self.terms[: order + 1]
-        return _combine([(float(d) ** (-k), t) for k, t in enumerate(terms)])
+    def evaluate(self, d: int, order: int) -> SphereSymbol:
+        """Sum the series at dimension d through term `order`."""
+        return _combine([(float(d) ** (-k), t) for k, t in enumerate(self.terms[: order + 1])])
 
     def hermiticity_residual(self) -> float:
         return max(t.hermiticity_residual() for t in self.terms)
@@ -132,38 +132,24 @@ def symbol_product(f: SphereSymbol, g: SphereSymbol) -> SphereSymbol:
     return grid.analyze(_pointwise(grid.synthesize(f), grid.synthesize(g)), L)
 
 
-def _offset_rows(sym: SphereSymbol, kernel: SWKernel) -> np.ndarray:
-    """The offset diagonals a = -L..L of quantize(sym, kernel), L = min(L_sym,
-    L_kernel), indexed by row, shape (2L + 1, d) + fast: entry [L + a, r] is
-    the matrix element (r, r + a), zero where r + a leaves the matrix."""
-    d, L = kernel.d, min(sym.L, kernel.L)
-    out = np.zeros((2 * L + 1, d) + sym.fast_shape, dtype=complex)
-    for a in range(-L, L + 1):
-        out[L + a, max(0, -a) : d - max(0, a)] = quantize_diagonal(sym, kernel, a)
-    return out
-
-
 def _operator_product(f: SphereSymbol, g: SphereSymbol, kernel: SWKernel) -> SphereSymbol:
     """dequantize(quantize(f) quantize(g)) on the kernel's band, from the
     offset diagonals alone: C[a + b, r] = sum_a A[a, r] B[b, r + a], one
     step per offset a of the left factor (a k x k matmul per entry for
-    matrix-valued symbols), then one dequantize_diagonal per output offset.
-    O(d L_f L_g) work and O(d (L_f + L_g)) memory besides the kernel rows."""
+    matrix-valued symbols), then dequantize_diagonals.  O(d L_f L_g) work
+    and O(d (L_f + L_g)) memory besides the kernel rows."""
     if f.fast_shape != g.fast_shape:
         raise ValueError("factors must share the fast-sector shape")
-    d, L = kernel.d, kernel.L
-    A, B = _offset_rows(f, kernel), _offset_rows(g, kernel)
+    d = kernel.d
+    A, B = quantize_diagonals(f, kernel), quantize_diagonals(g, kernel)
     La, Lb = len(A) // 2, len(B) // 2
     mul = np.matmul if f.fast_shape else np.multiply
-    # offsets |a + b| up to La + Lb >= L; those past d - 1 stay zero
+    # offsets |a + b| up to La + Lb; those past d - 1 stay zero
     C = np.zeros((2 * (La + Lb) + 1,) + A.shape[1:], dtype=complex)
     for a in range(-La, La + 1):
-        r = slice(max(0, -a), d - max(0, a))
-        C[La + a : La + a + 2 * Lb + 1, r] += mul(A[La + a, r], B[:, max(0, a) : d - max(0, -a)])
-    coeffs = np.zeros((L + 1, 2 * L + 1) + f.fast_shape, dtype=complex)
-    for m in range(-L, L + 1):
-        coeffs[abs(m) :, L + m] = dequantize_diagonal(C[La + Lb + m, max(0, -m) : d - max(0, m)], kernel, m)
-    return SphereSymbol(coeffs)
+        r = _span(d, a)
+        C[La + a : La + a + 2 * Lb + 1, r] += mul(A[La + a, r], B[:, _span(d, -a)])
+    return dequantize_diagonals(C, kernel)
 
 
 def star_exact(f: SphereSymbol, g: SphereSymbol, irrep: SpinIrrep) -> SphereSymbol:

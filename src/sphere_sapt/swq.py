@@ -13,12 +13,16 @@ the tensor-operator basis:
 which makes the round trips exact.  Matrix-valued (fast-sector) symbols
 quantize entrywise: the result acts on H_slow (x) H_fast as kron(T, b).
 Coherent-state lower symbols are a further diagonal rescaling by the
-Clebsch-Gordan factor <j j; l 0 | j j>.  With the tensor basis stored as one
-matrix Q[m] per band offset, each transform is one matrix product per m.
-quantize and dequantize scatter and gather dense matrices (the kernel
-checks); quantize_diagonal and dequantize_diagonal map one offset diagonal
-alone, from the rows of its own block Q[|m|], which is all the exact star
-products and the sapt sweeps read.
+Clebsch-Gordan factor <j j; l 0 | j j>.
+
+An operator has one layout here: its offset diagonals indexed by row, a
+(2K + 1, d) + fast array whose entry [K + a, r] is the matrix element
+(r, r + a).  quantize_diagonals and dequantize_diagonals map a symbol to
+that array and back, one matrix product per offset with the rows l <= L of
+its own block Q[|a|] of the tensor basis.  quantize_diagonals trims the
+array to the largest offset K the symbol carries, and neither map builds
+the block of an offset with no content.  The dense quantize and dequantize
+(the kernel checks) are a scatter and a gather of that array.
 """
 
 from __future__ import annotations
@@ -29,15 +33,15 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .spin import SpinIrrep, band_basis, offset_block, tensor_basis
+from .spin import SpinIrrep, offset_block
 from .sphere import Grid, SphereSymbol, _legendre
 
 __all__ = [
     "SWKernel",
     "quantize",
-    "quantize_diagonal",
+    "quantize_diagonals",
     "dequantize",
-    "dequantize_diagonal",
+    "dequantize_diagonals",
     "lower_symbol",
     "kernel_property_residuals",
 ]
@@ -56,15 +60,6 @@ class SWKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "L", self.two_j if self.L is None else min(self.L, self.two_j))
-
-    @property
-    def Q(self) -> tuple:
-        """Rows l <= L of the tensor basis, one matrix per offset m <= L.
-
-        The full kernel's rows come through tensor_basis, the one full-basis
-        entry point (the one the per-layer spans of bench/spans.py time).
-        """
-        return (tensor_basis(self.two_j) if self.L == self.two_j else band_basis(self.two_j, self.L)).Q
 
     def block(self, m: int) -> np.ndarray:
         """Rows l <= L of Q[|m|] alone, built without the other offsets."""
@@ -96,8 +91,8 @@ def _rows(kernel: SWKernel, P: np.ndarray, phi: np.ndarray):
     P[m:L+1, m]^T Q[m].  No sign is needed for m < 0: the (-1)^m of conj(Y_lm)
     = (-1)^m Y_{l,-m} cancels the (-1)^m of T_{l,-m} = (-1)^m T_lm^T.
     """
-    d, L, Q = kernel.d, kernel.L, kernel.Q
-    g = [sqrt(4 * pi / d) * (P[m : L + 1, m].T @ Q[m]) for m in range(L + 1)]  # (n_theta, d - m)
+    d, L = kernel.d, kernel.L
+    g = [sqrt(4 * pi / d) * (P[m : L + 1, m].T @ kernel.block(m)) for m in range(L + 1)]  # (n_theta, d - m)
     m = np.arange(-L, L + 1)
     phase = np.exp(-1j * np.outer(phi, m))  # (n_phi, 2L + 1)
     for t in range(P.shape[2]):
@@ -109,33 +104,52 @@ def _rows(kernel: SWKernel, P: np.ndarray, phi: np.ndarray):
         yield row.reshape(len(phi), d, d)
 
 
-def _band(d: int, m: int):
-    """Row and column indices of the offset-m diagonal."""
-    r = np.arange(d - abs(m)) + max(0, -m)
-    return r, r + m
-
-
 def _sign(m: int) -> int:
     """Sign of T_lm relative to row l - |m| of Q[|m|]: T_{l,-m} = (-1)^m T_lm^T."""
     return (-1) ** m if m < 0 else 1
 
 
-def _diagonal(sym: SphereSymbol, Qm: np.ndarray, m: int, L: int, pref: float) -> np.ndarray:
-    """Offset-m diagonal of the band-L operator of sym from the rows Qm of
-    Q[|m|], as (d - |m|, k*k); pref = sqrt(d / 4 pi)."""
-    am = abs(m)
-    b = sym.coeffs[am : L + 1, sym.L + m].reshape(L + 1 - am, -1)
-    return (_sign(m) * pref) * (Qm[: L + 1 - am].T @ b)
+def _span(d: int, m: int) -> slice:
+    """Rows r of the offset-m diagonal, those whose element (r, r + m) is in the matrix."""
+    return slice(max(0, -m), d - max(0, m))
 
 
-def quantize_diagonal(sym: SphereSymbol, kernel: SWKernel, m: int) -> np.ndarray:
-    """Offset-m diagonal of quantize(sym, kernel): entry i is the slow
-    matrix element (r_i, r_i + m), r_i = i + max(0, -m), shape
-    (d - |m|,) + the fast shape.  Reads rows of Q[|m|] only."""
-    L, d, am = min(sym.L, kernel.L), kernel.d, abs(m)
-    if am > L:
-        return np.zeros((d - am,) + sym.fast_shape, dtype=complex)
-    return _diagonal(sym, kernel.block(m), m, L, sqrt(d / (4 * pi))).reshape((d - am,) + sym.fast_shape)
+def quantize_diagonals(sym: SphereSymbol, kernel: SWKernel) -> np.ndarray:
+    """Offset diagonals of quantize(sym, kernel) indexed by row, shape
+    (2K + 1, d) + the fast shape: entry [K + a, r] is the slow matrix
+    element (r, r + a), zero where r + a leaves the matrix.
+
+    K is the largest offset |a| <= min(L_sym, L_kernel) whose coefficient
+    column is not all zero.  An offset with no content is left zero and
+    builds no block; each other one is a single product with the rows of
+    Q[|a|], so a symbol of band limit L costs O(d L^2) whatever the kernel.
+    """
+    d, L, fast = kernel.d, min(sym.L, kernel.L), sym.fast_shape
+    cols = {a: sym.coeffs[abs(a) : L + 1, sym.L + a].reshape(L + 1 - abs(a), -1) for a in range(-L, L + 1)}
+    cols = {a: b for a, b in cols.items() if np.any(b)}
+    K = max(map(abs, cols), default=0)
+    out = np.zeros((2 * K + 1, d) + fast, dtype=complex)
+    pref = sqrt(d / (4 * pi))
+    for a, b in cols.items():
+        diag = (_sign(a) * pref) * (kernel.block(a)[: L + 1 - abs(a)].T @ b)
+        out[K + a, _span(d, a)] = diag.reshape((d - abs(a),) + fast)
+    return out
+
+
+def dequantize_diagonals(C: np.ndarray, kernel: SWKernel) -> SphereSymbol:
+    """Band-L symbol of the operator whose offset diagonals, laid out as
+    quantize_diagonals returns them, are C, for any number 2K + 1 of
+    offsets: its tensor components l <= L.  Offsets past L are projected
+    out, and an all-zero diagonal builds no block."""
+    d, L, K, fast = kernel.d, kernel.L, len(C) // 2, C.shape[2:]
+    coeffs = np.zeros((L + 1, 2 * L + 1) + fast, dtype=complex)
+    pref = sqrt(4 * pi / d)
+    for m in range(-min(K, L), min(K, L) + 1):
+        band = C[K + m, _span(d, m)]
+        if np.any(band):
+            b = (_sign(m) * pref) * (kernel.block(m) @ band.reshape(d - abs(m), -1))
+            coeffs[abs(m) :, L + m] = b.reshape((L + 1 - abs(m),) + fast)
+    return SphereSymbol(coeffs)
 
 
 def quantize(sym: SphereSymbol, kernel: SWKernel) -> np.ndarray:
@@ -146,32 +160,17 @@ def quantize(sym: SphereSymbol, kernel: SWKernel) -> np.ndarray:
     Scalar symbols give a d x d matrix; k x k matrix-valued symbols give a
     (d k) x (d k) matrix on H_slow (x) H_fast.
     """
-    L = min(sym.L, kernel.L)
-    d = kernel.d
-    Q = kernel.Q
-    fast = sym.fast_shape
-    k = fast[0] if fast else 1
-    A = np.zeros((d, d, k * k), dtype=complex)
-    pref = sqrt(d / (4 * pi))
-    for m in range(-L, L + 1):
-        r, c = _band(d, m)
-        A[r, c] = _diagonal(sym, Q[abs(m)], m, L, pref)
-    out = A.reshape(d, d, k, k).transpose(0, 2, 1, 3).reshape(d * k, d * k)
-    return out if fast else out.reshape(d, d)
-
-
-def dequantize_diagonal(diag: np.ndarray, kernel: SWKernel, m: int) -> np.ndarray:
-    """Coefficients b_lm, |m| <= l <= L, of an operator whose offset-m
-    diagonal is diag (laid out as quantize_diagonal returns it); shape
-    (L + 1 - |m|,) + the fast shape.  dequantize does the same per offset."""
-    d, am = kernel.d, abs(m)
-    band = np.asarray(diag).reshape(d - am, -1)
-    coeffs = (_sign(m) * sqrt(4 * pi / d)) * (kernel.block(m) @ band)
-    return coeffs.reshape((kernel.L + 1 - am,) + np.shape(diag)[1:])
+    D, d, fast = quantize_diagonals(sym, kernel), kernel.d, sym.fast_shape
+    K, r = len(D) // 2, np.arange(d)
+    A = np.zeros((d, d) + fast, dtype=complex)
+    for a in range(-K, K + 1):
+        i = r[_span(d, a)]
+        A[i, i + a] = D[K + a, _span(d, a)]
+    return A.transpose(0, 2, 1, 3).reshape(d * fast[0], d * fast[0]) if fast else A
 
 
 def dequantize(A: np.ndarray, kernel: SWKernel, fast_dim: int | None = None) -> SphereSymbol:
-    """Band-L symbol of an operator, gathered from its diagonals: its tensor
+    """Band-L symbol of an operator, the gather of its diagonals: its tensor
     components l <= L.
 
     With the full kernel, L = 2j, this is the inverse of quantize.  If
@@ -179,19 +178,14 @@ def dequantize(A: np.ndarray, kernel: SWKernel, fast_dim: int | None = None) -> 
     fast_dim x fast_dim matrix-valued (partial trace over the slow sector
     against the kernel).
     """
-    d = kernel.d
-    k = fast_dim or 1
+    d, L, k = kernel.d, kernel.L, fast_dim or 1
     A4 = np.asarray(A, dtype=complex).reshape(d, k, d, k)
-    L = kernel.L
-    Q = kernel.Q
-    coeffs = np.zeros((L + 1, 2 * L + 1, k * k), dtype=complex)
-    pref = sqrt(4 * pi / d)
+    r = np.arange(d)
+    D = np.zeros((2 * L + 1, d) + ((k, k) if fast_dim else ()), dtype=complex)
     for m in range(-L, L + 1):
-        r, c = _band(d, m)
-        band = A4[r, :, c, :].reshape(d - abs(m), k * k)
-        coeffs[abs(m) :, L + m] = (_sign(m) * pref) * (Q[abs(m)] @ band)
-    shape = (L + 1, 2 * L + 1) + ((k, k) if fast_dim else ())
-    return SphereSymbol(coeffs.reshape(shape))
+        i = r[_span(d, m)]
+        D[L + m, _span(d, m)] = A4[i, :, i + m, :].reshape((-1,) + D.shape[2:])
+    return dequantize_diagonals(D, kernel)
 
 
 @lru_cache(maxsize=None)
@@ -215,13 +209,14 @@ def _per_l(sym: SphereSymbol, w: np.ndarray) -> SphereSymbol:
     return SphereSymbol(sym.coeffs * w[: sym.L + 1].reshape((-1, 1) + (1,) * len(sym.fast_shape)))
 
 
-def kernel_property_residuals(kernel: SWKernel, grid: Grid, n_group: int = 20):
+def kernel_property_residuals(kernel: SWKernel, grid: Grid):
     """Numerical residuals of the five defining kernel properties.
 
     Returns a dict with keys 'hermitian', 'normalized', 'reproducing',
-    'trace_duality', 'covariant'.  The integrals are over products of two
-    kernels, of degree 2 two_j and phi frequency up to 2 two_j, so a grid
-    that cannot integrate those exactly is refused with ValueError.
+    'trace_duality', 'covariant' (at 20 random group elements).  The
+    integrals are over products of two kernels, of degree 2 two_j and phi
+    frequency up to 2 two_j, so a grid that cannot integrate those exactly
+    is refused with ValueError.
     """
     from .spin import rotation_from_zyz, wigner_zyz
 
@@ -267,7 +262,7 @@ def kernel_property_residuals(kernel: SWKernel, grid: Grid, n_group: int = 20):
     n0 = np.array(
         [np.sin(theta0) * np.cos(phi0), np.sin(theta0) * np.sin(phi0), np.cos(theta0)]
     )
-    for _ in range(n_group):
+    for _ in range(20):
         ang = rng.uniform(0, 2 * pi, size=3)
         U = wigner_zyz(kernel.irrep, *ang)
         R = rotation_from_zyz(*ang)

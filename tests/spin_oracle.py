@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from sphere_sapt.spin import SpinIrrep, TensorBasis, wigner_zyz
+from sphere_sapt.spin import SpinIrrep, wigner_zyz
 
 
-def dense(tb: TensorBasis, l: int, m: int) -> np.ndarray:
-    """T_lm as a d x d matrix."""
-    band = tb.Q[abs(m)][l - abs(m)]
+def dense(tb: tuple, l: int, m: int) -> np.ndarray:
+    """T_lm as a d x d matrix, from the blocks tb = tensor_basis(two_j)."""
+    band = tb[abs(m)][l - abs(m)]
     return np.diag(band if m >= 0 else (-1) ** m * band, k=m)
 
 

@@ -18,18 +18,19 @@ import numpy as np
 
 from sphere_sapt.sphere import SphereSymbol
 from sphere_sapt.spin import tensor_basis
-from sphere_sapt.swq import _band, _lower_scale, _sign, quantize
+from sphere_sapt.swq import _lower_scale, _sign, quantize
 
 
 def kernel_samples(kernel, grid) -> np.ndarray:
     """Kernel at every grid node, shape (n_theta, n_phi, d, d)."""
     d = kernel.d
     L = kernel.two_j
-    Q = tensor_basis(L).Q
+    Q = tensor_basis(L)
     c = np.zeros((L + 1, 2 * L + 1, d, d), complex)
     pref = sqrt(4 * pi / d)
     for m in range(-L, L + 1):
-        r, cols = _band(d, m)
+        r = np.arange(max(0, -m), d - max(0, m))
+        cols = r + m
         # conj(Y_lm) = (-1)^m Y_{l,-m}
         c[abs(m) :, L - m][:, r, cols] = (-1) ** m * _sign(m) * pref * Q[abs(m)]
     return grid.synthesize(SphereSymbol(c))

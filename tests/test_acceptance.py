@@ -69,7 +69,7 @@ def test_acceptance_01_kernel_axioms():
     worst = 0.0
     for two_j in (1, 2, 3, 5, 10, 20):
         ker = SWKernel(make_irrep(two_j))
-        res = kernel_property_residuals(ker, make_grid(max(12, 2 * two_j)), n_group=20)
+        res = kernel_property_residuals(ker, make_grid(max(12, 2 * two_j)))
         worst = max(worst, max(res.values()))
     _report(1, f"kernel axioms, max residual {worst:.2e} < 1e-10", worst < 1e-10)
 
@@ -136,8 +136,8 @@ def test_acceptance_05_star_asymptotics():
         for f, g in corpus:
             ex = star_exact(f, g, ir)
             F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
-            w0 = max(w0, sup(_combine([(1.0, ex), (-1.0, star_truncation(F, G, 0, CALIBRATED).evaluate(d))])))
-            w1 = max(w1, sup(_combine([(1.0, ex), (-1.0, star_truncation(F, G, 1, CALIBRATED).evaluate(d))])))
+            w0 = max(w0, sup(_combine([(1.0, ex), (-1.0, star_truncation(F, G, 0, CALIBRATED).evaluate(d, 0))])))
+            w1 = max(w1, sup(_combine([(1.0, ex), (-1.0, star_truncation(F, G, 1, CALIBRATED).evaluate(d, 1))])))
             comm = _combine(
                 [(1.0, ex), (-1.0, star_exact(g, f, ir)), (-2j / d, poisson_bracket(f, g))]
             )
@@ -182,7 +182,7 @@ def test_acceptance_06_berezin():
         for f, g in corpus:
             ex = berezin_exact(f, g, make_irrep(two_j))
             F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
-            tr = star_truncation(F, G, 1, CALIBRATED_BEREZIN).evaluate(d)
+            tr = star_truncation(F, G, 1, CALIBRATED_BEREZIN).evaluate(d, 1)
             diff = _combine([(1.0, ex), (-1.0, tr)])
             worst = max(worst, float(np.max(np.abs(g2.synthesize(diff.truncated(L_out))))))
         sups.append(worst)
@@ -207,8 +207,8 @@ def test_acceptance_08_chern_integers():
         p = ModelParams(6, 1, lam)
         for m, c in want.items():
             ok = ok and chern_analytic(p, m) == c
-            ok = ok and chern_plaquette(p, m, 24, 24) == c
-            ok = ok and chern_plaquette(p, m, 40, 40) == c
+            ok = ok and chern_plaquette(p, m, 24) == c
+            ok = ok and chern_plaquette(p, m, 40) == c
     for two_s in (2, 3):
         p = ModelParams(8, two_s, 0.8)
         s = two_s / 2
@@ -216,7 +216,7 @@ def test_acceptance_08_chern_integers():
             m = s - k
             c = int(round(-2 * m))
             ok = ok and chern_analytic(p, m) == c
-            ok = ok and chern_plaquette(p, m, 30, 30) == c
+            ok = ok and chern_plaquette(p, m, 30) == c
     _report(8, "Chern integers (trivial, topological, higher spin, refined grids)", ok)
 
 

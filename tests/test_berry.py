@@ -48,7 +48,7 @@ def test_curvature_integral_matches_chern():
 def test_chern_spin_half(lam, m, want):
     p = ModelParams(6, 1, lam)
     assert chern_analytic(p, m) == want
-    assert chern_plaquette(p, m, 24, 24) == want
+    assert chern_plaquette(p, m, 24) == want
 
 
 @pytest.mark.parametrize("two_s", [2, 3])
@@ -59,12 +59,12 @@ def test_chern_higher_spin(two_s):
         m = s - k
         want = int(round(-2 * m))
         assert chern_analytic(p, m) == want
-        assert chern_plaquette(p, m, 30, 30) == want
+        assert chern_plaquette(p, m, 30) == want
 
 
 def test_chern_grid_refinement_stability():
     p = ModelParams(6, 1, 0.8)
-    vals = {chern_plaquette(p, 0.5, n, n) for n in (16, 24, 40, 64)}
+    vals = {chern_plaquette(p, 0.5, n) for n in (16, 24, 40, 64)}
     assert vals == {-1}
 
 

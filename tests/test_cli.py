@@ -156,7 +156,9 @@ def test_egorov_to_two_j_640(tmp_path):
 
 def test_model_commands_build_no_dense_operator(tmp_path, monkeypatch):
     # no 2d x 2d Hamiltonian, no eigensolver or SVD beyond the 2 x 2 fast
-    # sector, and no full tensor basis in the four sector commands
+    # sector, and no full tensor basis in the four sector commands: their
+    # symbols carry the offsets |m| <= 1 alone, so no kernel (the full one
+    # included, which a band-32 symbol gets at two_j = 10) builds another block
     from sphere_sapt import model, spin, swq
 
     def forbidden(name):
@@ -164,6 +166,10 @@ def test_model_commands_build_no_dense_operator(tmp_path, monkeypatch):
             raise AssertionError(f"{name} called")
 
         return call
+
+    def band_block(two_j, m, L):
+        assert m <= 1, f"block {m} of the band-{L} kernel at two_j = {two_j}"
+        return spin.offset_block(two_j, m, L)
 
     eigh = np.linalg.eigh
 
@@ -173,8 +179,8 @@ def test_model_commands_build_no_dense_operator(tmp_path, monkeypatch):
 
     for mod in (model, cli):
         monkeypatch.setattr(mod, "build_hamiltonian", forbidden("build_hamiltonian"))
-    for mod in (spin, swq):
-        monkeypatch.setattr(mod, "tensor_basis", forbidden("tensor_basis"))
+    monkeypatch.setattr(spin, "tensor_basis", forbidden("tensor_basis"))
+    monkeypatch.setattr(swq, "offset_block", band_block)
     for mod in (np.linalg, np.linalg._linalg):  # numpy's own norm(ord=2) calls the latter's svd
         monkeypatch.setattr(mod, "eigvalsh", forbidden("eigvalsh"))
         monkeypatch.setattr(mod, "svd", forbidden("svd"))

@@ -42,7 +42,7 @@ from sphere_sapt.star import (
     star_exact,
     symbol_product,
 )
-from sphere_sapt.swq import SWKernel, dequantize, quantize
+from sphere_sapt.swq import SWKernel, dequantize, quantize, quantize_diagonals
 
 LAM = 0.2
 BAND = 0.5
@@ -374,14 +374,40 @@ def test_egorov_diagonal_phase_matches_eigh_propagator():
 
 
 def test_egorov_oracle_catches_a_reversed_phase(monkeypatch):
-    # rows and columns of each diagonal swapped: the phases run backwards
+    # w_r - w_{r+m} taken as w_{r+m} - w_r (h0's diagonal negated): the
+    # phases run backwards
     o0, s = vector_symbol_coeffs()[0], -20.5
     h0 = effective_hamiltonian(ModelParams(10, 1, LAM), BAND, order=0).term(0)
     ker = SWKernel(make_irrep(40))
     want = dequantize(heisenberg(quantize(h0, ker), quantize(o0, ker), s), ker).coeffs
-    monkeypatch.setattr(sapt, "_band", lambda d, m: swq._band(d, m)[::-1])
+    diagonals = swq.quantize_diagonals
+    monkeypatch.setattr(sapt, "quantize_diagonals", lambda sym, k: (-1 if sym is h0 else 1) * diagonals(sym, k))
     got = heisenberg_symbol(h0, o0, make_irrep(40), s).coeffs
     assert np.max(np.abs(got - want)) > 1e-2 * np.max(np.abs(want))
+
+
+def test_no_block_is_built_for_an_offset_the_symbol_does_not_carry(monkeypatch):
+    # at two_j = 10^4 the sweeps' symbols carry the offsets |m| <= 1 and
+    # egorov's n1 only m = +-1.  Untrimmed, the diagonal array of a band-L
+    # symbol holds (2L + 1) d k^2 entries and builds all L + 1 blocks; the
+    # full kernel's blocks are d^2 floats each
+    two_j, calls = 10**4, []
+
+    def recorded(tj, m, L):  # a zero stand-in of the block's shape: only the calls count
+        calls.append(m)
+        return np.broadcast_to(0.0, (L + 1 - m, tj + 1 - m))
+
+    monkeypatch.setattr(swq, "offset_block", recorded)
+    p = ModelParams(two_j, 1, LAM)
+    proj = moyal_projection(p, BAND, order=1, cs=CALIBRATED).evaluate(p.d_j, 1)
+    eff = effective_hamiltonian(p, BAND, order=1).evaluate(p.d_j, 1)
+    for sym in (proj, eff):
+        calls.clear()
+        D = quantize_diagonals(sym, SWKernel(p.slow, sym.L))
+        assert sym.L > 1 and len(D) <= 3 and set(calls) <= {0, 1}, (len(D), calls)
+    calls.clear()
+    quantize_diagonals(vector_symbol_coeffs()[0], SWKernel(p.slow))
+    assert set(calls) == {1}, calls
 
 
 def test_egorov_refuses_a_non_diagonal_hamiltonian(monkeypatch):

@@ -17,7 +17,7 @@ from sphere_sapt.model import ModelParams, build_hamiltonian, sector_blocks, sec
 from sphere_sapt.sapt import moyal_projection, sector_commutator_norm
 from sphere_sapt.sphere import SphereSymbol
 from sphere_sapt.star import CALIBRATED
-from sphere_sapt.swq import quantize_diagonal
+from sphere_sapt.swq import quantize_diagonals
 
 
 def _spectrum_error(params) -> float:
@@ -90,7 +90,7 @@ def test_sector_norms_match_the_dense_norm(two_j):
     "target, perturbed",
     [
         ("sector_blocks", _off_by_one),
-        ("quantize_diagonal", lambda sym, ker, m: quantize_diagonal(sym, ker, -m)),  # offsets swapped
+        ("quantize_diagonals", lambda sym, ker: quantize_diagonals(sym, ker)[::-1]),  # offsets swapped
     ],
     ids=["ladder-off-by-one", "offsets-swapped"],
 )
@@ -100,6 +100,16 @@ def test_perturbed_blocks_fail_the_norm_oracle(monkeypatch, target, perturbed):
     want = dense_invariance_norm(p, sym)
     monkeypatch.setattr(sapt, target, perturbed)
     assert abs(sector_commutator_norm(p, sym) - want) > 0.1 * want
+
+
+def test_a_symbol_without_offsets_one_matches_the_dense_norm():
+    # entries (+, +) and (-, -) alone: the diagonal array is trimmed to the
+    # one row m = 0 (K = 0), so there are no rows +-1 to read
+    c = np.zeros((3, 5, 2, 2), dtype=complex)
+    c[0, 2, 0, 0], c[1, 2, 0, 0], c[2, 2, 1, 1] = 1.0, 0.3, -0.5
+    sym, p = SphereSymbol(c), ModelParams(20, 1, 0.2)
+    want = dense_invariance_norm(p, sym)
+    assert abs(sector_commutator_norm(p, sym) - want) < 1e-12 * want
 
 
 def test_spectral_norms_of_2x2_blocks_in_closed_form():

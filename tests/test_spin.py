@@ -10,7 +10,6 @@ from spin_oracle import coherent_state, dense
 
 from sphere_sapt import spin
 from sphere_sapt.spin import (
-    band_basis,
     make_irrep,
     offset_block,
     rotation_from_zyz,
@@ -108,28 +107,29 @@ def test_tensor_basis_orthonormal(two_j):
 def test_tensor_basis_finite_orthogonal_large(two_j):
     # from two_j = 99 on, the unnormalized seed J+^m exceeds the float range
     tb = tensor_basis(two_j)
-    assert len(tb.Q) == two_j + 1
-    for m, Q in enumerate(tb.Q):
+    assert len(tb) == two_j + 1
+    for m, Q in enumerate(tb):
         assert Q.shape == (two_j + 1 - m, two_j + 1 - m)
         assert np.all(np.isfinite(Q))
         assert np.max(np.abs(Q @ Q.T - np.eye(len(Q)))) < 1e-13
 
 
-def test_band_basis_rows_are_the_full_rows():
+def test_offset_block_rows_are_the_full_rows():
     # row r of the recurrence reads only rows < r, so the cut changes no float
-    full, band = tensor_basis(400), band_basis(400, 48)
-    assert len(band.Q) == 49
-    for m, Q in enumerate(band.Q):
+    full = tensor_basis(400)
+    for m in range(49):
+        Q = offset_block(400, m, 48)
         assert Q.shape == (49 - m, 401 - m)
-        assert np.array_equal(Q, full.Q[m][: 49 - m])
-    with pytest.raises(ValueError, match="0 <= L <= 400"):
-        band_basis(400, 401)
+        assert np.array_equal(Q, full[m][: 49 - m])
+    with pytest.raises(ValueError, match="0 <= m <= L <= 400"):
+        offset_block(400, 0, 401)
 
 
 def test_an_offset_built_alone_is_the_basis_rows(monkeypatch):
     # one offset's block, built uncached from a cold seed cache (its seed
-    # grown from offset 0 up), is the same floats as in the full and band bases
-    want = {(40, 1, 40): tensor_basis(40).Q[1], (40, 7, 40): tensor_basis(40).Q[7], (400, 1, 48): band_basis(400, 48).Q[1]}
+    # grown from offset 0 up), is the same floats as in the full basis and
+    # as the cached block
+    want = {(40, 1, 40): tensor_basis(40)[1], (40, 7, 40): tensor_basis(40)[7], (400, 1, 48): offset_block(400, 1, 48)}
     monkeypatch.setattr(spin, "_seed", lru_cache(maxsize=None)(spin._seed.__wrapped__))
     for key, Q in want.items():
         assert np.array_equal(spin.offset_block.__wrapped__(*key), Q), key
@@ -142,8 +142,8 @@ def test_irrep_builds_no_dense_matrix_until_asked():
     assert ir.d == 10**6 + 1 and "Jvec" not in vars(ir)
 
 
-def test_band_basis_finite_orthonormal_at_two_j_10_4():
-    for Q in band_basis(10**4, 24).Q:
+def test_offset_blocks_finite_orthonormal_at_two_j_10_4():
+    for Q in (offset_block(10**4, m, 24) for m in range(25)):
         assert np.all(np.isfinite(Q))
         assert np.max(np.abs(Q @ Q.T - np.eye(len(Q)))) < 1e-13
 

@@ -111,18 +111,23 @@ def test_exact_products_reject_what_they_cannot_multiply():
 
 def test_exact_products_build_no_dense_operator(monkeypatch, tmp_path):
     # neither product nor the two commands that sweep them build a d x d
-    # operator, read a full tensor basis or call the dense transforms
+    # operator, read a full tensor basis or a block of the full kernel, or
+    # call the dense transforms
     from sphere_sapt import cli, spin, swq
 
     def forbidden(*args, **kwargs):
         raise AssertionError("dense operator path entered")
 
+    def band_block(two_j, m, L):
+        assert L < two_j, f"full-kernel block {m} at two_j = {two_j}"
+        return spin.offset_block(two_j, m, L)
+
     for mod in (swq, star, cli):
-        for name in ("quantize", "dequantize", "lower_symbol", "tensor_basis", "band_basis"):
+        for name in ("quantize", "dequantize", "lower_symbol"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, forbidden)
-    monkeypatch.setattr(spin, "band_basis", forbidden)
-    monkeypatch.setattr(swq.SWKernel, "Q", property(forbidden))
+    monkeypatch.setattr(spin, "tensor_basis", forbidden)
+    monkeypatch.setattr(swq, "offset_block", band_block)
     rng = np.random.default_rng(3)
     for fast in ((), (2, 2)):
         f, g = _random_symbol(2, fast, rng), _random_symbol(3, fast, rng)
@@ -185,7 +190,7 @@ def _truncation_sups(two_j_list, order, cs, corpus):
         for f, g in corpus:
             ex = star_exact(f, g, make_irrep(two_j))
             F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
-            tr = star_truncation(F, G, order, cs).evaluate(d)
+            tr = star_truncation(F, G, order, cs).evaluate(d, order)
             diff = _combine([(1.0, ex), (-1.0, tr)])
             worst = max(worst, float(np.max(np.abs(grid.synthesize(diff.truncated(L_out))))))
         sups.append(worst)

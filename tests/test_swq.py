@@ -12,14 +12,13 @@ from sphere_sapt.spin import make_irrep, tensor_basis
 from sphere_sapt.sphere import Grid, SphereSymbol, make_grid, synthesize_at, vector_symbol_coeffs
 from sphere_sapt.swq import (
     SWKernel,
-    _band,
     dequantize,
-    dequantize_diagonal,
+    dequantize_diagonals,
     kernel_property_residuals,
     _lower_scale,
     lower_symbol,
     quantize,
-    quantize_diagonal,
+    quantize_diagonals,
 )
 
 
@@ -36,28 +35,30 @@ def _random_symbol(L, rng, fast=()):
 @pytest.mark.parametrize("fast", [(), (2, 2)], ids=["scalar", "2x2"])
 @pytest.mark.parametrize("kernel_L", [5, None], ids=["band", "full"])
 def test_each_diagonal_alone_is_that_of_the_operator(fast, kernel_L):
-    # quantize scatters the diagonals and dequantize gathers them, so each
-    # one computed alone is the same floats; offsets beyond L_sym are zero
+    # quantize scatters the diagonal array and dequantize gathers it, so the
+    # array holds the operator's diagonals as the same floats, rows past
+    # the matrix zero, and dequantize_diagonals is dequantize
     two_j, L = 12, 5
     sym = _random_symbol(L, np.random.default_rng(8), fast)
     ker = SWKernel(make_irrep(two_j), kernel_L)
     d, k = two_j + 1, (fast or (1,))[0]
     A = quantize(sym, ker)
     A4 = A.reshape(d, k, d, k)
-    back = dequantize(A, ker, fast_dim=fast[0] if fast else None).coeffs
-    for m in range(-L - 1, L + 2):
-        r, c = _band(d, m)
-        want = A4[r, :, c, :].reshape((d - abs(m),) + fast)
-        got = quantize_diagonal(sym, ker, m)
-        assert np.array_equal(got, want), m
-        if abs(m) <= ker.L:  # the band kernel has no rows beyond L
-            assert np.array_equal(dequantize_diagonal(got, ker, m), back[abs(m) :, ker.L + m]), m
+    D = quantize_diagonals(sym, ker)
+    assert D.shape == (2 * L + 1, d) + fast
+    for a in range(-L, L + 1):
+        want = np.zeros((d,) + fast, dtype=complex)
+        r = np.arange(max(0, -a), d - max(0, a))
+        want[r] = A4[r, :, r + a, :].reshape((len(r),) + fast)
+        assert np.array_equal(D[L + a], want), a
+    back = dequantize(A, ker, fast_dim=fast[0] if fast else None)
+    assert np.array_equal(dequantize_diagonals(D, ker).coeffs, back.coeffs)
 
 
 @pytest.mark.parametrize("two_j", [1, 3])
 def test_kernel_axioms_small(two_j):
     ker = SWKernel(make_irrep(two_j))
-    res = kernel_property_residuals(ker, make_grid(4 * two_j), n_group=5)
+    res = kernel_property_residuals(ker, make_grid(4 * two_j))
     assert max(res.values()) < 1e-10
 
 
@@ -91,7 +92,7 @@ def test_kernel_gates_fail_on_a_perturbed_entry(monkeypatch):
             yield row
 
     monkeypatch.setattr(SWKernel, "samples", perturbed)
-    res = kernel_property_residuals(SWKernel(make_irrep(4)), make_grid(8), n_group=2)
+    res = kernel_property_residuals(SWKernel(make_irrep(4)), make_grid(8))
     for key in ("hermitian", "reproducing", "trace_duality"):
         assert res[key] > 1e-8, key
 
@@ -101,8 +102,8 @@ def test_kernel_axioms_refuse_a_grid_too_coarse_for_kernel_products(grid):
     # two_j = 10 needs L_exact >= 20 and n_phi >= 21; make_grid(12) used to
     # report reproducing 1.16 and trace_duality 8.05 as if the kernel failed
     with pytest.raises(ValueError, match="two_j = 10"):
-        kernel_property_residuals(SWKernel(make_irrep(10)), grid, n_group=1)
-    res = kernel_property_residuals(SWKernel(make_irrep(10)), Grid(40, 10), n_group=1)
+        kernel_property_residuals(SWKernel(make_irrep(10)), grid)
+    res = kernel_property_residuals(SWKernel(make_irrep(10)), Grid(40, 10))
     assert max(res.values()) < 1e-10, res
 
 
