@@ -180,8 +180,10 @@ def cmd_kernel_check(cfg):
     if not two_j_list:
         raise ValueError(f"--two-j needs at least one value, got {cfg['two_j']!r}")
     for two_j in two_j_list:
-        # kernel_property_residuals holds at most ~12 theta rows of n_phi d x d samples
-        _check_memory(two_j, 12 * (max(cfg["grid"], 2 * two_j) + 1) * (two_j + 1) ** 2 * 16)
+        # kernel_property_residuals: the Legendre table and the theta-profiles, per offset 2 x 43
+        # diagonals and 2 x 43 traces, ~100 dense d x d (the random pairs, the covariance kernels)
+        n_theta, n_offsets, d = max(cfg["grid"], 2 * two_j) // 2 + 1, 2 * two_j + 1, two_j + 1
+        _check_memory(two_j, 8 * n_theta * d * (d + n_offsets) + 1376 * n_offsets * (d + n_theta) + 1600 * d * d)
     rows, checks = [], []
     grid = make_grid(cfg["grid"])
     tol = cfg["tol"]
@@ -193,12 +195,10 @@ def cmd_kernel_check(cfg):
         res = dict(kernel_property_residuals(ker, g))
         # round trips in both directions plus the high-band projection
         A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        res["roundtrip_operator"] = float(
-            np.max(np.abs(quantize(dequantize(A, ker), ker) - A))
-        )
         sym = dequantize(A, ker)
-        back = dequantize(quantize(sym, ker), ker)
-        res["roundtrip_symbol"] = float(np.max(np.abs(back.coeffs - sym.coeffs)))
+        B = quantize(sym, ker)
+        res["roundtrip_operator"] = float(np.max(np.abs(B - A)))
+        res["roundtrip_symbol"] = float(np.max(np.abs(dequantize(B, ker).coeffs - sym.coeffs)))
         L = two_j + 1
         c = np.zeros((L + 1, 2 * L + 1), dtype=complex)
         c[L, L] = 1.0
@@ -212,10 +212,7 @@ def cmd_kernel_check(cfg):
             got = g.synthesize(dequantize(H, ker, fast_dim=2).truncated(1))
             worst_sym = max(worst_sym, float(np.max(np.abs(got - exact_symbol_field(p, g)))))
             low = g.synthesize(lower_symbol(H, ker, fast_dim=2).truncated(1))
-            worst_sym = max(
-                worst_sym,
-                float(np.max(np.abs(low - lower_hamiltonian_symbol_field(p, g)))),
-            )
+            worst_sym = max(worst_sym, float(np.max(np.abs(low - lower_hamiltonian_symbol_field(p, g)))))
         res["model_symbol_identity"] = worst_sym
         worst = max(res.values())
         for prop, val in res.items():

@@ -159,13 +159,10 @@ def wigner_zyz(irrep: SpinIrrep, alpha, beta, gamma) -> np.ndarray:
     return left[..., :, None] * mid * right[..., None, :]
 
 
-def rotation_from_zyz(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """SO(3) image of the ZYZ rotation, acting on column vectors n."""
+def rotation_from_zyz(alpha, beta, gamma) -> np.ndarray:
+    """SO(3) image of the ZYZ rotation, acting on column vectors n; angle
+    arrays of one shape give that shape followed by (3, 3)."""
     u = wigner_zyz(make_irrep(1), alpha, beta, gamma)
     sig = make_irrep(1).Jvec * 2  # Pauli matrices
-    R = np.empty((3, 3))
-    for b in range(3):
-        v = u @ sig[b] @ u.conj().T
-        for a_ in range(3):
-            R[a_, b] = 0.5 * np.trace(sig[a_] @ v).real
-    return R
+    # R_ab = tr(sig_a u sig_b u^dagger) / 2
+    return 0.5 * np.einsum("aij,...jk,bkl,...il->...ab", sig, u, sig, u.conj()).real

@@ -22,7 +22,8 @@ that array and back, one matrix product per offset with the rows l <= L of
 its own block Q[|a|] of the tensor basis.  quantize_diagonals trims the
 array to the largest offset K the symbol carries, and neither map builds
 the block of an offset with no content.  The dense quantize and dequantize
-(the kernel checks) are a scatter and a gather of that array.
+are a scatter and a gather of that array.  The kernel samples are their
+theta-profiles in that layout, and the kernel checks integrate them there.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .spin import SpinIrrep, offset_block
+from .spin import SpinIrrep, offset_block, rotation_from_zyz, wigner_zyz
 from .sphere import Grid, SphereSymbol, _legendre
 
 __all__ = [
@@ -73,35 +74,32 @@ class SWKernel:
     def d(self) -> int:
         return self.irrep.d
 
-    def at(self, theta: float, phi: float) -> np.ndarray:
-        """Dense kernel matrix Delta(n) at a single point."""
-        P = _legendre(self.L, np.array([np.cos(theta)]), self.L)
-        return next(_rows(self, P, np.array([phi])))[0]
+    def at(self, theta, phi) -> np.ndarray:
+        """Dense kernel matrices Delta(n) at points (theta, phi) of one shape:
+        the result has that shape followed by (d, d)."""
+        shape, phi = np.shape(theta), np.ravel(phi)
+        G = _profiles(self, _legendre(self.L, np.cos(np.ravel(theta)), self.L))
+        D = np.exp(-1j * np.multiply.outer(np.arange(-self.L, self.L + 1), phi))[..., None] * G
+        return np.moveaxis(_scatter(D.transpose(0, 2, 1)), 2, 0).reshape(shape + (self.d, self.d))
 
-    def samples(self, grid: Grid):
-        """Kernel at the grid nodes, yielded one theta row (n_phi, d, d) at a time."""
-        return _rows(self, grid._tab(self.L)[0], grid.phi)
+    def samples(self, grid: Grid) -> np.ndarray:
+        """theta-profiles (2L + 1, n_theta, d) at the grid nodes, row-indexed:
+        offset a at node (theta_t, phi_p) is e^{-i a phi_p} [L + a, t]."""
+        return _profiles(self, grid._tab(self.L)[0])
 
 
-def _rows(kernel: SWKernel, P: np.ndarray, phi: np.ndarray):
-    """The kernel at the nodes (theta_t, phi_p) one row t at a time, from a
-    Legendre table P[l, m, t] (l, m <= L at least) at cos(theta_t).
-
-    Diagonal m of Delta is e^{-i m phi} g_|m|(theta), g_m = sqrt(4 pi / d)
-    P[m:L+1, m]^T Q[m].  No sign is needed for m < 0: the (-1)^m of conj(Y_lm)
-    = (-1)^m Y_{l,-m} cancels the (-1)^m of T_{l,-m} = (-1)^m T_lm^T.
-    """
+def _profiles(kernel: SWKernel, P: np.ndarray) -> np.ndarray:
+    """theta-profiles (2L + 1, n_theta, d) from a Legendre table P[l, m, t], l, m <= L,
+    at cos(theta_t): row L + a is g_m = sqrt(4 pi / d) P[m:L+1, m]^T Q[m], m = |a|, on the
+    rows of offset a, with no sign for a < 0: the (-1)^m of conj(Y_lm) = (-1)^m Y_{l,-m}
+    cancels the (-1)^m of T_{l,-m} = (-1)^m T_lm^T."""
     d, L = kernel.d, kernel.L
-    g = [sqrt(4 * pi / d) * (P[m : L + 1, m].T @ kernel.block(m)) for m in range(L + 1)]  # (n_theta, d - m)
-    m = np.arange(-L, L + 1)
-    phase = np.exp(-1j * np.outer(phi, m))  # (n_phi, 2L + 1)
-    for t in range(P.shape[2]):
-        row = np.zeros((len(phi), d * d), dtype=complex)
-        for k, mk in enumerate(m):
-            # diagonal mk of the flat d x d layout: start (0, mk) or (|mk|, 0), step d + 1
-            diag = row[:, (mk if mk >= 0 else -mk * d) :: d + 1][:, : d - abs(mk)]
-            np.multiply(phase[:, k, None], g[abs(mk)][t], out=diag)
-        yield row.reshape(len(phi), d, d)
+    G = np.zeros((2 * L + 1, P.shape[2], d))
+    for m in range(L + 1):
+        g = sqrt(4 * pi / d) * (P[m : L + 1, m].T @ kernel.block(m))
+        G[L + m][:, _span(d, m)] = g
+        G[L - m][:, _span(d, -m)] = g
+    return G
 
 
 def _sign(m: int) -> int:
@@ -152,6 +150,34 @@ def dequantize_diagonals(C: np.ndarray, kernel: SWKernel) -> SphereSymbol:
     return SphereSymbol(coeffs)
 
 
+def _scatter(D: np.ndarray) -> np.ndarray:
+    """The (d, d) + rest matrix whose row-indexed diagonals, (2K + 1, d) + rest, are D."""
+    K, d = len(D) // 2, D.shape[1]
+    A = np.zeros((d, d) + D.shape[2:], dtype=D.dtype)
+    for a in range(-K, K + 1):
+        i = np.arange(d)[_span(d, a)]
+        A[i, i + a] = D[K + a, _span(d, a)]
+    return A
+
+
+def _gather(A: np.ndarray, K: int) -> np.ndarray:
+    """Row-indexed diagonals |a| <= K, (2K + 1, d) + rest, of a (d, d) + rest matrix."""
+    d = A.shape[0]
+    D = np.zeros((2 * K + 1,) + A.shape[1:], dtype=A.dtype)
+    for a in range(-K, K + 1):
+        i = np.arange(d)[_span(d, a)]
+        D[K + a, _span(d, a)] = A[i, i + a]
+    return D
+
+
+def _transposed(D: np.ndarray) -> np.ndarray:
+    """Row-indexed diagonals of the transpose, [K + a, r] = D[K - a, r + a]: the
+    rows r + a past the matrix wrap around onto rows that are zero in D."""
+    K, d = len(D) // 2, D.shape[1]
+    a = np.arange(-K, K + 1)[:, None]
+    return D[K - a, (np.arange(d) + a) % d]
+
+
 def quantize(sym: SphereSymbol, kernel: SWKernel) -> np.ndarray:
     """Operator of a symbol, the scatter of its diagonals; components with
     l > L are projected out (for the full kernel those with l > 2j, which
@@ -160,12 +186,7 @@ def quantize(sym: SphereSymbol, kernel: SWKernel) -> np.ndarray:
     Scalar symbols give a d x d matrix; k x k matrix-valued symbols give a
     (d k) x (d k) matrix on H_slow (x) H_fast.
     """
-    D, d, fast = quantize_diagonals(sym, kernel), kernel.d, sym.fast_shape
-    K, r = len(D) // 2, np.arange(d)
-    A = np.zeros((d, d) + fast, dtype=complex)
-    for a in range(-K, K + 1):
-        i = r[_span(d, a)]
-        A[i, i + a] = D[K + a, _span(d, a)]
+    A, d, fast = _scatter(quantize_diagonals(sym, kernel)), kernel.d, sym.fast_shape
     return A.transpose(0, 2, 1, 3).reshape(d * fast[0], d * fast[0]) if fast else A
 
 
@@ -178,14 +199,9 @@ def dequantize(A: np.ndarray, kernel: SWKernel, fast_dim: int | None = None) -> 
     fast_dim x fast_dim matrix-valued (partial trace over the slow sector
     against the kernel).
     """
-    d, L, k = kernel.d, kernel.L, fast_dim or 1
-    A4 = np.asarray(A, dtype=complex).reshape(d, k, d, k)
-    r = np.arange(d)
-    D = np.zeros((2 * L + 1, d) + ((k, k) if fast_dim else ()), dtype=complex)
-    for m in range(-L, L + 1):
-        i = r[_span(d, m)]
-        D[L + m, _span(d, m)] = A4[i, :, i + m, :].reshape((-1,) + D.shape[2:])
-    return dequantize_diagonals(D, kernel)
+    d, k = kernel.d, fast_dim or 1
+    A4 = np.asarray(A, dtype=complex).reshape(d, k, d, k).transpose(0, 2, 1, 3)
+    return dequantize_diagonals(_gather(A4 if fast_dim else A4[..., 0, 0], kernel.L), kernel)
 
 
 @lru_cache(maxsize=None)
@@ -216,11 +232,10 @@ def kernel_property_residuals(kernel: SWKernel, grid: Grid):
     'trace_duality', 'covariant' (at 20 random group elements).  The
     integrals are over products of two kernels, of degree 2 two_j and phi
     frequency up to 2 two_j, so a grid that cannot integrate those exactly
-    is refused with ValueError.
+    is refused with ValueError.  The quadratures run in the row-indexed
+    layout: a dense kernel is formed only at the 21 covariance points.
     """
-    from .spin import rotation_from_zyz, wigner_zyz
-
-    d = kernel.d
+    d, L, w, pref = kernel.d, kernel.L, grid.w_theta, kernel.d / (4 * pi)
     if grid.L_exact < 2 * kernel.two_j or grid.n_phi <= 2 * kernel.two_j:
         raise ValueError(
             f"a grid exact to degree {grid.L_exact} with {grid.n_phi} phi nodes cannot integrate "
@@ -228,50 +243,41 @@ def kernel_property_residuals(kernel: SWKernel, grid: Grid):
             f"and n_phi >= {2 * kernel.two_j + 1}"
         )
     rng = np.random.default_rng(7)
-    # reproducing targets at three nodes; 20 random hermitian pairs (AB[2i], AB[2i + 1])
+    G = kernel.samples(grid)  # (2L + 1, n_theta, d)
+    phase = np.exp(-1j * np.outer(grid.phi, np.arange(-L, L + 1)))  # (n_phi, 2L + 1)
+    # Delta = Delta^dagger at every offset: profile -a against the conjugate of profile a,
+    # and the phase pair e^{i a phi} against conj(e^{-i a phi})
+    dG = max(np.max(np.abs(G[L - a][:, _span(d, -a)] - G[L + a][:, _span(d, a)].conj())) for a in range(-L, L + 1))
+    res = {"hermitian": float(dG + np.max(np.abs(phase[:, ::-1] - phase.conj())) * np.max(np.abs(G)))}
+    # diagonal a of int Delta = (sum_p e^{-i a phi_p}) (sum_t w_t profile a)
+    mean = pref * phase.sum(axis=0)[:, None] * (w @ G)
+    mean[L] -= 1
+    res["normalized"] = float(np.max(np.abs(mean)))
+    # reproducing targets at three nodes; 20 random hermitian pairs (AB[..., 2i], AB[..., 2i + 1])
     nodes = [(0, 0), (grid.n_theta // 2, grid.n_phi // 3), (grid.n_theta - 1, 1)]
-    targets = [kernel.at(grid.theta[it], grid.phi[ip]) for it, ip in nodes]
+    T = np.stack([phase[p, :, None] * G[:, t] for t, p in nodes], axis=-1)  # (2L + 1, d, 3)
     draws = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(40))
-    AB = [X + X.conj().T for X in draws]
-    # f_X(n) = tr(Delta(n) X) for every X at once: row2d @ M, M[:, i] = X_i^T flattened
-    M = np.stack([X.T.ravel() for X in targets + AB], axis=1)
-
-    # one pass over the theta rows: integrals are w_theta-weighted sums over phi
-    herm = 0.0
-    mean = np.zeros(d * d, dtype=complex)
-    rec = np.zeros((3, d * d), dtype=complex)  # int tr(Delta(m) Delta(n)) Delta(m) dm
-    fab = np.zeros(20, dtype=complex)  # int f_A f_B
-    for w, row in zip(grid.w_theta, kernel.samples(grid)):
-        herm = max(herm, float(np.max(np.abs(row - row.conj().swapaxes(-1, -2)))))
-        row2d = row.reshape(grid.n_phi, d * d)
-        mean += w * row2d.sum(axis=0)
-        F = row2d @ M
-        rec += (w * F[:, :3]).T @ row2d
-        fab += w * np.sum(F[:, 3::2] * F[:, 4::2], axis=0)
-    pref = d / (4 * pi)
-    res = {"hermitian": herm}
-    res["normalized"] = float(np.max(np.abs(pref * mean.reshape(d, d) - np.eye(d))))
-    res["reproducing"] = max(float(np.max(np.abs(pref * r.reshape(d, d) - T))) for r, T in zip(rec, targets))
-    lhs = [np.trace(A @ B) for A, B in zip(AB[::2], AB[1::2])]
+    AB = np.stack([X + X.conj().T for X in draws], axis=-1)
+    lhs = np.einsum("ijk,jik->k", AB[..., ::2], AB[..., 1::2])  # tr(A B)
+    # f_X(t, p) = tr(Delta X) = sum_a e^{-i a phi_p} c_a(t), c_a = profile a . diagonal a of X^T,
+    # for all 43 X at once (real profiles times the float view of the complex diagonals)
+    XT = np.concatenate([_transposed(T), _gather(AB.swapaxes(0, 1), L)], axis=-1)
+    c = (G @ XT.view(float)).view(complex)  # (2L + 1, n_theta, 43)
+    del XT, AB  # the peak holds G, c and Mc
+    # the phi sums over the nodes: sum_p f_X f_Y = c_X^T M c_Y, M[a, b] = sum_p e^{-i (a + b) phi_p}
+    Mc = ((phase.T @ phase) @ c.reshape(2 * L + 1, -1)).reshape(c.shape)
+    # diagonal a of int f_T Delta = sum_t w_t (sum_p f_T e^{-i a phi_p}) profile a, phi sum (M c_T)_a
+    rec = (G.transpose(0, 2, 1) @ (w[:, None] * Mc[..., :3]).view(float)).view(complex)
+    res["reproducing"] = float(np.max(np.abs(pref * rec - T)))
+    fab = np.einsum("t,atk,atk->k", w, c[..., 3::2], Mc[..., 4::2])  # int f_A f_B
     res["trace_duality"] = float(max(abs(a - pref * b) / max(1.0, abs(a)) for a, b in zip(lhs, fab)))
-
-    # covariance over random group elements
-    worst = 0.0
+    del G, c, Mc  # the dense covariance kernels come on top of none of these
+    # covariance over random group elements: the kernel at n0 and its 20 rotated images
     theta0, phi0 = 1.1, 0.4
-    delta0 = kernel.at(theta0, phi0)
-    n0 = np.array(
-        [np.sin(theta0) * np.cos(phi0), np.sin(theta0) * np.sin(phi0), np.cos(theta0)]
-    )
-    for _ in range(20):
-        ang = rng.uniform(0, 2 * pi, size=3)
-        U = wigner_zyz(kernel.irrep, *ang)
-        R = rotation_from_zyz(*ang)
-        n1 = R @ n0
-        th1 = np.arccos(np.clip(n1[2], -1, 1))
-        ph1 = np.arctan2(n1[1], n1[0])
-        worst = max(
-            worst,
-            float(np.max(np.abs(U @ delta0 @ U.conj().T - kernel.at(th1, ph1)))),
-        )
-    res["covariant"] = worst
+    n0 = np.array([np.sin(theta0) * np.cos(phi0), np.sin(theta0) * np.sin(phi0), np.cos(theta0)])
+    ang = rng.uniform(0, 2 * pi, size=(20, 3))
+    n1 = (rotation_from_zyz(*ang.T) @ n0).T
+    D = kernel.at(np.r_[theta0, np.arccos(np.clip(n1[2], -1, 1))], np.r_[phi0, np.arctan2(n1[1], n1[0])])
+    U = wigner_zyz(kernel.irrep, *ang.T)
+    res["covariant"] = float(np.max(np.abs(U @ D[0] @ U.conj().swapaxes(-1, -2) - D[1:])))
     return res

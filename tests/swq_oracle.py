@@ -8,6 +8,12 @@ time from its band diagonals; the tests compare both.
 raise_lower_symbol: the d x d operator with a given lower symbol; the
 package's coherent-state product divides by the lower-symbol factor on the
 operator diagonals instead.
+
+kernel_property_residuals: the five kernel properties from dense d x d
+kernel samples, scattered one theta row at a time (kernel_rows) and
+integrated with one (n_phi x d^2) (d^2 x 43) product per row.  The package
+integrates the same quadrature in the row-indexed diagonal layout and never
+forms a dense sample on the grid.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from math import pi, sqrt
 
 import numpy as np
 
-from sphere_sapt.sphere import SphereSymbol
-from sphere_sapt.spin import tensor_basis
+from sphere_sapt.sphere import Grid, SphereSymbol, _legendre
+from sphere_sapt.spin import rotation_from_zyz, tensor_basis, wigner_zyz
 from sphere_sapt.swq import _lower_scale, _sign, quantize
 
 
@@ -50,3 +56,85 @@ def raise_lower_symbol(sym: SphereSymbol, kernel) -> np.ndarray:
     r = _lower_scale(two_j)[: sym.L + 1]
     shape = (sym.L + 1, 1) + (1,) * (sym.coeffs.ndim - 2)
     return quantize(SphereSymbol(sym.coeffs / r.reshape(shape)), kernel)
+
+
+def kernel_rows(kernel, P: np.ndarray, phi: np.ndarray):
+    """The kernel at the nodes (theta_t, phi_p) one row t at a time, from a
+    Legendre table P[l, m, t] (l, m <= L at least) at cos(theta_t).
+
+    Diagonal m of Delta is e^{-i m phi} g_|m|(theta), g_m = sqrt(4 pi / d)
+    P[m:L+1, m]^T Q[m].  No sign is needed for m < 0: the (-1)^m of conj(Y_lm)
+    = (-1)^m Y_{l,-m} cancels the (-1)^m of T_{l,-m} = (-1)^m T_lm^T.
+    """
+    d, L = kernel.d, kernel.L
+    g = [sqrt(4 * pi / d) * (P[m : L + 1, m].T @ kernel.block(m)) for m in range(L + 1)]  # (n_theta, d - m)
+    m = np.arange(-L, L + 1)
+    phase = np.exp(-1j * np.outer(phi, m))  # (n_phi, 2L + 1)
+    for t in range(P.shape[2]):
+        row = np.zeros((len(phi), d * d), dtype=complex)
+        for k, mk in enumerate(m):
+            # diagonal mk of the flat d x d layout: start (0, mk) or (|mk|, 0), step d + 1
+            diag = row[:, (mk if mk >= 0 else -mk * d) :: d + 1][:, : d - abs(mk)]
+            np.multiply(phase[:, k, None], g[abs(mk)][t], out=diag)
+        yield row.reshape(len(phi), d, d)
+
+
+def kernel_at(kernel, theta: float, phi: float) -> np.ndarray:
+    """Dense kernel matrix Delta(n) at a single point."""
+    P = _legendre(kernel.L, np.array([np.cos(theta)]), kernel.L)
+    return next(kernel_rows(kernel, P, np.array([phi])))[0]
+
+
+def kernel_property_residuals(kernel, grid: Grid):
+    """The five kernel residuals from dense samples, one theta row at a time."""
+    d = kernel.d
+    if grid.L_exact < 2 * kernel.two_j or grid.n_phi <= 2 * kernel.two_j:
+        raise ValueError(f"a grid exact to degree {grid.L_exact} cannot integrate products of two kernels")
+    rng = np.random.default_rng(7)
+    # reproducing targets at three nodes; 20 random hermitian pairs (AB[2i], AB[2i + 1])
+    nodes = [(0, 0), (grid.n_theta // 2, grid.n_phi // 3), (grid.n_theta - 1, 1)]
+    targets = [kernel_at(kernel, grid.theta[it], grid.phi[ip]) for it, ip in nodes]
+    draws = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(40))
+    AB = [X + X.conj().T for X in draws]
+    # f_X(n) = tr(Delta(n) X) for every X at once: row2d @ M, M[:, i] = X_i^T flattened
+    M = np.stack([X.T.ravel() for X in targets + AB], axis=1)
+
+    # one pass over the theta rows: integrals are w_theta-weighted sums over phi
+    herm = 0.0
+    mean = np.zeros(d * d, dtype=complex)
+    rec = np.zeros((3, d * d), dtype=complex)  # int tr(Delta(m) Delta(n)) Delta(m) dm
+    fab = np.zeros(20, dtype=complex)  # int f_A f_B
+    for w, row in zip(grid.w_theta, kernel_rows(kernel, grid._tab(kernel.L)[0], grid.phi)):
+        herm = max(herm, float(np.max(np.abs(row - row.conj().swapaxes(-1, -2)))))
+        row2d = row.reshape(grid.n_phi, d * d)
+        mean += w * row2d.sum(axis=0)
+        F = row2d @ M
+        rec += (w * F[:, :3]).T @ row2d
+        fab += w * np.sum(F[:, 3::2] * F[:, 4::2], axis=0)
+    pref = d / (4 * pi)
+    res = {"hermitian": herm}
+    res["normalized"] = float(np.max(np.abs(pref * mean.reshape(d, d) - np.eye(d))))
+    res["reproducing"] = max(float(np.max(np.abs(pref * r.reshape(d, d) - T))) for r, T in zip(rec, targets))
+    lhs = [np.trace(A @ B) for A, B in zip(AB[::2], AB[1::2])]
+    res["trace_duality"] = float(max(abs(a - pref * b) / max(1.0, abs(a)) for a, b in zip(lhs, fab)))
+
+    # covariance over random group elements
+    worst = 0.0
+    theta0, phi0 = 1.1, 0.4
+    delta0 = kernel_at(kernel, theta0, phi0)
+    n0 = np.array(
+        [np.sin(theta0) * np.cos(phi0), np.sin(theta0) * np.sin(phi0), np.cos(theta0)]
+    )
+    for _ in range(20):
+        ang = rng.uniform(0, 2 * pi, size=3)
+        U = wigner_zyz(kernel.irrep, *ang)
+        R = rotation_from_zyz(*ang)
+        n1 = R @ n0
+        th1 = np.arccos(np.clip(n1[2], -1, 1))
+        ph1 = np.arctan2(n1[1], n1[0])
+        worst = max(
+            worst,
+            float(np.max(np.abs(U @ delta0 @ U.conj().T - kernel_at(kernel, th1, ph1)))),
+        )
+    res["covariant"] = worst
+    return res

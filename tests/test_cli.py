@@ -154,12 +154,21 @@ def test_egorov_to_two_j_640(tmp_path):
     assert abs(json.loads((tmp_path / "egorov.json").read_text())["fit"]["slope"] + 2) < 0.1
 
 
+def test_kernel_check_to_two_j_160(tmp_path):
+    # the tolerance 1e-10 holds here (worst residual ~3e-11, reproducing);
+    # at two_j = 320 reproducing reaches ~6e-10
+    assert main(["kernel-check", "--two-j", "160", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "kernel-check.csv").read_text().splitlines()[1:]
+    assert len(rows) == 9 and max(float(r.split(",")[2]) for r in rows) < 1e-10
+
+
 def test_model_commands_build_no_dense_operator(tmp_path, monkeypatch):
     # no 2d x 2d Hamiltonian, no eigensolver or SVD beyond the 2 x 2 fast
     # sector, and no full tensor basis in the four sector commands: their
     # symbols carry the offsets |m| <= 1 alone, so no kernel (the full one
     # included, which a band-32 symbol gets at two_j = 10) builds another block
-    from sphere_sapt import model, spin, swq
+    from sphere_sapt import model, sapt, spin, swq
+    from sphere_sapt.sphere import make_grid
 
     def forbidden(name):
         def call(*args, **kwargs):
@@ -171,6 +180,9 @@ def test_model_commands_build_no_dense_operator(tmp_path, monkeypatch):
         assert m <= 1, f"block {m} of the band-{L} kernel at two_j = {two_j}"
         return spin.offset_block(two_j, m, L)
 
+    # the commands' quadrature grids, built before the ban: leggauss calls eigvalsh
+    sapt._symbol_grid(4 * sapt.BAND_LIMIT, 1)
+    make_grid(48)
     eigh = np.linalg.eigh
 
     def small_eigh(a, *args, **kwargs):
@@ -219,6 +231,7 @@ def test_model_commands_fit_their_defaults_in_a_gibibyte(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["kernel-check", "--two-j", "80"],
         ["egorov", "--two-j", "20,320"],
         ["bands", "--two-j", "10,20000"],
         ["invariance-slopes", "--two-j", "10,20000"],

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from cg_oracle import clebsch_gordan
 from spin_oracle import coherent_state
+import swq_oracle
 from swq_oracle import kernel_samples, raise_lower_symbol
 
+from sphere_sapt import cli, swq
 from sphere_sapt.spin import make_irrep, tensor_basis
 from sphere_sapt.sphere import Grid, SphereSymbol, make_grid, synthesize_at, vector_symbol_coeffs
 from sphere_sapt.swq import (
@@ -62,39 +64,82 @@ def test_kernel_axioms_small(two_j):
     assert max(res.values()) < 1e-10
 
 
+@pytest.mark.parametrize("two_j", [1, 2, 3, 5, 10, 20, 30])
+def test_residuals_match_the_dense_row_oracle(two_j):
+    # the grids kernel-check uses at its default --grid 48
+    ker = SWKernel(make_irrep(two_j))
+    grid = make_grid(max(48, 2 * two_j))
+    got, want = kernel_property_residuals(ker, grid), swq_oracle.kernel_property_residuals(ker, grid)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert abs(got[key] - want[key]) <= 1e-12, (key, got[key], want[key])
+
+
+def _dense(G, grid):
+    """Kernel samples (n_theta, n_phi, d, d) from the theta-profiles: offset a
+    at node (t, p) is e^{-i a phi_p} G[L + a, t] on its rows, zero elsewhere."""
+    L, d = len(G) // 2, G.shape[2]
+    out = np.zeros((grid.n_theta, grid.n_phi, d, d), dtype=complex)
+    for a in range(-L, L + 1):
+        rows = np.arange(max(0, -a), d - max(0, a))
+        assert not np.any(np.delete(G[L + a], rows, axis=1)), a
+        out[:, :, rows, rows + a] = np.exp(-1j * a * grid.phi)[None, :, None] * G[L + a][:, None, rows]
+    return out
+
+
 # (two_j, grid L_exact); make_grid(12) has n_phi = 13 < 2j + 1 = 21, so the
 # phases e^{-i m phi} of different m alias on its nodes
 @pytest.mark.parametrize("two_j, L_exact", [(1, 2), (2, 4), (5, 10), (10, 20), (10, 12), (30, 60)])
 def test_streamed_samples_match_the_synthesis_oracle(two_j, L_exact):
     ker = SWKernel(make_irrep(two_j))
     grid = make_grid(L_exact)
-    rows = list(ker.samples(grid))
-    assert len(rows) == grid.n_theta
-    assert all(r.shape == (grid.n_phi, ker.d, ker.d) for r in rows)
-    assert np.max(np.abs(np.stack(rows) - kernel_samples(ker, grid))) < 1e-13
+    G = ker.samples(grid)
+    assert G.shape == (2 * two_j + 1, grid.n_theta, ker.d)
+    assert np.max(np.abs(_dense(G, grid) - kernel_samples(ker, grid))) < 1e-13
 
 
 def test_kernel_at_matches_the_sampled_rows():
     ker = SWKernel(make_irrep(4))
     grid = make_grid(8)
-    for t, row in enumerate(ker.samples(grid)):
+    dense = _dense(ker.samples(grid), grid)
+    theta, phi = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    at_once = ker.at(theta, phi)
+    assert at_once.shape == dense.shape
+    assert np.max(np.abs(at_once - dense)) < 1e-13
+    for t in range(grid.n_theta):
         for p in range(grid.n_phi):
-            assert np.max(np.abs(ker.at(grid.theta[t], grid.phi[p]) - row[p])) < 1e-13
+            assert np.max(np.abs(ker.at(grid.theta[t], grid.phi[p]) - dense[t, p])) < 1e-13
+    # a pole, where every offset but 0 vanishes
+    assert np.max(np.abs(ker.at(0.0, 0.3) - swq_oracle.kernel_at(ker, 0.0, 0.3))) < 1e-13
 
 
 def test_kernel_gates_fail_on_a_perturbed_entry(monkeypatch):
-    # every gate must be able to fail: scale entry (0, 1) of every sample
+    # every gate must be able to fail: scale the +1 profile at row 0, entry
+    # (0, 1) of every sample, and leave its -1 partner, entry (1, 0), alone
     samples = SWKernel.samples
 
     def perturbed(self, grid):
-        for row in samples(self, grid):
-            row[:, 0, 1] *= 1 + 1e-6
-            yield row
+        G = samples(self, grid)
+        G[self.L + 1, :, 0] *= 1 + 1e-6
+        return G
 
     monkeypatch.setattr(SWKernel, "samples", perturbed)
     res = kernel_property_residuals(SWKernel(make_irrep(4)), make_grid(8))
     for key in ("hermitian", "reproducing", "trace_duality"):
         assert res[key] > 1e-8, key
+
+
+def test_kernel_check_forms_dense_kernels_only_at_the_covariance_points(monkeypatch):
+    scattered = []
+    scatter = swq._scatter
+
+    def recorded(D):
+        scattered.append(D.shape)
+        return scatter(D)
+
+    monkeypatch.setattr(swq, "_scatter", recorded)
+    kernel_property_residuals(SWKernel(make_irrep(10)), make_grid(20))
+    assert scattered == [(21, 11, 21)]  # 2L + 1 offsets, d rows, the 21 covariance points
 
 
 @pytest.mark.parametrize("grid", [make_grid(12), make_grid(19), Grid(40, 9)], ids=["L12", "L19", "L40-M9"])
@@ -107,14 +152,20 @@ def test_kernel_axioms_refuse_a_grid_too_coarse_for_kernel_products(grid):
     assert max(res.values()) < 1e-10, res
 
 
-def test_kernel_axioms_at_two_j_60_in_a_few_rows_of_memory():
-    # one theta row at two_j = 60 on make_grid(120) is n_phi d^2 16 B =
-    # 121 * 61^2 * 16 B = 6.9 MiB.  Sampled one row at a time, the whole check
-    # peaked at 5.5 rows here (8.1 in a first draft).  The full
-    # (n_theta, n_phi, d, d) sample array and its temporaries peak at about
-    # 3 n_theta rows: 95 rows at two_j = 30, 183 rows (1.26 GB) at 60.  The
-    # kernel-check memory check at entry assumes 12 rows.
+def test_kernel_axioms_at_two_j_60_in_a_few_rows_of_memory(tmp_path, monkeypatch):
+    # one theta row of dense samples at two_j = 60 on make_grid(120) is
+    # n_phi d^2 16 B = 121 * 61^2 * 16 B = 6.9 MiB.  The dense-row oracle,
+    # streamed one row at a time, peaks at 5.5 rows; the row-indexed layout
+    # at 2.7 rows, under the count kernel-check makes at entry (4.4 rows).
     two_j = 60
+    counted = []
+
+    def count(two_j, need):
+        counted.append(need)
+        raise ValueError("counted")
+
+    monkeypatch.setattr(cli, "_check_memory", count)
+    assert cli.main(["kernel-check", "--two-j", str(two_j), "--grid", "120", "--out", str(tmp_path)]) == 2
     ker = SWKernel(make_irrep(two_j))
     tensor_basis(two_j)  # a process-wide cache, not part of the working set
     grid = Grid(120)  # uncached: its Legendre table is built under the trace
@@ -126,7 +177,7 @@ def test_kernel_axioms_at_two_j_60_in_a_few_rows_of_memory():
     finally:
         tracemalloc.stop()
     assert max(res.values()) < 1e-10, res
-    assert peak <= 12 * row_bytes, peak / row_bytes
+    assert peak <= counted[0] <= 5 * row_bytes, (peak / row_bytes, counted[0] / row_bytes)
 
 
 def test_quantize_constant_is_identity():
