@@ -2,9 +2,9 @@
 
 Every numerical check is a subcommand writing a CSV (data rows only, byte
 deterministic for a fixed seed) and a JSON summary (config echo, wall time,
-pass/fail per check, slope fits).  A subcommand returns its rows, checks
-and extra summary keys; `main` alone times it, writes the files and maps
-what it raises to an exit code:
+environment, pass/fail per check, slope fits).  A subcommand returns its
+rows, checks and extra summary keys; `main` alone times it, writes the
+files and maps what it raises to an exit code:
 
     0  every check passed
     1  a check failed, or the computation failed (ArithmeticError: e.g. a
@@ -24,9 +24,13 @@ import argparse
 import csv
 import json
 import os
+import platform
 import sys
 import time
 from math import isfinite, pi
+
+# read once as numpy loads OpenBLAS: idle workers sleep after 2^12 cycles, not spin ~0.1 s (2^28)
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "12")
 
 import numpy as np
 
@@ -108,6 +112,19 @@ def _nonfinite_key(obj, path: str = "") -> str | None:
     return None
 
 
+def _env_record() -> dict:
+    """Python, numpy and BLAS versions, and the thread settings of this process."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "thread_env": {
+            k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS") or k == "OPENBLAS_THREAD_TIMEOUT"
+        },
+    }
+
+
 def _emit(cfg, name: str, header, rows, checks, extra, wall_time_s: float) -> int:
     """Write <name>.csv and <name>.json; 0 if every check passed, else 1.
 
@@ -122,6 +139,7 @@ def _emit(cfg, name: str, header, rows, checks, extra, wall_time_s: float) -> in
         "command": name,
         "config": {k: v for k, v in cfg.items() if k != "out"},
         "wall_time_s": wall_time_s,
+        "env": _env_record(),
         "checks": checks,
         "pass": ok,
         **extra,
@@ -369,6 +387,8 @@ def cmd_egorov(cfg):
     name = cfg["observable"]
     if name not in obs:
         raise ValueError(f"unknown observable {name!r}, expected one of {sorted(obs)}")
+    if cfg["time"] == 0:  # a slope fit of round-off would check nothing
+        raise ValueError("--time must be nonzero: at T = 0 both flows are the identity and the errors are round-off")
     two_j_list = _slope_sweep(cfg)
     # the full block Q[1] of every dimension (d^2 floats each, cached; the
     # observable's diagonal array is trimmed to the offsets |m| <= 1 it

@@ -11,12 +11,13 @@ diagonals in O(d L_f L_g), and the result goes back through
 swq.dequantize_diagonals.  The dense products are test oracles.
 star_truncation assembles the asymptotic series from differential-operator
 bilinears with a given coefficient set: an operator-kernel set gives the
-star_exact series, a coherent-state set the berezin_exact one.  Two printed
-sets are shipped verbatim from the literature; they fail the unit-symbol
-test (their order-1 term does not annihilate the pair (1, 1) although
-1 * 1 = 1 exactly), so a calibration routine fits the order-1 symmetric
-part empirically.  Both sets stay first-class so the discrepancy can be
-reported side by side.
+star_exact series, a coherent-state set the berezin_exact one.  The printed
+operator-kernel set is shipped verbatim from the literature; it fails the
+unit-symbol test (its order-1 term does not annihilate the pair (1, 1)
+although 1 * 1 = 1 exactly), so a calibration routine fits the order-1
+symmetric part empirically.  Both sets stay first-class so the discrepancy
+can be reported side by side.  The coherent-state sets, printed and
+calibrated, are test data (tests/star_oracle.py).
 
 Conventions: Lam = (n x grad)^2 acts as -l(l+1) per harmonic sector, dot and
 cross are the tangential-gradient bilinears of sphere.gradient_bilinears, and
@@ -47,9 +48,7 @@ __all__ = [
     "CoefficientSet",
     "SemiclassicalSymbol",
     "PRINTED_MOYAL",
-    "PRINTED_BEREZIN",
     "CALIBRATED",
-    "CALIBRATED_BEREZIN",
     "symbol_product",
     "star_exact",
     "berezin_exact",
@@ -83,13 +82,8 @@ class CoefficientSet:
 PRINTED_MOYAL = CoefficientSet(
     "printed_moyal", -0.5, 1.0, 0.0, 1.0, (-0.5, 0.25, -2.25, -3.5, 0.0, -6.0, 1.0, 0.0)
 )
-PRINTED_BEREZIN = CoefficientSet(
-    "printed_berezin", -0.5, 0.0, -1.0, 1.0, (-0.5, 0.5, -0.5, -3.0, 0.5, -6.0, 0.5, -0.5)
-)
-# frozen outputs of calibrate_order1; revalidated in the test suite.  Note the
-# coherent-state gradient term calibrates to +1, opposite to the printed sign.
+# frozen output of calibrate_order1; revalidated in the test suite
 CALIBRATED = CoefficientSet("calibrated", 0.0, 0.0, 0.0, 1.0)
-CALIBRATED_BEREZIN = CoefficientSet("calibrated_berezin", 0.0, 0.0, 1.0, 1.0)
 
 
 @dataclass(frozen=True)

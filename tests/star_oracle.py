@@ -4,7 +4,8 @@ The exact products as dense d x d operator products (quantize, @,
 dequantize); the package multiplies the operators' offset diagonals.  The
 printed order-2 tables as term-by-term sums of separately analyzed symbols;
 the package forms each truncation term as one analysis of samples over one
-basis of invariants."""
+basis of invariants.  It also holds the coherent-state coefficient sets,
+which only the tests use."""
 
 from __future__ import annotations
 
@@ -12,8 +13,16 @@ import numpy as np
 from swq_oracle import raise_lower_symbol
 
 from sphere_sapt.sphere import SphereSymbol, angular_square, gradient_bilinears
-from sphere_sapt.star import _combine, order1_bilinear, symbol_product
+from sphere_sapt.star import CoefficientSet, _combine, order1_bilinear, symbol_product
 from sphere_sapt.swq import SWKernel, dequantize, lower_symbol, quantize
+
+# The coherent-state coefficient sets (berezin_exact series): the printed
+# table verbatim, and the frozen output of calibrate_order1(product="berezin"),
+# whose gradient term calibrates to +1, opposite to the printed sign.
+PRINTED_BEREZIN = CoefficientSet(
+    "printed_berezin", -0.5, 0.0, -1.0, 1.0, (-0.5, 0.5, -0.5, -3.0, 0.5, -6.0, 0.5, -0.5)
+)
+CALIBRATED_BEREZIN = CoefficientSet("calibrated_berezin", 0.0, 0.0, 1.0, 1.0)
 
 
 def star_dense(f, g, irrep) -> SphereSymbol:

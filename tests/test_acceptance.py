@@ -10,6 +10,7 @@ the individual check.
 import numpy as np
 from model_oracle import gap_profile
 from sapt_oracle import closed_form_hamiltonian
+from star_oracle import CALIBRATED_BEREZIN
 
 from sphere_sapt.berry import chern_analytic, chern_plaquette
 from sphere_sapt.fits import loglog_slope
@@ -33,7 +34,6 @@ from sphere_sapt.sphere import SphereSymbol, make_grid, vector_symbol_coeffs
 from sphere_sapt.spin import make_irrep
 from sphere_sapt.star import (
     CALIBRATED,
-    CALIBRATED_BEREZIN,
     PRINTED_MOYAL,
     SemiclassicalSymbol,
     _combine,

@@ -1,6 +1,9 @@
 """Command-line harness: determinism, exit codes, config handling."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -24,6 +27,46 @@ def test_gap_runs_and_writes_outputs(tmp_path):
     assert summary["pass"] is True
     assert summary["config"]["thetas"] == 16
     assert "wall_time_s" in summary
+
+
+def _fresh_python(code: str, **env) -> str:
+    """Stdout of `code` in a new interpreter whose environment lacks
+    OPENBLAS_THREAD_TIMEOUT, plus `env`."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env={**base, **env}, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
+
+
+_TIMEOUT = "import os, {module}; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+
+
+@pytest.mark.parametrize(
+    "module, env, want",
+    [
+        ("sphere_sapt.cli", {}, "12"),  # set before numpy loads OpenBLAS
+        ("sphere_sapt.cli", {"OPENBLAS_THREAD_TIMEOUT": "20"}, "20"),  # the user's value wins
+        ("sphere_sapt.sapt", {}, "None"),  # the library leaves the environment alone
+        ("sphere_sapt", {}, "None"),
+    ],
+)
+def test_only_the_cli_sets_the_blas_thread_timeout(module, env, want):
+    assert _fresh_python(_TIMEOUT.format(module=module), **env) == want
+
+
+def test_package_import_loads_no_numpy():
+    # the CLI's default must be set before numpy is loaded
+    assert _fresh_python("import sys, sphere_sapt; print('numpy' in sys.modules)") == "False"
+
+
+def test_summary_records_the_environment(tmp_path):
+    _fresh_python(f"from sphere_sapt.cli import main; main(['gap', '--thetas', '4', '--out', {str(tmp_path)!r}])")
+    env = json.loads((tmp_path / "gap.json").read_text())["env"]
+    assert env["thread_env"]["OPENBLAS_THREAD_TIMEOUT"] == "12"
+    assert env["numpy"] == np.__version__
+    assert set(env) == {"python", "numpy", "blas", "thread_env"}
 
 
 def test_csv_outputs_are_deterministic(tmp_path):
@@ -298,6 +341,7 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
         (["invariance-slopes", "--orders", ","], 2),
         (["kernel-check", "--two-j", ""], 2),
         (["chern", "--two-s", "-1"], 2),  # would write a header-only CSV
+        (["egorov", "--time", "0"], 2),  # the errors are round-off: the slope would check nothing
     ],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, argv, want):
@@ -326,6 +370,7 @@ _CAUSES = {
     ("invariance-slopes", "--orders", ","): "--orders needs at least one order, got ','",
     ("kernel-check", "--two-j", ""): "--two-j needs at least one value, got ''",
     ("chern", "--two-s", "-1"): "two_s must be >= 0, got -1",
+    ("egorov", "--time", "0"): "--time must be nonzero",
 }
 
 

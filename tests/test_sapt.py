@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from sapt_oracle import closed_form_hamiltonian, dense_spectrum, hausdorff, heisenberg
+from star_oracle import CALIBRATED_BEREZIN, PRINTED_BEREZIN
 
 from sphere_sapt import sapt, swq
 from sphere_sapt.fits import loglog_slope
@@ -32,8 +33,6 @@ from sphere_sapt.sphere import (
 from sphere_sapt.spin import make_irrep
 from sphere_sapt.star import (
     CALIBRATED,
-    CALIBRATED_BEREZIN,
-    PRINTED_BEREZIN,
     PRINTED_MOYAL,
     SemiclassicalSymbol,
     _combine,

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from star_oracle import berezin_dense, star_dense, truncation
+from star_oracle import CALIBRATED_BEREZIN, PRINTED_BEREZIN, berezin_dense, star_dense, truncation
 from swq_oracle import raise_lower_symbol
 
 from sphere_sapt import star
@@ -11,8 +11,6 @@ from sphere_sapt.spin import make_irrep
 from sphere_sapt.sphere import SphereSymbol, make_grid, vector_symbol_coeffs
 from sphere_sapt.star import (
     CALIBRATED,
-    CALIBRATED_BEREZIN,
-    PRINTED_BEREZIN,
     PRINTED_MOYAL,
     SemiclassicalSymbol,
     _combine,
