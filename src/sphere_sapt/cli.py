@@ -29,9 +29,6 @@ import sys
 import time
 from math import isfinite, pi
 
-# read once as numpy loads OpenBLAS: idle workers sleep after 2^12 cycles, not spin ~0.1 s (2^28)
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "12")
-
 import numpy as np
 
 from .berry import chern_analytic, chern_plaquette
@@ -112,6 +109,23 @@ def _nonfinite_key(obj, path: str = "") -> str | None:
     return None
 
 
+def _blas_threads() -> int | None:
+    """Thread count of the OpenBLAS that numpy loaded, or None if not found."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                return int(getattr(lib, name)())
+    return None
+
+
 def _env_record() -> dict:
     """Python, numpy and BLAS versions, and the thread settings of this process."""
     blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
@@ -119,6 +133,7 @@ def _env_record() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": _blas_threads(),
         "thread_env": {
             k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS") or k == "OPENBLAS_THREAD_TIMEOUT"
         },

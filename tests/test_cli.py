@@ -46,19 +46,35 @@ _TIMEOUT = "import os, {module}; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT')
 @pytest.mark.parametrize(
     "module, env, want",
     [
-        ("sphere_sapt.cli", {}, "12"),  # set before numpy loads OpenBLAS
-        ("sphere_sapt.cli", {"OPENBLAS_THREAD_TIMEOUT": "20"}, "20"),  # the user's value wins
-        ("sphere_sapt.sapt", {}, "None"),  # the library leaves the environment alone
-        ("sphere_sapt", {}, "None"),
+        ("sphere_sapt", {}, "12"),  # the package sets it before any submodule loads numpy
+        ("sphere_sapt.sapt", {}, "12"),
+        ("sphere_sapt.star", {}, "12"),
+        ("sphere_sapt.cli", {}, "12"),
+        ("sphere_sapt", {"OPENBLAS_THREAD_TIMEOUT": "20"}, "20"),  # the user's value wins
+        ("sphere_sapt.cli", {"OPENBLAS_THREAD_TIMEOUT": "20"}, "20"),
     ],
 )
-def test_only_the_cli_sets_the_blas_thread_timeout(module, env, want):
+def test_every_entry_point_sets_the_blas_thread_timeout(module, env, want):
     assert _fresh_python(_TIMEOUT.format(module=module), **env) == want
 
 
 def test_package_import_loads_no_numpy():
-    # the CLI's default must be set before numpy is loaded
+    # the package's default timeout must be set before numpy is loaded
     assert _fresh_python("import sys, sphere_sapt; print('numpy' in sys.modules)") == "False"
+
+
+_IDLE_CPU = """import sphere_sapt.sapt, numpy as np, time
+a = np.random.default_rng(0).random((400, 400))
+a @ a
+t = time.process_time()
+time.sleep(0.3)
+print(time.process_time() - t)"""
+
+
+@pytest.mark.skipif((cli._blas_threads() or 0) < 2, reason="needs OpenBLAS with at least 2 threads")
+def test_idle_blas_workers_do_not_spin():
+    # with OpenBLAS's own default an idle worker spins ~0.1 s after each threaded call
+    assert float(_fresh_python(_IDLE_CPU)) < 0.02
 
 
 def test_summary_records_the_environment(tmp_path):
@@ -66,7 +82,8 @@ def test_summary_records_the_environment(tmp_path):
     env = json.loads((tmp_path / "gap.json").read_text())["env"]
     assert env["thread_env"]["OPENBLAS_THREAD_TIMEOUT"] == "12"
     assert env["numpy"] == np.__version__
-    assert set(env) == {"python", "numpy", "blas", "thread_env"}
+    assert env["blas_threads"] == cli._blas_threads()
+    assert set(env) == {"python", "numpy", "blas", "blas_threads", "thread_env"}
 
 
 def test_csv_outputs_are_deterministic(tmp_path):
