@@ -13,7 +13,8 @@ filled (the test suite, say) is still entered.
 
 KEEP names the functions that may stay unreached, each with its reason;
 `run()` returns 1 if any other function is listed, so test-only code that
-enters src/ fails the gate.
+enters src/ fails the gate, and also if a KEEP name is not listed (it was
+entered or is no longer defined), so KEEP cannot go stale.
 """
 
 import inspect
@@ -28,9 +29,7 @@ PKG = Path(cli.__file__).resolve().parent
 KEEP = {
     "cli._nonfinite_key": "error path: names the key of a non-finite summary value",
     "cli._load_config_file": "config path: --config is not a default",
-    "star.symbol_product": "timed by bench/spans.py",
     "spin.tensor_basis": "wrapped by name in bench/spans.py; the tests' full-basis entry point",
-    "star._invariant_samples": "the order-2 truncations, ROADMAP item 5",
 }
 
 
@@ -63,12 +62,13 @@ def run():
         sys.setprofile(None)
     entered = {(str(Path(f).resolve()), line) for f, line in entered}
 
-    total, unkept = 0, []
+    total, unkept, listed = 0, [], set()
     for path in sorted(PKG.glob("*.py")):
         code = compile(path.read_text(), str(path), "exec")
         for module, qualname, first, lines in _functions(code, path.stem):
             if (str(path), first) not in entered:
                 name = f"{module}.{qualname.replace('<locals>.', '')}"
+                listed.add(name)
                 total += lines
                 print(f"{lines:5d}  {name}  # {KEEP.get(name, 'not in KEEP')}")
                 if name not in KEEP:
@@ -76,7 +76,10 @@ def run():
     print(f"{total:5d}  lines in functions no command enters at its defaults")
     if unkept:
         print(f"unreached and not in KEEP: {', '.join(unkept)}")
-    return 1 if unkept else 0
+    stale = sorted(set(KEEP) - listed)
+    if stale:
+        print(f"in KEEP but entered or not defined: {', '.join(stale)}")
+    return 1 if unkept or stale else 0
 
 
 if __name__ == "__main__":

@@ -53,7 +53,6 @@ from .spin import make_irrep
 from .star import (
     CALIBRATED,
     PRINTED_MOYAL,
-    SemiclassicalSymbol,
     calibrate_order1,
     calibration_corpus,
     order1_bilinear,
@@ -256,6 +255,8 @@ def cmd_kernel_check(cfg):
 
 def cmd_star_slopes(cfg):
     two_j_list = _slope_sweep(cfg)
+    if cfg["band_limit"] < 1:  # constant symbols multiply exactly: no error to fit
+        raise ValueError(f"--band-limit must be >= 1 for truncation slopes, got {cfg['band_limit']}")
     _check_star_memory(two_j_list, 2 * cfg["band_limit"])
     d_list = [t + 1 for t in two_j_list]
     corpus = calibration_corpus(cfg["pairs"], cfg["band_limit"], cfg["seed"])
@@ -268,8 +269,7 @@ def cmd_star_slopes(cfg):
     # each pair's truncation series and Poisson bracket do not depend on d
     series = []
     for f, g in corpus:
-        F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
-        series.append((f, g, star_truncation(F, G, 1, CALIBRATED), poisson_bracket(f, g)))
+        series.append((f, g, star_truncation(f, g, CALIBRATED), poisson_bracket(f, g)))
     rows = []
     sups = {"trunc_err_k0": [], "trunc_err_k1": [], "commutator_residual": []}
     for two_j, d in zip(two_j_list, d_list):
@@ -398,10 +398,11 @@ def cmd_obstruction(cfg):
 
 
 def cmd_egorov(cfg):
-    obs = {"n1": 0, "n2": 1, "n3": 2}
+    # n3 is left out: both flows conserve it, so its errors are round-off
+    obs = {"n1": 0, "n2": 1}
     name = cfg["observable"]
     if name not in obs:
-        raise ValueError(f"unknown observable {name!r}, expected one of {sorted(obs)}")
+        raise ValueError(f"unknown observable {name!r}, expected one of {sorted(obs)} (n3 is conserved)")
     if cfg["time"] == 0:  # a slope fit of round-off would check nothing
         raise ValueError("--time must be nonzero: at T = 0 both flows are the identity and the errors are round-off")
     two_j_list = _slope_sweep(cfg)
@@ -515,7 +516,7 @@ HELP = {
     "pairs": "number of random symbol pairs",
     "band_limit": "band limit of random symbols",
     "seed": "random seed",
-    "observable": "observable name (n1, n2, n3)",
+    "observable": "observable name (n1, n2; n3 is conserved by both flows)",
     "time": "evolution time T",
     "tol": "residual tolerance",
 }

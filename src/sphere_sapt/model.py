@@ -72,11 +72,9 @@ class BandData:
     """Per-band spectral data of the principal symbol on a grid."""
 
     m: float
-    energy: np.ndarray  # E_m(n, lam) at nodes
     frame: np.ndarray  # psi_m(n_lam) at nodes, (..., d_s)
     projector: np.ndarray  # (..., d_s, d_s)
     u0: np.ndarray  # reference unitary at nodes, (..., d_s, d_s)
-    degenerate: bool
 
 
 def band_index(two_s: int, m: float) -> int:
@@ -187,17 +185,14 @@ def reference_unitary_field(params: ModelParams, theta, phi) -> np.ndarray:
 def principal_bands(params: ModelParams, theta, phi, m: float) -> BandData:
     """Band data of the principal symbol at the given points.
 
-    m runs over s, s-1, ..., -s.  The collective degeneracy at
-    (lam = 1/2, n = -e3) is flagged, not silently returned.
+    m runs over s, s-1, ..., -s.  The gap closing at (lam = 1/2, n = -e3)
+    is not checked here: sapt refuses lam = 1/2 and chern_plaquette checks
+    the gap on its grid.
     """
     idx = band_index(params.two_s, m)
-    theta = np.asarray(theta, dtype=float)
-    N = gap_N(theta, params.lam)
-    degenerate = bool(np.any(N < 1e-12))
     u0 = reference_unitary_field(params, theta, phi)
     e_m = np.zeros(params.d_s)
     e_m[idx] = 1.0
     frame = np.einsum("...ba,b->...a", u0.conj(), e_m)  # u0^dagger psi_m
     projector = frame[..., :, None] * frame[..., None, :].conj()
-    energy = N * float(m)
-    return BandData(float(m), energy, frame, projector, u0, degenerate)
+    return BandData(float(m), frame, projector, u0)

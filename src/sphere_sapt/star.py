@@ -9,15 +9,17 @@ is formed: a band-L operator is its array of offset diagonals
 (swq.quantize_diagonals), the product of two is a banded product of
 diagonals in O(d L_f L_g), and the result goes back through
 swq.dequantize_diagonals.  The dense products are test oracles.
-star_truncation assembles the asymptotic series from differential-operator
-bilinears with a given coefficient set: an operator-kernel set gives the
-star_exact series, a coherent-state set the berezin_exact one.  The printed
-operator-kernel set is shipped verbatim from the literature; it fails the
-unit-symbol test (its order-1 term does not annihilate the pair (1, 1)
-although 1 * 1 = 1 exactly), so a calibration routine fits the order-1
-symmetric part empirically.  Both sets stay first-class so the discrepancy
-can be reported side by side.  The coherent-state sets, printed and
-calibrated, are test data (tests/star_oracle.py).
+star_truncation is the order-1 truncation fg + d^{-1} B(f, g), B the
+differential-operator bilinear of a given coefficient set: an
+operator-kernel set gives the star_exact series, a coherent-state set the
+berezin_exact one.  The printed operator-kernel set is the order-1 row of
+a table shipped verbatim from the literature (no command checks an order-2
+claim, so its order-2 row is not carried).  It fails the unit-symbol test
+(its order-1 term does not annihilate the pair (1, 1) although 1 * 1 = 1
+exactly), so a calibration routine fits the order-1 symmetric part
+empirically.  Both sets stay first-class so the discrepancy can be
+reported side by side.  The coherent-state sets, printed and calibrated,
+are test data (tests/star_oracle.py).
 
 Conventions: Lam = (n x grad)^2 acts as -l(l+1) per harmonic sector, dot and
 cross are the tangential-gradient bilinears of sphere.gradient_bilinears, and
@@ -26,8 +28,7 @@ truncations evaluate as sum_k d^{-k} z_k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import reduce
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,13 +63,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Coefficients of a star truncation: order 1, and order 2 if printed.
+    """Coefficients of the order-1 term of a star truncation.
 
     The order-1 bilinear is
         B(f, g) = c_const f g + c_lap ((Lam f) g + f (Lam g))
                   + c_dot grad f . grad g + i c_cross n . (grad f x grad g)
-    order2 holds b2 for the order-2 term b2 . I(x0, y0) over the eight
-    invariants of _invariant_samples, or () for a set without a table.
     """
 
     name: str
@@ -76,12 +75,9 @@ class CoefficientSet:
     c_lap: float
     c_dot: float
     c_cross: float
-    order2: tuple = ()
 
 
-PRINTED_MOYAL = CoefficientSet(
-    "printed_moyal", -0.5, 1.0, 0.0, 1.0, (-0.5, 0.25, -2.25, -3.5, 0.0, -6.0, 1.0, 0.0)
-)
+PRINTED_MOYAL = CoefficientSet("printed_moyal", -0.5, 1.0, 0.0, 1.0)
 # frozen output of calibrate_order1; revalidated in the test suite
 CALIBRATED = CoefficientSet("calibrated", 0.0, 0.0, 0.0, 1.0)
 
@@ -94,10 +90,6 @@ class SemiclassicalSymbol:
 
     def __init__(self, terms):
         object.__setattr__(self, "terms", tuple(terms))
-
-    @staticmethod
-    def leading(sym: SphereSymbol) -> "SemiclassicalSymbol":
-        return SemiclassicalSymbol([sym])
 
     def term(self, k: int) -> SphereSymbol:
         return self.terms[k]
@@ -203,63 +195,9 @@ def order1_bilinear(f: SphereSymbol, g: SphereSymbol, cs: CoefficientSet) -> Sph
     return grid.analyze(order1_samples(f, g, cs, grid), L_out)
 
 
-# entries of _invariant_samples that Lam acts on after analysis
-_LAM_AFTER = (1, 7)
-
-
-def _invariant_samples(x: SphereSymbol, y: SphereSymbol, grid: Grid) -> tuple:
-    """The eight order-2 invariants I(x, y) at the grid nodes.
-
-    In order: (Lam x)(Lam y), Lam(grad x . grad y), grad Lam x . grad y +
-    grad x . grad Lam y, grad x . grad y, (Lam x) y + x Lam y, i{x, y},
-    i({Lam x, y} + {x, Lam y}) and i Lam{x, y}.  Entries _LAM_AFTER hold the
-    bilinear that Lam acts on, since Lam of samples is not pointwise.
-    """
-    lx, ly = angular_square(x), angular_square(y)
-    xs, ys, lxs, lys = (grid.synthesize(s) for s in (x, y, lx, ly))
-    dot, cross = gradient_samples(x, y, grid)
-    dot_l, cross_l = (a + b for a, b in zip(gradient_samples(lx, y, grid), gradient_samples(x, ly, grid)))
-    lap = _pointwise(lxs, ys) + _pointwise(xs, lys)
-    return _pointwise(lxs, lys), dot, dot_l, dot, lap, 1j * cross, 1j * cross_l, 1j * cross
-
-
-def star_truncation(
-    F: SemiclassicalSymbol, G: SemiclassicalSymbol, order: int, cs: CoefficientSet
-) -> SemiclassicalSymbol:
-    """Terms 0..order of the star series of F and G under cs, each one analysis.
-
-    Term k sums the samples of x_i y_j over i + j = k, of B(x_i, y_j) over
-    i + j = k - 1 and, for k = 2, of cs.order2 . I(x0, y0).  A series term
-    that a factor lacks is zero.  The printed order-2 tables leave out B's
-    c_const term on x0 y1 and x1 y0.
-    """
-    if order not in (0, 1, 2):
-        raise ValueError("truncation order must be 0, 1 or 2")
-    if order == 2 and not cs.order2:
-        raise ValueError(f"coefficient set '{cs.name}' carries no order-2 table")
-    bilinear = {1: cs, 2: replace(cs, c_const=0.0)}
-    terms = []
-    for k in range(order + 1):
-        pairs = [(i + j, x, y) for i, x in enumerate(F.terms) for j, y in enumerate(G.terms) if i + j <= k]
-        L = max(x.L + y.L for _, x, y in pairs)
-        grid = make_grid(2 * L)
-        parts, lam = [], None
-        for n, x, y in pairs:
-            if n == k:
-                parts.append(_pointwise(grid.synthesize(x), grid.synthesize(y)))
-            elif n == k - 1:
-                parts.append(order1_samples(x, y, bilinear[k], grid))
-            else:
-                inv = _invariant_samples(x, y, grid)
-                parts += [b * s for i, (b, s) in enumerate(zip(cs.order2, inv)) if i not in _LAM_AFTER]
-                lam = sum(cs.order2[i] * inv[i] for i in _LAM_AFTER)
-        samples = reduce(np.add, parts)
-        if lam is None:
-            terms.append(grid.analyze(samples, L))
-        else:
-            c = grid.analyze(np.stack([samples, lam], axis=2), L).coeffs
-            terms.append(SphereSymbol(c[:, :, 0] + angular_square(SphereSymbol(c[:, :, 1])).coeffs))
-    return SemiclassicalSymbol(terms)
+def star_truncation(f: SphereSymbol, g: SphereSymbol, cs: CoefficientSet) -> SemiclassicalSymbol:
+    """The order-1 star series fg + d^{-1} B(f, g) under cs, each term one analysis."""
+    return SemiclassicalSymbol([symbol_product(f, g), order1_bilinear(f, g, cs)])
 
 
 # -- calibration ------------------------------------------------------------

@@ -2,26 +2,25 @@
 
 The exact products as dense d x d operator products (quantize, @,
 dequantize); the package multiplies the operators' offset diagonals.  The
-printed order-2 tables as term-by-term sums of separately analyzed symbols;
-the package forms each truncation term as one analysis of samples over one
-basis of invariants.  It also holds the coherent-state coefficient sets,
-which only the tests use."""
+order-1 truncation with its product through the dense transforms and its
+bilinear as a sum of separately analyzed parts; the package forms each
+term as one analysis of samples.  It also holds the coherent-state
+coefficient sets, which only the tests use."""
 
 from __future__ import annotations
 
-import numpy as np
+import sphere_oracle
 from swq_oracle import raise_lower_symbol
 
-from sphere_sapt.sphere import SphereSymbol, angular_square, gradient_bilinears
-from sphere_sapt.star import CoefficientSet, _combine, order1_bilinear, symbol_product
+from sphere_sapt.sphere import SphereSymbol, angular_square, gradient_bilinears, make_grid
+from sphere_sapt.star import CoefficientSet, _combine, symbol_product
 from sphere_sapt.swq import SWKernel, dequantize, lower_symbol, quantize
 
-# The coherent-state coefficient sets (berezin_exact series): the printed
-# table verbatim, and the frozen output of calibrate_order1(product="berezin"),
-# whose gradient term calibrates to +1, opposite to the printed sign.
-PRINTED_BEREZIN = CoefficientSet(
-    "printed_berezin", -0.5, 0.0, -1.0, 1.0, (-0.5, 0.5, -0.5, -3.0, 0.5, -6.0, 0.5, -0.5)
-)
+# The coherent-state coefficient sets (berezin_exact series): the order-1
+# row of the printed table verbatim, and the frozen output of
+# calibrate_order1(product="berezin"), whose gradient term calibrates to +1,
+# opposite to the printed sign.
+PRINTED_BEREZIN = CoefficientSet("printed_berezin", -0.5, 0.0, -1.0, 1.0)
 CALIBRATED_BEREZIN = CoefficientSet("calibrated_berezin", 0.0, 0.0, 1.0, 1.0)
 
 
@@ -39,90 +38,19 @@ def berezin_dense(f, g, irrep) -> SphereSymbol:
     return lower_symbol(raise_lower_symbol(f, kernel) @ raise_lower_symbol(g, kernel), kernel, fast_dim=k)
 
 
-def _term(F, k) -> SphereSymbol:
-    """Term k of a series, zero (band 0) past its end."""
-    if k < len(F.terms):
-        return F.terms[k]
-    return SphereSymbol(np.zeros((1, 1) + F.terms[0].fast_shape, dtype=complex))
+def bilinear_from_parts(f, g, cs) -> SphereSymbol:
+    """B(f, g) assembled in coefficients from separately analyzed parts."""
+    dot, cross = gradient_bilinears(f, g)
+    lap = [symbol_product(angular_square(f), g), symbol_product(f, angular_square(g))]
+    parts = [(1j * cs.c_cross, cross), (cs.c_dot, dot), (cs.c_const, symbol_product(f, g))]
+    return _combine(parts + [(cs.c_lap, x) for x in lap])
 
 
-def _order2_moyal(x0, x1, y0, y1, x2, y2) -> SphereSymbol:
-    lx0, ly0 = angular_square(x0), angular_square(y0)
-    dot00, cross00 = gradient_bilinears(x0, y0)
-    dot01, cross01 = gradient_bilinears(x0, y1)
-    dot10, cross10 = gradient_bilinears(x1, y0)
-    dotL0, crossL0 = gradient_bilinears(lx0, y0)
-    dot0L, cross0L = gradient_bilinears(x0, ly0)
-    parts = [
-        (1.0, symbol_product(x0, y2)),
-        (1.0, symbol_product(x1, y1)),
-        (1.0, symbol_product(x2, y0)),
-        (-0.5, symbol_product(lx0, ly0)),
-        (0.25, angular_square(dot00)),
-        (-2.25, dotL0),
-        (-2.25, dot0L),
-        (-3.5, dot00),
-        (1.0, symbol_product(lx0, y1)),
-        (1.0, symbol_product(angular_square(x1), y0)),
-        (1.0, symbol_product(x0, angular_square(y1))),
-        (1.0, symbol_product(x1, ly0)),
-        (1j, cross01),
-        (1j, cross10),
-        (-6j, cross00),
-        (1j, crossL0),
-        (1j, cross0L),
-    ]
-    return _combine(parts)
-
-
-def _order2_berezin(x0, x1, y0, y1, x2, y2) -> SphereSymbol:
-    lx0, ly0 = angular_square(x0), angular_square(y0)
-    dot00, cross00 = gradient_bilinears(x0, y0)
-    dot01, cross01 = gradient_bilinears(x0, y1)
-    dot10, cross10 = gradient_bilinears(x1, y0)
-    dotL0, crossL0 = gradient_bilinears(lx0, y0)
-    dot0L, cross0L = gradient_bilinears(x0, ly0)
-    parts = [
-        (1.0, symbol_product(x0, y2)),
-        (1.0, symbol_product(x1, y1)),
-        (1.0, symbol_product(x2, y0)),
-        (-1.0, dot01),
-        (-1.0, dot10),
-        (-3.0, dot00),
-        (0.5, symbol_product(lx0, y0)),
-        (0.5, symbol_product(x0, ly0)),
-        (-0.5, symbol_product(lx0, ly0)),
-        (0.5, angular_square(dot00)),
-        (-0.5, dotL0),
-        (-0.5, dot0L),
-        (1j, cross01),
-        (1j, cross10),
-        (-6j, cross00),
-        (0.5j, crossL0),
-        (0.5j, cross0L),
-        (-0.5j, angular_square(cross00)),
-    ]
-    return _combine(parts)
-
-
-def truncation(F, G, order: int, cs, table: str | None) -> list[SphereSymbol]:
-    """Terms 0..order of the truncated star series; table is "moyal",
-    "berezin" or None (order <= 1 only)."""
-    x0, y0 = _term(F, 0), _term(G, 0)
-    terms = [symbol_product(x0, y0)]
-    if order >= 1:
-        x1, y1 = _term(F, 1), _term(G, 1)
-        terms.append(
-            _combine(
-                [
-                    (1.0, symbol_product(x0, y1)),
-                    (1.0, symbol_product(x1, y0)),
-                    (1.0, order1_bilinear(x0, y0, cs)),
-                ]
-            )
-        )
-    if order >= 2:
-        x2, y2 = _term(F, 2), _term(G, 2)
-        fn = _order2_moyal if table == "moyal" else _order2_berezin
-        terms.append(fn(x0, x1, y0, y1, x2, y2))
-    return terms
+def truncation(f, g, cs) -> list[SphereSymbol]:
+    """The terms fg and B(f, g) of the order-1 truncation, built apart: fg
+    through the dense transforms of sphere_oracle, B from its parts."""
+    L = f.L + g.L
+    grid = make_grid(2 * L)
+    fs, gs = (sphere_oracle.synthesize(grid, s.coeffs) for s in (f, g))
+    fg = SphereSymbol(sphere_oracle.analyze(grid, fs @ gs if f.fast_shape else fs * gs, L))
+    return [fg, bilinear_from_parts(f, g, cs)]

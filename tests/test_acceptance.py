@@ -35,7 +35,6 @@ from sphere_sapt.spin import make_irrep
 from sphere_sapt.star import (
     CALIBRATED,
     PRINTED_MOYAL,
-    SemiclassicalSymbol,
     _combine,
     berezin_exact,
     calibration_corpus,
@@ -135,9 +134,9 @@ def test_acceptance_05_star_asymptotics():
         w0 = w1 = wc = 0.0
         for f, g in corpus:
             ex = star_exact(f, g, ir)
-            F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
-            w0 = max(w0, sup(_combine([(1.0, ex), (-1.0, star_truncation(F, G, 0, CALIBRATED).evaluate(d, 0))])))
-            w1 = max(w1, sup(_combine([(1.0, ex), (-1.0, star_truncation(F, G, 1, CALIBRATED).evaluate(d, 1))])))
+            tr = star_truncation(f, g, CALIBRATED)
+            w0 = max(w0, sup(_combine([(1.0, ex), (-1.0, tr.evaluate(d, 0))])))
+            w1 = max(w1, sup(_combine([(1.0, ex), (-1.0, tr.evaluate(d, 1))])))
             comm = _combine(
                 [(1.0, ex), (-1.0, star_exact(g, f, ir)), (-2j / d, poisson_bracket(f, g))]
             )
@@ -181,8 +180,7 @@ def test_acceptance_06_berezin():
         worst = 0.0
         for f, g in corpus:
             ex = berezin_exact(f, g, make_irrep(two_j))
-            F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
-            tr = star_truncation(F, G, 1, CALIBRATED_BEREZIN).evaluate(d, 1)
+            tr = star_truncation(f, g, CALIBRATED_BEREZIN).evaluate(d, 1)
             diff = _combine([(1.0, ex), (-1.0, tr)])
             worst = max(worst, float(np.max(np.abs(g2.synthesize(diff.truncated(L_out))))))
         sups.append(worst)

@@ -346,7 +346,7 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
         (["egorov", "--time", "inf"], 2),
         (["star-slopes", "--pairs", "0", "--two-j", "2,4"], 2),  # empty corpus
         (["invariance-slopes", "--lambda", "0", "--two-j", "10,20"], 1),  # norms are exactly 0
-        (["star-slopes", "--band-limit", "0", "--two-j", "10,20"], 1),  # errors are exactly 0
+        (["star-slopes", "--band-limit", "0", "--two-j", "10,20"], 2),  # constants multiply exactly
         (["calibrate", "--band-limit", "0"], 2),
         (["calibrate", "--two-j", "1,8,2,4"], 2),  # below 2 * band limit
         (["kernel-check", "--grid", "0", "--two-j", "0"], 2),
@@ -359,6 +359,7 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
         (["kernel-check", "--two-j", ""], 2),
         (["chern", "--two-s", "-1"], 2),  # would write a header-only CSV
         (["egorov", "--time", "0"], 2),  # the errors are round-off: the slope would check nothing
+        (["egorov", "--observable", "n3"], 2),  # conserved by both flows: round-off again
     ],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, argv, want):
@@ -375,7 +376,7 @@ def test_exit_codes(tmp_path, monkeypatch, capsys, argv, want):
 # the message of an exit names the cause: the option, or the value and its x
 _CAUSES = {
     ("invariance-slopes", "--lambda", "0", "--two-j", "10,20"): "positive values, got y = 0.0 at x = 11.0",
-    ("star-slopes", "--band-limit", "0", "--two-j", "10,20"): "positive values, got y = 0.0 at x = 11.0",
+    ("star-slopes", "--band-limit", "0", "--two-j", "10,20"): "--band-limit must be >= 1",
     ("calibrate", "--band-limit", "0"): "--band-limit must be >= 1",
     ("calibrate", "--two-j", "1,8,2,4"): "--two-j values must be >= 2 * --band-limit = 6, got 1",
     ("kernel-check", "--grid", "0", "--two-j", "0"): "--grid must be >= 1",
@@ -388,6 +389,7 @@ _CAUSES = {
     ("kernel-check", "--two-j", ""): "--two-j needs at least one value, got ''",
     ("chern", "--two-s", "-1"): "two_s must be >= 0, got -1",
     ("egorov", "--time", "0"): "--time must be nonzero",
+    ("egorov", "--observable", "n3"): "unknown observable 'n3'",
 }
 
 

@@ -111,23 +111,16 @@ def test_principal_bands_frames_and_projectors():
     th = np.linspace(0.05, np.pi - 0.05, 9)
     ph = np.linspace(0, 2 * np.pi, 9)
     bd = principal_bands(p, th, ph, 0.5)
-    assert not bd.degenerate
     S = p.fast.Jvec
     n = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
     H0 = (1 - p.lam) * np.asarray(S[2]) + p.lam * np.einsum("ax,aij->xij", n, np.asarray(S))
     # frame is a unit eigenvector with eigenvalue E_m
     Hpsi = np.einsum("xij,xj->xi", H0, bd.frame)
-    assert np.max(np.abs(Hpsi - bd.energy[:, None] * bd.frame)) < 1e-12
+    assert np.max(np.abs(Hpsi - 0.5 * gap_N(th, p.lam)[:, None] * bd.frame)) < 1e-12
     norms = np.einsum("xi,xi->x", bd.frame.conj(), bd.frame).real
     assert np.max(np.abs(norms - 1)) < 1e-12
     P2 = np.einsum("xij,xjk->xik", bd.projector, bd.projector)
     assert np.max(np.abs(P2 - bd.projector)) < 1e-12
-
-
-def test_degeneracy_flagged_at_gap_closing():
-    p = ModelParams(4, 1, 0.5)
-    bd = principal_bands(p, np.array([np.pi]), np.array([0.0]), 0.5)
-    assert bd.degenerate
 
 
 def test_band_label_validation():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from sapt_oracle import closed_form_hamiltonian, dense_spectrum, hausdorff, heisenberg
-from star_oracle import CALIBRATED_BEREZIN, PRINTED_BEREZIN
+from star_oracle import CALIBRATED_BEREZIN, PRINTED_BEREZIN, bilinear_from_parts
 
 from sphere_sapt import sapt, swq
 from sphere_sapt.fits import loglog_slope
@@ -24,8 +24,6 @@ from sphere_sapt.sapt import (
 )
 from sphere_sapt.sphere import (
     SphereSymbol,
-    angular_square,
-    gradient_bilinears,
     make_grid,
     synthesize_at,
     vector_symbol_coeffs,
@@ -39,7 +37,6 @@ from sphere_sapt.star import (
     order1_bilinear,
     order1_samples,
     star_exact,
-    symbol_product,
 )
 from sphere_sapt.swq import SWKernel, dequantize, quantize, quantize_diagonals
 
@@ -257,18 +254,10 @@ def _covariant_pairs(L):
     grid = sapt._symbol_grid(4 * L, 1)
     th, ph = np.meshgrid(grid.theta, grid.phi, indexing="ij")
     bd = principal_bands(p, th, ph, BAND)
-    E, u0, pi0 = (grid.analyze(x, L) for x in (bd.energy, bd.u0, bd.projector))
+    E, u0, pi0 = (grid.analyze(x, L) for x in (BAND * gap_N(th, p.lam), bd.u0, bd.projector))
     H0 = hamiltonian_symbol(p)
     n1 = vector_symbol_coeffs()[0]
     return [(E, n1), (n1, E), (E, u0), (u0, E), (pi0, H0), (H0, pi0), (u0, pi0)]
-
-
-def _bilinear_from_parts(f, g, cs):
-    # B(f, g) assembled in coefficients from separately analyzed parts
-    dot, cross = gradient_bilinears(f, g)
-    lap = [symbol_product(angular_square(f), g), symbol_product(f, angular_square(g))]
-    parts = [(1j * cs.c_cross, cross), (cs.c_dot, dot), (cs.c_const, symbol_product(f, g))]
-    return _combine(parts + [(cs.c_lap, x) for x in lap])
 
 
 @pytest.mark.parametrize(
@@ -283,7 +272,7 @@ def test_order1_samples_equal_the_synthesized_bilinear(cs, covariant):
     th, ph = np.meshgrid(grid.theta, grid.phi, indexing="ij")
     for f, g in _covariant_pairs(L):
         got = order1_samples(f, g, cs, grid)
-        for sym in (order1_bilinear(f, g, cs), _bilinear_from_parts(f, g, cs)):
+        for sym in (order1_bilinear(f, g, cs), bilinear_from_parts(f, g, cs)):
             want = synthesize_at(sym, th, ph).reshape(got.shape)
             assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
@@ -411,7 +400,7 @@ def test_no_block_is_built_for_an_offset_the_symbol_does_not_carry(monkeypatch):
 
 def test_egorov_refuses_a_non_diagonal_hamiltonian(monkeypatch):
     # the diagonal phase holds only for an axisymmetric h0
-    tilted = SemiclassicalSymbol.leading(vector_symbol_coeffs()[0])
+    tilted = SemiclassicalSymbol([vector_symbol_coeffs()[0]])
     monkeypatch.setattr(sapt, "effective_hamiltonian", lambda *a, **k: tilted)
     with pytest.raises(ArithmeticError, match="off the M-sectors"):
         egorov_error(LAM, BAND, vector_symbol_coeffs()[2], 1.0, [10])

@@ -13,13 +13,29 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
-def test_script_runs(path, tmp_path):
-    spec = importlib.util.spec_from_file_location(path.stem, path)
+def _load(stem):
+    path = ROOT / "scripts" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(stem, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
+def test_script_runs(path, tmp_path):
+    script = _load(path.stem)
     script.OUT = str(tmp_path)
     assert script.run() == 0
+
+
+@pytest.mark.parametrize("stale", ["cli.main", "star.no_such_function"], ids=["entered", "undefined"])
+def test_unreached_fails_on_a_stale_keep_entry(stale, tmp_path, monkeypatch):
+    # a KEEP name that a command enters, or that names no function, fails
+    # the gate like an unreached function missing from KEEP
+    script = _load("unreached")
+    script.OUT = str(tmp_path)
+    monkeypatch.setitem(script.KEEP, stale, "stale")
+    assert script.run() == 1
 
 
 @pytest.mark.parametrize("argv", [("star-slopes", "--two-j", "10,20"), ("calibrate",)], ids=lambda a: a[0])

@@ -12,7 +12,6 @@ from sphere_sapt.sphere import SphereSymbol, make_grid, vector_symbol_coeffs
 from sphere_sapt.star import (
     CALIBRATED,
     PRINTED_MOYAL,
-    SemiclassicalSymbol,
     _combine,
     berezin_exact,
     calibrate_order1,
@@ -21,7 +20,6 @@ from sphere_sapt.star import (
     poisson_bracket,
     star_exact,
     star_truncation,
-    symbol_product,
 )
 from sphere_sapt.swq import SWKernel, dequantize, lower_symbol, quantize
 
@@ -187,8 +185,7 @@ def _truncation_sups(two_j_list, order, cs, corpus):
         worst = 0.0
         for f, g in corpus:
             ex = star_exact(f, g, make_irrep(two_j))
-            F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
-            tr = star_truncation(F, G, order, cs).evaluate(d, order)
+            tr = star_truncation(f, g, cs).evaluate(d, order)
             diff = _combine([(1.0, ex), (-1.0, tr)])
             worst = max(worst, float(np.max(np.abs(grid.synthesize(diff.truncated(L_out))))))
         sups.append(worst)
@@ -241,17 +238,6 @@ def test_commutator_tracks_poisson_bracket():
     assert slope < -1.7
 
 
-def test_printed_order2_antisymmetric_part_nonzero():
-    # the printed second-order table has a nonvanishing antisymmetric part,
-    # unlike the exact product on scalar symbols
-    f, g = calibration_corpus(1, 3, seed=13)[0]
-    F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
-    t_fg = star_truncation(F, G, 2, PRINTED_MOYAL).term(2)
-    t_gf = star_truncation(G, F, 2, PRINTED_MOYAL).term(2)
-    anti = _combine([(1.0, t_fg), (-1.0, t_gf)])
-    assert _sup(anti, make_grid(4 * anti.L)) > 1.0
-
-
 def _random_symbol(L, fast, rng):
     c = rng.normal(size=(L + 1, 2 * L + 1) + fast) + 1j * rng.normal(size=(L + 1, 2 * L + 1) + fast)
     l, m = np.ogrid[: L + 1, -L : L + 1]
@@ -262,33 +248,24 @@ def _random_symbol(L, fast, rng):
 @pytest.mark.parametrize("fast", [(), (2, 2)])
 @pytest.mark.parametrize("lengths", [(1, 1), (3, 3), (2, 3), (3, 1)])
 def test_truncations_match_the_term_by_term_oracle(fast, lengths):
-    # every term of every set against the printed tables as sums of
-    # separately analyzed symbols, with and without x1, y1, x2, y2
+    # both terms under every set against the oracle's terms built apart,
+    # for factors of band limits `lengths`, scalar and matrix-valued
     rng = np.random.default_rng(sum(lengths) + len(fast))
-    F = SemiclassicalSymbol([_random_symbol(L, fast, rng) for L in (3, 2, 2)[: lengths[0]]])
-    G = SemiclassicalSymbol([_random_symbol(L, fast, rng) for L in (2, 3, 1)[: lengths[1]]])
-    tables = {"printed_moyal": "moyal", "printed_berezin": "berezin"}
+    f, g = (_random_symbol(L, fast, rng) for L in lengths)
     for cs in (PRINTED_MOYAL, PRINTED_BEREZIN, CALIBRATED, CALIBRATED_BEREZIN):
-        for order in (0, 1, 2):
-            if order == 2 and cs.name not in tables:
-                with pytest.raises(ValueError, match="no order-2 table"):
-                    star_truncation(F, G, order, cs)
-                continue
-            got = star_truncation(F, G, order, cs).terms
-            want = truncation(F, G, order, cs, tables.get(cs.name))
-            assert len(got) == len(want) == order + 1
-            for a, b in zip(got, want):
-                assert a.coeffs.shape == b.coeffs.shape
-                assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12 * np.max(np.abs(b.coeffs))
+        got = star_truncation(f, g, cs).terms
+        want = truncation(f, g, cs)
+        assert len(got) == len(want) == 2
+        for a, b in zip(got, want):
+            assert a.coeffs.shape == b.coeffs.shape
+            assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12 * np.max(np.abs(b.coeffs))
 
 
 def test_truncation_hermiticity():
     f, g = calibration_corpus(1, 2, seed=21)[0]
-    F, G = SemiclassicalSymbol.leading(f), SemiclassicalSymbol.leading(g)
     for cs in (PRINTED_MOYAL, CALIBRATED, PRINTED_BEREZIN, CALIBRATED_BEREZIN):
         # f * f with hermitian f has a hermitian expansion term by term
-        t = star_truncation(F, F, 2 if cs.order2 else 1, cs)
-        assert t.hermiticity_residual() < 1e-12
+        assert star_truncation(f, f, cs).hermiticity_residual() < 1e-12
 
 
 def test_berezin_exact_properties():
