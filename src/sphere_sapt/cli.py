@@ -28,6 +28,7 @@ import platform
 import sys
 import time
 from math import isfinite, pi
+from pathlib import Path
 
 import numpy as np
 
@@ -125,10 +126,30 @@ def _blas_threads() -> int | None:
     return None
 
 
+def _git_revision() -> str | None:
+    """Commit hash of the source checkout this module runs from, or None if no
+    .git directory sits above src/: HEAD, then its loose ref or packed-refs.
+    Reads files only and starts no git process."""
+    git = Path(__file__).resolve().parents[2] / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):  # a detached HEAD holds the hash
+            return head
+        ref = head[len("ref: ") :]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        packed = (git / "packed-refs").read_text().splitlines()
+    except OSError:
+        return None
+    return next((line.split()[0] for line in packed if line.endswith(" " + ref)), None)
+
+
 def _env_record() -> dict:
-    """Python, numpy and BLAS versions, and the thread settings of this process."""
+    """Python, numpy and BLAS versions, the thread settings of this process
+    and the git revision of the source checkout."""
     blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
     return {
+        "git": _git_revision(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
@@ -187,19 +208,21 @@ def _check_memory(two_j: int, need: float) -> None:
         raise ValueError(f"--two-j {two_j} needs ~{need / 2**30:.1f} GiB, more than the {memory / 2**30:.1f} GiB of physical memory")
 
 
-def _check_star_memory(two_j_list, L: int) -> None:
-    """_check_memory for exact star products at band L = L_f + L_g over a sweep.
+def _check_star_memory(two_j_list, L: int, pairs: int) -> None:
+    """_check_memory for exact star products at band L = L_f + L_g over a sweep,
+    each of a batch of `pairs` pairs.
 
     Per dimension they keep the kernel rows l <= L of Q[m], m <= L, their
-    seeds and the lower-symbol factors (cached); at the largest they hold
-    the row-indexed diagonal arrays of both factors (2 L_f + 1 and 2 L_g + 1
-    rows of d at most, fewer if a factor's top offsets carry nothing) and
-    of their product, one step's temporaries and a complex copy of one
-    kernel block; and a few MiB of grids, tables and symbols that do not
-    grow with d.
+    seeds and the lower-symbol factors (cached); at the largest they hold,
+    per pair, the row-indexed diagonal arrays of both factors (2 L_f + 1
+    and 2 L_g + 1 rows of d at most, fewer if a factor's top offsets carry
+    nothing), of their product and of one step's temporaries; once, a
+    complex copy of one kernel block; and a few MiB of grids, tables and
+    symbols that do not grow with d.
     """
     rows = sum(((L + 1) * (L + 4) // 2 + 1) * (t + 1) for t in two_j_list)
-    _check_memory(max(two_j_list), 8 * (rows + (12 * L + 10) * (max(two_j_list) + 1)) + 2**22)
+    per_d = (10 * L + 8) * pairs + 2 * L + 2
+    _check_memory(max(two_j_list), 8 * (rows + per_d * (max(two_j_list) + 1)) + 2**22)
 
 
 # -- subcommands: each returns (rows, checks, extra summary keys) -----------
@@ -257,34 +280,28 @@ def cmd_star_slopes(cfg):
     two_j_list = _slope_sweep(cfg)
     if cfg["band_limit"] < 1:  # constant symbols multiply exactly: no error to fit
         raise ValueError(f"--band-limit must be >= 1 for truncation slopes, got {cfg['band_limit']}")
-    _check_star_memory(two_j_list, 2 * cfg["band_limit"])
+    _check_star_memory(two_j_list, 2 * cfg["band_limit"], cfg["pairs"])
     d_list = [t + 1 for t in two_j_list]
-    corpus = calibration_corpus(cfg["pairs"], cfg["band_limit"], cfg["seed"])
+    # the corpus as two batches F, G: every product acts pair by pair, and
+    # a sup over a batch's samples is the worst pair's
+    F, G = (SphereSymbol.stack(s) for s in zip(*calibration_corpus(cfg["pairs"], cfg["band_limit"], cfg["seed"])))
     L_out = 2 * cfg["band_limit"]
     grid = make_grid(2 * L_out)
 
     def sup(sym):
         return float(np.max(np.abs(grid.synthesize(sym))))
 
-    # each pair's truncation series and Poisson bracket do not depend on d
-    series = []
-    for f, g in corpus:
-        series.append((f, g, star_truncation(f, g, CALIBRATED), poisson_bracket(f, g)))
+    # the truncation series and the Poisson bracket do not depend on d
+    tr, pb = star_truncation(F, G, CALIBRATED), poisson_bracket(F, G)
     rows = []
     sups = {"trunc_err_k0": [], "trunc_err_k1": [], "commutator_residual": []}
     for two_j, d in zip(two_j_list, d_list):
         irr = make_irrep(two_j)
-        worst = dict.fromkeys(sups, 0.0)
-        for f, g, tr, pb in series:
-            ex = star_exact(f, g, irr)
-            for k in (0, 1):
-                q = f"trunc_err_k{k}"
-                worst[q] = max(worst[q], sup(_combine([(1.0, ex), (-1.0, tr.evaluate(d, k))])))
-            comm = _combine([(1.0, ex), (-1.0, star_exact(g, f, irr)), (-2j / d, pb)])
-            worst["commutator_residual"] = max(worst["commutator_residual"], sup(comm))
-        for q, v in worst.items():
-            sups[q].append(v)
-            rows.append((d, q, v))
+        ex = star_exact(F, G, irr)
+        for k in (0, 1):
+            sups[f"trunc_err_k{k}"].append(sup(_combine([(1.0, ex), (-1.0, tr.evaluate(d, k))])))
+        sups["commutator_residual"].append(sup(_combine([(1.0, ex), (-1.0, star_exact(G, F, irr)), (-2j / d, pb)])))
+        rows += [(d, q, v[-1]) for q, v in sups.items()]
 
     fit0, fit1, fitc = (loglog_slope(d_list, v) for v in sups.values())
     # printed order-1 term on the unit pair: exact 1*1 = 1, printed gives -1/2 d^-1
@@ -430,7 +447,7 @@ def cmd_calibrate(cfg):
     two_j_list = tuple(_slope_sweep(cfg))
     if min(two_j_list) < 2 * L:  # exact products of band-limit-L symbols reach l = 2L
         raise ValueError(f"--two-j values must be >= 2 * --band-limit = {2 * L}, got {min(two_j_list)}")
-    _check_star_memory(two_j_list, 2 * L)
+    _check_star_memory(two_j_list, 2 * L, cfg["pairs"])
     corpus = calibration_corpus(cfg["pairs"], L, cfg["seed"])
     rows, checks, reports = [], [], {}
     for product in ("sw", "berezin"):

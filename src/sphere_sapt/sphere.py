@@ -8,8 +8,10 @@ gradients from analytic theta/phi derivatives, and the rotation-invariant
 differential operators used by the star-product expansions.
 
 Scalar symbols carry coefficient arrays of shape (L+1, 2L+1); matrix
-valued symbols append trailing (k, k) axes.  Coefficient a[l, m+L]
-multiplies Y_lm; entries with |m| > l are zero.
+valued symbols append trailing (k, k) axes, and a batch of P scalar
+symbols one trailing axis of length P, along which every product acts
+entrywise.  Coefficient a[l, m+L] multiplies Y_lm; entries with |m| > l
+are zero.
 """
 
 from __future__ import annotations
@@ -33,7 +35,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SphereSymbol:
-    """Band-limited function on S^2 in spherical-harmonic coefficients."""
+    """Band-limited function on S^2 in spherical-harmonic coefficients.
+
+    The fast shape (the trailing axes of coeffs) is () for a scalar symbol,
+    (k, k) for a k x k matrix-valued one and (P,) for a batch of P scalar
+    symbols: a batch is scalar, and products act on it entry by entry.
+    """
 
     coeffs: np.ndarray
 
@@ -47,7 +54,7 @@ class SphereSymbol:
 
     @property
     def is_scalar(self) -> bool:
-        return self.coeffs.ndim == 2
+        return len(self.fast_shape) < 2
 
     def truncated(self, L: int) -> "SphereSymbol":
         """Drop (or zero-pad) to band limit L."""
@@ -61,11 +68,18 @@ class SphereSymbol:
         return SphereSymbol(out)
 
     def hermiticity_residual(self) -> float:
-        """Max deviation from a_{l,-m} = (-1)^m conj-transpose(a_{lm})."""
+        """Max deviation from a_{l,-m} = (-1)^m conj-transpose(a_{lm}), the
+        conjugate alone for scalars; of a batch, the largest over its members."""
         c = self.coeffs
         sign = ((-1.0) ** np.arange(-self.L, self.L + 1)).reshape((1, -1) + (1,) * (c.ndim - 2))
         ct = c.conj() if self.is_scalar else c.conj().swapaxes(-1, -2)
         return float(np.max(np.abs(c[:, ::-1] - sign * ct)))
+
+    @staticmethod
+    def stack(symbols) -> "SphereSymbol":
+        """Scalar symbols as one batch, in order, zero-padded to the largest band limit."""
+        L = max(s.L for s in symbols)
+        return SphereSymbol(np.stack([s.truncated(L).coeffs for s in symbols], axis=-1))
 
     @staticmethod
     def constant(value) -> "SphereSymbol":
@@ -254,14 +268,16 @@ def angular_square(sym: SphereSymbol) -> SphereSymbol:
 
 
 def _pointwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise product, matrix multiplication on trailing axes if present."""
-    if a.ndim == 2 and b.ndim == 2:
-        return a * b
-    if a.ndim == 2:
+    """Pointwise product of grid samples (n_theta, n_phi) + fast: a matrix
+    product when both are matrix valued, a scalar times the other factor's
+    matrices, and otherwise entrywise (scalars, batches of scalars)."""
+    if a.ndim == b.ndim == 4:
+        return a @ b
+    if a.ndim == 2 and b.ndim == 4:
         return a[..., None, None] * b
-    if b.ndim == 2:
+    if b.ndim == 2 and a.ndim == 4:
         return a * b[..., None, None]
-    return a @ b
+    return a * b
 
 
 def gradient_samples(f: SphereSymbol, g: SphereSymbol, grid: Grid):

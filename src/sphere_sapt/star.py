@@ -8,7 +8,10 @@ the band-(L_f + L_g) kernel and return that band, exactly.  No d x d matrix
 is formed: a band-L operator is its array of offset diagonals
 (swq.quantize_diagonals), the product of two is a banded product of
 diagonals in O(d L_f L_g), and the result goes back through
-swq.dequantize_diagonals.  The dense products are test oracles.
+swq.dequantize_diagonals.  The dense products are test oracles.  Every
+product here acts entry by entry along the batch axis of a batch of
+scalar symbols (SphereSymbol.stack), so a corpus of pairs costs the Python
+work of one pair.
 star_truncation is the order-1 truncation fg + d^{-1} B(f, g), B the
 differential-operator bilinear of a given coefficient set: an
 operator-kernel set gives the star_exact series, a coherent-state set the
@@ -122,14 +125,15 @@ def _operator_product(f: SphereSymbol, g: SphereSymbol, kernel: SWKernel) -> Sph
     """dequantize(quantize(f) quantize(g)) on the kernel's band, from the
     offset diagonals alone: C[a + b, r] = sum_a A[a, r] B[b, r + a], one
     step per offset a of the left factor (a k x k matmul per entry for
-    matrix-valued symbols), then dequantize_diagonals.  O(d L_f L_g) work
-    and O(d (L_f + L_g)) memory besides the kernel rows."""
+    matrix-valued symbols, entrywise along a batch axis), then
+    dequantize_diagonals.  O(d L_f L_g) work and O(d (L_f + L_g)) memory
+    per batch entry besides the kernel rows."""
     if f.fast_shape != g.fast_shape:
         raise ValueError("factors must share the fast-sector shape")
     d = kernel.d
     A, B = quantize_diagonals(f, kernel), quantize_diagonals(g, kernel)
     La, Lb = len(A) // 2, len(B) // 2
-    mul = np.matmul if f.fast_shape else np.multiply
+    mul = np.matmul if len(f.fast_shape) == 2 else np.multiply
     # offsets |a + b| up to La + Lb; those past d - 1 stay zero
     C = np.zeros((2 * (La + Lb) + 1,) + A.shape[1:], dtype=complex)
     for a in range(-La, La + 1):
@@ -232,24 +236,25 @@ def calibrate_order1(two_j_list, corpus, product: str):
     dimensions to isolate the true order-1 term, then least-squares fits it
     over the ansatz {fg, (Lam f) g + f (Lam g), grad f . grad g}.  The
     antisymmetric Poisson part is held at the printed value i n.(f x g).
-    product is "sw" (star_exact) or "berezin" (berezin_exact).  Each exact
-    product is computed once per pair and dimension, as samples on one grid
-    that also carries the ansatz, the target and the residuals.
+    product is "sw" (star_exact) or "berezin" (berezin_exact).  The corpus
+    is one batch (SphereSymbol.stack), so each exact product is computed
+    once per dimension for all pairs, as samples on one grid that also
+    carries the ansatz, the target and the residuals.
 
     Returns (CoefficientSet, report dict ready for JSON).
     """
     two_j_list = sorted(two_j_list)
     d_list = np.array([tj + 1 for tj in two_j_list], dtype=float)
-    L_out = max(f.L + g.L for f, g in corpus)
-    grid = make_grid(2 * L_out)
+    F, G = (SphereSymbol.stack(s) for s in zip(*corpus))
+    grid = make_grid(2 * (F.L + G.L))
 
-    def samples(sym):
-        return grid.synthesize(sym).ravel()
+    def pairwise(samples):
+        # (pairs, nodes), pair-major like the least-squares rows
+        return samples.reshape(-1, len(corpus)).T
 
-    def exact(f, g, tj):
+    def exact(tj):
         irr = make_irrep(tj)
-        prod = star_exact(f, g, irr) if product == "sw" else berezin_exact(f, g, irr)
-        return samples(prod)
+        return pairwise(grid.synthesize(star_exact(F, G, irr) if product == "sw" else berezin_exact(F, G, irr)))
 
     # Richardson through the three largest d: writing R_d = d (star - fg)
     # = T1 + T2/d + T3/d^2 + ..., the weights w_i with sum w_i = 1 and
@@ -262,16 +267,12 @@ def calibrate_order1(two_j_list, corpus, product: str):
     # the ansatz columns are B of the four unit coefficient sets
     names = ["f*g", "(Lam f)g + f(Lam g)", "grad.grad", "i n.(grad x grad)"]
     units = [CoefficientSet(nm, *row) for nm, row in zip(names, np.eye(4))]
-    pairs, targets = [], []
-    for f, g in corpus:
-        cols = np.stack([order1_samples(f, g, u, grid).ravel() for u in units], axis=1)
-        ex = np.stack([exact(f, g, tj) for tj in two_j_list])
-        t = wts @ (ds[:, None] * (ex[-3:] - cols[:, 0]))
-        targets.append(t - cols[:, 3])
-        pairs.append((cols, ex))
+    cols = np.stack([pairwise(order1_samples(F, G, u, grid)) for u in units], axis=-1)  # (pairs, nodes, 4)
+    ex = np.stack([exact(tj) for tj in two_j_list])  # (dimensions, pairs, nodes)
+    t = np.tensordot(wts, ds[:, None, None] * (ex[-3:] - cols[..., 0]), axes=1)
 
-    A = np.vstack([cols[:, :3] for cols, _ in pairs])
-    b = np.concatenate(targets)
+    A = cols[..., :3].reshape(-1, 3)
+    b = (t - cols[..., 3]).ravel()
     # real least squares over stacked real/imag parts
     Ar = np.vstack([A.real, A.imag])
     br = np.concatenate([b.real, b.imag])
@@ -286,11 +287,8 @@ def calibrate_order1(two_j_list, corpus, product: str):
     # residual decay of the fitted order-1 truncation fg + B/d across all d;
     # B is the ansatz with the fitted coefficients
     full = np.array([cs.c_const, cs.c_lap, cs.c_dot, cs.c_cross])
-    sups = np.zeros(len(d_list))
-    for cols, ex in pairs:
-        trunc = cols[:, 0] + np.outer(1.0 / d_list, cols @ full)
-        sups = np.maximum(sups, np.max(np.abs(ex - trunc), axis=1))
-    sups = sups.tolist()
+    trunc = cols[..., 0] + (1.0 / d_list)[:, None, None] * (cols @ full)
+    sups = np.max(np.abs(ex - trunc), axis=(1, 2)).tolist()
     slope = loglog_slope(d_list, sups).slope
 
     report = {

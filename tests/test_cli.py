@@ -83,7 +83,30 @@ def test_summary_records_the_environment(tmp_path):
     assert env["thread_env"]["OPENBLAS_THREAD_TIMEOUT"] == "12"
     assert env["numpy"] == np.__version__
     assert env["blas_threads"] == cli._blas_threads()
-    assert set(env) == {"python", "numpy", "blas", "blas_threads", "thread_env"}
+    assert set(env) == {"git", "python", "numpy", "blas", "blas_threads", "thread_env"}
+    assert env["git"] == cli._git_revision()
+
+
+_HASH = "0123456789abcdef0123456789abcdef01234567"
+
+
+@pytest.mark.parametrize(
+    "files, want",
+    [
+        ({"HEAD": _HASH + "\n"}, _HASH),  # detached
+        ({"HEAD": "ref: refs/heads/main\n", "refs/heads/main": _HASH + "\n"}, _HASH),  # loose ref
+        ({"HEAD": "ref: refs/heads/main\n", "packed-refs": f"# pack-refs\n{'f' * 40} refs/heads/old\n{_HASH} refs/heads/main\n^{'e' * 40}\n"}, _HASH),
+        ({"HEAD": "ref: refs/heads/main\n", "packed-refs": f"{_HASH} refs/heads/other\n"}, None),  # unborn branch
+        ({}, None),  # no .git directory
+    ],
+)
+def test_git_revision_is_read_from_the_checkout(files, want, tmp_path, monkeypatch):
+    # a source tree whose .git holds `files`; cli.py sits two levels below its root
+    for name, text in files.items():
+        (tmp_path / ".git" / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / ".git" / name).write_text(text)
+    monkeypatch.setattr(cli, "__file__", str(tmp_path / "src" / "sphere_sapt" / "cli.py"))
+    assert cli._git_revision() == want
 
 
 def test_csv_outputs_are_deterministic(tmp_path):
@@ -297,6 +320,9 @@ def test_model_commands_fit_their_defaults_in_a_gibibyte(tmp_path, monkeypatch):
         ["invariance-slopes", "--two-j", "10,20000"],
         ["star-slopes", "--two-j", "640,1280,2560,5120"],
         ["calibrate", "--two-j", "640,1280,2560,5120"],
+        # the exact products hold their diagonal arrays for every pair of the batch at once
+        ["star-slopes", "--two-j", "640,1280,2560,5120", "--pairs", "40"],
+        ["calibrate", "--two-j", "640,1280,2560,5120", "--pairs", "24"],
     ],
 )
 def test_memory_counts_bound_the_measured_peak(argv, tmp_path, monkeypatch):

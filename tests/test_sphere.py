@@ -153,6 +153,15 @@ def test_truncated_pad_and_crop():
     assert np.max(np.abs(back.coeffs - sym.coeffs)) == 0.0
 
 
+def test_stack_pads_its_members_to_the_largest_band_limit():
+    rng = np.random.default_rng(2)
+    members = [_random_symbol(1, rng), _random_symbol(3, rng), _random_symbol(2, rng)]
+    batch = SphereSymbol.stack(members)
+    assert batch.L == 3 and batch.fast_shape == (3,) and batch.is_scalar
+    for p, sym in enumerate(members):
+        assert np.array_equal(batch.coeffs[..., p], sym.truncated(3).coeffs)
+
+
 # -- the FFT / per-m matmul transforms against the dense-DFT oracle ----------
 
 

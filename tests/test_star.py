@@ -12,6 +12,7 @@ from sphere_sapt.sphere import SphereSymbol, make_grid, vector_symbol_coeffs
 from sphere_sapt.star import (
     CALIBRATED,
     PRINTED_MOYAL,
+    CoefficientSet,
     _combine,
     berezin_exact,
     calibrate_order1,
@@ -176,6 +177,53 @@ def test_printed_order1_unit_anomaly():
     assert _sup(bc, make_grid(2)) < 1e-12
 
 
+def test_batch_products_act_pair_by_pair():
+    # a corpus stacked on a trailing axis multiplies pair by pair, in every product
+    corpus = calibration_corpus(5, 3, seed=29)
+    F, G = (SphereSymbol.stack(s) for s in zip(*corpus))
+    ir, d = make_irrep(12), 13
+    every_term = CoefficientSet("every term", 0.3, -0.7, 1.1, 0.9)
+    products = [
+        lambda f, g: star_exact(f, g, ir),
+        lambda f, g: berezin_exact(f, g, ir),
+        star.symbol_product,
+        lambda f, g: order1_bilinear(f, g, every_term),
+        poisson_bracket,
+        lambda f, g: star_truncation(f, g, CALIBRATED).evaluate(d, 1),
+    ]
+    for product in products:
+        batch = product(F, G)
+        assert batch.fast_shape == (len(corpus),)
+        for p, (f, g) in enumerate(corpus):
+            want = product(f, g).coeffs
+            assert np.max(np.abs(batch.coeffs[..., p] - want)) < 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+def test_batch_hermiticity_is_the_worst_member():
+    rng = np.random.default_rng(31)
+    members = [_random_symbol(3, (), rng) for _ in range(5)]
+    members[2] = calibration_corpus(1, 3, seed=2)[0][0]  # hermitian
+    batch = SphereSymbol.stack(members)
+    assert batch.is_scalar
+    assert batch.hermiticity_residual() == max(s.hermiticity_residual() for s in members) > 1
+    assert SphereSymbol.stack(members[2:3]).hermiticity_residual() < 1e-15
+
+
+def test_matrix_valued_factors_still_multiply_as_matrices():
+    # a 2 x 2 fast shape is one matrix, not a batch of four scalars
+    X = SphereSymbol.constant([[0, 1], [1, 0]])
+    Z = SphereSymbol.constant([[1, 0], [0, -1]])
+    for product in (lambda f, g: star_exact(f, g, make_irrep(4)), star.symbol_product):
+        assert np.max(np.abs(product(X, Z).coeffs - SphereSymbol.constant([[0, -1], [1, 0]]).coeffs)) < 1e-14
+    rng = np.random.default_rng(37)
+    f, g = _random_symbol(2, (2, 2), rng), _random_symbol(2, (2, 2), rng)
+    grid = make_grid(8)
+    fs, gs = grid.synthesize(f), grid.synthesize(g)
+    assert np.max(np.abs(grid.synthesize(star.symbol_product(f, g)) - fs @ gs)) < 1e-12
+    ir = make_irrep(10)
+    assert np.max(np.abs(star_exact(f, g, ir).coeffs - star_exact(g, f, ir).coeffs)) > 1e-1
+
+
 def _truncation_sups(two_j_list, order, cs, corpus):
     L_out = max(f.L + g.L for f, g in corpus)
     grid = make_grid(2 * L_out)
@@ -322,5 +370,5 @@ def test_calibration_computes_each_exact_product_once(monkeypatch):
     for product, name in (("sw", "star_exact"), ("berezin", "berezin_exact")):
         calls.clear()
         calibrate_order1(two_j, corpus, product=product)
-        assert calls == [name] * (len(corpus) * len(two_j))
+        assert calls == [name] * len(two_j)  # one batch product per dimension for every pair
 
