@@ -29,6 +29,7 @@ import sys
 import time
 from math import isfinite, pi
 from pathlib import Path
+from random import Random
 
 import numpy as np
 
@@ -64,6 +65,7 @@ from .star import (
 )
 from .swq import (
     SWKernel,
+    _uniform,
     dequantize,
     kernel_property_residuals,
     lower_symbol,
@@ -236,20 +238,20 @@ def cmd_kernel_check(cfg):
         raise ValueError(f"--two-j needs at least one value, got {cfg['two_j']!r}")
     for two_j in two_j_list:
         # kernel_property_residuals: the Legendre table and the theta-profiles, per offset 2 x 43
-        # diagonals and 2 x 43 traces, ~100 dense d x d (the random pairs, the covariance kernels)
+        # diagonals and 43 + 23 traces (counted 2 x 43), ~100 dense d x d (random pairs, covariance)
         n_theta, n_offsets, d = max(cfg["grid"], 2 * two_j) // 2 + 1, 2 * two_j + 1, two_j + 1
         _check_memory(two_j, 8 * n_theta * d * (d + n_offsets) + 1376 * n_offsets * (d + n_theta) + 1600 * d * d)
     rows, checks = [], []
     grid = make_grid(cfg["grid"])
     tol = cfg["tol"]
-    rng = np.random.default_rng(23)
     for two_j in two_j_list:
         d = two_j + 1
         ker = SWKernel(make_irrep(two_j))
         g = grid if grid.L_exact >= 2 * two_j else make_grid(2 * two_j)
         res = dict(kernel_property_residuals(ker, g))
-        # round trips in both directions plus the high-band projection
-        A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        # round trips in both directions plus the high-band projection (seeded by two_j alone)
+        rnd = Random(two_j)
+        A = _uniform(rnd, (d, d)) + 1j * _uniform(rnd, (d, d))
         sym = dequantize(A, ker)
         B = quantize(sym, ker)
         res["roundtrip_operator"] = float(np.max(np.abs(B - A)))

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import pi, sqrt
+from random import Random
 
 import numpy as np
 
@@ -225,6 +226,13 @@ def _per_l(sym: SphereSymbol, w: np.ndarray) -> SphereSymbol:
     return SphereSymbol(sym.coeffs * w[: sym.L + 1].reshape((-1, 1) + (1,) * len(sym.fast_shape)))
 
 
+def _uniform(rnd: Random, shape) -> np.ndarray:
+    """Floats uniform in [-1, 1), 53 bits each, from the Mersenne Twister `rnd`:
+    the kernel checks' test inputs, drawn without loading numpy.random."""
+    bits = np.frombuffer(rnd.randbytes(8 * int(np.prod(shape))), "<u8") >> 11
+    return (bits * 2.0**-52 - 1).reshape(shape)
+
+
 def kernel_property_residuals(kernel: SWKernel, grid: Grid):
     """Numerical residuals of the five defining kernel properties.
 
@@ -234,6 +242,7 @@ def kernel_property_residuals(kernel: SWKernel, grid: Grid):
     frequency up to 2 two_j, so a grid that cannot integrate those exactly
     is refused with ValueError.  The quadratures run in the row-indexed
     layout: a dense kernel is formed only at the 21 covariance points.
+    The random inputs come from `_uniform` with a fixed seed.
     """
     d, L, w, pref = kernel.d, kernel.L, grid.w_theta, kernel.d / (4 * pi)
     if grid.L_exact < 2 * kernel.two_j or grid.n_phi <= 2 * kernel.two_j:
@@ -242,7 +251,7 @@ def kernel_property_residuals(kernel: SWKernel, grid: Grid):
             f"products of two kernels at two_j = {kernel.two_j}; it needs L_exact >= {2 * kernel.two_j} "
             f"and n_phi >= {2 * kernel.two_j + 1}"
         )
-    rng = np.random.default_rng(7)
+    rnd = Random(7)
     G = kernel.samples(grid)  # (2L + 1, n_theta, d)
     phase = np.exp(-1j * np.outer(grid.phi, np.arange(-L, L + 1)))  # (n_phi, 2L + 1)
     # Delta = Delta^dagger at every offset: profile -a against the conjugate of profile a,
@@ -253,29 +262,32 @@ def kernel_property_residuals(kernel: SWKernel, grid: Grid):
     mean = pref * phase.sum(axis=0)[:, None] * (w @ G)
     mean[L] -= 1
     res["normalized"] = float(np.max(np.abs(mean)))
-    # reproducing targets at three nodes; 20 random hermitian pairs (AB[..., 2i], AB[..., 2i + 1])
+    # reproducing targets at three nodes; 20 random hermitian pairs (A_i, B_i), drawn one
+    # operator at a time in the order A_0, B_0, A_1, ... and laid out as the B's, then the A's
     nodes = [(0, 0), (grid.n_theta // 2, grid.n_phi // 3), (grid.n_theta - 1, 1)]
     T = np.stack([phase[p, :, None] * G[:, t] for t, p in nodes], axis=-1)  # (2L + 1, d, 3)
-    draws = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(40))
-    AB = np.stack([X + X.conj().T for X in draws], axis=-1)
-    lhs = np.einsum("ijk,jik->k", AB[..., ::2], AB[..., 1::2])  # tr(A B)
+    draws = (_uniform(rnd, (d, d)) + 1j * _uniform(rnd, (d, d)) for _ in range(40))
+    BA = np.stack([X + X.conj().T for X in draws], axis=-1)[..., np.r_[1:40:2, 0:40:2]]
+    lhs = np.einsum("ijk,jik->k", BA[..., 20:], BA[..., :20])  # tr(A B)
     # f_X(t, p) = tr(Delta X) = sum_a e^{-i a phi_p} c_a(t), c_a = profile a . diagonal a of X^T,
-    # for all 43 X at once (real profiles times the float view of the complex diagonals)
-    XT = np.concatenate([_transposed(T), _gather(AB.swapaxes(0, 1), L)], axis=-1)
-    c = (G @ XT.view(float)).view(complex)  # (2L + 1, n_theta, 43)
-    del XT, AB  # the peak holds G, c and Mc
-    # the phi sums over the nodes: sum_p f_X f_Y = c_X^T M c_Y, M[a, b] = sum_p e^{-i (a + b) phi_p}
+    # for all 43 X at once (real profiles times the float view of the complex diagonals):
+    # c (2L + 1, n_theta, 23) for the targets and the B's, cA (2L + 1, n_theta, 20) for the A's
+    XT = np.concatenate([_transposed(T), _gather(BA.swapaxes(0, 1), L)], axis=-1)
+    c, cA = ((G @ X.view(float)).view(complex) for X in (XT[..., :23], XT[..., 23:]))
+    del XT, BA  # the peak holds G, c, cA and Mc
+    # the phi sums over the nodes: sum_p f_X f_Y = c_X^T M c_Y, M[a, b] = sum_p e^{-i (a + b) phi_p};
+    # only the targets' and the B's are read
     Mc = ((phase.T @ phase) @ c.reshape(2 * L + 1, -1)).reshape(c.shape)
     # diagonal a of int f_T Delta = sum_t w_t (sum_p f_T e^{-i a phi_p}) profile a, phi sum (M c_T)_a
     rec = (G.transpose(0, 2, 1) @ (w[:, None] * Mc[..., :3]).view(float)).view(complex)
     res["reproducing"] = float(np.max(np.abs(pref * rec - T)))
-    fab = np.einsum("t,atk,atk->k", w, c[..., 3::2], Mc[..., 4::2])  # int f_A f_B
+    fab = np.einsum("t,atk,atk->k", w, cA, Mc[..., 3:])  # int f_A f_B
     res["trace_duality"] = float(max(abs(a - pref * b) / max(1.0, abs(a)) for a, b in zip(lhs, fab)))
-    del G, c, Mc  # the dense covariance kernels come on top of none of these
+    del G, c, cA, Mc  # the dense covariance kernels come on top of none of these
     # covariance over random group elements: the kernel at n0 and its 20 rotated images
     theta0, phi0 = 1.1, 0.4
     n0 = np.array([np.sin(theta0) * np.cos(phi0), np.sin(theta0) * np.sin(phi0), np.cos(theta0)])
-    ang = rng.uniform(0, 2 * pi, size=(20, 3))
+    ang = pi * (_uniform(rnd, (20, 3)) + 1)
     n1 = (rotation_from_zyz(*ang.T) @ n0).T
     D = kernel.at(np.r_[theta0, np.arccos(np.clip(n1[2], -1, 1))], np.r_[phi0, np.arctan2(n1[1], n1[0])])
     U = wigner_zyz(kernel.irrep, *ang.T)

@@ -19,12 +19,13 @@ forms a dense sample on the grid.
 from __future__ import annotations
 
 from math import pi, sqrt
+from random import Random
 
 import numpy as np
 
 from sphere_sapt.sphere import Grid, SphereSymbol, _legendre
 from sphere_sapt.spin import rotation_from_zyz, tensor_basis, wigner_zyz
-from sphere_sapt.swq import _lower_scale, _sign, quantize
+from sphere_sapt.swq import _lower_scale, _sign, _uniform, quantize
 
 
 def kernel_samples(kernel, grid) -> np.ndarray:
@@ -90,11 +91,11 @@ def kernel_property_residuals(kernel, grid: Grid):
     d = kernel.d
     if grid.L_exact < 2 * kernel.two_j or grid.n_phi <= 2 * kernel.two_j:
         raise ValueError(f"a grid exact to degree {grid.L_exact} cannot integrate products of two kernels")
-    rng = np.random.default_rng(7)
+    rnd = Random(7)  # the package's stream: the 40 operators, then the 20 group elements
     # reproducing targets at three nodes; 20 random hermitian pairs (AB[2i], AB[2i + 1])
     nodes = [(0, 0), (grid.n_theta // 2, grid.n_phi // 3), (grid.n_theta - 1, 1)]
     targets = [kernel_at(kernel, grid.theta[it], grid.phi[ip]) for it, ip in nodes]
-    draws = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(40))
+    draws = (_uniform(rnd, (d, d)) + 1j * _uniform(rnd, (d, d)) for _ in range(40))
     AB = [X + X.conj().T for X in draws]
     # f_X(n) = tr(Delta(n) X) for every X at once: row2d @ M, M[:, i] = X_i^T flattened
     M = np.stack([X.T.ravel() for X in targets + AB], axis=1)
@@ -126,7 +127,7 @@ def kernel_property_residuals(kernel, grid: Grid):
         [np.sin(theta0) * np.cos(phi0), np.sin(theta0) * np.sin(phi0), np.cos(theta0)]
     )
     for _ in range(20):
-        ang = rng.uniform(0, 2 * pi, size=3)
+        ang = pi * (_uniform(rnd, 3) + 1)
         U = wigner_zyz(kernel.irrep, *ang)
         R = rotation_from_zyz(*ang)
         n1 = R @ n0

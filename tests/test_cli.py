@@ -175,6 +175,33 @@ def test_kernel_check_subcommand(tmp_path):
     assert all(c["pass"] for c in summary["checks"])
 
 
+def test_kernel_check_rows_do_not_depend_on_the_sweep(tmp_path):
+    # the round-trip operator is seeded by two_j alone, not drawn from a
+    # stream shared with the sizes before it
+    for name, sweep in (("alone", "5"), ("after", "1,5")):
+        assert main(["kernel-check", "--two-j", sweep, "--out", str(tmp_path / name)]) == 0
+    alone, after = ((tmp_path / name / "kernel-check.csv").read_text().splitlines() for name in ("alone", "after"))
+    assert alone[1:] == [row for row in after[1:] if row.startswith("5,")]
+
+
+_LOADED = """import sys, tempfile
+from sphere_sapt.cli import main
+with tempfile.TemporaryDirectory() as out:
+    assert main({argv!r} + ["--out", out]) == 0
+print(sorted(m for m in ("numpy.random", "_hashlib") if m in sys.modules))"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gap"], ["chern"], ["obstruction"], ["bands"], ["invariance-slopes"], ["egorov"], ["kernel-check"]],
+    ids=lambda a: a[0],
+)
+def test_paper_checks_load_no_numpy_random(argv):
+    # numpy.random brings ten extension modules and, through secrets and
+    # hmac, OpenSSL's libcrypto: ~5 MB of resident memory none of these need
+    assert _fresh_python(_LOADED.format(argv=argv)).splitlines()[-1] == "[]"
+
+
 def test_kernel_check_rejects_sizes_beyond_physical_memory(tmp_path, monkeypatch, capsys):
     # with 1 MB of memory two_j = 1 fits (12 rows of 49 * 2^2 * 16 B) but 20 does not
     monkeypatch.setattr(cli, "_physical_memory", lambda: 2**20)

@@ -1,6 +1,7 @@
 """Quantization/dequantization kernel on the sphere and coherent-state symbols."""
 
 import tracemalloc
+from random import Random
 
 import numpy as np
 import pytest
@@ -73,6 +74,18 @@ def test_residuals_match_the_dense_row_oracle(two_j):
     assert got.keys() == want.keys()
     for key in want:
         assert abs(got[key] - want[key]) <= 1e-12, (key, got[key], want[key])
+
+
+def test_uniform_draws_are_seeded_shaped_and_in_range():
+    draws = swq._uniform(Random(7), (300, 40))
+    assert draws.shape == (300, 40) and draws.dtype == np.float64
+    assert np.array_equal(draws, swq._uniform(Random(7), (300, 40)))
+    assert not np.array_equal(draws, swq._uniform(Random(8), (300, 40)))
+    assert -1 <= draws.min() < -0.999 and 0.999 < draws.max() < 1
+    assert abs(draws.mean()) < 0.03 and abs(draws.var() - 1 / 3) < 0.03  # uniform on [-1, 1), 12000 draws
+    # one stream: consecutive draws continue it, as the oracle's per-element draws assume
+    rnd = Random(7)
+    assert np.array_equal(np.concatenate([swq._uniform(rnd, 40) for _ in range(300)]), draws.ravel())
 
 
 def _dense(G, grid):
@@ -156,7 +169,7 @@ def test_kernel_axioms_at_two_j_60_in_a_few_rows_of_memory(tmp_path, monkeypatch
     # one theta row of dense samples at two_j = 60 on make_grid(120) is
     # n_phi d^2 16 B = 121 * 61^2 * 16 B = 6.9 MiB.  The dense-row oracle,
     # streamed one row at a time, peaks at 5.5 rows; the row-indexed layout
-    # at 2.7 rows, under the count kernel-check makes at entry (4.4 rows).
+    # at 2.6 rows, under the count kernel-check makes at entry (4.4 rows).
     two_j = 60
     counted = []
 
