@@ -27,7 +27,7 @@ import os
 import platform
 import sys
 import time
-from math import isfinite, pi
+from math import isfinite, pi, sqrt
 from pathlib import Path
 from random import Random
 
@@ -35,14 +35,7 @@ import numpy as np
 
 from .berry import chern_analytic, chern_plaquette
 from .fits import loglog_slope
-from .model import (
-    ModelParams,
-    build_hamiltonian,
-    exact_symbol_field,
-    gap_N,
-    lower_hamiltonian_symbol_field,
-    sector_spectrum,
-)
+from .model import ModelParams, build_hamiltonian, gap_N, hamiltonian_symbol, sector_spectrum
 from .sapt import (
     BAND_LIMIT,
     almost_invariance_norms,
@@ -89,6 +82,20 @@ def _slope_sweep(cfg) -> list[int]:
     two_j = _int_list(cfg["two_j"])
     if len(set(two_j)) < 2:
         raise ValueError(f"a slope needs at least two different two_j values, got {cfg['two_j']!r}")
+    return two_j
+
+
+def _star_sweep(cfg) -> list[int]:
+    """The two_j values of a star-product sweep at band limit L = cfg["band_limit"]:
+    a slope sweep whose every dimension resolves the exact products, which
+    reach l = 2L.  L = 0 is refused: constant symbols multiply exactly, so
+    there is no truncation error to fit and the order-1 ansatz is singular."""
+    L = cfg["band_limit"]
+    if L < 1:
+        raise ValueError(f"--band-limit must be >= 1 (constant symbols multiply exactly), got {L}")
+    two_j = _slope_sweep(cfg)
+    if min(two_j) < 2 * L:
+        raise ValueError(f"--two-j values must be >= 2 * --band-limit = {2 * L}, got {min(two_j)}")
     return two_j
 
 
@@ -214,15 +221,15 @@ def _check_star_memory(two_j_list, L: int, pairs: int) -> None:
     """_check_memory for exact star products at band L = L_f + L_g over a sweep,
     each of a batch of `pairs` pairs.
 
-    Per dimension they keep the kernel rows l <= L of Q[m], m <= L, their
-    seeds and the lower-symbol factors (cached); at the largest they hold,
+    Per dimension they keep the kernel rows l <= L of Q[m], m <= L, and
+    the lower-symbol factors (cached); at the largest they hold,
     per pair, the row-indexed diagonal arrays of both factors (2 L_f + 1
     and 2 L_g + 1 rows of d at most, fewer if a factor's top offsets carry
     nothing), of their product and of one step's temporaries; once, a
     complex copy of one kernel block; and a few MiB of grids, tables and
     symbols that do not grow with d.
     """
-    rows = sum(((L + 1) * (L + 4) // 2 + 1) * (t + 1) for t in two_j_list)
+    rows = sum(((L + 1) * (L + 2) // 2 + 1) * (t + 1) for t in two_j_list)
     per_d = (10 * L + 8) * pairs + 2 * L + 2
     _check_memory(max(two_j_list), 8 * (rows + per_d * (max(two_j_list) + 1)) + 2**22)
 
@@ -260,16 +267,18 @@ def cmd_kernel_check(cfg):
         c = np.zeros((L + 1, 2 * L + 1), dtype=complex)
         c[L, L] = 1.0
         res["high_band_projection"] = float(np.max(np.abs(quantize(SphereSymbol(c), ker))))
-        # exact and coherent-state symbol identities of the model Hamiltonian
-        # (needs a slow sector strictly larger than the spin-1/2 fast one)
+        # exact (SW) and coherent-state symbol identities of the Hamiltonian: its
+        # principal symbol with the n.S row (l = 1) scaled by sqrt(1 - d^-2) and by
+        # 1 - 1/d (needs a slow sector strictly larger than the spin-1/2 fast one)
         worst_sym = 0.0
         for lam in (0.2, 0.8) if two_j > 1 else ():
             p = ModelParams(two_j, 1, lam)
-            H = build_hamiltonian(p)
-            got = g.synthesize(dequantize(H, ker, fast_dim=2).truncated(1))
-            worst_sym = max(worst_sym, float(np.max(np.abs(got - exact_symbol_field(p, g)))))
-            low = g.synthesize(lower_symbol(H, ker, fast_dim=2).truncated(1))
-            worst_sym = max(worst_sym, float(np.max(np.abs(low - lower_hamiltonian_symbol_field(p, g)))))
+            H, h0 = build_hamiltonian(p), hamiltonian_symbol(p).coeffs
+            sw, low = dequantize(H, ker, fast_dim=2), lower_symbol(H, ker, fast_dim=2)
+            for sym, scale in ((sw, sqrt(1 - d**-2)), (low, 1 - 1 / d)):
+                want = h0.copy()
+                want[1] *= scale
+                worst_sym = max(worst_sym, float(np.max(np.abs(sym.truncated(1).coeffs - want))))
         res["model_symbol_identity"] = worst_sym
         worst = max(res.values())
         for prop, val in res.items():
@@ -279,9 +288,7 @@ def cmd_kernel_check(cfg):
 
 
 def cmd_star_slopes(cfg):
-    two_j_list = _slope_sweep(cfg)
-    if cfg["band_limit"] < 1:  # constant symbols multiply exactly: no error to fit
-        raise ValueError(f"--band-limit must be >= 1 for truncation slopes, got {cfg['band_limit']}")
+    two_j_list = _star_sweep(cfg)
     _check_star_memory(two_j_list, 2 * cfg["band_limit"], cfg["pairs"])
     d_list = [t + 1 for t in two_j_list]
     # the corpus as two batches F, G: every product acts pair by pair, and
@@ -444,11 +451,7 @@ def cmd_egorov(cfg):
 
 def cmd_calibrate(cfg):
     L = cfg["band_limit"]
-    if L < 1:  # constant symbols leave the order-1 ansatz singular
-        raise ValueError(f"--band-limit must be >= 1 for a calibration, got {L}")
-    two_j_list = tuple(_slope_sweep(cfg))
-    if min(two_j_list) < 2 * L:  # exact products of band-limit-L symbols reach l = 2L
-        raise ValueError(f"--two-j values must be >= 2 * --band-limit = {2 * L}, got {min(two_j_list)}")
+    two_j_list = tuple(_star_sweep(cfg))
     _check_star_memory(two_j_list, 2 * L, cfg["pairs"])
     corpus = calibration_corpus(cfg["pairs"], L, cfg["seed"])
     rows, checks, reports = [], [], {}

@@ -1,9 +1,10 @@
 """The coupled two-spin (spin-orbit) model.
 
 H = (1 - lam) 1 (x) S3 + lam (2/d_slow) J . S on H_slow (x) H_fast, with the
-slow factor dequantized on the sphere.  Provides the exact operator-valued
-symbol, the principal bands E_m(n, lam) = N(n, lam) m, eigenframes and
-projectors, the gap N, and the pointwise reference unitary in ZYZ form.
+slow factor dequantized on the sphere.  Provides the principal symbol
+(operator-valued coefficients, l <= 1), the principal bands
+E_m(n, lam) = N(n, lam) m, eigenframes and projectors, the gap N, and the
+pointwise reference unitary in ZYZ form.
 
 Angle conventions: the tilted axis n_lam = ((1-lam) e3 + lam n)/N has polar
 angle theta' with cos(theta') = ((1-lam) + lam cos(theta))/N and
@@ -19,7 +20,7 @@ from math import pi, sqrt
 import numpy as np
 
 from .spin import SpinIrrep, make_irrep, wigner_zyz
-from .sphere import Grid, SphereSymbol, vector_symbol_coeffs
+from .sphere import SphereSymbol, vector_symbol_coeffs
 
 __all__ = [
     "ModelParams",
@@ -71,7 +72,6 @@ class ModelParams:
 class BandData:
     """Per-band spectral data of the principal symbol on a grid."""
 
-    m: float
     frame: np.ndarray  # psi_m(n_lam) at nodes, (..., d_s)
     projector: np.ndarray  # (..., d_s, d_s)
     u0: np.ndarray  # reference unitary at nodes, (..., d_s, d_s)
@@ -137,22 +137,6 @@ def hamiltonian_symbol(params: ModelParams) -> SphereSymbol:
     return SphereSymbol(c)
 
 
-def _symbol_field(params: ModelParams, grid: Grid, c: float) -> np.ndarray:
-    """Samples of (1-lam) S3 + c n.S at the grid nodes."""
-    S = np.asarray(params.fast.Jvec)
-    return (1 - params.lam) * S[2][None, None] + c * np.einsum("atp,aij->tpij", grid.nvec, S)
-
-
-def exact_symbol_field(params: ModelParams, grid: Grid) -> np.ndarray:
-    """Samples of the full symbol (1-lam) S3 + lam sqrt(1-d^{-2}) n.S."""
-    return _symbol_field(params, grid, params.lam * sqrt(1 - params.d_j ** (-2)))
-
-
-def lower_hamiltonian_symbol_field(params: ModelParams, grid: Grid) -> np.ndarray:
-    """Samples of (1-lam) S3 + lam (1 - 1/d) n.S (coherent-state symbol)."""
-    return _symbol_field(params, grid, params.lam * (1 - 1 / params.d_j))
-
-
 def gap_N(theta, lam: float):
     """Spectral distance N(theta, lam) between adjacent principal bands."""
     c = np.cos(theta)
@@ -160,13 +144,10 @@ def gap_N(theta, lam: float):
 
 
 def tilt_angles(theta, lam: float):
-    """(cos, sin, derivative d theta'/d theta) of the tilted polar angle."""
+    """(cos, sin) of the tilted polar angle."""
     N = gap_N(theta, lam)
     safe = np.where(N > 1e-300, N, 1.0)  # angles undefined at the degeneracy
-    ct = ((1 - lam) + lam * np.cos(theta)) / safe
-    st = lam * np.sin(theta) / safe
-    dtp = lam * (lam + (1 - lam) * np.cos(theta)) / safe**2
-    return ct, st, dtp
+    return ((1 - lam) + lam * np.cos(theta)) / safe, lam * np.sin(theta) / safe
 
 
 def reference_unitary_field(params: ModelParams, theta, phi) -> np.ndarray:
@@ -177,7 +158,7 @@ def reference_unitary_field(params: ModelParams, theta, phi) -> np.ndarray:
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    ct, st, _ = tilt_angles(theta, params.lam)
+    ct, st = tilt_angles(theta, params.lam)
     beta = np.arctan2(st, ct)
     return wigner_zyz(params.fast, phi, beta, phi)
 
@@ -195,4 +176,4 @@ def principal_bands(params: ModelParams, theta, phi, m: float) -> BandData:
     e_m[idx] = 1.0
     frame = np.einsum("...ba,b->...a", u0.conj(), e_m)  # u0^dagger psi_m
     projector = frame[..., :, None] * frame[..., None, :].conj()
-    return BandData(float(m), frame, projector, u0)
+    return BandData(frame, projector, u0)

@@ -206,7 +206,6 @@ def almost_invariance_norms(
         params = ModelParams(two_j, 1, lam)
         norms.append(sector_commutator_norm(params, proj.evaluate(params.d_j, order)))
     return {
-        "two_j": list(two_j_list),
         "norms": norms,
         "fit": loglog_slope([t + 1 for t in two_j_list], norms),
         "hermiticity": proj.hermiticity_residual(),
@@ -330,7 +329,6 @@ def band_spectrum_compare(
         cluster = exact_band_projection(sector_spectrum(params), params.d_s)
         dists.append(_hausdorff(cluster[band_index(1, m)].eigenvalues, eff))
     return {
-        "two_j": list(two_j_list),
         "hausdorff": dists,
         "fit": loglog_slope([t + 1 for t in two_j_list], dists),
         "hermiticity": h.hermiticity_residual(),
@@ -407,4 +405,4 @@ def egorov_error(
         o_qu = grid.synthesize(heisenberg_symbol(h0, o0, params.slow, s))
         errs.append(float(np.max(np.abs(o_qu - o_cl))))
     fit = loglog_slope([t + 1 for t in two_j_list], errs) if len(errs) > 1 else None
-    return {"two_j": list(two_j_list), "errors": errs, "fit": fit}
+    return {"errors": errs, "fit": fit}

@@ -185,12 +185,6 @@ class Grid:
         self._tables = {Lt: (Kt, P, dP)}
         return P, dP
 
-    @property
-    def nvec(self) -> np.ndarray:
-        """Unit normals at the nodes, shape (3, n_theta, n_phi)."""
-        st = np.sin(self.theta)[:, None]
-        return np.stack(np.broadcast_arrays(st * np.cos(self.phi), st * np.sin(self.phi), self.x[:, None]))
-
     # -- transforms ---------------------------------------------------------
 
     def synthesize(self, sym: SphereSymbol) -> np.ndarray:

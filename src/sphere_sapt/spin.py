@@ -71,24 +71,6 @@ def make_irrep(two_j: int) -> SpinIrrep:
 
 
 @lru_cache(maxsize=None)
-def _seed(two_j: int, m: int) -> np.ndarray:
-    """Entries of J+^m on its offset-m diagonal, trace-normalized.
-
-    Grown from the seed of offset m - 1 by a single ladder factor and
-    renormalized, so it never overflows (J+^m itself does from two_j = 99).
-    """
-    if m == 0:
-        seed = np.full(two_j + 1, (two_j + 1) ** -0.5)
-    else:
-        # (J+^m)[i, i+m] / (J+^(m-1))[i, i+m-1] = sqrt((i+m)(2j-i-m+1))
-        i = np.arange(two_j + 1 - m)
-        seed = _seed(two_j, m - 1)[: len(i)] * np.sqrt((i + m) * (two_j - i - m + 1))
-        seed /= np.linalg.norm(seed)
-    seed.setflags(write=False)
-    return seed
-
-
-@lru_cache(maxsize=None)
 def offset_block(two_j: int, m: int, L: int) -> np.ndarray:
     """Rows l <= L of Q[m]: the tensor operators T_lm, m <= l <= L, of one
     band offset 0 <= m <= L <= two_j, as a (L + 1 - m) x (d - m) matrix.
@@ -111,12 +93,18 @@ def offset_block(two_j: int, m: int, L: int) -> np.ndarray:
     """
     if not 0 <= m <= L <= two_j:
         raise ValueError(f"a tensor basis of two_j = {two_j} needs 0 <= m <= L <= {two_j}, got m = {m}, L = {L}")
-    for k in range(m):  # fills the seed cache one offset at a time, never deeper than one call
-        _seed(two_j, k)
+    # the seed: the diagonal of J+^k grown one ladder factor at a time,
+    # (J+^k)[i, i+k] / (J+^(k-1))[i, i+k-1] = sqrt((i+k)(2j-i-k+1)), and
+    # renormalized at each step, so it never overflows (J+^m does from two_j = 99)
+    seed = np.full(two_j + 1, (two_j + 1) ** -0.5)
+    for k in range(1, m + 1):
+        i = np.arange(two_j + 1 - k)
+        seed = seed[: len(i)] * np.sqrt((i + k) * (two_j - i - k + 1))
+        seed /= np.linalg.norm(seed)
     n = two_j + 1 - m
     m1 = two_j / 2 - np.arange(n)  # row quantum numbers of the band
     Qm = np.empty((L + 1 - m, n))
-    Qm[0] = (-1) ** m * _seed(two_j, m)
+    Qm[0] = (-1) ** m * seed
     for r in range(1, L + 1 - m):
         w = m1 * Qm[r - 1]
         for _pass in range(2):
@@ -138,13 +126,6 @@ def tensor_basis(two_j: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _j2_eig(two_j: int):
-    irr = make_irrep(two_j)
-    w, V = np.linalg.eigh(irr.Jvec[1])
-    return w, V
-
-
 def wigner_zyz(irrep: SpinIrrep, alpha, beta, gamma) -> np.ndarray:
     """Rotation matrix exp(-i alpha J3) exp(i beta J2) exp(i gamma J3).
 
@@ -152,7 +133,7 @@ def wigner_zyz(irrep: SpinIrrep, alpha, beta, gamma) -> np.ndarray:
     followed by (d, d).
     """
     mvals = irrep.j - np.arange(irrep.d)
-    w, V = _j2_eig(irrep.two_j)
+    w, V = np.linalg.eigh(irrep.Jvec[1])
     mid = np.einsum("ak,...k,bk->...ab", V, np.exp(1j * np.multiply.outer(beta, w)), V.conj())
     left = np.exp(-1j * np.multiply.outer(alpha, mvals))
     right = np.exp(1j * np.multiply.outer(gamma, mvals))

@@ -9,6 +9,7 @@ integrates to the Chern number that `berry.chern_plaquette` counts.
 from __future__ import annotations
 
 import numpy as np
+from model_oracle import tilt_derivative
 
 from sphere_sapt.model import ModelParams, tilt_angles
 
@@ -21,12 +22,12 @@ def berry_connection(params: ModelParams, m: float, theta):
     sin theta).
     """
     theta = np.asarray(theta, dtype=float)
-    ct, _, _ = tilt_angles(theta, params.lam)
+    ct, _ = tilt_angles(theta, params.lam)
     return np.zeros_like(theta), -float(m) * (1.0 - ct)
 
 
 def berry_curvature(params: ModelParams, m: float, theta):
     """F_theta_phi(theta) = d A_phi / d theta = -m sin(theta') theta''."""
     theta = np.asarray(theta, dtype=float)
-    _, st, dtp = tilt_angles(theta, params.lam)
-    return -float(m) * st * dtp
+    _, st = tilt_angles(theta, params.lam)
+    return -float(m) * st * tilt_derivative(theta, params.lam)

@@ -1,16 +1,53 @@
-"""The principal symbol and the gap profile sampled on grids, as oracles for the tests."""
+"""The model's symbols, the tilt-angle derivative and the gap profile sampled
+on grids, as oracles for the tests.
+
+The package keeps one representation of the Hamiltonian's symbol, the
+coefficients `model.hamiltonian_symbol`; the fields here are sampled from
+their own node normals, so a test comparing the two compares independent
+paths.
+"""
 
 from __future__ import annotations
 
+from math import sqrt
+
 import numpy as np
 
-from sphere_sapt.model import ModelParams, _symbol_field, gap_N
+from sphere_sapt.model import ModelParams, gap_N
 from sphere_sapt.sphere import Grid
+
+
+def node_normals(grid: Grid) -> np.ndarray:
+    """Unit normals n(theta, phi) at the grid nodes, shape (3, n_theta, n_phi)."""
+    th, ph = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
+
+
+def symbol_field(params: ModelParams, grid: Grid, c: float) -> np.ndarray:
+    """Samples of (1-lam) S3 + c n.S at the grid nodes."""
+    S = np.asarray(params.fast.Jvec)
+    return (1 - params.lam) * S[2][None, None] + c * np.einsum("atp,aij->tpij", node_normals(grid), S)
 
 
 def principal_symbol_field(params: ModelParams, grid: Grid) -> np.ndarray:
     """H_0(n) = (1-lam) S3 + lam n.S sampled at the nodes."""
-    return _symbol_field(params, grid, params.lam)
+    return symbol_field(params, grid, params.lam)
+
+
+def exact_symbol_field(params: ModelParams, grid: Grid) -> np.ndarray:
+    """The Stratonovich-Weyl symbol (1-lam) S3 + lam sqrt(1-d^{-2}) n.S."""
+    return symbol_field(params, grid, params.lam * sqrt(1 - params.d_j ** (-2)))
+
+
+def lower_hamiltonian_symbol_field(params: ModelParams, grid: Grid) -> np.ndarray:
+    """The coherent-state symbol (1-lam) S3 + lam (1 - 1/d) n.S."""
+    return symbol_field(params, grid, params.lam * (1 - 1 / params.d_j))
+
+
+def tilt_derivative(theta, lam: float):
+    """d theta'/d theta of the tilted polar angle, lam (lam + (1-lam) cos theta) / N^2."""
+    N = gap_N(theta, lam)
+    return lam * (lam + (1 - lam) * np.cos(theta)) / np.where(N > 1e-300, N, 1.0) ** 2
 
 
 def gap_profile(lam: float, n_theta: int = 181):

@@ -9,6 +9,7 @@ forms the same block from synthesized symbols and their gradients)."""
 from __future__ import annotations
 
 import numpy as np
+from model_oracle import tilt_derivative
 
 from sphere_sapt import sapt
 from sphere_sapt.model import ModelParams, band_index, build_hamiltonian, gap_N, tilt_angles
@@ -52,7 +53,8 @@ def h1_closed_form(params, m, cs, L) -> SphereSymbol:
     th2, ph2 = np.meshgrid(grid.theta, grid.phi, indexing="ij")
     st_, ct_ = np.sin(th2), np.cos(th2)
     N = gap_N(th2, lam)
-    ctp, stp, dtp = tilt_angles(th2, lam)
+    ctp, stp = tilt_angles(th2, lam)
+    dtp = tilt_derivative(th2, lam)
     # theta-derivatives of N and of the tilt angle
     dN = -lam * (1 - lam) * st_ / N
     d2N = -lam * (1 - lam) * (ct_ - st_ * dN / N) / N

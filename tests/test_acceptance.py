@@ -8,7 +8,7 @@ the individual check.
 """
 
 import numpy as np
-from model_oracle import gap_profile
+from model_oracle import exact_symbol_field, gap_profile, lower_hamiltonian_symbol_field
 from sapt_oracle import closed_form_hamiltonian
 from star_oracle import CALIBRATED_BEREZIN
 
@@ -17,9 +17,7 @@ from sphere_sapt.fits import loglog_slope
 from sphere_sapt.model import (
     ModelParams,
     build_hamiltonian,
-    exact_symbol_field,
     gap_N,
-    lower_hamiltonian_symbol_field,
     sector_spectrum,
 )
 from sphere_sapt.sapt import (

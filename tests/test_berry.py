@@ -13,7 +13,7 @@ def test_connection_closed_form():
     p = ModelParams(6, 1, 0.8)
     th = np.linspace(0.05, np.pi - 0.05, 30)
     a_th, a_ph = berry_connection(p, 0.5, th)
-    ct, _, _ = tilt_angles(th, p.lam)
+    ct, _ = tilt_angles(th, p.lam)
     assert np.max(np.abs(a_th)) < 1e-13
     assert np.max(np.abs(a_ph + 0.5 * (1 - ct))) < 1e-12
 

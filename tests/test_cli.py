@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from math import sqrt
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphere_sapt import cli
+from sphere_sapt import cli, model
 from sphere_sapt.cli import main
+from sphere_sapt.sphere import SphereSymbol
 
 
 def test_gap_runs_and_writes_outputs(tmp_path):
@@ -182,6 +184,37 @@ def test_kernel_check_rows_do_not_depend_on_the_sweep(tmp_path):
         assert main(["kernel-check", "--two-j", sweep, "--out", str(tmp_path / name)]) == 0
     alone, after = ((tmp_path / name / "kernel-check.csv").read_text().splitlines() for name in ("alone", "after"))
     assert alone[1:] == [row for row in after[1:] if row.startswith("5,")]
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [
+        lambda d: 1 + 1e-8,  # the n.S coefficient off by 1e-8 relative
+        lambda d: 1 / sqrt(1 - d**-2),  # the unscaled principal symbol stands for the SW one
+    ],
+    ids=["n.S-off-by-1e-8", "unscaled-principal-symbol"],
+)
+def test_model_symbol_identity_gate_can_fail(tmp_path, monkeypatch, scale):
+    # kernel-check compares the l <= 1 coefficients of the dequantized (SW)
+    # and lower (coherent-state) symbols of H with cli.hamiltonian_symbol,
+    # its n.S row (l = 1) scaled by sqrt(1 - d^-2) and by 1 - 1/d.  A row off
+    # by 1e-8 relative, or the principal symbol's d^-2 defect (~1.1e-3
+    # relative at two_j = 20; ~4.5e-4 in samples), misses the 1e-10 gate.
+    def hamiltonian_symbol(p):
+        c = model.hamiltonian_symbol(p).coeffs.copy()
+        c[1] *= scale(p.d_j)
+        return SphereSymbol(c)
+
+    monkeypatch.setattr(cli, "hamiltonian_symbol", hamiltonian_symbol)
+    assert main(["kernel-check", "--two-j", "2,20", "--out", str(tmp_path)]) == 1
+    rows = [r.split(",") for r in (tmp_path / "kernel-check.csv").read_text().splitlines()[1:]]
+    got = {int(t): float(v) for t, prop, v in rows if prop == "model_symbol_identity"}
+    for two_j, v in got.items():
+        d = two_j + 1
+        # the SW identity's largest n.S coefficient (lam = 0.8) times the defect
+        n_s = np.max(np.abs(model.hamiltonian_symbol(model.ModelParams(two_j, 1, 0.8)).coeffs[1]))
+        assert v == pytest.approx(n_s * sqrt(1 - d**-2) * abs(scale(d) - 1), rel=1e-6)
+        assert v > 1e-10
 
 
 _LOADED = """import sys, tempfile
@@ -397,7 +430,7 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
         (["chern", "--lambda", "0.5"], 2),  # gap closing
         (["gap", "--lambdas", "0.2,nan"], 2),  # non-finite input
         (["egorov", "--time", "inf"], 2),
-        (["star-slopes", "--pairs", "0", "--two-j", "2,4"], 2),  # empty corpus
+        (["star-slopes", "--pairs", "0", "--two-j", "10,20"], 2),  # empty corpus
         (["invariance-slopes", "--lambda", "0", "--two-j", "10,20"], 1),  # norms are exactly 0
         (["star-slopes", "--band-limit", "0", "--two-j", "10,20"], 2),  # constants multiply exactly
         (["calibrate", "--band-limit", "0"], 2),
@@ -413,6 +446,7 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
         (["chern", "--two-s", "-1"], 2),  # would write a header-only CSV
         (["egorov", "--time", "0"], 2),  # the errors are round-off: the slope would check nothing
         (["egorov", "--observable", "n3"], 2),  # conserved by both flows: round-off again
+        (["star-slopes", "--two-j", "2,4,6"], 2),  # below 2 * band limit: the errors would be projections
     ],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, argv, want):
@@ -432,6 +466,8 @@ _CAUSES = {
     ("star-slopes", "--band-limit", "0", "--two-j", "10,20"): "--band-limit must be >= 1",
     ("calibrate", "--band-limit", "0"): "--band-limit must be >= 1",
     ("calibrate", "--two-j", "1,8,2,4"): "--two-j values must be >= 2 * --band-limit = 6, got 1",
+    ("star-slopes", "--two-j", "2,4,6"): "--two-j values must be >= 2 * --band-limit = 8, got 2",
+    ("star-slopes", "--pairs", "0", "--two-j", "10,20"): "a corpus needs n_pairs >= 1",
     ("kernel-check", "--grid", "0", "--two-j", "0"): "--grid must be >= 1",
     ("chern", "--grid", "0"): "--grid must be >= 1",
     ("chern", "--grid", "-1"): "--grid must be >= 1",

@@ -38,10 +38,14 @@ def test_unreached_fails_on_a_stale_keep_entry(stale, tmp_path, monkeypatch):
     assert script.run() == 1
 
 
-@pytest.mark.parametrize("argv", [("star-slopes", "--two-j", "10,20"), ("calibrate",)], ids=lambda a: a[0])
+@pytest.mark.parametrize(
+    "argv", [("star-slopes", "--two-j", "10,20"), ("calibrate",), ("kernel-check", "--two-j", "1,2,5")], ids=lambda a: a[0]
+)
 def test_bench_trace_runs(argv, tmp_path):
-    # bench/spans.py wraps tensor_basis(two_j) and dequantize(A, kernel,
-    # fast_dim=None) by these call shapes; a changed signature fails here.
+    # bench/spans.py hooks star_exact(f, g, ...) and berezin_exact by the
+    # star commands' calls, and dequantize(A, kernel, fast_dim=None) and
+    # quantize(sym, kernel) by kernel-check's; a changed signature fails
+    # here.  No command enters its tensor_basis(two_j) hook.
     # calibrate runs at its default sizes: below two_j = 80 its unit-pair
     # gate fails on the physics, which would hide a failing hook
     trace = tmp_path / "trace.json"
@@ -51,7 +55,11 @@ def test_bench_trace_runs(argv, tmp_path):
     run = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     counts = json.loads(trace.read_text())
-    assert counts["star.computed_coeffs"] == counts["star.useful_coeffs"] > 0
+    if argv[0] == "kernel-check":
+        assert counts["swq.dequantize.calls"] > 0 and counts["swq.quantize.calls"] > 0
+        assert counts["swq.nonfinite_outputs"] == 0
+    else:
+        assert counts["star.computed_coeffs"] == counts["star.useful_coeffs"] > 0
 
 
 def test_bench_trace_of_the_sector_commands(tmp_path):
