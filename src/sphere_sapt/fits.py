@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-__all__ = ["SlopeFit", "loglog_slope"]
+__all__ = ["SlopeFit", "least_squares", "loglog_slope"]
 
 # two-sided 95% (upper 97.5%) Student-t quantiles for 1..30 degrees of freedom
 _T975 = (
@@ -45,13 +45,17 @@ class SlopeFit:
     residual: float  # rms residual in log space
 
     def as_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "ci95": self.ci95,
-            "n_points": self.n_points,
-            "residual": self.residual,
-        }
+        return asdict(self)
+
+
+def least_squares(A: np.ndarray, b: np.ndarray):
+    """Coefficients x minimising |A x - b|, the residuals b - A x and the
+    covariance of x, its residual variance over max(n - k, 1) degrees of
+    freedom for n rows and k columns."""
+    coef = np.linalg.lstsq(A, b, rcond=None)[0]
+    resid = b - A @ coef
+    dof = max(len(b) - len(coef), 1)
+    return coef, resid, float(resid @ resid) / dof * np.linalg.inv(A.T @ A)
 
 
 def loglog_slope(x, y) -> SlopeFit:
@@ -68,18 +72,13 @@ def loglog_slope(x, y) -> SlopeFit:
         i = bad[0]
         raise ArithmeticError(f"log-log fit needs positive values, got y = {float(y[i])!r} at x = {float(x[i])!r}")
     lx, ly = np.log(x), np.log(y)
-    A = np.stack([lx, np.ones(n)], axis=1)
-    coef, _, _, _ = np.linalg.lstsq(A, ly, rcond=None)
-    resid = ly - A @ coef
+    coef, resid, cov = least_squares(np.stack([lx, np.ones(n)], axis=1), ly)
     if n == 2:
         return SlopeFit(float(coef[0]), float(coef[1]), None, n, 0.0)
-    dof = n - 2
-    s2 = float(resid @ resid) / dof
-    cov = s2 * np.linalg.inv(A.T @ A)
     return SlopeFit(
         float(coef[0]),
         float(coef[1]),
-        float(_t975(dof) * np.sqrt(cov[0, 0])),
+        float(_t975(n - 2) * np.sqrt(cov[0, 0])),
         n,
         float(np.sqrt(np.mean(resid**2))),
     )

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fits import loglog_slope
+from .fits import least_squares, loglog_slope
 from .sphere import (
     Grid,
     SphereSymbol,
@@ -276,11 +276,7 @@ def calibrate_order1(two_j_list, corpus, product: str):
     # real least squares over stacked real/imag parts
     Ar = np.vstack([A.real, A.imag])
     br = np.concatenate([b.real, b.imag])
-    coef, _, _, _ = np.linalg.lstsq(Ar, br, rcond=None)
-    resid = br - Ar @ coef
-    dof = max(len(br) - len(coef), 1)
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(Ar.T @ Ar)
+    coef, _, cov = least_squares(Ar, br)
     err = np.sqrt(np.diag(cov))
     cs = CoefficientSet("calibrated", float(coef[0]), float(coef[1]), float(coef[2]), 1.0)
 
@@ -292,10 +288,7 @@ def calibrate_order1(two_j_list, corpus, product: str):
     slope = loglog_slope(d_list, sups).slope
 
     report = {
-        "product": product,
         "two_j_list": list(two_j_list),
-        "n_pairs": len(corpus),
-        "poisson_fixed": True,
         "terms": [
             {"ansatz": nm, "coefficient": float(c), "std_error": float(e)}
             for nm, c, e in zip(names, coef, err)

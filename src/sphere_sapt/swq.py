@@ -29,7 +29,6 @@ theta-profiles in that layout, and the kernel checks integrate them there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import pi, sqrt
 from random import Random
 
@@ -205,7 +204,6 @@ def dequantize(A: np.ndarray, kernel: SWKernel, fast_dim: int | None = None) -> 
     return dequantize_diagonals(_gather(A4 if fast_dim else A4[..., 0, 0], kernel.L), kernel)
 
 
-@lru_cache(maxsize=None)
 def _lower_scale(two_j: int) -> np.ndarray:
     """r_l = <j j; l 0 | j j>, the lower-symbol shrink factor per l.
 

@@ -435,13 +435,10 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
         (["star-slopes", "--band-limit", "0", "--two-j", "10,20"], 2),  # constants multiply exactly
         (["calibrate", "--band-limit", "0"], 2),
         (["calibrate", "--two-j", "1,8,2,4"], 2),  # below 2 * band limit
-        (["kernel-check", "--grid", "0", "--two-j", "0"], 2),
         (["chern", "--grid", "0"], 2),  # an empty lattice sums to Chern number 0
         (["chern", "--grid", "-1"], 2),
         (["gap", "--thetas", "0"], 2),  # would write a header-only CSV
         (["gap", "--thetas", "-1"], 2),
-        (["bands", "--orders", ""], 2),  # no order would run no check
-        (["invariance-slopes", "--orders", ","], 2),
         (["kernel-check", "--two-j", ""], 2),
         (["chern", "--two-s", "-1"], 2),  # would write a header-only CSV
         (["egorov", "--time", "0"], 2),  # the errors are round-off: the slope would check nothing
@@ -468,18 +465,38 @@ _CAUSES = {
     ("calibrate", "--two-j", "1,8,2,4"): "--two-j values must be >= 2 * --band-limit = 6, got 1",
     ("star-slopes", "--two-j", "2,4,6"): "--two-j values must be >= 2 * --band-limit = 8, got 2",
     ("star-slopes", "--pairs", "0", "--two-j", "10,20"): "a corpus needs n_pairs >= 1",
-    ("kernel-check", "--grid", "0", "--two-j", "0"): "--grid must be >= 1",
     ("chern", "--grid", "0"): "--grid must be >= 1",
     ("chern", "--grid", "-1"): "--grid must be >= 1",
     ("gap", "--thetas", "0"): "--thetas must be >= 1",
     ("gap", "--thetas", "-1"): "--thetas must be >= 1",
-    ("bands", "--orders", ""): "--orders needs at least one order, got ''",
-    ("invariance-slopes", "--orders", ","): "--orders needs at least one order, got ','",
     ("kernel-check", "--two-j", ""): "--two-j needs at least one value, got ''",
     ("chern", "--two-s", "-1"): "two_s must be >= 0, got -1",
     ("egorov", "--time", "0"): "--time must be nonzero",
     ("egorov", "--observable", "n3"): "unknown observable 'n3'",
 }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the kernel-check gate is 1e-10 and its grid make_grid(max(48, 2 two_j));
+        # both sweeps run orders 0 and 1, the only ones the pipeline implements
+        ["kernel-check", "--tol", "1"],
+        ["kernel-check", "--grid", "120"],
+        ["bands", "--orders", "1"],
+        ["invariance-slopes", "--orders", "0"],
+    ],
+)
+def test_fixed_settings_are_no_options(tmp_path, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_every_help_entry_names_an_option():
+    assert set(cli.HELP) == {key for _, _, defaults in cli.COMMANDS.values() for key in defaults}
 
 
 def test_failed_computation_exits_1(tmp_path, monkeypatch):
@@ -538,13 +555,11 @@ _VALUES = {
     "thetas": st.integers(-2, 16),
     "grid": st.integers(-2, 16),
     "band": st.one_of(st.sampled_from([0.5, -0.5, 0.0, 1.0, 0.7, 5.0, float("nan")]), st.floats(-2, 2)),
-    "orders": _joined(st.integers(-1, 2)),
     "pairs": st.integers(-1, 3),
     "band_limit": st.integers(-1, 3),
     "seed": st.integers(-1, 50),
     "observable": st.sampled_from(["n1", "n2", "n3", "n4", ""]),
     "time": st.one_of(st.sampled_from([0.0, float("nan")]), st.floats(-2, 2)),
-    "tol": st.floats(0, 1),
 }
 
 

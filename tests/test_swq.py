@@ -67,7 +67,7 @@ def test_kernel_axioms_small(two_j):
 
 @pytest.mark.parametrize("two_j", [1, 2, 3, 5, 10, 20, 30])
 def test_residuals_match_the_dense_row_oracle(two_j):
-    # the grids kernel-check uses at its default --grid 48
+    # the grids kernel-check uses
     ker = SWKernel(make_irrep(two_j))
     grid = make_grid(max(48, 2 * two_j))
     got, want = kernel_property_residuals(ker, grid), swq_oracle.kernel_property_residuals(ker, grid)
@@ -178,7 +178,7 @@ def test_kernel_axioms_at_two_j_60_in_a_few_rows_of_memory(tmp_path, monkeypatch
         raise ValueError("counted")
 
     monkeypatch.setattr(cli, "_check_memory", count)
-    assert cli.main(["kernel-check", "--two-j", str(two_j), "--grid", "120", "--out", str(tmp_path)]) == 2
+    assert cli.main(["kernel-check", "--two-j", str(two_j), "--out", str(tmp_path)]) == 2
     ker = SWKernel(make_irrep(two_j))
     tensor_basis(two_j)  # a process-wide cache, not part of the working set
     grid = Grid(120)  # uncached: its Legendre table is built under the trace
