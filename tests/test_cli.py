@@ -435,10 +435,13 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
         (["star-slopes", "--band-limit", "0", "--two-j", "10,20"], 2),  # constants multiply exactly
         (["calibrate", "--band-limit", "0"], 2),
         (["calibrate", "--two-j", "1,8,2,4"], 2),  # below 2 * band limit
+        (["calibrate", "--two-j", "10,10"], 2),  # one size twice gives no slope
         (["chern", "--grid", "0"], 2),  # an empty lattice sums to Chern number 0
         (["chern", "--grid", "-1"], 2),
         (["gap", "--thetas", "0"], 2),  # would write a header-only CSV
         (["gap", "--thetas", "-1"], 2),
+        (["gap", "--config", "missing.cfg"], 2),  # no such file
+        (["gap", "--config", "unparsed.cfg"], 2),  # a line without '='
         (["kernel-check", "--two-j", ""], 2),
         (["chern", "--two-s", "-1"], 2),  # would write a header-only CSV
         (["egorov", "--time", "0"], 2),  # the errors are round-off: the slope would check nothing
@@ -449,6 +452,7 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
 def test_exit_codes(tmp_path, monkeypatch, capsys, argv, want):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "misspelled.cfg").write_text("lamda=0.3\n")
+    (tmp_path / "unparsed.cfg").write_text("lam 0.3\n")
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == want
     err = capsys.readouterr().err.strip().splitlines()
@@ -463,12 +467,15 @@ _CAUSES = {
     ("star-slopes", "--band-limit", "0", "--two-j", "10,20"): "--band-limit must be >= 1",
     ("calibrate", "--band-limit", "0"): "--band-limit must be >= 1",
     ("calibrate", "--two-j", "1,8,2,4"): "--two-j values must be >= 2 * --band-limit = 6, got 1",
+    ("calibrate", "--two-j", "10,10"): "at least two different two_j values, got '10,10'",
     ("star-slopes", "--two-j", "2,4,6"): "--two-j values must be >= 2 * --band-limit = 8, got 2",
     ("star-slopes", "--pairs", "0", "--two-j", "10,20"): "a corpus needs n_pairs >= 1",
     ("chern", "--grid", "0"): "--grid must be >= 1",
     ("chern", "--grid", "-1"): "--grid must be >= 1",
     ("gap", "--thetas", "0"): "--thetas must be >= 1",
     ("gap", "--thetas", "-1"): "--thetas must be >= 1",
+    ("gap", "--config", "missing.cfg"): "missing.cfg",
+    ("gap", "--config", "unparsed.cfg"): "bad config line: 'lam 0.3'",
     ("kernel-check", "--two-j", ""): "--two-j needs at least one value, got ''",
     ("chern", "--two-s", "-1"): "two_s must be >= 0, got -1",
     ("egorov", "--time", "0"): "--time must be nonzero",
