@@ -326,6 +326,8 @@ def cmd_gap(cfg):
     if cfg["thetas"] < 1:
         raise ValueError(f"--thetas must be >= 1, got {cfg['thetas']}")
     lambdas = _float_list(cfg["lambdas"])
+    if not lambdas:
+        raise ValueError(f"--lambdas needs at least one value, got {cfg['lambdas']!r}")
     thetas = np.linspace(0.0, pi, cfg["thetas"])
     rows = []
     worst = 0.0
@@ -357,7 +359,7 @@ def _order_sweep(cfg, sweep, key: str, quantity: str, gate):
     """Rows, checks and fits of the order-0 and order-1 slope sweeps of band cfg["band"].
 
     `sweep` is a sapt function returning values under `key`, a "fit" and
-    the "hermiticity" residual of its symbol; `gate(order, slope)` gives
+    the "hermiticity" residual of its truncated series; `gate(order, slope)` gives
     the check's name and verdict.
     """
     two_j_list = _slope_sweep(cfg)

@@ -6,8 +6,10 @@ commutation conditions of the star calculus), the effective band
 Hamiltonian h0 + d^-1 h1 from the same calculus (its closed form from
 analytic derivatives, two_s = 1, is the oracle in tests/sapt_oracle.py),
 and the semiclassical (Egorov) propagation check against the classical
-precession flow.  All star-dependent pieces take a CoefficientSet so the
-printed and calibrated expansions can be compared downstream.
+precession flow.  Projection and Hamiltonian are order-1 series, (pi0,
+pi1) and (h0, h1), which the sweeps truncate.  All star-dependent pieces
+take a CoefficientSet so the printed and calibrated expansions can be
+compared downstream.
 
 The operator side of the checks works on the sectors of M = J3 (x) 1 +
 1 (x) S3, which H and every quantized band symbol conserve: the exact
@@ -84,11 +86,10 @@ def _symbol_grid(L_exact: int, two_s: int) -> Grid:
 def moyal_projection(
     params: ModelParams,
     m: float,
-    order: int = 1,
     cs: CoefficientSet = CALIBRATED,
     L: int = BAND_LIMIT,
 ) -> SemiclassicalSymbol:
-    """Projection symbol pi0 + d^-1 pi1 of band m.
+    """Projection series pi0 + d^-1 pi1 of band m.
 
     pi1 is determined uniquely by the order-1 parts of p * p = p and
     [H, p] = 0: in the fiber eigenbasis its band-diagonal blocks come from
@@ -102,11 +103,6 @@ def moyal_projection(
     th2, ph2 = _mesh(grid)
     bd = principal_bands(params, th2, ph2, m)
     pi0 = grid.analyze(bd.projector, L)
-    if order == 0:
-        return SemiclassicalSymbol([pi0])
-    if order != 1:
-        raise ValueError("projection implemented through order 1")
-
     H0 = hamiltonian_symbol(params)
     Bf = order1_samples(pi0, pi0, cs, grid)
     Gf = order1_samples(pi0, H0, cs, grid) - order1_samples(H0, pi0, cs, grid)
@@ -198,9 +194,10 @@ def almost_invariance_norms(
 ):
     """Spectral norms of [H, quantize(projection)] across dimensions + slope; fast spin 1/2.
 
-    O(d L) per dimension on the M-sectors (sector_commutator_norm).
+    The projection series is truncated at `order`.  O(d L) per dimension on
+    the M-sectors (sector_commutator_norm).
     """
-    proj = moyal_projection(ModelParams(two_j_list[0], 1, lam), m, order=order, cs=cs, L=L)
+    proj = moyal_projection(ModelParams(two_j_list[0], 1, lam), m, cs=cs, L=L)
     norms = []
     for two_j in two_j_list:
         params = ModelParams(two_j, 1, lam)
@@ -208,7 +205,7 @@ def almost_invariance_norms(
     return {
         "norms": norms,
         "fit": loglog_slope([t + 1 for t in two_j_list], norms),
-        "hermiticity": proj.hermiticity_residual(),
+        "hermiticity": proj.hermiticity_residual(order),
     }
 
 
@@ -257,11 +254,10 @@ def exact_band_projection(spectrum: np.ndarray, d_s: int):
 def effective_hamiltonian(
     params: ModelParams,
     m: float,
-    order: int = 1,
     cs: CoefficientSet = CALIBRATED,
     L: int = BAND_LIMIT,
 ) -> SemiclassicalSymbol:
-    """Scalar effective symbol h0 + d^-1 h1 of band m (lam != 1/2).
+    """Scalar effective series h0 + d^-1 h1 of band m (lam != 1/2).
 
     h0 = m N(theta) is the band energy.  h1 is entry (m, m) of
     (B(u0, H0) - B(h0, u0)) u0^dagger, with B the order-1 star bilinear of
@@ -273,10 +269,6 @@ def effective_hamiltonian(
     grid = _symbol_grid(4 * L, params.two_s)
     th2, ph2 = _mesh(grid)
     h0 = grid.analyze(gap_N(th2, params.lam) * float(m), L)
-    if order == 0:
-        return SemiclassicalSymbol([h0])
-    if order != 1:
-        raise ValueError("effective Hamiltonian implemented through order 1")
     bd = principal_bands(params, th2, ph2, m)
     u0 = grid.analyze(bd.u0, L)
     H0 = hamiltonian_symbol(params)
@@ -315,11 +307,12 @@ def band_spectrum_compare(
     """Hausdorff distance between exact band clusters and effective spectra; fast spin 1/2.
 
     The exact spectrum comes from the M-sectors of H (model.sector_spectrum).
-    The effective symbol is axisymmetric, so its operator is diagonal in the
-    J3 basis and its spectrum is the offset-0 diagonal.  O(d L) per dimension.
+    The effective series is truncated at `order`; its symbol is axisymmetric,
+    so its operator is diagonal in the J3 basis and its spectrum is the
+    offset-0 diagonal.  O(d L) per dimension.
     """
     dists = []
-    h = effective_hamiltonian(ModelParams(two_j_list[0], 1, lam), m, order=order, cs=cs, L=L)
+    h = effective_hamiltonian(ModelParams(two_j_list[0], 1, lam), m, cs=cs, L=L)
     for two_j in two_j_list:
         params = ModelParams(two_j, 1, lam)
         sym = h.evaluate(params.d_j, order)
@@ -331,7 +324,7 @@ def band_spectrum_compare(
     return {
         "hausdorff": dists,
         "fit": loglog_slope([t + 1 for t in two_j_list], dists),
-        "hermiticity": h.hermiticity_residual(),
+        "hermiticity": h.hermiticity_residual(order),
     }
 
 
@@ -398,7 +391,7 @@ def egorov_error(
     o_cl = synthesize_at(o0, thf, phf).reshape(th2.shape)
 
     errs = []
-    h0 = effective_hamiltonian(ModelParams(two_j_list[0], 1, lam), m, order=0).term(0)
+    h0 = effective_hamiltonian(ModelParams(two_j_list[0], 1, lam), m).terms[0]
     for two_j in two_j_list:
         params = ModelParams(two_j, 1, lam)
         s = EGOROV_TIME_SIGN * (params.d_j / 2) * T

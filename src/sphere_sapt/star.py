@@ -94,15 +94,19 @@ class SemiclassicalSymbol:
     def __init__(self, terms):
         object.__setattr__(self, "terms", tuple(terms))
 
-    def term(self, k: int) -> SphereSymbol:
-        return self.terms[k]
+    def _through(self, order: int) -> tuple:
+        """Terms 0..order; ValueError for an order the series does not carry."""
+        if not 0 <= order < len(self.terms):
+            raise ValueError(f"order {order} is outside the orders 0..{len(self.terms) - 1} of this series")
+        return self.terms[: order + 1]
 
     def evaluate(self, d: int, order: int) -> SphereSymbol:
         """Sum the series at dimension d through term `order`."""
-        return _combine([(float(d) ** (-k), t) for k, t in enumerate(self.terms[: order + 1])])
+        return _combine([(float(d) ** (-k), t) for k, t in enumerate(self._through(order))])
 
-    def hermiticity_residual(self) -> float:
-        return max(t.hermiticity_residual() for t in self.terms)
+    def hermiticity_residual(self, order: int) -> float:
+        """Largest hermiticity residual of terms 0..order."""
+        return max(t.hermiticity_residual() for t in self._through(order))
 
 
 def _combine(parts) -> SphereSymbol:

@@ -114,5 +114,5 @@ def h1_closed_form(params, m, cs, L) -> SphereSymbol:
 
 def closed_form_hamiltonian(params, m, cs=CALIBRATED, L=24) -> SemiclassicalSymbol:
     """h0 + d^-1 h1 with h0 from the package and h1 from the closed form."""
-    h0 = sapt.effective_hamiltonian(params, m, order=0, L=L).term(0)
+    h0 = sapt.effective_hamiltonian(params, m, L=L).terms[0]
     return SemiclassicalSymbol([h0, h1_closed_form(params, m, cs, L)])

@@ -248,14 +248,14 @@ def test_acceptance_11_effective_spectra():
     r1 = band_spectrum_compare(0.2, 0.5, two_j_list, order=1, cs=CALIBRATED)
     s0, s1 = r0["fit"].slope, r1["fit"].slope
     p = ModelParams(10, 1, 0.2)
-    a = effective_hamiltonian(p, 0.5, order=1, cs=CALIBRATED)
+    a = effective_hamiltonian(p, 0.5, cs=CALIBRATED)
     b = closed_form_hamiltonian(p, 0.5, cs=CALIBRATED)
     grid = make_grid(48)
     two_path = float(
-        np.max(np.abs(grid.synthesize(_combine([(1.0, a.term(1)), (-1.0, b.term(1))]).truncated(24))))
+        np.max(np.abs(grid.synthesize(_combine([(1.0, a.terms[1]), (-1.0, b.terms[1])]).truncated(24))))
     )
     h0 = closed_form_hamiltonian(ModelParams(10, 1, 0.0), 0.5)
-    zero = float(np.max(np.abs(make_grid(24).synthesize(h0.term(1)))))
+    zero = float(np.max(np.abs(make_grid(24).synthesize(h0.terms[1]))))
     ok = abs(s0 + 1) < 0.3 and abs(s1 + 2) < 0.4 and two_path < 1e-8 and zero < 1e-12
     _report(
         11,

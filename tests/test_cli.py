@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from sphere_sapt import cli, model
 from sphere_sapt.cli import main
+from sphere_sapt.sapt import effective_hamiltonian, moyal_projection
 from sphere_sapt.sphere import SphereSymbol
 
 
@@ -23,7 +24,7 @@ def test_gap_runs_and_writes_outputs(tmp_path):
     rc = main(["gap", "--lambdas", "0.5,0.45,0.55", "--thetas", "16", "--out", str(tmp_path)])
     assert rc == 0
     csv_text = (tmp_path / "gap.csv").read_text()
-    assert csv_text.splitlines()[0] == "lambda,theta,N"
+    assert (tmp_path / "gap.csv").read_bytes().startswith(b"lambda,theta,N\r\n")
     assert len(csv_text.splitlines()) == 1 + 3 * 16
     summary = json.loads((tmp_path / "gap.json").read_text())
     assert summary["pass"] is True
@@ -165,11 +166,6 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
     assert (tmp_path / "envdir" / "gap.csv").exists()
 
 
-def test_empty_sweep_writes_header_only_csv(tmp_path):
-    assert main(["gap", "--lambdas", "", "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "gap.csv").read_bytes() == b"lambda,theta,N\r\n"
-
-
 def test_kernel_check_subcommand(tmp_path):
     rc = main(["kernel-check", "--two-j", "1,2", "--out", str(tmp_path)])
     assert rc == 0
@@ -219,6 +215,7 @@ def test_model_symbol_identity_gate_can_fail(tmp_path, monkeypatch, scale):
 
 _LOADED = """import sys, tempfile
 from sphere_sapt.cli import main
+from sphere_sapt.sapt import effective_hamiltonian, moyal_projection
 with tempfile.TemporaryDirectory() as out:
     assert main({argv!r} + ["--out", out]) == 0
 print(sorted(m for m in ("numpy.random", "_hashlib") if m in sys.modules))"""
@@ -284,6 +281,19 @@ def test_sweeps_over_three_decades_pass_their_gates(argv, tmp_path):
     assert len(summary["checks"]) == 2 and summary["pass"] is True
     assert set(summary["health"]["symbol_hermiticity"]) == {"order0", "order1"}
     assert max(summary["health"]["symbol_hermiticity"].values()) < 1e-12
+
+
+@pytest.mark.parametrize("name, build", [("bands", effective_hamiltonian), ("invariance-slopes", moyal_projection)])
+def test_symbol_hermiticity_is_recorded_per_order(name, build, tmp_path):
+    # order k records the worst residual of terms 0..k of the series its sweep truncates
+    assert main([name, "--out", str(tmp_path)]) == 0
+    got = json.loads((tmp_path / f"{name}.json").read_text())["health"]["symbol_hermiticity"]
+    cfg = cli.COMMANDS[name][2]
+    series = build(model.ModelParams(int(cfg["two_j"].split(",")[0]), 1, cfg["lam"]), cfg["band"])
+    residuals = [t.hermiticity_residual() for t in series.terms]
+    assert got == {"order0": residuals[0], "order1": max(residuals)}
+    if name == "bands":  # h0 = m N(theta) is real to the last bit, h1 is not
+        assert got["order0"] == 0.0 < got["order1"]
 
 
 def test_obstruction_at_two_j_10_5(tmp_path):
@@ -418,35 +428,39 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
     assert all(c["ci95"] is None for c in summary["checks"] if "slope" in c)
 
 
+# each row's id is fixed with the row, so a row added or removed renames no
+# other; a new row takes the next unused number
 @pytest.mark.parametrize(
     "argv, want",
     [
-        (["egorov", "--two-j", "10"], 2),  # one size gives no slope
-        (["bands", "--band", "0.7"], 2),  # not a band label of s = 1/2
-        (["bands", "--band", "5"], 2),
-        (["invariance-slopes", "--band", "0.7", "--two-j", "10,20"], 2),  # not snapped to 0.5
-        (["bands", "--lambda", "0.45", "--two-j", "10,20"], 1),  # clusters do not separate
-        (["gap", "--config", "misspelled.cfg"], 2),  # unknown config key
-        (["chern", "--lambda", "0.5"], 2),  # gap closing
-        (["gap", "--lambdas", "0.2,nan"], 2),  # non-finite input
-        (["egorov", "--time", "inf"], 2),
-        (["star-slopes", "--pairs", "0", "--two-j", "10,20"], 2),  # empty corpus
-        (["invariance-slopes", "--lambda", "0", "--two-j", "10,20"], 1),  # norms are exactly 0
-        (["star-slopes", "--band-limit", "0", "--two-j", "10,20"], 2),  # constants multiply exactly
-        (["calibrate", "--band-limit", "0"], 2),
-        (["calibrate", "--two-j", "1,8,2,4"], 2),  # below 2 * band limit
-        (["calibrate", "--two-j", "10,10"], 2),  # one size twice gives no slope
-        (["chern", "--grid", "0"], 2),  # an empty lattice sums to Chern number 0
-        (["chern", "--grid", "-1"], 2),
-        (["gap", "--thetas", "0"], 2),  # would write a header-only CSV
-        (["gap", "--thetas", "-1"], 2),
-        (["gap", "--config", "missing.cfg"], 2),  # no such file
-        (["gap", "--config", "unparsed.cfg"], 2),  # a line without '='
-        (["kernel-check", "--two-j", ""], 2),
-        (["chern", "--two-s", "-1"], 2),  # would write a header-only CSV
-        (["egorov", "--time", "0"], 2),  # the errors are round-off: the slope would check nothing
-        (["egorov", "--observable", "n3"], 2),  # conserved by both flows: round-off again
-        (["star-slopes", "--two-j", "2,4,6"], 2),  # below 2 * band limit: the errors would be projections
+        pytest.param(["egorov", "--two-j", "10"], 2, id="argv0-2"),  # one size gives no slope
+        pytest.param(["bands", "--band", "0.7"], 2, id="argv1-2"),  # not a band label of s = 1/2
+        pytest.param(["bands", "--band", "5"], 2, id="argv2-2"),
+        pytest.param(["invariance-slopes", "--band", "0.7", "--two-j", "10,20"], 2, id="argv3-2"),  # not snapped to 0.5
+        pytest.param(["bands", "--lambda", "0.45", "--two-j", "10,20"], 1, id="argv4-1"),  # clusters do not separate
+        pytest.param(["gap", "--config", "misspelled.cfg"], 2, id="argv5-2"),  # unknown config key
+        pytest.param(["chern", "--lambda", "0.5"], 2, id="argv6-2"),  # gap closing
+        pytest.param(["gap", "--lambdas", "0.2,nan"], 2, id="argv7-2"),  # non-finite input
+        pytest.param(["egorov", "--time", "inf"], 2, id="argv8-2"),
+        pytest.param(["star-slopes", "--pairs", "0", "--two-j", "10,20"], 2, id="argv9-2"),  # empty corpus
+        pytest.param(["invariance-slopes", "--lambda", "0", "--two-j", "10,20"], 1, id="argv10-1"),  # norms are exactly 0
+        pytest.param(["star-slopes", "--band-limit", "0", "--two-j", "10,20"], 2, id="argv11-2"),  # constants multiply exactly
+        pytest.param(["calibrate", "--band-limit", "0"], 2, id="argv12-2"),
+        pytest.param(["calibrate", "--two-j", "1,8,2,4"], 2, id="argv13-2"),  # below 2 * band limit
+        pytest.param(["calibrate", "--two-j", "10,10"], 2, id="argv14-2"),  # one size twice gives no slope
+        pytest.param(["chern", "--grid", "0"], 2, id="argv15-2"),  # an empty lattice sums to Chern number 0
+        pytest.param(["chern", "--grid", "-1"], 2, id="argv16-2"),
+        pytest.param(["gap", "--thetas", "0"], 2, id="argv17-2"),  # would write a header-only CSV
+        pytest.param(["gap", "--thetas", "-1"], 2, id="argv18-2"),
+        pytest.param(["gap", "--config", "missing.cfg"], 2, id="argv19-2"),  # no such file
+        pytest.param(["gap", "--config", "unparsed.cfg"], 2, id="argv20-2"),  # a line without '='
+        pytest.param(["kernel-check", "--two-j", ""], 2, id="argv21-2"),
+        pytest.param(["chern", "--two-s", "-1"], 2, id="argv22-2"),  # would write a header-only CSV
+        pytest.param(["egorov", "--time", "0"], 2, id="argv23-2"),  # the errors are round-off: the slope would check nothing
+        pytest.param(["egorov", "--observable", "n3"], 2, id="argv24-2"),  # conserved by both flows: round-off again
+        pytest.param(["star-slopes", "--two-j", "2,4,6"], 2, id="argv25-2"),  # below 2 * band limit: the errors would be projections
+        pytest.param(["gap", "--lambdas", ","], 2, id="argv26-2"),  # would write a header-only CSV
+        pytest.param(["gap", "--lambdas", ""], 2, id="argv27-2"),
     ],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, argv, want):
@@ -477,6 +491,8 @@ _CAUSES = {
     ("gap", "--config", "missing.cfg"): "missing.cfg",
     ("gap", "--config", "unparsed.cfg"): "bad config line: 'lam 0.3'",
     ("kernel-check", "--two-j", ""): "--two-j needs at least one value, got ''",
+    ("gap", "--lambdas", ","): "--lambdas needs at least one value, got ','",
+    ("gap", "--lambdas", ""): "--lambdas needs at least one value, got ''",
     ("chern", "--two-s", "-1"): "two_s must be >= 0, got -1",
     ("egorov", "--time", "0"): "--time must be nonzero",
     ("egorov", "--observable", "n3"): "unknown observable 'n3'",

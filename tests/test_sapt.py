@@ -37,6 +37,7 @@ from sphere_sapt.star import (
     order1_bilinear,
     order1_samples,
     star_exact,
+    star_truncation,
 )
 from sphere_sapt.swq import SWKernel, dequantize, quantize, quantize_diagonals
 
@@ -46,9 +47,9 @@ BAND = 0.5
 
 def test_order0_projection_is_pointwise_band_projector():
     p = ModelParams(10, 1, LAM)
-    proj = moyal_projection(p, BAND, order=0, L=12)
+    proj = moyal_projection(p, BAND, L=12)
     grid = make_grid(24)
-    vals = grid.synthesize(proj.term(0).truncated(12))
+    vals = grid.synthesize(proj.terms[0].truncated(12))
     # pointwise: rank-one projector with trace 1
     tr = np.trace(vals, axis1=-2, axis2=-1)
     assert np.max(np.abs(tr - 1)) < 1e-10
@@ -59,11 +60,10 @@ def test_order0_projection_is_pointwise_band_projector():
 def test_projection_star_idempotency_improves_with_order():
     # pi * pi - pi in the exact star product: the first-order correction
     # buys one extra power of 1/d
-    p0 = ModelParams(10, 1, LAM)
+    proj = moyal_projection(ModelParams(10, 1, LAM), BAND, L=16)
     two_j_list = [10, 20, 40]
     slopes = {}
     for order in (0, 1):
-        proj = moyal_projection(p0, BAND, order=order, L=16)
         sups = []
         for two_j in two_j_list:
             d = two_j + 1
@@ -79,11 +79,10 @@ def test_projection_star_idempotency_improves_with_order():
 def test_quantized_projection_spectrum_near_binary():
     # eigenvalues of the quantized projection approach {0, 1}, one order
     # faster with the first correction
-    p0 = ModelParams(10, 1, LAM)
+    proj = moyal_projection(ModelParams(10, 1, LAM), BAND, L=16)
     two_j_list = [10, 20, 40]
     slopes = {}
     for order in (0, 1):
-        proj = moyal_projection(p0, BAND, order=order, L=16)
         devs = []
         for two_j in two_j_list:
             d = two_j + 1
@@ -151,10 +150,8 @@ def test_band_split_failure_is_a_failed_computation():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda p: moyal_projection(p, 0.7, order=0, L=8),
-        lambda p: moyal_projection(p, 0.7, order=1, L=8),
-        lambda p: effective_hamiltonian(p, 0.7, order=0, L=8),
-        lambda p: effective_hamiltonian(p, 0.7, order=1, L=8),
+        lambda p: moyal_projection(p, 0.7, L=8),
+        lambda p: effective_hamiltonian(p, 0.7, L=8),
         lambda p: closed_form_hamiltonian(p, 0.7, L=8),
         lambda p: band_spectrum_compare(p.lam, 5.0, [10, 20], order=0, L=8),
     ],
@@ -162,6 +159,32 @@ def test_band_split_failure_is_a_failed_computation():
 def test_band_label_is_never_rounded(build):
     with pytest.raises(ValueError, match="band label"):
         build(ModelParams(10, 1, LAM))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda p: star_truncation(*vector_symbol_coeffs()[:2], CALIBRATED),
+        lambda p: moyal_projection(p, BAND, L=8),
+        lambda p: effective_hamiltonian(p, BAND, L=8),
+    ],
+    ids=["star_truncation", "moyal_projection", "effective_hamiltonian"],
+)
+def test_a_series_refuses_an_order_it_does_not_carry(build):
+    # each series carries orders 0 and 1: order 2 is not its order-1 sum
+    series = build(ModelParams(10, 1, LAM))
+    assert len(series.terms) == 2
+    for order in (2, -1):
+        with pytest.raises(ValueError, match=f"order {order} is outside the orders 0..1"):
+            series.evaluate(11, order)
+    with pytest.raises(ValueError, match="order 2 is outside"):
+        series.hermiticity_residual(2)
+
+
+@pytest.mark.parametrize("sweep", [almost_invariance_norms, band_spectrum_compare])
+def test_the_sweeps_refuse_an_order_the_series_does_not_carry(sweep):
+    with pytest.raises(ValueError, match="order 2 is outside"):
+        sweep(LAM, BAND, [10, 20], order=2, L=8)
 
 
 def test_effective_hamiltonian_two_paths_agree():
@@ -172,9 +195,9 @@ def test_effective_hamiltonian_two_paths_agree():
     grid = make_grid(48)
     for m in (BAND, -BAND):
         for cs in (CALIBRATED, PRINTED_MOYAL, CALIBRATED_BEREZIN, PRINTED_BEREZIN):
-            a = effective_hamiltonian(p, m, order=1, cs=cs)
+            a = effective_hamiltonian(p, m, cs=cs)
             b = closed_form_hamiltonian(p, m, cs=cs)
-            diff = _combine([(1.0, a.term(1)), (-1.0, b.term(1))])
+            diff = _combine([(1.0, a.terms[1]), (-1.0, b.terms[1])])
             assert float(np.max(np.abs(grid.synthesize(diff.truncated(24))))) < 1e-8, (m, cs.name)
 
 
@@ -182,7 +205,7 @@ def test_effective_hamiltonian_correction_vanishes_decoupled():
     p = ModelParams(10, 1, 0.0)
     h = closed_form_hamiltonian(p, BAND)
     grid = make_grid(24)
-    assert float(np.max(np.abs(grid.synthesize(h.term(1))))) < 1e-12
+    assert float(np.max(np.abs(grid.synthesize(h.terms[1])))) < 1e-12
 
 
 def test_band_spectrum_slopes():
@@ -210,8 +233,8 @@ def test_band_limit_24_is_converged_to_two_j_160():
 def _band_symbols(two_s, lam, cs, L=8):
     p = ModelParams(10, two_s, lam)
     m = two_s / 2
-    out = [moyal_projection(p, m, order=1, cs=cs, L=L)]
-    out.append(effective_hamiltonian(p, m, order=1, cs=cs, L=L))
+    out = [moyal_projection(p, m, cs=cs, L=L)]
+    out.append(effective_hamiltonian(p, m, cs=cs, L=L))
     if two_s == 1:
         out.append(closed_form_hamiltonian(p, m, cs=cs, L=L))
     return [t.coeffs for sym in out for t in sym.terms]
@@ -240,7 +263,7 @@ def test_projection_at_band_limit_96_in_little_memory():
         sapt._symbol_grid.cache_clear()
         tracemalloc.start()
         try:
-            moyal_projection(ModelParams(40, 1, LAM), BAND, order=1, cs=CALIBRATED, L=L)
+            moyal_projection(ModelParams(40, 1, LAM), BAND, cs=CALIBRATED, L=L)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -351,7 +374,7 @@ def test_egorov_error_slope():
 def test_egorov_diagonal_phase_matches_eigh_propagator():
     # the evolved symbol from the diagonals equals the dense eigh propagator
     # dequantized with the full kernel, for n1, n2 and n3 up to two_j = 80
-    h0 = effective_hamiltonian(ModelParams(10, 1, LAM), BAND, order=0).term(0)
+    h0 = effective_hamiltonian(ModelParams(10, 1, LAM), BAND).terms[0]
     for o0 in vector_symbol_coeffs():
         for two_j in (10, 20, 40, 80):
             ker = SWKernel(make_irrep(two_j))
@@ -365,7 +388,7 @@ def test_egorov_oracle_catches_a_reversed_phase(monkeypatch):
     # w_r - w_{r+m} taken as w_{r+m} - w_r (h0's diagonal negated): the
     # phases run backwards
     o0, s = vector_symbol_coeffs()[0], -20.5
-    h0 = effective_hamiltonian(ModelParams(10, 1, LAM), BAND, order=0).term(0)
+    h0 = effective_hamiltonian(ModelParams(10, 1, LAM), BAND).terms[0]
     ker = SWKernel(make_irrep(40))
     want = dequantize(heisenberg(quantize(h0, ker), quantize(o0, ker), s), ker).coeffs
     diagonals = swq.quantize_diagonals
@@ -387,8 +410,8 @@ def test_no_block_is_built_for_an_offset_the_symbol_does_not_carry(monkeypatch):
 
     monkeypatch.setattr(swq, "offset_block", recorded)
     p = ModelParams(two_j, 1, LAM)
-    proj = moyal_projection(p, BAND, order=1, cs=CALIBRATED).evaluate(p.d_j, 1)
-    eff = effective_hamiltonian(p, BAND, order=1).evaluate(p.d_j, 1)
+    proj = moyal_projection(p, BAND, cs=CALIBRATED).evaluate(p.d_j, 1)
+    eff = effective_hamiltonian(p, BAND).evaluate(p.d_j, 1)
     for sym in (proj, eff):
         calls.clear()
         D = quantize_diagonals(sym, SWKernel(p.slow, sym.L))

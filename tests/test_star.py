@@ -313,7 +313,7 @@ def test_truncation_hermiticity():
     f, g = calibration_corpus(1, 2, seed=21)[0]
     for cs in (PRINTED_MOYAL, CALIBRATED, PRINTED_BEREZIN, CALIBRATED_BEREZIN):
         # f * f with hermitian f has a hermitian expansion term by term
-        assert star_truncation(f, f, cs).hermiticity_residual() < 1e-12
+        assert star_truncation(f, f, cs).hermiticity_residual(1) < 1e-12
 
 
 def test_berezin_exact_properties():
