@@ -77,12 +77,20 @@ def _float_list(s) -> list[float]:
     return xs
 
 
+def _no_repeats(two_j: list[int], given) -> list[int]:
+    """two_j, refused if a value repeats: its rows would be written, and fitted, twice."""
+    repeated = next((t for i, t in enumerate(two_j) if t in two_j[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"--two-j {repeated} is given twice in {given!r}; each size runs once")
+    return two_j
+
+
 def _slope_sweep(cfg) -> list[int]:
-    """The two_j values of a slope fit: at least two different ones."""
+    """The two_j values of a slope fit: at least two different ones, none repeated."""
     two_j = _int_list(cfg["two_j"])
     if len(set(two_j)) < 2:
         raise ValueError(f"a slope needs at least two different two_j values, got {cfg['two_j']!r}")
-    return two_j
+    return _no_repeats(two_j, cfg["two_j"])
 
 
 def _star_sweep(cfg) -> list[int]:
@@ -238,14 +246,19 @@ def _check_star_memory(two_j_list, L: int, pairs: int) -> None:
 
 
 def cmd_kernel_check(cfg):
-    two_j_list = _int_list(cfg["two_j"])
+    two_j_list = _no_repeats(_int_list(cfg["two_j"]), cfg["two_j"])
     if not two_j_list:
         raise ValueError(f"--two-j needs at least one value, got {cfg['two_j']!r}")
     for two_j in two_j_list:
-        # kernel_property_residuals: the Legendre table and the theta-profiles, per offset 2 x 43
-        # diagonals and 43 + 23 traces (counted 2 x 43), ~100 dense d x d (random pairs, covariance)
+        # kernel_property_residuals: the tensor basis (the blocks Q[m], (d - m)^2 floats each,
+        # cached) and the grid's Legendre table, then the larger of two steps, the
+        # quadrature's 23 + 20 + 23 complex traces per offset and node with the phase table
+        # and its phi sums, or the ~140 dense d x d of the covariance step; and 256 KiB of
+        # per-offset diagonals and grid nodes
         n_theta, n_offsets, d = max(48, 2 * two_j) // 2 + 1, 2 * two_j + 1, two_j + 1
-        _check_memory(two_j, 8 * n_theta * d * (d + n_offsets) + 1376 * n_offsets * (d + n_theta) + 1600 * d * d)
+        tables = 8 * d * (d + 1) * (2 * d + 1) // 6 + 8 * n_theta * d * d
+        quadrature = 16 * 66 * n_offsets * n_theta + 32 * n_offsets**2
+        _check_memory(two_j, tables + max(quadrature, 2200 * d * d) + 2**18)
     rows, checks = [], []
     for two_j in two_j_list:
         d = two_j + 1

@@ -251,6 +251,16 @@ def exact_band_projection(spectrum: np.ndarray, d_s: int):
 # -- effective Hamiltonian ---------------------------------------------------
 
 
+def _band_energy(params: ModelParams, m: float, L: int) -> SphereSymbol:
+    """h0 = m N(theta), the energy of band m (lam != 1/2) and the leading term
+    of its effective series: one analysis on the band-symbol grid."""
+    if abs(params.lam - 0.5) < 1e-12:
+        raise ValueError("no spectral gap at lam = 1/2")
+    band_index(params.two_s, m)  # refuses a label that is no band
+    grid = _symbol_grid(4 * L, params.two_s)
+    return grid.analyze(gap_N(_mesh(grid)[0], params.lam) * float(m), L)
+
+
 def effective_hamiltonian(
     params: ModelParams,
     m: float,
@@ -263,12 +273,10 @@ def effective_hamiltonian(
     (B(u0, H0) - B(h0, u0)) u0^dagger, with B the order-1 star bilinear of
     cs and u0 the fiber eigenbasis, all sampled on the band-symbol grid.
     """
-    if abs(params.lam - 0.5) < 1e-12:
-        raise ValueError("no spectral gap at lam = 1/2")
+    h0 = _band_energy(params, m, L)
     idx = band_index(params.two_s, m)
     grid = _symbol_grid(4 * L, params.two_s)
     th2, ph2 = _mesh(grid)
-    h0 = grid.analyze(gap_N(th2, params.lam) * float(m), L)
     bd = principal_bands(params, th2, ph2, m)
     u0 = grid.analyze(bd.u0, L)
     H0 = hamiltonian_symbol(params)
@@ -391,7 +399,7 @@ def egorov_error(
     o_cl = synthesize_at(o0, thf, phf).reshape(th2.shape)
 
     errs = []
-    h0 = effective_hamiltonian(ModelParams(two_j_list[0], 1, lam), m).terms[0]
+    h0 = _band_energy(ModelParams(two_j_list[0], 1, lam), m, BAND_LIMIT)
     for two_j in two_j_list:
         params = ModelParams(two_j, 1, lam)
         s = EGOROV_TIME_SIGN * (params.d_j / 2) * T

@@ -130,11 +130,13 @@ def wigner_zyz(irrep: SpinIrrep, alpha, beta, gamma) -> np.ndarray:
     """Rotation matrix exp(-i alpha J3) exp(i beta J2) exp(i gamma J3).
 
     The angles may be arrays of one shape; the result then has that shape
-    followed by (d, d).
+    followed by (d, d).  The middle factor is one batched matrix product,
+    (V e^{i beta w}) V^dagger over the eigenpairs (w, V) of J2, and is real,
+    as i J2 = (J+ - J-) / 2 is: its imaginary round-off is dropped.
     """
     mvals = irrep.j - np.arange(irrep.d)
     w, V = np.linalg.eigh(irrep.Jvec[1])
-    mid = np.einsum("ak,...k,bk->...ab", V, np.exp(1j * np.multiply.outer(beta, w)), V.conj())
+    mid = ((V * np.exp(1j * np.multiply.outer(beta, w))[..., None, :]) @ V.conj().T).real
     left = np.exp(-1j * np.multiply.outer(alpha, mvals))
     right = np.exp(1j * np.multiply.outer(gamma, mvals))
     return left[..., :, None] * mid * right[..., None, :]

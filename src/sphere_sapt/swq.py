@@ -22,8 +22,9 @@ that array and back, one matrix product per offset with the rows l <= L of
 its own block Q[|a|] of the tensor basis.  quantize_diagonals trims the
 array to the largest offset K the symbol carries, and neither map builds
 the block of an offset with no content.  The dense quantize and dequantize
-are a scatter and a gather of that array.  The kernel samples are their
-theta-profiles in that layout, and the kernel checks integrate them there.
+are a scatter and a gather of that array.  The kernel sampled on a grid is,
+per offset, a theta-profile on that offset's rows; the kernel checks build
+and integrate the profiles one offset at a time, never all at once.
 """
 
 from __future__ import annotations
@@ -83,22 +84,28 @@ class SWKernel:
         return np.moveaxis(_scatter(D.transpose(0, 2, 1)), 2, 0).reshape(shape + (self.d, self.d))
 
     def samples(self, grid: Grid) -> np.ndarray:
-        """theta-profiles (2L + 1, n_theta, d) at the grid nodes, row-indexed:
-        offset a at node (theta_t, phi_p) is e^{-i a phi_p} [L + a, t]."""
+        """The stacked theta-profiles (2L + 1, n_theta, d) at the grid nodes,
+        row-indexed: offset a at node (theta_t, phi_p) is e^{-i a phi_p} [L + a, t]."""
         return _profiles(self, grid._tab(self.L)[0])
 
 
+def _profile(kernel: SWKernel, P: np.ndarray, a: int) -> np.ndarray:
+    """theta-profile (n_theta, d) of offset a from a Legendre table P[l, m, t], l, m <= L,
+    at cos(theta_t): g_m = sqrt(4 pi / d) P[m:L+1, m]^T Q[m], m = |a|, on the rows of
+    offset a and zero on the others, with no sign for a < 0: the (-1)^m of
+    conj(Y_lm) = (-1)^m Y_{l,-m} cancels the (-1)^m of T_{l,-m} = (-1)^m T_lm^T."""
+    d, L, m = kernel.d, kernel.L, abs(a)
+    g = np.zeros((P.shape[2], d))
+    g[:, _span(d, a)] = sqrt(4 * pi / d) * (P[m : L + 1, m].T @ kernel.block(m))
+    return g
+
+
 def _profiles(kernel: SWKernel, P: np.ndarray) -> np.ndarray:
-    """theta-profiles (2L + 1, n_theta, d) from a Legendre table P[l, m, t], l, m <= L,
-    at cos(theta_t): row L + a is g_m = sqrt(4 pi / d) P[m:L+1, m]^T Q[m], m = |a|, on the
-    rows of offset a, with no sign for a < 0: the (-1)^m of conj(Y_lm) = (-1)^m Y_{l,-m}
-    cancels the (-1)^m of T_{l,-m} = (-1)^m T_lm^T."""
-    d, L = kernel.d, kernel.L
-    G = np.zeros((2 * L + 1, P.shape[2], d))
-    for m in range(L + 1):
-        g = sqrt(4 * pi / d) * (P[m : L + 1, m].T @ kernel.block(m))
-        G[L + m][:, _span(d, m)] = g
-        G[L - m][:, _span(d, -m)] = g
+    """The profiles of every offset, (2L + 1, n_theta, d): row L + a is _profile(..., a)."""
+    L = kernel.L
+    G = np.empty((2 * L + 1, P.shape[2], kernel.d))
+    for a in range(-L, L + 1):
+        G[L + a] = _profile(kernel, P, a)
     return G
 
 
@@ -170,14 +177,6 @@ def _gather(A: np.ndarray, K: int) -> np.ndarray:
     return D
 
 
-def _transposed(D: np.ndarray) -> np.ndarray:
-    """Row-indexed diagonals of the transpose, [K + a, r] = D[K - a, r + a]: the
-    rows r + a past the matrix wrap around onto rows that are zero in D."""
-    K, d = len(D) // 2, D.shape[1]
-    a = np.arange(-K, K + 1)[:, None]
-    return D[K - a, (np.arange(d) + a) % d]
-
-
 def quantize(sym: SphereSymbol, kernel: SWKernel) -> np.ndarray:
     """Operator of a symbol, the scatter of its diagonals; components with
     l > L are projected out (for the full kernel those with l > 2j, which
@@ -239,8 +238,10 @@ def kernel_property_residuals(kernel: SWKernel, grid: Grid):
     integrals are over products of two kernels, of degree 2 two_j and phi
     frequency up to 2 two_j, so a grid that cannot integrate those exactly
     is refused with ValueError.  The quadratures run in the row-indexed
-    layout: a dense kernel is formed only at the 21 covariance points.
-    The random inputs come from `_uniform` with a fixed seed.
+    layout, one band offset at a time: each pass over the offsets builds the
+    theta-profile of each offset once, and a dense kernel is formed only at
+    the 21 covariance points.  The random inputs come from `_uniform` with a
+    fixed seed.
     """
     d, L, w, pref = kernel.d, kernel.L, grid.w_theta, kernel.d / (4 * pi)
     if grid.L_exact < 2 * kernel.two_j or grid.n_phi <= 2 * kernel.two_j:
@@ -250,38 +251,66 @@ def kernel_property_residuals(kernel: SWKernel, grid: Grid):
             f"and n_phi >= {2 * kernel.two_j + 1}"
         )
     rnd = Random(7)
-    G = kernel.samples(grid)  # (2L + 1, n_theta, d)
+    P = grid._tab(L)[0]
     phase = np.exp(-1j * np.outer(grid.phi, np.arange(-L, L + 1)))  # (n_phi, 2L + 1)
-    # Delta = Delta^dagger at every offset: profile -a against the conjugate of profile a,
-    # and the phase pair e^{i a phi} against conj(e^{-i a phi})
-    dG = max(np.max(np.abs(G[L - a][:, _span(d, -a)] - G[L + a][:, _span(d, a)].conj())) for a in range(-L, L + 1))
-    res = {"hermitian": float(dG + np.max(np.abs(phase[:, ::-1] - phase.conj())) * np.max(np.abs(G)))}
-    # diagonal a of int Delta = (sum_p e^{-i a phi_p}) (sum_t w_t profile a)
-    mean = pref * phase.sum(axis=0)[:, None] * (w @ G)
-    mean[L] -= 1
-    res["normalized"] = float(np.max(np.abs(mean)))
-    # reproducing targets at three nodes; 20 random hermitian pairs (A_i, B_i), drawn one
-    # operator at a time in the order A_0, B_0, A_1, ... and laid out as the B's, then the A's
-    nodes = [(0, 0), (grid.n_theta // 2, grid.n_phi // 3), (grid.n_theta - 1, 1)]
-    T = np.stack([phase[p, :, None] * G[:, t] for t, p in nodes], axis=-1)  # (2L + 1, d, 3)
-    draws = (_uniform(rnd, (d, d)) + 1j * _uniform(rnd, (d, d)) for _ in range(40))
-    BA = np.stack([X + X.conj().T for X in draws], axis=-1)[..., np.r_[1:40:2, 0:40:2]]
-    lhs = np.einsum("ijk,jik->k", BA[..., 20:], BA[..., :20])  # tr(A B)
+    psum = phase.sum(axis=0)
+    # reproducing targets at three nodes (t, p): the kernel there, diagonal a (d, 3) from profile a
+    ts, ps = [0, grid.n_theta // 2, grid.n_theta - 1], [0, grid.n_phi // 3, 1]
+
+    def target(a, g):
+        return g[ts].T * phase[ps, L + a]
+
+    # 20 random hermitian pairs (A_i, B_i), drawn one operator at a time in the
+    # order A_0, B_0, A_1, ...: X[..., 2i] is A_i, X[..., 2i + 1] is B_i
+    X = np.empty((d, d, 40), dtype=complex)
+    for k in range(40):
+        Y = _uniform(rnd, (d, d)) + 1j * _uniform(rnd, (d, d))
+        X[..., k] = Y + Y.conj().T
+    del Y
+    lhs = np.einsum("ijk,jik->k", X[..., 0::2], X[..., 1::2])  # tr(A B)
     # f_X(t, p) = tr(Delta X) = sum_a e^{-i a phi_p} c_a(t), c_a = profile a . diagonal a of X^T,
-    # for all 43 X at once (real profiles times the float view of the complex diagonals):
-    # c (2L + 1, n_theta, 23) for the targets and the B's, cA (2L + 1, n_theta, 20) for the A's
-    XT = np.concatenate([_transposed(T), _gather(BA.swapaxes(0, 1), L)], axis=-1)
-    c, cA = ((G @ X.view(float)).view(complex) for X in (XT[..., :23], XT[..., 23:]))
-    del XT, BA  # the peak holds G, c, cA and Mc
+    # for all 43 X, offset by offset (real profiles times the float view of the complex
+    # diagonals): c (2L + 1, n_theta, 23) for the targets and the B's, cA (2L + 1, n_theta, 20)
+    # for the A's.  Profile -a comes with profile a: Delta = Delta^dagger pairs them, and
+    # diagonal a of a target's transpose is the target's diagonal -a
+    c = np.empty((2 * L + 1, grid.n_theta, 23), dtype=complex)
+    cA = np.empty((2 * L + 1, grid.n_theta, 20), dtype=complex)
+    herm = top = mean = 0.0
+    for m in range(L + 1):
+        prof = {a: _profile(kernel, P, a) for a in dict.fromkeys((m, -m))}
+        # profile -a against the conjugate of profile a
+        herm = max(herm, np.max(np.abs(prof[-m][:, _span(d, -m)] - prof[m][:, _span(d, m)].conj())))
+        for a, g in prof.items():
+            top = max(top, np.max(np.abs(g)))
+            # diagonal a of int Delta = (sum_p e^{-i a phi_p}) (sum_t w_t profile a)
+            mean_a = pref * psum[L + a] * (w @ g)
+            mean = max(mean, np.max(np.abs(mean_a - 1 if a == 0 else mean_a)))
+            # diagonal a of X^T at row r is X[r + a, r]; a target's rows r + a past the
+            # matrix wrap around onto rows that are zero in its diagonal -a
+            r = np.arange(d)[_span(d, a)]
+            XB, XA = np.zeros((d, 23), dtype=complex), np.zeros((d, 20), dtype=complex)
+            XB[:, :3] = target(-a, prof[-a])[(np.arange(d) + a) % d]
+            XB[r, 3:], XA[r] = X[r + a, r, 1::2], X[r + a, r, 0::2]
+            np.matmul(g, XB.view(float), out=c[L + a].view(float))
+            np.matmul(g, XA.view(float), out=cA[L + a].view(float))
+    del X, prof, g, XB, XA  # the peak holds c, cA and Mc
+    # the phase pair e^{i a phi} against conj(e^{-i a phi})
+    res = {"hermitian": float(herm + np.max(np.abs(phase[:, ::-1] - phase.conj())) * top)}
+    res["normalized"] = float(mean)
     # the phi sums over the nodes: sum_p f_X f_Y = c_X^T M c_Y, M[a, b] = sum_p e^{-i (a + b) phi_p};
     # only the targets' and the B's are read
     Mc = ((phase.T @ phase) @ c.reshape(2 * L + 1, -1)).reshape(c.shape)
+    del c
     # diagonal a of int f_T Delta = sum_t w_t (sum_p f_T e^{-i a phi_p}) profile a, phi sum (M c_T)_a
-    rec = (G.transpose(0, 2, 1) @ (w[:, None] * Mc[..., :3]).view(float)).view(complex)
-    res["reproducing"] = float(np.max(np.abs(pref * rec - T)))
+    rec = 0.0
+    for a in range(-L, L + 1):
+        g = _profile(kernel, P, a)
+        got = (g.T @ (w[:, None] * Mc[L + a, :, :3]).view(float)).view(complex)
+        rec = max(rec, np.max(np.abs(pref * got - target(a, g))))
+    res["reproducing"] = float(rec)
     fab = np.einsum("t,atk,atk->k", w, cA, Mc[..., 3:])  # int f_A f_B
     res["trace_duality"] = float(max(abs(a - pref * b) / max(1.0, abs(a)) for a, b in zip(lhs, fab)))
-    del G, c, cA, Mc  # the dense covariance kernels come on top of none of these
+    del cA, Mc  # the dense covariance kernels come on top of none of these
     # covariance over random group elements: the kernel at n0 and its 20 rotated images
     theta0, phi0 = 1.1, 0.4
     n0 = np.array([np.sin(theta0) * np.cos(phi0), np.sin(theta0) * np.sin(phi0), np.cos(theta0)])

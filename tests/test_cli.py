@@ -461,6 +461,9 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
         pytest.param(["star-slopes", "--two-j", "2,4,6"], 2, id="argv25-2"),  # below 2 * band limit: the errors would be projections
         pytest.param(["gap", "--lambdas", ","], 2, id="argv26-2"),  # would write a header-only CSV
         pytest.param(["gap", "--lambdas", ""], 2, id="argv27-2"),
+        pytest.param(["bands", "--two-j", "10,10,20"], 2, id="argv28-2"),  # d = 11 written and fitted twice
+        pytest.param(["egorov", "--two-j", "20,10,20"], 2, id="argv29-2"),
+        pytest.param(["kernel-check", "--two-j", "2,2"], 2, id="argv30-2"),  # the rows of two_j = 2 twice
     ],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, argv, want):
@@ -482,6 +485,9 @@ _CAUSES = {
     ("calibrate", "--band-limit", "0"): "--band-limit must be >= 1",
     ("calibrate", "--two-j", "1,8,2,4"): "--two-j values must be >= 2 * --band-limit = 6, got 1",
     ("calibrate", "--two-j", "10,10"): "at least two different two_j values, got '10,10'",
+    ("bands", "--two-j", "10,10,20"): "--two-j 10 is given twice in '10,10,20'",
+    ("egorov", "--two-j", "20,10,20"): "--two-j 20 is given twice in '20,10,20'",
+    ("kernel-check", "--two-j", "2,2"): "--two-j 2 is given twice in '2,2'",
     ("star-slopes", "--two-j", "2,4,6"): "--two-j values must be >= 2 * --band-limit = 8, got 2",
     ("star-slopes", "--pairs", "0", "--two-j", "10,20"): "a corpus needs n_pairs >= 1",
     ("chern", "--grid", "0"): "--grid must be >= 1",

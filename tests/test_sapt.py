@@ -32,7 +32,6 @@ from sphere_sapt.spin import make_irrep
 from sphere_sapt.star import (
     CALIBRATED,
     PRINTED_MOYAL,
-    SemiclassicalSymbol,
     _combine,
     order1_bilinear,
     order1_samples,
@@ -423,8 +422,7 @@ def test_no_block_is_built_for_an_offset_the_symbol_does_not_carry(monkeypatch):
 
 def test_egorov_refuses_a_non_diagonal_hamiltonian(monkeypatch):
     # the diagonal phase holds only for an axisymmetric h0
-    tilted = SemiclassicalSymbol([vector_symbol_coeffs()[0]])
-    monkeypatch.setattr(sapt, "effective_hamiltonian", lambda *a, **k: tilted)
+    monkeypatch.setattr(sapt, "_band_energy", lambda *a, **k: vector_symbol_coeffs()[0])
     with pytest.raises(ArithmeticError, match="off the M-sectors"):
         egorov_error(LAM, BAND, vector_symbol_coeffs()[2], 1.0, [10])
 

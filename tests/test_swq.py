@@ -128,15 +128,17 @@ def test_kernel_at_matches_the_sampled_rows():
 
 def test_kernel_gates_fail_on_a_perturbed_entry(monkeypatch):
     # every gate must be able to fail: scale the +1 profile at row 0, entry
-    # (0, 1) of every sample, and leave its -1 partner, entry (1, 0), alone
-    samples = SWKernel.samples
+    # (0, 1) of every sample, and leave its -1 partner, entry (1, 0), alone.
+    # Every quadrature reads the profiles through this one per-offset seam
+    profile = swq._profile
 
-    def perturbed(self, grid):
-        G = samples(self, grid)
-        G[self.L + 1, :, 0] *= 1 + 1e-6
-        return G
+    def perturbed(kernel, P, a):
+        g = profile(kernel, P, a)
+        if a == 1:
+            g[:, 0] *= 1 + 1e-6
+        return g
 
-    monkeypatch.setattr(SWKernel, "samples", perturbed)
+    monkeypatch.setattr(swq, "_profile", perturbed)
     res = kernel_property_residuals(SWKernel(make_irrep(4)), make_grid(8))
     for key in ("hermitian", "reproducing", "trace_duality"):
         assert res[key] > 1e-8, key
@@ -165,24 +167,27 @@ def test_kernel_axioms_refuse_a_grid_too_coarse_for_kernel_products(grid):
     assert max(res.values()) < 1e-10, res
 
 
-def test_kernel_axioms_at_two_j_60_in_a_few_rows_of_memory(tmp_path, monkeypatch):
-    # one theta row of dense samples at two_j = 60 on make_grid(120) is
-    # n_phi d^2 16 B = 121 * 61^2 * 16 B = 6.9 MiB.  The dense-row oracle,
-    # streamed one row at a time, peaks at 5.5 rows; the row-indexed layout
-    # at 2.6 rows, under the count kernel-check makes at entry (4.4 rows).
-    two_j = 60
+def _kernel_check_count(two_j: int, monkeypatch) -> float:
+    """The bytes kernel-check counts for two_j before it starts any work."""
     counted = []
 
     def count(two_j, need):
         counted.append(need)
         raise ValueError("counted")
 
-    monkeypatch.setattr(cli, "_check_memory", count)
-    assert cli.main(["kernel-check", "--two-j", str(two_j), "--out", str(tmp_path)]) == 2
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_check_memory", count)
+        assert cli.main(["kernel-check", "--two-j", str(two_j)]) == 2
+    return counted[0]
+
+
+def _traced_axioms(two_j: int) -> int:
+    """tracemalloc peak of the kernel axioms on a fresh make_grid(2 two_j),
+    whose Legendre table is built under the trace; the tensor basis, a
+    process-wide cache, is built before it."""
     ker = SWKernel(make_irrep(two_j))
-    tensor_basis(two_j)  # a process-wide cache, not part of the working set
-    grid = Grid(120)  # uncached: its Legendre table is built under the trace
-    row_bytes = grid.n_phi * ker.d**2 * 16
+    tensor_basis(two_j)
+    grid = Grid(2 * two_j)
     tracemalloc.start()
     try:
         res = kernel_property_residuals(ker, grid)
@@ -190,7 +195,30 @@ def test_kernel_axioms_at_two_j_60_in_a_few_rows_of_memory(tmp_path, monkeypatch
     finally:
         tracemalloc.stop()
     assert max(res.values()) < 1e-10, res
-    assert peak <= counted[0] <= 5 * row_bytes, (peak / row_bytes, counted[0] / row_bytes)
+    return peak
+
+
+def test_kernel_axioms_at_two_j_60_in_a_few_rows_of_memory(monkeypatch):
+    # one theta row of dense samples at two_j = 60 on make_grid(120) is
+    # n_phi d^2 16 B = 121 * 61^2 * 16 B = 6.9 MiB.  The dense-row oracle,
+    # streamed one row at a time, peaks at 5.5 rows; the row-indexed layout,
+    # one offset at a time, at 1.4 rows, under the count kernel-check makes
+    # at entry (1.5 rows).
+    row_bytes = 121 * 61**2 * 16
+    peak, count = _traced_axioms(60), _kernel_check_count(60, monkeypatch)
+    assert peak <= count <= 5 * row_bytes, (peak / row_bytes, count / row_bytes)
+
+
+@pytest.mark.parametrize("two_j", [80, 160])
+def test_kernel_axioms_stream_the_offsets(two_j, monkeypatch):
+    # the quadrature holds one offset's profiles and diagonals at a time: at
+    # two_j = 160 the peak is ~87 MiB (the grid's Legendre table, 32 MiB, and
+    # the 66 traces per offset and node), where all offsets at once took
+    # 184 MiB.  The count kernel-check makes at entry bounds the peak without
+    # overstating it by more than 1.6x
+    peak, count = _traced_axioms(two_j), _kernel_check_count(two_j, monkeypatch)
+    assert peak <= count <= 1.6 * peak, (peak / 2**20, count / 2**20)
+    assert peak < (130 if two_j == 160 else 30) * 2**20, peak / 2**20
 
 
 def test_quantize_constant_is_identity():
