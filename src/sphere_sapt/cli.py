@@ -250,15 +250,16 @@ def cmd_kernel_check(cfg):
     if not two_j_list:
         raise ValueError(f"--two-j needs at least one value, got {cfg['two_j']!r}")
     for two_j in two_j_list:
-        # kernel_property_residuals: the tensor basis (the blocks Q[m], (d - m)^2 floats each,
-        # cached) and the grid's Legendre table, then the larger of two steps, the
-        # quadrature's 23 + 20 + 23 complex traces per offset and node with the phase table
-        # and its phi sums, or the ~140 dense d x d of the covariance step; and 256 KiB of
-        # per-offset diagonals and grid nodes
-        n_theta, n_offsets, d = max(48, 2 * two_j) // 2 + 1, 2 * two_j + 1, two_j + 1
+        # the tensor basis (the blocks Q[m], (d - m)^2 floats each, cached) and the grid's
+        # Legendre table, then the largest of three steps, in floats: the symbol identities,
+        # ~105 d^2 (one lambda's band-2j 2 x 2 symbols, 16 d^2 each, held while the next
+        # lambda's are built); the quadrature's 40 random operators, 80 d^2, with one draw's
+        # temporaries; or the covariance step's 21 dense kernels and their Legendre table,
+        # 63 d^2, with one rotation's products.  On top: one offset pair's profiles,
+        # 8 n_theta d, and 1 MiB of traces, grid nodes and the numpy.polynomial import
+        n_theta, d = max(48, 2 * two_j) // 2 + 1, two_j + 1
         tables = 8 * d * (d + 1) * (2 * d + 1) // 6 + 8 * n_theta * d * d
-        quadrature = 16 * 66 * n_offsets * n_theta + 32 * n_offsets**2
-        _check_memory(two_j, tables + max(quadrature, 2200 * d * d) + 2**18)
+        _check_memory(two_j, tables + 8 * (105 * d * d + 8 * n_theta * d) + 2**20)
     rows, checks = [], []
     for two_j in two_j_list:
         d = two_j + 1

@@ -23,8 +23,10 @@ its own block Q[|a|] of the tensor basis.  quantize_diagonals trims the
 array to the largest offset K the symbol carries, and neither map builds
 the block of an offset with no content.  The dense quantize and dequantize
 are a scatter and a gather of that array.  The kernel sampled on a grid is,
-per offset, a theta-profile on that offset's rows; the kernel checks build
-and integrate the profiles one offset at a time, never all at once.
+per offset, a theta-profile on that offset's rows.  On a grid with more
+than 2L phi nodes every phi sum of two kernels pairs offset a with -a, so
+the kernel checks build and integrate the profiles one offset pair at a
+time, never all at once, and store no trace over the grid.
 """
 
 from __future__ import annotations
@@ -77,16 +79,21 @@ class SWKernel:
 
     def at(self, theta, phi) -> np.ndarray:
         """Dense kernel matrices Delta(n) at points (theta, phi) of one shape:
-        the result has that shape followed by (d, d)."""
-        shape, phi = np.shape(theta), np.ravel(phi)
-        G = _profiles(self, _legendre(self.L, np.cos(np.ravel(theta)), self.L))
-        D = np.exp(-1j * np.multiply.outer(np.arange(-self.L, self.L + 1), phi))[..., None] * G
-        return np.moveaxis(_scatter(D.transpose(0, 2, 1)), 2, 0).reshape(shape + (self.d, self.d))
+        the result has that shape followed by (d, d).  It is filled offset by
+        offset: diagonal a at a point is e^{-i a phi} times profile a there."""
+        shape, phi, d = np.shape(theta), np.ravel(phi), self.d
+        P = _legendre(self.L, np.cos(np.ravel(theta)), self.L)
+        out = np.zeros((len(phi), d, d), dtype=complex)
+        for a in range(-self.L, self.L + 1):
+            r = np.arange(d)[_span(d, a)]
+            out[:, r, r + a] = np.exp(-1j * a * phi)[:, None] * _profile(self, P, a)[:, r]
+        return out.reshape(shape + (d, d))
 
     def samples(self, grid: Grid) -> np.ndarray:
-        """The stacked theta-profiles (2L + 1, n_theta, d) at the grid nodes,
-        row-indexed: offset a at node (theta_t, phi_p) is e^{-i a phi_p} [L + a, t]."""
-        return _profiles(self, grid._tab(self.L)[0])
+        """The stacked theta-profiles (2L + 1, n_theta, d), one `_profile` per offset, row-indexed:
+        offset a at node (theta_t, phi_p) is e^{-i a phi_p} [L + a, t].  No command calls it."""
+        P = grid._tab(self.L)[0]
+        return np.stack([_profile(self, P, a) for a in range(-self.L, self.L + 1)])
 
 
 def _profile(kernel: SWKernel, P: np.ndarray, a: int) -> np.ndarray:
@@ -98,15 +105,6 @@ def _profile(kernel: SWKernel, P: np.ndarray, a: int) -> np.ndarray:
     g = np.zeros((P.shape[2], d))
     g[:, _span(d, a)] = sqrt(4 * pi / d) * (P[m : L + 1, m].T @ kernel.block(m))
     return g
-
-
-def _profiles(kernel: SWKernel, P: np.ndarray) -> np.ndarray:
-    """The profiles of every offset, (2L + 1, n_theta, d): row L + a is _profile(..., a)."""
-    L = kernel.L
-    G = np.empty((2 * L + 1, P.shape[2], kernel.d))
-    for a in range(-L, L + 1):
-        G[L + a] = _profile(kernel, P, a)
-    return G
 
 
 def _sign(m: int) -> int:
@@ -237,13 +235,16 @@ def kernel_property_residuals(kernel: SWKernel, grid: Grid):
     'trace_duality', 'covariant' (at 20 random group elements).  The
     integrals are over products of two kernels, of degree 2 two_j and phi
     frequency up to 2 two_j, so a grid that cannot integrate those exactly
-    is refused with ValueError.  The quadratures run in the row-indexed
-    layout, one band offset at a time: each pass over the offsets builds the
-    theta-profile of each offset once, and a dense kernel is formed only at
-    the 21 covariance points.  The random inputs come from `_uniform` with a
-    fixed seed.
+    is refused with ValueError.  On the grids accepted, the node sum of
+    e^{-i k phi} is n_phi for k = 0 and 0 for every other |k| <= 2L; the
+    quadratures take those values in closed form, so every phi sum pairs
+    offset a with offset -a.  They are one pass over the offset pairs
+    (m, -m) in the row-indexed layout, which builds each offset's
+    theta-profile once and integrates it at once.  A dense kernel is formed
+    only at the 21 covariance points, whose residual is taken one rotation
+    at a time.  The random inputs come from `_uniform` with a fixed seed.
     """
-    d, L, w, pref = kernel.d, kernel.L, grid.w_theta, kernel.d / (4 * pi)
+    d, L, pref = kernel.d, kernel.L, kernel.d / (4 * pi)
     if grid.L_exact < 2 * kernel.two_j or grid.n_phi <= 2 * kernel.two_j:
         raise ValueError(
             f"a grid exact to degree {grid.L_exact} with {grid.n_phi} phi nodes cannot integrate "
@@ -251,72 +252,56 @@ def kernel_property_residuals(kernel: SWKernel, grid: Grid):
             f"and n_phi >= {2 * kernel.two_j + 1}"
         )
     rnd = Random(7)
-    P = grid._tab(L)[0]
-    phase = np.exp(-1j * np.outer(grid.phi, np.arange(-L, L + 1)))  # (n_phi, 2L + 1)
-    psum = phase.sum(axis=0)
+    P, w = grid._tab(L)[0], grid.n_phi * grid.w_theta  # w: the weight of a theta node, phi summed
     # reproducing targets at three nodes (t, p): the kernel there, diagonal a (d, 3) from profile a
     ts, ps = [0, grid.n_theta // 2, grid.n_theta - 1], [0, grid.n_phi // 3, 1]
 
     def target(a, g):
-        return g[ts].T * phase[ps, L + a]
+        return g[ts].T * np.exp(-1j * a * grid.phi[ps])
 
-    # 20 random hermitian pairs (A_i, B_i), drawn one operator at a time in the
-    # order A_0, B_0, A_1, ...: X[..., 2i] is A_i, X[..., 2i + 1] is B_i
-    X = np.empty((d, d, 40), dtype=complex)
+    # 20 random hermitian pairs (A_i, B_i), drawn one operator at a time in the order A_0, B_0, A_1, ...
+    A, B = np.empty((d, d, 20), dtype=complex), np.empty((d, d, 20), dtype=complex)
     for k in range(40):
         Y = _uniform(rnd, (d, d)) + 1j * _uniform(rnd, (d, d))
-        X[..., k] = Y + Y.conj().T
+        (B if k % 2 else A)[..., k // 2] = Y + Y.conj().T
     del Y
-    lhs = np.einsum("ijk,jik->k", X[..., 0::2], X[..., 1::2])  # tr(A B)
+    lhs = np.einsum("ijk,jik->k", A, B)  # tr(A B)
     # f_X(t, p) = tr(Delta X) = sum_a e^{-i a phi_p} c_a(t), c_a = profile a . diagonal a of X^T,
-    # for all 43 X, offset by offset (real profiles times the float view of the complex
-    # diagonals): c (2L + 1, n_theta, 23) for the targets and the B's, cA (2L + 1, n_theta, 20)
-    # for the A's.  Profile -a comes with profile a: Delta = Delta^dagger pairs them, and
-    # diagonal a of a target's transpose is the target's diagonal -a
-    c = np.empty((2 * L + 1, grid.n_theta, 23), dtype=complex)
-    cA = np.empty((2 * L + 1, grid.n_theta, 20), dtype=complex)
-    herm = top = mean = 0.0
+    # so sum_p f_X f_Y = n_phi sum_a c_a^X c_{-a}^Y.  c[a] (n_theta, 43) holds c_a of the three
+    # targets, the B's and the A's (real profiles times the float view of the complex diagonals)
+    herm = mean = rec = 0.0
+    fab = np.zeros(20, dtype=complex)  # int f_A f_B
     for m in range(L + 1):
-        prof = {a: _profile(kernel, P, a) for a in dict.fromkeys((m, -m))}
-        # profile -a against the conjugate of profile a
-        herm = max(herm, np.max(np.abs(prof[-m][:, _span(d, -m)] - prof[m][:, _span(d, m)].conj())))
-        for a, g in prof.items():
-            top = max(top, np.max(np.abs(g)))
-            # diagonal a of int Delta = (sum_p e^{-i a phi_p}) (sum_t w_t profile a)
-            mean_a = pref * psum[L + a] * (w @ g)
-            mean = max(mean, np.max(np.abs(mean_a - 1 if a == 0 else mean_a)))
+        g = {a: _profile(kernel, P, a) for a in dict.fromkeys((m, -m))}
+        # profile -m against the conjugate of profile m
+        herm = max(herm, np.max(np.abs(g[-m][:, _span(d, -m)] - g[m][:, _span(d, m)].conj())))
+        c = {}
+        for a in g:
             # diagonal a of X^T at row r is X[r + a, r]; a target's rows r + a past the
             # matrix wrap around onto rows that are zero in its diagonal -a
-            r = np.arange(d)[_span(d, a)]
-            XB, XA = np.zeros((d, 23), dtype=complex), np.zeros((d, 20), dtype=complex)
-            XB[:, :3] = target(-a, prof[-a])[(np.arange(d) + a) % d]
-            XB[r, 3:], XA[r] = X[r + a, r, 1::2], X[r + a, r, 0::2]
-            np.matmul(g, XB.view(float), out=c[L + a].view(float))
-            np.matmul(g, XA.view(float), out=cA[L + a].view(float))
-    del X, prof, g, XB, XA  # the peak holds c, cA and Mc
-    # the phase pair e^{i a phi} against conj(e^{-i a phi})
-    res = {"hermitian": float(herm + np.max(np.abs(phase[:, ::-1] - phase.conj())) * top)}
-    res["normalized"] = float(mean)
-    # the phi sums over the nodes: sum_p f_X f_Y = c_X^T M c_Y, M[a, b] = sum_p e^{-i (a + b) phi_p};
-    # only the targets' and the B's are read
-    Mc = ((phase.T @ phase) @ c.reshape(2 * L + 1, -1)).reshape(c.shape)
-    del c
-    # diagonal a of int f_T Delta = sum_t w_t (sum_p f_T e^{-i a phi_p}) profile a, phi sum (M c_T)_a
-    rec = 0.0
-    for a in range(-L, L + 1):
-        g = _profile(kernel, P, a)
-        got = (g.T @ (w[:, None] * Mc[L + a, :, :3]).view(float)).view(complex)
-        rec = max(rec, np.max(np.abs(pref * got - target(a, g))))
-    res["reproducing"] = float(rec)
-    fab = np.einsum("t,atk,atk->k", w, cA, Mc[..., 3:])  # int f_A f_B
+            r, X = np.arange(d)[_span(d, a)], np.zeros((d, 43), dtype=complex)
+            X[:, :3] = target(-a, g[-a])[(np.arange(d) + a) % d]
+            X[r, 3:23], X[r, 23:] = B[r + a, r], A[r + a, r]
+            c[a] = (g[a] @ X.view(float)).view(complex)
+        for a in g:
+            # diagonal a of int f_T Delta = sum_t w_t c_{-a}^T(t) profile a
+            got = (g[a].T @ (w[:, None] * c[-a][:, :3]).view(float)).view(complex)
+            rec = max(rec, np.max(np.abs(pref * got - target(a, g[a]))))
+            fab += w @ (c[a][:, 23:] * c[-a][:, 3:23])
+        if m == 0:  # diagonal a of int Delta is sum_t w_t profile a at a = 0, and 0 at a != 0
+            mean = np.max(np.abs(pref * (w @ g[0]) - 1))
+    del A, B  # the covariance step comes on top of neither
+    res = {"hermitian": float(herm), "normalized": float(mean), "reproducing": float(rec)}
     res["trace_duality"] = float(max(abs(a - pref * b) / max(1.0, abs(a)) for a, b in zip(lhs, fab)))
-    del cA, Mc  # the dense covariance kernels come on top of none of these
     # covariance over random group elements: the kernel at n0 and its 20 rotated images
     theta0, phi0 = 1.1, 0.4
     n0 = np.array([np.sin(theta0) * np.cos(phi0), np.sin(theta0) * np.sin(phi0), np.cos(theta0)])
     ang = pi * (_uniform(rnd, (20, 3)) + 1)
     n1 = (rotation_from_zyz(*ang.T) @ n0).T
     D = kernel.at(np.r_[theta0, np.arccos(np.clip(n1[2], -1, 1))], np.r_[phi0, np.arctan2(n1[1], n1[0])])
-    U = wigner_zyz(kernel.irrep, *ang.T)
-    res["covariant"] = float(np.max(np.abs(U @ D[0] @ U.conj().swapaxes(-1, -2) - D[1:])))
+    cov = 0.0
+    for k, angles in enumerate(ang, 1):
+        U = wigner_zyz(kernel.irrep, *angles)
+        cov = max(cov, np.max(np.abs(U @ D[0] @ U.conj().T - D[k])))
+    res["covariant"] = float(cov)
     return res

@@ -2,8 +2,8 @@
 
 kernel_samples: Delta(n) = sqrt(4 pi / d) sum_lm conj(Y_lm(n)) T_lm is built as one matrix
 valued symbol, a dense (2j+1, 4j+1, d, d) coefficient array, and sampled
-with `Grid.synthesize`.  The package evaluates the kernel one theta row at a
-time from its band diagonals; the tests compare both.
+with `Grid.synthesize`.  The package stacks the kernel's per-offset
+theta-profiles (`SWKernel.samples`); the tests compare both.
 
 raise_lower_symbol: the d x d operator with a given lower symbol; the
 package's coherent-state product divides by the lower-symbol factor on the

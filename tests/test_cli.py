@@ -233,8 +233,8 @@ def test_paper_checks_load_no_numpy_random(argv):
 
 
 def test_kernel_check_rejects_sizes_beyond_physical_memory(tmp_path, monkeypatch, capsys):
-    # with 1 MB of memory two_j = 1 fits (12 rows of 49 * 2^2 * 16 B) but 20 does not
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 2**20)
+    # with 1.25 MiB of memory two_j = 1 fits (~1.01 MiB counted) but 20 (~1.49 MiB) does not
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 5 * 2**18)
     monkeypatch.setattr(cli, "kernel_property_residuals", lambda *a: pytest.fail("work started"))
     out = tmp_path / "out"
     assert main(["kernel-check", "--two-j", "1,20", "--out", str(out)]) == 2
@@ -393,6 +393,7 @@ def test_model_commands_fit_their_defaults_in_a_gibibyte(tmp_path, monkeypatch):
         # the exact products hold their diagonal arrays for every pair of the batch at once
         ["star-slopes", "--two-j", "640,1280,2560,5120", "--pairs", "40"],
         ["calibrate", "--two-j", "640,1280,2560,5120", "--pairs", "24"],
+        ["kernel-check", "--two-j", "160"],
     ],
 )
 def test_memory_counts_bound_the_measured_peak(argv, tmp_path, monkeypatch):

@@ -145,16 +145,26 @@ def test_kernel_gates_fail_on_a_perturbed_entry(monkeypatch):
 
 
 def test_kernel_check_forms_dense_kernels_only_at_the_covariance_points(monkeypatch):
-    scattered = []
-    scatter = swq._scatter
+    # a dense kernel comes from SWKernel.at or from a scatter of diagonals
+    # (quantize's path): the checks call at once, at the 21 covariance
+    # points, and scatter nothing
+    formed = []
+    at, scatter = SWKernel.at, swq._scatter
 
-    def recorded(D):
-        scattered.append(D.shape)
-        return scatter(D)
+    def recorded_at(kernel, theta, phi):
+        D = at(kernel, theta, phi)
+        formed.append(("at", D.shape))
+        return D
 
-    monkeypatch.setattr(swq, "_scatter", recorded)
+    def recorded_scatter(D):
+        A = scatter(D)
+        formed.append(("scatter", A.shape))
+        return A
+
+    monkeypatch.setattr(SWKernel, "at", recorded_at)
+    monkeypatch.setattr(swq, "_scatter", recorded_scatter)
     kernel_property_residuals(SWKernel(make_irrep(10)), make_grid(20))
-    assert scattered == [(21, 11, 21)]  # 2L + 1 offsets, d rows, the 21 covariance points
+    assert formed == [("at", (21, 11, 11))]  # the 21 covariance points, d = 11
 
 
 @pytest.mark.parametrize("grid", [make_grid(12), make_grid(19), Grid(40, 9)], ids=["L12", "L19", "L40-M9"])
@@ -165,6 +175,18 @@ def test_kernel_axioms_refuse_a_grid_too_coarse_for_kernel_products(grid):
         kernel_property_residuals(SWKernel(make_irrep(10)), grid)
     res = kernel_property_residuals(SWKernel(make_irrep(10)), Grid(40, 10))
     assert max(res.values()) < 1e-10, res
+
+
+def test_closed_form_phi_sums_at_the_fewest_phi_nodes():
+    # Grid(40, 10) has n_phi = 21 = 2 two_j + 1, the fewest nodes on which the
+    # node sum of e^{-i k phi} vanishes for every 0 < |k| <= 2 two_j, so the
+    # pairing of offset a with -a in the phi sums holds there too
+    ker, grid = SWKernel(make_irrep(10)), Grid(40, 10)
+    assert grid.n_phi == 21
+    got, want = kernel_property_residuals(ker, grid), swq_oracle.kernel_property_residuals(ker, grid)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert abs(got[key] - want[key]) <= 1e-12, (key, got[key], want[key])
 
 
 def _kernel_check_count(two_j: int, monkeypatch) -> float:
@@ -202,8 +224,8 @@ def test_kernel_axioms_at_two_j_60_in_a_few_rows_of_memory(monkeypatch):
     # one theta row of dense samples at two_j = 60 on make_grid(120) is
     # n_phi d^2 16 B = 121 * 61^2 * 16 B = 6.9 MiB.  The dense-row oracle,
     # streamed one row at a time, peaks at 5.5 rows; the row-indexed layout,
-    # one offset at a time, at 1.4 rows, under the count kernel-check makes
-    # at entry (1.5 rows).
+    # one offset pair at a time, at 0.63 rows, under the count kernel-check
+    # makes at entry (0.78 rows).
     row_bytes = 121 * 61**2 * 16
     peak, count = _traced_axioms(60), _kernel_check_count(60, monkeypatch)
     assert peak <= count <= 5 * row_bytes, (peak / row_bytes, count / row_bytes)
@@ -211,14 +233,13 @@ def test_kernel_axioms_at_two_j_60_in_a_few_rows_of_memory(monkeypatch):
 
 @pytest.mark.parametrize("two_j", [80, 160])
 def test_kernel_axioms_stream_the_offsets(two_j, monkeypatch):
-    # the quadrature holds one offset's profiles and diagonals at a time: at
-    # two_j = 160 the peak is ~87 MiB (the grid's Legendre table, 32 MiB, and
-    # the 66 traces per offset and node), where all offsets at once took
-    # 184 MiB.  The count kernel-check makes at entry bounds the peak without
-    # overstating it by more than 1.6x
+    # the quadrature holds one offset pair's profiles and traces at a time: at
+    # two_j = 160 the peak is ~49 MiB, the grid's Legendre table (32 MiB) and
+    # the 40 random operators (16 MiB).  The count kernel-check makes at entry
+    # bounds the peak without overstating it by more than 1.6x
     peak, count = _traced_axioms(two_j), _kernel_check_count(two_j, monkeypatch)
     assert peak <= count <= 1.6 * peak, (peak / 2**20, count / 2**20)
-    assert peak < (130 if two_j == 160 else 30) * 2**20, peak / 2**20
+    assert peak < (55 if two_j == 160 else 10) * 2**20, peak / 2**20
 
 
 def test_quantize_constant_is_identity():
