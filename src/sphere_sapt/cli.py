@@ -251,15 +251,15 @@ def cmd_kernel_check(cfg):
         raise ValueError(f"--two-j needs at least one value, got {cfg['two_j']!r}")
     for two_j in two_j_list:
         # the tensor basis (the blocks Q[m], (d - m)^2 floats each, cached) and the grid's
-        # Legendre table, then the largest of three steps, in floats: the symbol identities,
-        # ~105 d^2 (one lambda's band-2j 2 x 2 symbols, 16 d^2 each, held while the next
-        # lambda's are built); the quadrature's 40 random operators, 80 d^2, with one draw's
-        # temporaries; or the covariance step's 21 dense kernels and their Legendre table,
-        # 63 d^2, with one rotation's products.  On top: one offset pair's profiles,
+        # Legendre table, then the largest of three steps, in floats: the quadrature's 40
+        # random operators, 80 d^2, with one draw's temporaries, ~90 d^2; the covariance
+        # step's 21 dense kernels and their Legendre table, 63 d^2, with one rotation's
+        # products, ~83 d^2; or the symbol identities' dense H, 8 d^2, two of them while
+        # the next lambda's is built, ~33 d^2.  On top: one offset pair's profiles,
         # 8 n_theta d, and 1 MiB of traces, grid nodes and the numpy.polynomial import
         n_theta, d = max(48, 2 * two_j) // 2 + 1, two_j + 1
         tables = 8 * d * (d + 1) * (2 * d + 1) // 6 + 8 * n_theta * d * d
-        _check_memory(two_j, tables + 8 * (105 * d * d + 8 * n_theta * d) + 2**20)
+        _check_memory(two_j, tables + 8 * (90 * d * d + 8 * n_theta * d) + 2**20)
     rows, checks = [], []
     for two_j in two_j_list:
         d = two_j + 1
@@ -279,16 +279,17 @@ def cmd_kernel_check(cfg):
         res["high_band_projection"] = float(np.max(np.abs(quantize(SphereSymbol(c), ker))))
         # exact (SW) and coherent-state symbol identities of the Hamiltonian: its
         # principal symbol with the n.S row (l = 1) scaled by sqrt(1 - d^-2) and by
-        # 1 - 1/d (needs a slow sector strictly larger than the spin-1/2 fast one)
-        worst_sym = 0.0
+        # 1 - 1/d (needs a slow sector strictly larger than the spin-1/2 fast one),
+        # read on the band-1 kernel, which returns the rows l <= 1 alone
+        worst_sym, ker1 = 0.0, SWKernel(ker.irrep, 1)
         for lam in (0.2, 0.8) if two_j > 1 else ():
             p = ModelParams(two_j, 1, lam)
             H, h0 = build_hamiltonian(p), hamiltonian_symbol(p).coeffs
-            sw, low = dequantize(H, ker, fast_dim=2), lower_symbol(H, ker, fast_dim=2)
+            sw, low = dequantize(H, ker1, fast_dim=2), lower_symbol(H, ker1, fast_dim=2)
             for sym, scale in ((sw, sqrt(1 - d**-2)), (low, 1 - 1 / d)):
                 want = h0.copy()
                 want[1] *= scale
-                worst_sym = max(worst_sym, float(np.max(np.abs(sym.truncated(1).coeffs - want))))
+                worst_sym = max(worst_sym, float(np.max(np.abs(sym.coeffs - want))))
         res["model_symbol_identity"] = worst_sym
         worst = max(res.values())
         for prop, val in res.items():
@@ -356,8 +357,9 @@ def cmd_gap(cfg):
 def cmd_chern(cfg):
     if cfg["grid"] < 1:
         raise ValueError(f"--grid must be >= 1, got {cfg['grid']}")
+    # neither Chern number reads the slow spin: any slow sector larger than the fast one will do
     two_s = cfg["two_s"]
-    params = ModelParams(cfg["two_j"], two_s, cfg["lam"])
+    params = ModelParams(two_s + 1, two_s, cfg["lam"])
     n = cfg["grid"]
     rows, checks = [], []
     for k in range(two_s + 1):
@@ -419,7 +421,7 @@ def cmd_obstruction(cfg):
     d_j = params.d_j
     rows, checks = [], []
     for c in clusters:
-        expected = d_j + int(round(2 * c.m)) if params.lam > 0.5 else d_j
+        expected = d_j - chern_analytic(params, c.m)  # rank - d = -C
         rows.append((c.m, c.rank, d_j, expected))
         checks.append(
             {
@@ -505,7 +507,7 @@ COMMANDS = {
     "chern": (
         cmd_chern,
         ("band", "chern_plaquette", "chern_analytic"),
-        {"two_s": 1, "lam": 0.8, "grid": 40, "two_j": 8},
+        {"two_s": 1, "lam": 0.8, "grid": 40},
     ),
     "bands": (
         cmd_bands,

@@ -35,7 +35,7 @@ from .model import (
     sector_blocks,
     sector_spectrum,
 )
-from .sphere import Grid, SphereSymbol, make_grid, synthesize_at
+from .sphere import Grid, SphereSymbol, make_grid
 from .spin import SpinIrrep
 from .star import CALIBRATED, CoefficientSet, SemiclassicalSymbol, order1_samples
 from .swq import SWKernel, dequantize_diagonals, quantize_diagonals
@@ -386,17 +386,17 @@ def egorov_error(
     Quantum side: heisenberg_symbol with s = (d_j/2) T and h0 = m N(theta),
     which is axisymmetric (ArithmeticError if it is not, as the propagator
     is then no diagonal phase).  Classical side: o0 composed with the
-    precession flow.
+    precession flow, which turns each theta ring by its own angle alpha, so
+    phi harmonic k of the ring's samples takes the phase e^{i k alpha}.
+    That is exact while o0's |m| stays below n_phi / 2, which the grid's
+    2 L_o0 + 1 phi nodes or more ensure.
     """
-    grid = make_grid(48)
-    th2, ph2 = _mesh(grid)
-    nodes = np.stack(
-        [np.sin(th2) * np.cos(ph2), np.sin(th2) * np.sin(ph2), np.cos(th2)], axis=-1
-    )
-    flowed = classical_flow(lam, m, nodes.reshape(-1, 3), T)
-    thf = np.arccos(np.clip(flowed[:, 2], -1, 1))
-    phf = np.arctan2(flowed[:, 1], flowed[:, 0])
-    o_cl = synthesize_at(o0, thf, phf).reshape(th2.shape)
+    grid = make_grid(max(48, 2 * o0.L))
+    ring = np.stack([np.sin(grid.theta), 0 * grid.theta, np.cos(grid.theta)], axis=-1)  # phi = 0
+    flowed = classical_flow(lam, m, ring, T)
+    alpha = np.arctan2(flowed[:, 1], flowed[:, 0])
+    k = np.fft.fftfreq(grid.n_phi, 1 / grid.n_phi)  # signed harmonic of each phi bin
+    o_cl = np.fft.ifft(np.fft.fft(grid.synthesize(o0), axis=1) * np.exp(1j * np.outer(alpha, k)), axis=1)
 
     errs = []
     h0 = _band_energy(ModelParams(two_j_list[0], 1, lam), m, BAND_LIMIT)

@@ -304,16 +304,3 @@ def vector_symbol_coeffs() -> list[SphereSymbol]:
     c[2, 1, 1] = sqrt(4 * pi / 3)
     return [SphereSymbol(ci) for ci in c]
 
-
-def _ylm(L: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Y_lm at points (theta, phi), shape (L+1, 2L+1, n_points)."""
-    m = np.arange(-L, L + 1)
-    sign = np.where(m < 0, (-1.0) ** m, 1.0)[:, None]
-    return sign * _legendre(L, np.cos(theta), L)[:, abs(m)] * np.exp(1j * np.outer(m, phi))
-
-
-def synthesize_at(sym: SphereSymbol, theta, phi):
-    """Evaluate a symbol at arbitrary points (vectorized, off-grid)."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    phi = np.asarray(phi, dtype=float).ravel()
-    return np.einsum("lmx,lm...->x...", _ylm(sym.L, theta, phi), sym.coeffs)

@@ -2,18 +2,23 @@
 matrix (the package finds each nearest point by a sorted merge), the
 Heisenberg conjugation through eigh (the package uses that quantize(h0) is
 diagonal), the spectrum and the invariance norm from the dense 2d x 2d
-Hamiltonian (the package reads them off the M-sectors), and the order-1 effective Hamiltonian of a spin-1/2 fast sector
+Hamiltonian (the package reads them off the M-sectors), the order-1 effective Hamiltonian of a spin-1/2 fast sector
 from analytic theta-derivatives of u0, H0 and the band energy (the package
-forms the same block from synthesized symbols and their gradients)."""
+forms the same block from synthesized symbols and their gradients), and
+the Egorov errors with every grid node flowed as a point (the package turns
+each theta ring as a phase on its phi harmonics)."""
 
 from __future__ import annotations
 
 import numpy as np
 from model_oracle import tilt_derivative
+from sphere_oracle import synthesize_at
 
 from sphere_sapt import sapt
 from sphere_sapt.model import ModelParams, band_index, build_hamiltonian, gap_N, tilt_angles
-from sphere_sapt.sphere import SphereSymbol
+from sphere_sapt.sapt import classical_flow
+from sphere_sapt.sphere import SphereSymbol, make_grid
+from sphere_sapt.spin import make_irrep
 from sphere_sapt.star import CALIBRATED, SemiclassicalSymbol
 from sphere_sapt.swq import SWKernel, quantize
 
@@ -116,3 +121,23 @@ def closed_form_hamiltonian(params, m, cs=CALIBRATED, L=24) -> SemiclassicalSymb
     """h0 + d^-1 h1 with h0 from the package and h1 from the closed form."""
     h0 = sapt.effective_hamiltonian(params, m, L=L).terms[0]
     return SemiclassicalSymbol([h0, h1_closed_form(params, m, cs, L)])
+
+
+def egorov_errors(lam, m, o0, T, two_j_list) -> list[float]:
+    """The errors of sapt.egorov_error with the classical side flowed point by
+    point: each node of its grid moved as a 3-vector by classical_flow (bound
+    here at import, so a patch of sapt.classical_flow leaves it alone) and o0
+    evaluated at the image by the point oracle."""
+    grid = make_grid(max(48, 2 * o0.L))
+    th2, ph2 = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    nodes = np.stack([np.sin(th2) * np.cos(ph2), np.sin(th2) * np.sin(ph2), np.cos(th2)], axis=-1)
+    flowed = classical_flow(lam, m, nodes.reshape(-1, 3), T)
+    theta, phi = np.arccos(np.clip(flowed[:, 2], -1, 1)), np.arctan2(flowed[:, 1], flowed[:, 0])
+    o_cl = synthesize_at(o0, theta, phi).reshape(th2.shape)
+    h0 = sapt._band_energy(ModelParams(two_j_list[0], 1, lam), m, sapt.BAND_LIMIT)
+    errs = []
+    for two_j in two_j_list:
+        s = sapt.EGOROV_TIME_SIGN * (two_j + 1) / 2 * T
+        o_qu = grid.synthesize(sapt.heisenberg_symbol(h0, o0, make_irrep(two_j), s))
+        errs.append(float(np.max(np.abs(o_qu - o_cl))))
+    return errs

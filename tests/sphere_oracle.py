@@ -4,7 +4,9 @@ Associated Legendre tables by the (l, m) loop recurrence, and synthesis and
 analysis with the phi sum as a dense DFT einsum over a folded table
 Y[l, m+L, theta].  The package does the phi step as an FFT and the theta
 step as one matmul per m; the tests compare both against these.  Point
-values of Y_lm and the quadrature sum of a symbol's samples round it off.
+values of Y_lm and of a symbol anywhere on the sphere (the package samples
+symbols only at grid nodes) and the quadrature sum of a symbol's samples
+round it off.
 """
 
 from __future__ import annotations
@@ -78,12 +80,23 @@ def analyze(grid, samples: np.ndarray, L: int) -> np.ndarray:
     return np.einsum("lmt,mt...->lm...", _fold(grid, L), gm * wt)
 
 
+def _ylm(L: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Y_lm at points (theta, phi), shape (L+1, 2L+1, n_points), from the loop tables."""
+    m = np.arange(-L, L + 1)
+    sign = np.where(m < 0, (-1.0) ** m, 1.0)[:, None]
+    return sign * legendre_tables(L, np.cos(theta))[0][:, abs(m)] * np.exp(1j * np.outer(m, phi))
+
+
 def ylm_at(L: int, theta: float, phi: float) -> np.ndarray:
     """Dense Y_lm values at a single point, shape (L+1, 2L+1)."""
-    P = legendre_tables(L, np.array([np.cos(theta)]))[0][..., 0]
-    m = np.arange(-L, L + 1)
-    sign = np.where(m < 0, (-1.0) ** m, 1.0)
-    return sign * P[:, abs(m)] * np.exp(1j * m * phi)
+    return _ylm(L, np.array([theta]), np.array([phi]))[..., 0]
+
+
+def synthesize_at(sym, theta, phi) -> np.ndarray:
+    """A symbol's values at arbitrary points, shape (n_points, *fast)."""
+    theta = np.asarray(theta, dtype=float).ravel()
+    phi = np.asarray(phi, dtype=float).ravel()
+    return np.einsum("lmx,lm...->x...", _ylm(sym.L, theta, phi), sym.coeffs)
 
 
 def integrate(grid, sym) -> complex:

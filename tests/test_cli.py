@@ -127,6 +127,15 @@ def test_chern_exit_codes(tmp_path):
     assert main(["chern", "--lambda", "0.5", "--grid", "16", "--out", str(tmp_path)]) == 2
 
 
+def test_chern_reads_no_slow_spin(tmp_path, capsys):
+    # neither Chern number depends on the slow spin, so a fast spin of any
+    # size runs on the smallest slow sector the model allows
+    assert main(["chern", "--two-s", "9", "--grid", "16", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "chern.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[1:] for r in rows] == [[str(2 * k - 9)] * 2 for k in range(10)]
+    assert "two_j" not in json.loads((tmp_path / "chern.json").read_text())["config"]
+
+
 def test_obstruction_subcommand(tmp_path):
     rc = main(["obstruction", "--lambda", "0.8", "--two-j", "8", "--out", str(tmp_path)])
     assert rc == 0
@@ -515,6 +524,8 @@ _CAUSES = {
         ["kernel-check", "--grid", "120"],
         ["bands", "--orders", "1"],
         ["invariance-slopes", "--orders", "0"],
+        # neither Chern number reads a slow spin
+        ["chern", "--two-j", "8"],
     ],
 )
 def test_fixed_settings_are_no_options(tmp_path, argv):

@@ -4,7 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from sapt_oracle import closed_form_hamiltonian, dense_spectrum, hausdorff, heisenberg
+from sapt_oracle import closed_form_hamiltonian, dense_spectrum, egorov_errors, hausdorff, heisenberg
+from sphere_oracle import synthesize_at
 from star_oracle import CALIBRATED_BEREZIN, PRINTED_BEREZIN, bilinear_from_parts
 
 from sphere_sapt import sapt, swq
@@ -25,7 +26,6 @@ from sphere_sapt.sapt import (
 from sphere_sapt.sphere import (
     SphereSymbol,
     make_grid,
-    synthesize_at,
     vector_symbol_coeffs,
 )
 from sphere_sapt.spin import make_irrep
@@ -368,6 +368,29 @@ def test_egorov_error_slope():
     # in-plane observables decay at least one order in 1/d (measured ~ -2)
     r = egorov_error(LAM, BAND, vector_symbol_coeffs()[0], 1.0, [10, 20, 40])
     assert r["fit"].slope < -0.7
+
+
+@pytest.mark.parametrize("T", [1.0, -2.5])
+@pytest.mark.parametrize("m", [0.5, -0.5])
+@pytest.mark.parametrize("lam", [0.2, 0.8])
+def test_egorov_ring_phases_match_the_point_flow(lam, m, T):
+    # the classical side as phases on each theta ring's phi harmonics against
+    # every node flowed as a 3-vector and o0 evaluated there by the point oracle
+    for o0 in vector_symbol_coeffs()[:2]:
+        got = egorov_error(lam, m, o0, T, [10, 20])["errors"]
+        want = egorov_errors(lam, m, o0, T, [10, 20])
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-13, (got, want)
+
+
+def test_egorov_point_flow_oracle_catches_a_reversed_flow(monkeypatch):
+    # each ring turned by -alpha instead of alpha: the classical side moves by
+    # ~0.2 at lam = 0.2, against errors of ~4e-4
+    o0 = vector_symbol_coeffs()[0]
+    want = egorov_errors(LAM, BAND, o0, 1.0, [10, 20])
+    flow = sapt.classical_flow
+    monkeypatch.setattr(sapt, "classical_flow", lambda lam, m, n0, T: flow(lam, m, n0, -T))
+    got = egorov_error(LAM, BAND, o0, 1.0, [10, 20])["errors"]
+    assert np.min(np.abs(np.subtract(got, want))) > 1e-2, (got, want)
 
 
 def test_egorov_diagonal_phase_matches_eigh_propagator():

@@ -6,13 +6,14 @@ from random import Random
 import numpy as np
 import pytest
 from cg_oracle import clebsch_gordan
+from sphere_oracle import synthesize_at
 from spin_oracle import coherent_state
 import swq_oracle
 from swq_oracle import kernel_samples, raise_lower_symbol
 
 from sphere_sapt import cli, swq
 from sphere_sapt.spin import make_irrep, tensor_basis
-from sphere_sapt.sphere import Grid, SphereSymbol, make_grid, synthesize_at, vector_symbol_coeffs
+from sphere_sapt.sphere import Grid, SphereSymbol, make_grid, vector_symbol_coeffs
 from sphere_sapt.swq import (
     SWKernel,
     dequantize,
