@@ -256,7 +256,7 @@ def cmd_kernel_check(cfg):
         # step's 21 dense kernels and their Legendre table, 63 d^2, with one rotation's
         # products, ~83 d^2; or the symbol identities' dense H, 8 d^2, two of them while
         # the next lambda's is built, ~33 d^2.  On top: one offset pair's profiles,
-        # 8 n_theta d, and 1 MiB of traces, grid nodes and the numpy.polynomial import
+        # 8 n_theta d, and 1 MiB of traces and grid nodes
         n_theta, d = max(48, 2 * two_j) // 2 + 1, two_j + 1
         tables = 8 * d * (d + 1) * (2 * d + 1) // 6 + 8 * n_theta * d * d
         _check_memory(two_j, tables + 8 * (90 * d * d + 8 * n_theta * d) + 2**20)

@@ -56,6 +56,14 @@ class SpinIrrep:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def J2_eig(self) -> tuple:
+        """The eigenpairs (w, V) of J2, read-only: every rotation of this irrep reads them."""
+        w, V = np.linalg.eigh(self.Jvec[1])
+        w.setflags(write=False)
+        V.setflags(write=False)
+        return w, V
+
 
 @lru_cache(maxsize=None)
 def make_irrep(two_j: int) -> SpinIrrep:
@@ -135,7 +143,7 @@ def wigner_zyz(irrep: SpinIrrep, alpha, beta, gamma) -> np.ndarray:
     as i J2 = (J+ - J-) / 2 is: its imaginary round-off is dropped.
     """
     mvals = irrep.j - np.arange(irrep.d)
-    w, V = np.linalg.eigh(irrep.Jvec[1])
+    w, V = irrep.J2_eig
     mid = ((V * np.exp(1j * np.multiply.outer(beta, w))[..., None, :]) @ V.conj().T).real
     left = np.exp(-1j * np.multiply.outer(alpha, mvals))
     right = np.exp(1j * np.multiply.outer(gamma, mvals))

@@ -241,6 +241,22 @@ def test_paper_checks_load_no_numpy_random(argv):
     assert _fresh_python(_LOADED.format(argv=argv)).splitlines()[-1] == "[]"
 
 
+_POLYNOMIAL = """import sys, tempfile
+from sphere_sapt.cli import COMMANDS, main
+loaded = []
+with tempfile.TemporaryDirectory() as out:
+    for name in COMMANDS:
+        assert main([name, "--out", out]) == 0
+        loaded += [name] if "numpy.polynomial" in sys.modules else []
+print(loaded)"""
+
+
+def test_commands_load_no_numpy_polynomial():
+    # grids take their Gauss-Legendre nodes from the package's own
+    # recurrence, not numpy.polynomial's nine modules and a LAPACK eigvalsh
+    assert _fresh_python(_POLYNOMIAL).splitlines()[-1] == "[]"
+
+
 def test_kernel_check_rejects_sizes_beyond_physical_memory(tmp_path, monkeypatch, capsys):
     # with 1.25 MiB of memory two_j = 1 fits (~1.01 MiB counted) but 20 (~1.49 MiB) does not
     monkeypatch.setattr(cli, "_physical_memory", lambda: 5 * 2**18)
@@ -317,11 +333,12 @@ def test_egorov_to_two_j_640(tmp_path):
 
 
 def test_kernel_check_to_two_j_160(tmp_path):
-    # the tolerance 1e-10 holds here (worst residual ~3e-11, reproducing);
-    # at two_j = 320 reproducing reaches ~6e-10
+    # the gate is 1e-10; the worst residual here is ~1e-12 (trace duality),
+    # and ~3e-11 with eigenvalue-based Gauss-Legendre weights.  two_j = 320
+    # passes too (worst ~2e-12), but takes ~7 s and ~435 MB
     assert main(["kernel-check", "--two-j", "160", "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "kernel-check.csv").read_text().splitlines()[1:]
-    assert len(rows) == 9 and max(float(r.split(",")[2]) for r in rows) < 1e-10
+    assert len(rows) == 9 and max(float(r.split(",")[2]) for r in rows) < 1e-11
 
 
 def test_model_commands_build_no_dense_operator(tmp_path, monkeypatch):
@@ -342,9 +359,9 @@ def test_model_commands_build_no_dense_operator(tmp_path, monkeypatch):
         assert m <= 1, f"block {m} of the band-{L} kernel at two_j = {two_j}"
         return spin.offset_block(two_j, m, L)
 
-    # the commands' quadrature grids, built before the ban: leggauss calls eigvalsh
-    sapt._symbol_grid(4 * sapt.BAND_LIMIT, 1)
-    make_grid(48)
+    # the commands' quadrature grids are built anew, under the ban
+    sapt._symbol_grid.cache_clear()
+    make_grid.cache_clear()
     eigh = np.linalg.eigh
 
     def small_eigh(a, *args, **kwargs):

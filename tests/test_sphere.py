@@ -1,6 +1,7 @@
 """Spherical-harmonic transforms, quadrature, and gradient bilinears."""
 
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from model_oracle import node_normals
 from sphere_sapt.sphere import (
     Grid,
     SphereSymbol,
+    _gauss_legendre,
     _legendre,
     _theta_derivative,
     angular_square,
@@ -58,6 +60,50 @@ def test_quadrature_exactness():
         val = oracle.integrate(grid, SphereSymbol(c))
         want = np.sqrt(4 * np.pi) if l == 0 else 0.0
         assert abs(val - want) < 1e-13
+
+
+@lru_cache(maxsize=None)
+def _exact_rule(n):
+    return oracle.gauss_legendre(_gauss_legendre(n)[1])
+
+
+def _rule_errors(x, w):
+    """Largest absolute node error and relative weight error of an n-point
+    rule (theta ascending, weights summing to 2) against the 30-digit one."""
+    xo, wo = _exact_rule(len(x))
+    return float(np.max(np.abs(x - xo))), float(np.max(np.abs(w / wo - 1)))
+
+
+def _orthonormality(x, w_ring, L=320):
+    """Largest entry of |G - 1|, G the Gram matrix of Y_l0, l <= L, under
+    nodes x with ring weights w_ring (summing to 4 pi)."""
+    P = _legendre(L, x, 0)[:, 0]
+    return float(np.max(np.abs((P * w_ring) @ P.T - np.eye(L + 1))))
+
+
+@pytest.mark.parametrize("n", [31, 161])
+def test_gauss_legendre_rule_matches_a_30_digit_oracle(n):
+    # nodes to theta's own rounding (half an ulp of theta ~ 2 is 2.2e-16 in x),
+    # weights 30-300x closer than an eigenvalue-based rule's (see below)
+    theta, x, w = _gauss_legendre(n)
+    assert np.all(np.diff(theta) > 0) and np.array_equal(x, np.cos(theta))
+    dx, dw = _rule_errors(x, w)
+    assert dx < 2.5e-16 and dw < 2e-12
+
+
+def test_legendre_table_is_orthonormal_on_grid_640():
+    # the quadrature of the kernel checks at two_j = 320; 4.7e-14 with these weights
+    grid = Grid(640)
+    assert _orthonormality(grid.x, grid.n_phi * grid.w_theta) < 2e-13
+
+
+def test_the_rule_gates_fail_for_an_eigenvalue_based_rule():
+    # numpy's leggauss (Golub-Welsch) weights drift ~20x per doubling of n:
+    # 1.5e-11 relative at n = 161, and 3.5e-12 off orthonormal at n = 321
+    x, w = (a[::-1] for a in np.polynomial.legendre.leggauss(161))
+    assert _rule_errors(x, w)[1] > 2e-12
+    x, w = (a[::-1] for a in np.polynomial.legendre.leggauss(321))
+    assert _orthonormality(x, 2 * np.pi * w) > 2e-13
 
 
 def test_constant_symbol():

@@ -8,6 +8,7 @@ from spin_oracle import coherent_state, dense
 
 from sphere_sapt import spin
 from sphere_sapt.spin import (
+    SpinIrrep,
     make_irrep,
     offset_block,
     rotation_from_zyz,
@@ -195,6 +196,18 @@ def test_wigner_rotation_consistency():
     assert Us.shape == (2, 5, ir.d, ir.d)
     for i in np.ndindex(2, 5):
         assert np.max(np.abs(Us[i] - wigner_zyz(ir, *angles[(slice(None),) + i]))) < 1e-14
+
+
+def test_rotations_of_one_irrep_diagonalize_j2_once(monkeypatch):
+    # the covariance check rotates by 20 angles per size: one eigh, not 20
+    ir, eigh, calls = SpinIrrep(7), np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    Us = [wigner_zyz(ir, a, 0.7, -a) for a in (0.1, 0.2, 0.3)]
+    assert len(calls) == 1 and not ir.J2_eig[1].flags.writeable
+    w, V = eigh(ir.Jvec[1])
+    mid = ((V * np.exp(0.7j * w)) @ V.conj().T).real
+    m = ir.j - np.arange(ir.d)
+    assert np.array_equal(Us[2], np.exp(-0.3j * m)[:, None] * mid * np.exp(-0.3j * m)[None, :])
 
 
 def test_coherent_state_expectations():
