@@ -444,15 +444,16 @@ def cmd_egorov(cfg):
     two_j_list = _slope_sweep(cfg)
     # the full block Q[1] of every dimension (d^2 floats each, cached; the
     # observable's diagonal array is trimmed to the offsets |m| <= 1 it
-    # carries, and an offset with no content builds no block); at the
-    # largest, the evolved symbol's (2j+1)(4j+1) complex coefficients
-    # (~4 d^2 floats), the complex copy of Q[1] that dequantize_diagonals
-    # multiplies by (~2 d^2), and the three Legendre columns m <= 2 of its
-    # synthesis on the 25 theta nodes of the error grid (75 d); plus ~2 MiB
-    # of grids and tables that do not grow with d
-    blocks = sum((t + 1) ** 2 for t in two_j_list)
+    # carries, and an offset with no content builds no block) and the rows
+    # l <= 24 of Q[0] and Q[1] that quantize h0 (50 d, cached); at the
+    # largest, the three Legendre columns m <= 2 of the evolved symbol's
+    # synthesis on the 25 theta nodes of the error grid, with the previous
+    # size's until they are replaced (150 d), and the width-1 evolved symbol,
+    # the diagonals and their phases (~40 d); plus ~2 MiB of grids and tables
+    # that do not grow with d
+    blocks = sum((t + 1) ** 2 + 50 * (t + 1) for t in two_j_list)
     d = max(two_j_list) + 1
-    _check_memory(max(two_j_list), 8 * (blocks + 7 * d**2 + 75 * d) + 2**21)
+    _check_memory(max(two_j_list), 8 * (blocks + 190 * d) + 2**21)
     r = egorov_error(cfg["lam"], cfg["band"], vector_symbol_coeffs()[obs[name]], cfg["time"], two_j_list)
     rows = [(tj + 1, f"egorov_error_{name}", e) for tj, e in zip(two_j_list, r["errors"])]
     fit = r["fit"].as_dict()

@@ -136,9 +136,9 @@ def _check_sectors(sym: SphereSymbol, what: str) -> None:
     round-off of the covariant band grid, and is refused.
     """
     k = sym.fast_shape[0] if sym.fast_shape else 1
-    c = sym.coeffs.reshape(sym.L + 1, 2 * sym.L + 1, k * k)
+    c = sym.coeffs.reshape(sym.L + 1, 2 * sym.M + 1, k * k)
     a, b = np.divmod(np.arange(k * k), k)
-    off = np.arange(-sym.L, sym.L + 1)[:, None] != (a - b)[None, :]
+    off = np.arange(-sym.M, sym.M + 1)[:, None] != (a - b)[None, :]
     outside = float(np.abs(c[:, off]).max(initial=0.0))
     if outside > 1e-12 * np.abs(c).max():
         raise ArithmeticError(f"{what} has content {outside:.3g} off the M-sectors; its operator is not sector-diagonal")

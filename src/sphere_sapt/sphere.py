@@ -7,11 +7,14 @@ un-normalized measure, total mass 4 pi), analysis/synthesis, tangential
 gradients from analytic theta/phi derivatives, and the rotation-invariant
 differential operators used by the star-product expansions.
 
-Scalar symbols carry coefficient arrays of shape (L+1, 2L+1); matrix
-valued symbols append trailing (k, k) axes, and a batch of P scalar
-symbols one trailing axis of length P, along which every product acts
-entrywise.  Coefficient a[l, m+L] multiplies Y_lm; entries with |m| > l
-are zero.
+Scalar symbols carry coefficient arrays of shape (L+1, 2M+1), with an
+azimuthal width M <= L read from the shape; matrix valued symbols append
+trailing (k, k) axes, and a batch of P scalar symbols one trailing axis
+of length P, along which every product acts entrywise.  Coefficient
+a[l, M+m] multiplies Y_lm; entries with |m| > l are zero, and a symbol
+has no content at |m| > M.  M = L is the full layout; fields covariant
+under rotations about e3, such as the band symbols of the two-spin model,
+are analyzed at the width of their phi content, O(L M) instead of O(L^2).
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SphereSymbol:
-    """Band-limited function on S^2 in spherical-harmonic coefficients.
+    """Band-limited function on S^2 in spherical-harmonic coefficients,
+    (L+1, 2M+1) + fast: band limit L and azimuthal width M read from the shape.
 
     The fast shape (the trailing axes of coeffs) is () for a scalar symbol,
     (k, k) for a k x k matrix-valued one and (P,) for a batch of P scalar
@@ -49,6 +53,11 @@ class SphereSymbol:
         return self.coeffs.shape[0] - 1
 
     @property
+    def M(self) -> int:
+        """Azimuthal width: the largest |m| the coefficient array holds."""
+        return self.coeffs.shape[1] // 2
+
+    @property
     def fast_shape(self) -> tuple:
         return self.coeffs.shape[2:]
 
@@ -57,35 +66,38 @@ class SphereSymbol:
         return len(self.fast_shape) < 2
 
     def truncated(self, L: int) -> "SphereSymbol":
-        """Drop (or zero-pad) to band limit L."""
-        old = self.L
-        if L == old:
-            return self
-        shape = (L + 1, 2 * L + 1) + self.fast_shape
-        out = np.zeros(shape, dtype=complex)
-        lc = min(L, old)
-        out[: lc + 1, L - lc : L + lc + 1] = self.coeffs[: lc + 1, old - lc : old + lc + 1]
-        return SphereSymbol(out)
+        """Drop (or zero-pad) to band limit L, at width min(L, M)."""
+        return self if L == self.L else SphereSymbol(_embed(self.coeffs, L, min(L, self.M)))
 
     def hermiticity_residual(self) -> float:
         """Max deviation from a_{l,-m} = (-1)^m conj-transpose(a_{lm}), the
         conjugate alone for scalars; of a batch, the largest over its members."""
         c = self.coeffs
-        sign = ((-1.0) ** np.arange(-self.L, self.L + 1)).reshape((1, -1) + (1,) * (c.ndim - 2))
+        sign = ((-1.0) ** np.arange(-self.M, self.M + 1)).reshape((1, -1) + (1,) * (c.ndim - 2))
         ct = c.conj() if self.is_scalar else c.conj().swapaxes(-1, -2)
         return float(np.max(np.abs(c[:, ::-1] - sign * ct)))
 
     @staticmethod
     def stack(symbols) -> "SphereSymbol":
-        """Scalar symbols as one batch, in order, zero-padded to the largest band limit."""
-        L = max(s.L for s in symbols)
-        return SphereSymbol(np.stack([s.truncated(L).coeffs for s in symbols], axis=-1))
+        """Scalar symbols as one batch, in order, zero-padded to the largest band limit and width."""
+        L, M = max(s.L for s in symbols), max(s.M for s in symbols)
+        return SphereSymbol(np.stack([_embed(s.coeffs, L, M) for s in symbols], axis=-1))
 
     @staticmethod
     def constant(value) -> "SphereSymbol":
         """Constant symbol (band limit 0); value may be a scalar or a k x k matrix."""
         value = np.asarray(value, dtype=complex)
         return SphereSymbol((value * sqrt(4 * pi)).reshape((1, 1) + value.shape))
+
+
+def _embed(coeffs: np.ndarray, L: int, M: int) -> np.ndarray:
+    """A copy of coeffs in the (L+1, 2M+1) + fast layout: rows l > L and
+    columns |m| > M dropped, the new ones zero."""
+    W = coeffs.shape[1] // 2
+    lc, mc = min(L, coeffs.shape[0] - 1), min(M, W)
+    out = np.zeros((L + 1, 2 * M + 1) + coeffs.shape[2:], dtype=complex)
+    out[: lc + 1, M - mc : M + mc + 1] = coeffs[: lc + 1, W - mc : W + mc + 1]
+    return out
 
 
 def _legendre(L: int, x: np.ndarray, K: int) -> np.ndarray:
@@ -167,10 +179,11 @@ class Grid:
     L_exact+1 and serves only symbols and samples whose phi content lies
     in |m| <= M, such as fields covariant under
     rotations about e3 (entry (a, b) = e^{i (m_b - m_a) phi} g(theta)).  For
-    them it is as exact as the full grid.  Synthesis refuses coefficients at
-    |m| > M, which its nodes would alias, once they exceed 1e-12 of the
-    symbol's largest; below that (the round-off of a covariant symbol
-    analyzed on a full grid) it drops them.
+    them it is as exact as the full grid, and its analysis returns symbols
+    of width min(L, M).  Synthesis refuses coefficients at |m| > M, which
+    its nodes would alias, once they exceed 1e-12 of the symbol's largest;
+    below that (the round-off of a covariant symbol analyzed on a full
+    grid) it drops them.
     """
 
     def __init__(self, L_exact: int, M: int | None = None):
@@ -218,24 +231,24 @@ class Grid:
         # at phi index m mod n_phi (aliased m add up), then one inverse FFT.
         # Only the columns |m| <= K up to the last one with a nonzero
         # coefficient are transformed: the others would add exact zeros
-        L = coeffs.shape[0] - 1
-        mm = self._mmax(L)
-        c = np.ascontiguousarray(coeffs, dtype=complex).reshape(L + 1, 2 * L + 1, -1)
-        lo, hi = c[:, : L - mm], c[:, L + mm + 1 :]
+        L, W = coeffs.shape[0] - 1, coeffs.shape[1] // 2
+        mm = self._mmax(W)
+        c = np.ascontiguousarray(coeffs, dtype=complex).reshape(L + 1, 2 * W + 1, -1)
+        lo, hi = c[:, : W - mm], c[:, W + mm + 1 :]
         if lo.any() or hi.any():
             outside = max(np.abs(lo).max(initial=0.0), np.abs(hi).max(initial=0.0))
             if outside > 1e-12 * np.abs(c).max():
                 raise ValueError(f"symbol has content at |m| > {self.M}, which {self.n_phi} phi nodes alias")
         K = mm
-        while K and not (c[:, L - K].any() or c[:, L + K].any()):
+        while K and not (c[:, W - K].any() or c[:, W + K].any()):
             K -= 1
         P, dP = self._tab(L, K, deriv)
         T = (dP if deriv else P)[: L + 1, : K + 1].transpose(1, 2, 0)  # [m, theta, l]
-        cf = c.view(float).transpose(1, 0, 2)  # [m + L, l, re/im of fast]
+        cf = c.view(float).transpose(1, 0, 2)  # [m + W, l, re/im of fast]
         out = np.zeros((self.n_theta, self.n_phi, c.shape[-1]), dtype=complex)
         f = out.view(float)
-        _wrap_add(f, T @ cf[L : L + K + 1])  # m = 0, 1, ..., K
-        neg = T[1:] @ cf[L - K : L][::-1]  # m = -1, -2, ..., -K
+        _wrap_add(f, T @ cf[W : W + K + 1])  # m = 0, 1, ..., K
+        neg = T[1:] @ cf[W - K : W][::-1]  # m = -1, -2, ..., -K
         neg[::2] *= -1  # P_l,-m = (-1)^m P_lm
         _wrap_add(f[:, ::-1], neg)
         np.fft.ifft(out, axis=1, norm="forward", out=out)
@@ -243,30 +256,29 @@ class Grid:
 
     def synthesize_gradient(self, sym: SphereSymbol):
         """Tangential gradient samples (f_theta, f_phi_over_sin)."""
-        L = sym.L
         f_th = self._synth(sym.coeffs, deriv=True)
-        m = np.arange(-L, L + 1)
-        shape = (1, 2 * L + 1) + (1,) * len(sym.fast_shape)
-        c_phi = sym.coeffs * (1j * m).reshape(shape)
+        m = np.arange(-sym.M, sym.M + 1)
+        c_phi = sym.coeffs * (1j * m).reshape((1, -1) + (1,) * len(sym.fast_shape))
         f_ph = self._synth(c_phi, deriv=False)
         f_ph /= np.sin(self.theta).reshape((-1, 1) + (1,) * len(sym.fast_shape))
         return f_th, f_ph
 
     def analyze(self, samples: np.ndarray, L: int) -> SphereSymbol:
-        """Project grid samples onto Y_lm for l <= L (and |m| <= M)."""
+        """Project grid samples onto Y_lm for l <= L and |m| <= M: a symbol of
+        width M = min(L, the grid's azimuthal limit)."""
         samples = np.asarray(samples, dtype=complex)
         g = np.fft.fft(samples.reshape(self.n_theta, self.n_phi, -1), axis=1)
         g *= self.w_theta[:, None, None]
         mm = self._mmax(L)
         T = self._tab(L)[0][: L + 1, : mm + 1].transpose(1, 0, 2)  # [m, l, theta]
-        coeffs = np.zeros((L + 1, 2 * L + 1, g.shape[-1]), dtype=complex)
+        coeffs = np.zeros((L + 1, 2 * mm + 1, g.shape[-1]), dtype=complex)
         cf = coeffs.view(float).transpose(1, 0, 2)
         m = np.arange(mm + 1)
         gf = g.view(float)
-        np.matmul(T, gf[:, m % self.n_phi].transpose(1, 0, 2), out=cf[L : L + mm + 1])
-        np.matmul(T[1:], gf[:, -m[1:] % self.n_phi].transpose(1, 0, 2), out=cf[L - mm : L][::-1])
-        coeffs[:, L - mm : L][:, ::-2] *= -1  # P_l,-m = (-1)^m P_lm
-        return SphereSymbol(coeffs.reshape((L + 1, 2 * L + 1) + samples.shape[2:]))
+        np.matmul(T, gf[:, m % self.n_phi].transpose(1, 0, 2), out=cf[mm:])
+        np.matmul(T[1:], gf[:, -m[1:] % self.n_phi].transpose(1, 0, 2), out=cf[:mm][::-1])
+        coeffs[:, :mm][:, ::-2] *= -1  # P_l,-m = (-1)^m P_lm
+        return SphereSymbol(coeffs.reshape((L + 1, 2 * mm + 1) + samples.shape[2:]))
 
 
 @lru_cache(maxsize=None)

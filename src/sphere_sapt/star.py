@@ -39,6 +39,7 @@ from .fits import least_squares, loglog_slope
 from .sphere import (
     Grid,
     SphereSymbol,
+    _embed,
     _pointwise,
     angular_square,
     gradient_bilinears,
@@ -110,11 +111,12 @@ class SemiclassicalSymbol:
 
 
 def _combine(parts) -> SphereSymbol:
-    """Weighted sum of symbols with mixed band limits and one fast shape."""
-    L = max(s.L for _, s in parts)
-    out = np.zeros((L + 1, 2 * L + 1) + parts[0][1].fast_shape, dtype=complex)
+    """Weighted sum of symbols with mixed band limits and widths and one
+    fast shape, at the largest of each."""
+    L, M = max(s.L for _, s in parts), max(s.M for _, s in parts)
+    out = np.zeros((L + 1, 2 * M + 1) + parts[0][1].fast_shape, dtype=complex)
     for w, s in parts:
-        out += w * s.truncated(L).coeffs
+        out += w * _embed(s.coeffs, L, M)
     return SphereSymbol(out)
 
 
@@ -237,7 +239,8 @@ def calibrate_order1(two_j_list, corpus, product: str):
     """Fit the order-1 symmetric-part coefficients from exact star products.
 
     Richardson-extrapolates d (star_exact - fg) over the three largest
-    dimensions to isolate the true order-1 term, then least-squares fits it
+    dimensions (over both, a two-point extrapolation, when only two are
+    swept) to isolate the true order-1 term, then least-squares fits it
     over the ansatz {fg, (Lam f) g + f (Lam g), grad f . grad g}.  The
     antisymmetric Poisson part is held at the printed value i n.(f x g).
     product is "sw" (star_exact) or "berezin" (berezin_exact).  The corpus
@@ -262,7 +265,8 @@ def calibrate_order1(two_j_list, corpus, product: str):
 
     # Richardson through the three largest d: writing R_d = d (star - fg)
     # = T1 + T2/d + T3/d^2 + ..., the weights w_i with sum w_i = 1 and
-    # sum w_i d_i^{-1} = sum w_i d_i^{-2} = 0 recover T1 up to O(1/(d1 d2 d3))
+    # sum w_i d_i^{-1} = sum w_i d_i^{-2} = 0 recover T1 up to O(1/(d1 d2 d3));
+    # with two sizes only the first two conditions, up to O(1/(d1 d2))
     ds = d_list[-3:]
     V = np.vander(1.0 / ds, len(ds), increasing=True).T
     rhs = np.zeros(len(ds))

@@ -19,9 +19,12 @@ An operator has one layout here: its offset diagonals indexed by row, a
 (2K + 1, d) + fast array whose entry [K + a, r] is the matrix element
 (r, r + a).  quantize_diagonals and dequantize_diagonals map a symbol to
 that array and back, one matrix product per offset with the rows l <= L of
-its own block Q[|a|] of the tensor basis.  quantize_diagonals trims the
-array to the largest offset K the symbol carries, and neither map builds
-the block of an offset with no content.  The dense quantize and dequantize
+its own block Q[|a|] of the tensor basis, a real product on a float view
+of the complex band.  quantize_diagonals trims the array to the largest
+offset K the symbol carries, dequantize_diagonals returns a symbol of
+width min(K, L) for an array of 2K + 1 offsets (an operator on offsets
+|a| <= K has no tensor component at |m| > K), and neither map builds the
+block of an offset with no content.  The dense quantize and dequantize
 are a scatter and a gather of that array.  The kernel sampled on a grid is,
 per offset, a theta-profile on that offset's rows.  On a grid with more
 than 2L phi nodes every phi sum of two kernels pairs offset a with -a, so
@@ -117,41 +120,50 @@ def _span(d: int, m: int) -> slice:
     return slice(max(0, -m), d - max(0, m))
 
 
+def _floats(z: np.ndarray) -> np.ndarray:
+    """Rows of z, (n,) + rest complex, as an (n, 2 * rest) float view (a copy
+    only if z is strided), so that a real block multiplies it in one real
+    matmul instead of being copied to complex."""
+    return np.ascontiguousarray(z, dtype=complex).reshape(len(z), -1).view(float)
+
+
 def quantize_diagonals(sym: SphereSymbol, kernel: SWKernel) -> np.ndarray:
     """Offset diagonals of quantize(sym, kernel) indexed by row, shape
     (2K + 1, d) + the fast shape: entry [K + a, r] is the slow matrix
     element (r, r + a), zero where r + a leaves the matrix.
 
-    K is the largest offset |a| <= min(L_sym, L_kernel) whose coefficient
-    column is not all zero.  An offset with no content is left zero and
-    builds no block; each other one is a single product with the rows of
-    Q[|a|], so a symbol of band limit L costs O(d L^2) whatever the kernel.
+    K is the largest offset |a| <= min(L_kernel, M_sym) whose coefficient
+    column M_sym + a is not all zero.  An offset with no content is left
+    zero and builds no block; each other one is a single real product with
+    the rows of Q[|a|], so a symbol of band limit L and width M costs
+    O(d L M) whatever the kernel.
     """
-    d, L, fast = kernel.d, min(sym.L, kernel.L), sym.fast_shape
-    cols = {a: sym.coeffs[abs(a) : L + 1, sym.L + a].reshape(L + 1 - abs(a), -1) for a in range(-L, L + 1)}
+    d, L, W, fast = kernel.d, min(sym.L, kernel.L), sym.M, sym.fast_shape
+    cols = {a: sym.coeffs[abs(a) : L + 1, W + a] for a in range(-min(L, W), min(L, W) + 1)}
     cols = {a: b for a, b in cols.items() if np.any(b)}
     K = max(map(abs, cols), default=0)
     out = np.zeros((2 * K + 1, d) + fast, dtype=complex)
     pref = sqrt(d / (4 * pi))
     for a, b in cols.items():
-        diag = (_sign(a) * pref) * (kernel.block(a)[: L + 1 - abs(a)].T @ b)
-        out[K + a, _span(d, a)] = diag.reshape((d - abs(a),) + fast)
+        diag = kernel.block(a)[: L + 1 - abs(a)].T @ _floats(b)
+        out[K + a, _span(d, a)] = ((_sign(a) * pref) * diag).view(complex).reshape((d - abs(a),) + fast)
     return out
 
 
 def dequantize_diagonals(C: np.ndarray, kernel: SWKernel) -> SphereSymbol:
     """Band-L symbol of the operator whose offset diagonals, laid out as
     quantize_diagonals returns them, are C, for any number 2K + 1 of
-    offsets: its tensor components l <= L.  Offsets past L are projected
-    out, and an all-zero diagonal builds no block."""
+    offsets: its tensor components l <= L, at width min(K, L).  Offsets
+    past L are projected out, and an all-zero diagonal builds no block."""
     d, L, K, fast = kernel.d, kernel.L, len(C) // 2, C.shape[2:]
-    coeffs = np.zeros((L + 1, 2 * L + 1) + fast, dtype=complex)
+    W = min(K, L)
+    coeffs = np.zeros((L + 1, 2 * W + 1) + fast, dtype=complex)
     pref = sqrt(4 * pi / d)
-    for m in range(-min(K, L), min(K, L) + 1):
+    for m in range(-W, W + 1):
         band = C[K + m, _span(d, m)]
         if np.any(band):
-            b = (_sign(m) * pref) * (kernel.block(m) @ band.reshape(d - abs(m), -1))
-            coeffs[abs(m) :, L + m] = b.reshape((L + 1 - abs(m),) + fast)
+            b = kernel.block(m) @ _floats(band)
+            coeffs[abs(m) :, W + m] = ((_sign(m) * pref) * b).view(complex).reshape((L + 1 - abs(m),) + fast)
     return SphereSymbol(coeffs)
 
 

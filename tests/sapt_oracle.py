@@ -6,7 +6,10 @@ Hamiltonian (the package reads them off the M-sectors), the order-1 effective Ha
 from analytic theta-derivatives of u0, H0 and the band energy (the package
 forms the same block from synthesized symbols and their gradients), and
 the Egorov errors with every grid node flowed as a point (the package turns
-each theta ring as a phase on its phi harmonics)."""
+each theta ring as a phase on its phi harmonics), and for a spin-1/2 fast
+sector the exact band levels and the order-1 band symbol in closed form
+(the package solves 2 x 2 sector blocks and forms h1 from the star
+calculus)."""
 
 from __future__ import annotations
 
@@ -45,6 +48,48 @@ def heisenberg(hq: np.ndarray, oq: np.ndarray, s: float) -> np.ndarray:
     w, V = np.linalg.eigh(hq)
     U = (V * np.exp(1j * w * s)) @ V.conj().T
     return U @ oq @ U.conj().T
+
+
+def _N(x, lam):
+    """The band gap N at cos(theta) = x."""
+    return np.sqrt(lam**2 + (1 - lam) ** 2 + 2 * lam * (1 - lam) * x)
+
+
+def exact_band_levels(params: ModelParams, m: float):
+    """(M, E): the sector labels M = J3 + S3 and exact levels of band m, two_s = 1.
+
+    With x = 2M/d, every full sector M (|M| <= j - 1/2) holds E = +-N(x)/2 -
+    lam/(2d): its 2 x 2 block has mean -lam/(2d), half-difference ((1 - lam)
+    + lam x)/2 and coupling (lam/2) sqrt(1 - x^2), since the ladder factor
+    (i + 1)(2j - i) is d^2/4 - M^2.  The edge M = j + 1/2 sits at +N(1)/2 -
+    lam/(2d), an upper level; the edge M = -(j + 1/2) at (2 lam - 1)/2 -
+    lam/(2d), which is -N(-1)/2 - lam/(2d) for lam < 1/2 (a lower level) and
+    +N(-1)/2 - lam/(2d) for lam >= 1/2 (an upper level, so the upper band then
+    holds d + 1 levels and the lower d - 1).
+    """
+    if params.two_s != 1:
+        raise ValueError("closed-form levels implemented for two_s = 1")
+    d, lam = params.d_j, params.lam
+    upper = band_index(1, m) == 0
+    # twice M: the full sectors -d + 2 .. d - 2, the top edge d (upper) and the
+    # bottom edge -d (upper for lam >= 1/2, else lower)
+    two_M = np.arange(-d if upper == (lam >= 0.5) else -d + 2, (d if upper else d - 2) + 1, 2)
+    return two_M / 2, (1 if upper else -1) * _N(two_M / d, lam) / 2 - lam / (2 * d)
+
+
+def h1_spectral(params: ModelParams):
+    """The order-1 band symbol read off the exact levels, lam < 1/2, two_s = 1:
+    h1(theta) = (N'(cos theta) - lam) / 2 for both bands, N' = dN/dx =
+    lam (1 - lam) / N.  Band +-1/2 holds E(M = mu +- 1/2) for mu = -j..j, and
+    expanding +-N((2 mu +- 1)/d)/2 - lam/(2d) to order 1/d at x = 2 mu/d gives
+    m N(x) + (N'(x) - lam) / (2d)."""
+    lam = params.lam
+
+    def h1(theta):
+        N = gap_N(theta, lam)
+        return (lam * (1 - lam) / N - lam) / 2
+
+    return h1
 
 
 def h1_closed_form(params, m, cs, L) -> SphereSymbol:

@@ -2,7 +2,8 @@
 
 Associated Legendre tables by the (l, m) loop recurrence, and synthesis and
 analysis with the phi sum as a dense DFT einsum over a folded table
-Y[l, m+L, theta].  The package does the phi step as an FFT and the theta
+Y[l, m+L, theta], always at the full width 2L+1: a coefficient array of
+width M < L is zero-padded first (`full_width`).  The package does the phi step as an FFT and the theta
 step as one matmul per m; the tests compare both against these.  Point
 values of Y_lm and of a symbol anywhere on the sphere (the package samples
 symbols only at grid nodes) and the quadrature sum of a symbol's samples
@@ -43,6 +44,14 @@ def legendre_tables(L: int, x: np.ndarray):
     return P, dP
 
 
+def full_width(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients (L+1, 2M+1, *fast) of any width M <= L zero-padded to (L+1, 2L+1, *fast)."""
+    L, M = coeffs.shape[0] - 1, coeffs.shape[1] // 2
+    out = np.zeros((L + 1, 2 * L + 1) + coeffs.shape[2:], dtype=complex)
+    out[:, L - M : L + M + 1] = coeffs
+    return out
+
+
 def _fold(grid, L: int, deriv: bool = False) -> np.ndarray:
     """Table Y[l, m+L, itheta] of P_l|m| with the sign for negative m."""
     T = legendre_tables(L, grid.x)[deriv]
@@ -59,7 +68,8 @@ def _phase(grid, L: int) -> np.ndarray:
 
 
 def synthesize(grid, coeffs: np.ndarray, deriv: bool = False) -> np.ndarray:
-    """Samples (n_theta, n_phi, *fast) of coefficients (L+1, 2L+1, *fast)."""
+    """Samples (n_theta, n_phi, *fast) of coefficients (L+1, 2M+1, *fast)."""
+    coeffs = full_width(coeffs)
     L = coeffs.shape[0] - 1
     fm = np.einsum("lmt,lm...->mt...", _fold(grid, L, deriv), coeffs)
     return np.einsum("mt...,mp->tp...", fm, _phase(grid, L))
@@ -67,6 +77,7 @@ def synthesize(grid, coeffs: np.ndarray, deriv: bool = False) -> np.ndarray:
 
 def synthesize_gradient(grid, coeffs: np.ndarray):
     """(d/dtheta, (1/sin theta) d/dphi) samples."""
+    coeffs = full_width(coeffs)
     L = coeffs.shape[0] - 1
     f_th = synthesize(grid, coeffs, deriv=True)
     m = np.arange(-L, L + 1).reshape((1, -1) + (1,) * (coeffs.ndim - 2))
@@ -98,7 +109,7 @@ def synthesize_at(sym, theta, phi) -> np.ndarray:
     """A symbol's values at arbitrary points, shape (n_points, *fast)."""
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
-    return np.einsum("lmx,lm...->x...", _ylm(sym.L, theta, phi), sym.coeffs)
+    return np.einsum("lmx,lm...->x...", _ylm(sym.L, theta, phi), full_width(sym.coeffs))
 
 
 def integrate(grid, sym) -> complex:

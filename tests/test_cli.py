@@ -386,12 +386,12 @@ def test_model_commands_build_no_dense_operator(tmp_path, monkeypatch):
         (["bands", "--two-j", "10,10000000"], "band_spectrum_compare"),
         (["invariance-slopes", "--two-j", "10,10000000"], "almost_invariance_norms"),
         (["obstruction", "--two-j", "10000000"], "sector_spectrum"),
-        (["egorov", "--two-j", "10,10000"], "egorov_error"),
+        (["egorov", "--two-j", "10,20000"], "egorov_error"),
     ],
 )
 def test_model_commands_reject_sizes_beyond_physical_memory(argv, work, tmp_path, monkeypatch, capsys):
     # with 1 GiB: the sweeps hold ~1.2 kB per dimension (12 GB at d = 10^7),
-    # egorov ~64 d^2 B (6.4 GB at d = 10^4)
+    # egorov ~8 d^2 B, the cached Q[1] (3.2 GB at d = 2 10^4; 0.8 GB at 10^4 fits)
     monkeypatch.setattr(cli, "_physical_memory", lambda: 2**30)
     monkeypatch.setattr(cli, work, lambda *a, **k: pytest.fail("work started"))
     out = tmp_path / "out"
@@ -420,6 +420,8 @@ def test_model_commands_fit_their_defaults_in_a_gibibyte(tmp_path, monkeypatch):
         ["star-slopes", "--two-j", "640,1280,2560,5120", "--pairs", "40"],
         ["calibrate", "--two-j", "640,1280,2560,5120", "--pairs", "24"],
         ["kernel-check", "--two-j", "160"],
+        # the evolved symbol has width 1: what grows as d^2 is the cached Q[1] alone
+        ["egorov", "--two-j", "640,1280"],
     ],
 )
 def test_memory_counts_bound_the_measured_peak(argv, tmp_path, monkeypatch):

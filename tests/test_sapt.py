@@ -4,8 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from sapt_oracle import closed_form_hamiltonian, dense_spectrum, egorov_errors, hausdorff, heisenberg
-from sphere_oracle import synthesize_at
+from sapt_oracle import (
+    closed_form_hamiltonian,
+    dense_spectrum,
+    egorov_errors,
+    h1_closed_form,
+    h1_spectral,
+    hausdorff,
+    heisenberg,
+)
+from sphere_oracle import full_width, synthesize_at
 from star_oracle import CALIBRATED_BEREZIN, PRINTED_BEREZIN, bilinear_from_parts
 
 from sphere_sapt import sapt, swq
@@ -200,6 +208,38 @@ def test_effective_hamiltonian_two_paths_agree():
             assert float(np.max(np.abs(grid.synthesize(diff.truncated(24))))) < 1e-8, (m, cs.name)
 
 
+@pytest.mark.parametrize("m", [0.5, -0.5])
+def test_h1_is_the_order1_term_of_the_exact_levels(m):
+    # the closed-form levels give h1 = (N'(cos theta) - lam) / 2 for both
+    # bands; the star calculus and its analytic-derivative oracle agree with
+    # it to the truncation of the band limit.  |h1| reaches 0.033 here, so
+    # h1 = 0 fails the 1e-6 bound
+    p = ModelParams(10, 1, LAM)
+    theta = np.linspace(0.1, 3.0, 7)
+    want = h1_spectral(p)(theta)
+    assert np.max(np.abs(want)) > 3e-2
+    for h1 in (effective_hamiltonian(p, m, L=24).terms[1], h1_closed_form(p, m, CALIBRATED, 24)):
+        assert np.max(np.abs(synthesize_at(h1, theta, 0 * theta) - want)) < 1e-6
+
+
+@pytest.mark.parametrize("two_s", [1, 2])
+def test_band_symbols_carry_their_azimuthal_width(two_s):
+    # the band fields carry |m| <= two_s alone, and so do their symbols:
+    # 2 two_s + 1 coefficient columns at any band limit
+    p = ModelParams(10, two_s, LAM)
+    for m in np.arange(two_s, -two_s - 1, -2) / 2:
+        for series in (moyal_projection(p, m, L=16), effective_hamiltonian(p, m, L=16)):
+            for t in series.terms:
+                assert t.L == 16 and t.coeffs.shape[1] == 2 * two_s + 1, (m, t.coeffs.shape)
+
+
+def test_the_evolved_observable_has_width_one():
+    # n1 carries m = +-1, and the evolution multiplies its two diagonals by phases
+    h0 = effective_hamiltonian(ModelParams(10, 1, LAM), BAND).terms[0]
+    evolved = heisenberg_symbol(h0, vector_symbol_coeffs()[0], make_irrep(40), -20.5)
+    assert evolved.coeffs.shape == (41, 3)  # l <= 2j = 40, |m| <= 1
+
+
 def test_effective_hamiltonian_correction_vanishes_decoupled():
     p = ModelParams(10, 1, 0.0)
     h = closed_form_hamiltonian(p, BAND)
@@ -249,7 +289,8 @@ def test_symbols_on_the_covariant_grid_equal_the_full_grid(monkeypatch, two_s, l
     monkeypatch.setattr(sapt, "_symbol_grid", lambda L_exact, two_s: make_grid(L_exact))
     full = _band_symbols(two_s, lam, cs)
     for got, want in zip(reduced, full, strict=True):
-        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+        assert got.shape[1] == 2 * two_s + 1 and want.shape[1] == 2 * 8 + 1
+        assert np.max(np.abs(full_width(got) - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_projection_at_band_limit_96_in_little_memory():
@@ -402,7 +443,7 @@ def test_egorov_diagonal_phase_matches_eigh_propagator():
             ker = SWKernel(make_irrep(two_j))
             s = EGOROV_TIME_SIGN * (two_j + 1) / 2 * 1.0
             want = dequantize(heisenberg(quantize(h0, ker), quantize(o0, ker), s), ker).coeffs
-            got = heisenberg_symbol(h0, o0, make_irrep(two_j), s).coeffs
+            got = full_width(heisenberg_symbol(h0, o0, make_irrep(two_j), s).coeffs)
             assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want)), two_j
 
 
@@ -415,7 +456,7 @@ def test_egorov_oracle_catches_a_reversed_phase(monkeypatch):
     want = dequantize(heisenberg(quantize(h0, ker), quantize(o0, ker), s), ker).coeffs
     diagonals = swq.quantize_diagonals
     monkeypatch.setattr(sapt, "quantize_diagonals", lambda sym, k: (-1 if sym is h0 else 1) * diagonals(sym, k))
-    got = heisenberg_symbol(h0, o0, make_irrep(40), s).coeffs
+    got = full_width(heisenberg_symbol(h0, o0, make_irrep(40), s).coeffs)
     assert np.max(np.abs(got - want)) > 1e-2 * np.max(np.abs(want))
 
 

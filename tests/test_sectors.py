@@ -10,7 +10,8 @@ diagonal read at the wrong offset) fails it.
 
 import numpy as np
 import pytest
-from sapt_oracle import dense_invariance_norm, dense_spectrum
+from sapt_oracle import dense_invariance_norm, dense_spectrum, exact_band_levels
+from sphere_oracle import full_width
 
 from sphere_sapt import model, sapt
 from sphere_sapt.model import ModelParams, build_hamiltonian, sector_blocks, sector_spectrum
@@ -53,6 +54,24 @@ def test_sector_blocks_rebuild_the_dense_hamiltonian(two_j, lam):
 @pytest.mark.parametrize("lam", [0.2, 0.8])
 def test_sector_spectrum_matches_eigvalsh(two_j, lam):
     assert _spectrum_error(ModelParams(two_j, 1, lam)) < 1e-12
+
+
+@pytest.mark.parametrize("two_j", [2, 7, 40, 1001, 10**5])
+@pytest.mark.parametrize("lam", [0.2, 0.5, 0.8])
+def test_sector_spectrum_is_the_closed_form_band_levels(two_j, lam):
+    p = ModelParams(two_j, 1, lam)
+    (M_up, up), (M_low, low) = (exact_band_levels(p, m) for m in (0.5, -0.5))
+    # the bottom edge changes band at lam = 1/2: ranks d + 1 and d - 1 from there on
+    assert (len(up), len(low)) == ((p.d_j + 1, p.d_j - 1) if lam >= 0.5 else (p.d_j, p.d_j))
+    # every full sector |M| <= j - 1/2 gives one level to each band, each edge M = +-(j + 1/2) one
+    full = np.arange(-p.d_j + 2, p.d_j - 1, 2) / 2
+    assert np.array_equal(np.sort(np.r_[M_up, M_low]), np.sort(np.r_[full, full, -p.d_j / 2, p.d_j / 2]))
+    got, want = np.sort(sector_spectrum(p)), np.sort(np.r_[up, low])
+    assert np.max(np.abs(got - want)) < 1e-15
+    if lam != 0.5 and two_j > 2:  # the clusters are the labelled bands, level for level
+        upper, lower = sapt.exact_band_projection(sector_spectrum(p), 2)
+        assert np.max(np.abs(upper.eigenvalues - np.sort(up))) < 1e-15
+        assert np.max(np.abs(lower.eigenvalues - np.sort(low))) < 1e-15
 
 
 def test_perturbed_sectors_fail_the_spectrum_oracle(monkeypatch):
@@ -123,7 +142,7 @@ def test_spectral_norms_of_2x2_blocks_in_closed_form():
 def test_content_off_the_sectors_is_refused():
     p = ModelParams(10, 1, 0.2)
     sym = _projections()[0.2].evaluate(p.d_j, 1)
-    c = sym.coeffs.copy()
+    c = full_width(sym.coeffs)  # the band symbol has width 1: pad it to hold m = 2
     c[3, sym.L + 2, 0, 0] = 1e-9 * np.max(np.abs(c))  # entry (+, +) may carry m = 0 only
     with pytest.raises(ArithmeticError, match="off the M-sectors"):
         sector_commutator_norm(p, SphereSymbol(c))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from model_oracle import node_normals
 
+from sphere_sapt.spin import make_irrep
 from sphere_sapt.sphere import (
     Grid,
     SphereSymbol,
@@ -21,6 +22,8 @@ from sphere_sapt.sphere import (
     make_grid,
     vector_symbol_coeffs,
 )
+from sphere_sapt.star import _combine
+from sphere_sapt.swq import SWKernel, quantize_diagonals
 
 
 def _random_symbol(L, rng, fast=()):
@@ -182,7 +185,7 @@ def test_ylm_at_against_closed_forms():
 
 def test_hermiticity_residual_sees_one_perturbed_coefficient():
     sigma_x = np.array([[0, 1], [1, 0]])
-    n1, n2 = (s.truncated(2) for s in vector_symbol_coeffs()[:2])
+    n1, n2 = (SphereSymbol(oracle.full_width(s.truncated(2).coeffs)) for s in vector_symbol_coeffs()[:2])
     for c in (n1.coeffs, n2.coeffs[..., None, None] * sigma_x):
         assert SphereSymbol(c).hermiticity_residual() < 1e-15
         c = c.copy()
@@ -205,7 +208,7 @@ def test_stack_pads_its_members_to_the_largest_band_limit():
     batch = SphereSymbol.stack(members)
     assert batch.L == 3 and batch.fast_shape == (3,) and batch.is_scalar
     for p, sym in enumerate(members):
-        assert np.array_equal(batch.coeffs[..., p], sym.truncated(3).coeffs)
+        assert np.array_equal(batch.coeffs[..., p], oracle.full_width(sym.truncated(3).coeffs))
 
 
 # -- the FFT / per-m matmul transforms against the dense-DFT oracle ----------
@@ -331,7 +334,8 @@ def test_m_limited_grid_transforms_match_dense_oracle(L, M, fast):
     for got, want in zip(grid.synthesize_gradient(sym), oracle.synthesize_gradient(grid, sym.coeffs)):
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))  # d/dphi = 0 at M = 0
     back = grid.analyze(samples, L).coeffs
-    assert _rel(back, sym.coeffs) < 1e-12
+    assert back.shape[1] == 2 * min(L, M) + 1
+    assert _rel(oracle.full_width(back), sym.coeffs) < 1e-12
 
 
 def test_m_limited_grid_refuses_content_it_would_alias():
@@ -345,3 +349,58 @@ def test_m_limited_grid_refuses_content_it_would_alias():
             grid.synthesize_gradient(SphereSymbol(c))
         c[2, 2 + m] = 0
         assert np.max(np.abs(grid.synthesize(SphereSymbol(c)))) == 0
+    # a symbol of width 2 is refused for its content at |m| = 2, not for its width
+    narrow = _narrow_symbol(6, 2, np.random.default_rng(4), (2, 2))
+    with pytest.raises(ValueError, match=r"\|m\| > 1"):
+        grid.synthesize(narrow)
+    c = narrow.coeffs.copy()
+    c[:, [0, 4]] = 0
+    assert _rel(grid.synthesize(SphereSymbol(c)), oracle.synthesize(grid, c)) < 1e-12
+
+
+# -- symbols of width M < L ----------------------------------------------------
+
+
+def _narrow_symbol(L, M, rng, fast=()):
+    """A random band-L symbol of width M (entries |m| > l zero)."""
+    return SphereSymbol(_random_symbol(L, rng, fast).coeffs[:, L - M : L + M + 1].copy())
+
+
+def _same(a, b):
+    """The two symbols hold the same floats once both are at full width."""
+    return np.array_equal(oracle.full_width(a.coeffs), oracle.full_width(b.coeffs))
+
+
+@pytest.mark.parametrize("L, M, fast", [(6, 1, ()), (6, 2, (2, 2)), (5, 0, ()), (4, 4, ())])
+def test_a_narrow_symbol_acts_as_its_full_width_copy(L, M, fast):
+    # every map that reads a coefficient array gives the same floats for a
+    # symbol of width M and for its zero-padded copy of width L
+    rng = np.random.default_rng(10 * L + M)
+    narrow = _narrow_symbol(L, M, rng, fast)
+    full = SphereSymbol(oracle.full_width(narrow.coeffs))
+    assert narrow.coeffs.shape[1] == 2 * M + 1 and narrow.M == M and full.M == L
+    other = _narrow_symbol(L + 2, 1, rng, fast)
+    for grid in (make_grid(2 * L), Grid(2 * L, max(M, 1))):
+        a, b = grid.synthesize(narrow), grid.synthesize(full)
+        assert np.array_equal(a, b)
+        for x, y in zip(grid.synthesize_gradient(narrow), grid.synthesize_gradient(full)):
+            assert np.array_equal(x, y)
+        back = grid.analyze(a, L)
+        assert np.array_equal(back.coeffs, grid.analyze(b, L).coeffs)
+        assert back.M == (L if grid.M is None else min(L, grid.M))
+    for kernel_L in (None, L - 1):
+        ker = SWKernel(make_irrep(2 * L), kernel_L)
+        assert np.array_equal(quantize_diagonals(narrow, ker), quantize_diagonals(full, ker))
+    assert narrow.hermiticity_residual() == full.hermiticity_residual()
+    for L_new in (L + 2, L, L - 1, M, 0):
+        cut = narrow.truncated(L_new)
+        assert cut.M == min(L_new, M)
+        assert _same(cut, full.truncated(L_new))
+    parts = [(0.5, narrow), (-0.25, other)]
+    got = _combine(parts)
+    assert got.L == L + 2 and got.M == max(M, 1)
+    assert _same(got, _combine([(0.5, full), (-0.25, other)]))
+    if not fast:
+        got = SphereSymbol.stack([narrow, other])
+        assert got.L == L + 2 and got.M == max(M, 1)
+        assert _same(got, SphereSymbol.stack([full, other]))

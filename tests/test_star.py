@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from star_oracle import CALIBRATED_BEREZIN, PRINTED_BEREZIN, berezin_dense, star_dense, truncation
+from sphere_oracle import full_width
 from swq_oracle import raise_lower_symbol
 
 from sphere_sapt import star
@@ -71,9 +72,9 @@ def test_exact_products_stop_at_the_coupling_band(two_j):
         assert got.L == L
         assert np.max(np.abs(got.coeffs - want.truncated(L).coeffs)) < 1e-13
         assert np.max(np.abs(want.coeffs[L + 1 :]), initial=0.0) < 1e-13
-    # one band short misses the top row of the product
+    # one band short misses the top row of the product (and, at width L - 1, its columns |m| = L)
     for short, want in zip(products(SWKernel(ir, L - 1)), full):
-        assert np.max(np.abs(short.truncated(L).coeffs - want.truncated(L).coeffs)) > 1e-2
+        assert np.max(np.abs(full_width(short.truncated(L).coeffs) - want.truncated(L).coeffs)) > 1e-2
 
 
 def _factor_bands(two_j):

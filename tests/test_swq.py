@@ -6,7 +6,7 @@ from random import Random
 import numpy as np
 import pytest
 from cg_oracle import clebsch_gordan
-from sphere_oracle import synthesize_at
+from sphere_oracle import full_width, synthesize_at
 from spin_oracle import coherent_state
 import swq_oracle
 from swq_oracle import kernel_samples, raise_lower_symbol
@@ -41,7 +41,9 @@ def _random_symbol(L, rng, fast=()):
 def test_each_diagonal_alone_is_that_of_the_operator(fast, kernel_L):
     # quantize scatters the diagonal array and dequantize gathers it, so the
     # array holds the operator's diagonals as the same floats, rows past
-    # the matrix zero, and dequantize_diagonals is dequantize
+    # the matrix zero, and dequantize_diagonals is dequantize (at width
+    # L = 5, the offsets the array holds; the gather of the full kernel
+    # holds 2 two_j + 1, the extra ones zero)
     two_j, L = 12, 5
     sym = _random_symbol(L, np.random.default_rng(8), fast)
     ker = SWKernel(make_irrep(two_j), kernel_L)
@@ -56,7 +58,9 @@ def test_each_diagonal_alone_is_that_of_the_operator(fast, kernel_L):
         want[r] = A4[r, :, r + a, :].reshape((len(r),) + fast)
         assert np.array_equal(D[L + a], want), a
     back = dequantize(A, ker, fast_dim=fast[0] if fast else None)
-    assert np.array_equal(dequantize_diagonals(D, ker).coeffs, back.coeffs)
+    got = dequantize_diagonals(D, ker).coeffs
+    assert got.shape[1] == 2 * L + 1
+    assert np.array_equal(full_width(got), full_width(back.coeffs))
 
 
 @pytest.mark.parametrize("two_j", [1, 3])
