@@ -28,7 +28,6 @@ __all__ = [
     "band_index",
     "build_hamiltonian",
     "sector_blocks",
-    "sector_spectrum",
     "hamiltonian_symbol",
     "gap_N",
     "tilt_angles",
@@ -116,15 +115,6 @@ def sector_blocks(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     c = lam / d * np.sqrt((i + 1) * (two_j - i))
     blocks = np.stack([np.stack([up[1:], c], axis=-1), np.stack([c, down[:-1]], axis=-1)], axis=-2)
     return blocks, np.array([up[0], down[-1]])
-
-
-def sector_spectrum(params: ModelParams) -> np.ndarray:
-    """The 2d eigenvalues of H (unsorted): both eigenvalues of every 2 x 2
-    sector block in closed form, then the two edge sectors."""
-    blocks, edges = sector_blocks(params)
-    a, b, c = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 0, 1]
-    mean, radius = (a + b) / 2, np.hypot((a - b) / 2, c)
-    return np.concatenate([mean + radius, mean - radius, edges])
 
 
 def hamiltonian_symbol(params: ModelParams) -> SphereSymbol:

@@ -12,15 +12,15 @@ take a CoefficientSet so the printed and calibrated expansions can be
 compared downstream.
 
 The operator side of the checks works on the sectors of M = J3 (x) 1 +
-1 (x) S3, which H and every quantized band symbol conserve: the exact
-spectrum, the invariance norm and the Heisenberg evolution read a few
-diagonals of each operator, O(d L) (Egorov: O(d^3)) instead of dense
-2d x 2d algebra and eigensolvers.
+1 (x) S3, which H and every quantized band symbol conserve.  The sectors
+say which band each exact level is in (exact_band_projection, O(d)), and
+the invariance norm and the Heisenberg evolution read a few diagonals of
+each operator, O(d L) (Egorov: O(d^3)) instead of dense 2d x 2d algebra
+and eigensolvers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,7 +33,6 @@ from .model import (
     hamiltonian_symbol,
     principal_bands,
     sector_blocks,
-    sector_spectrum,
 )
 from .sphere import Grid, SphereSymbol, make_grid
 from .spin import SpinIrrep
@@ -42,8 +41,6 @@ from .swq import SWKernel, dequantize_diagonals, quantize_diagonals
 
 __all__ = [
     "BAND_LIMIT",
-    "BandCluster",
-    "BandSplitError",
     "moyal_projection",
     "sector_commutator_norm",
     "almost_invariance_norms",
@@ -144,6 +141,17 @@ def _check_sectors(sym: SphereSymbol, what: str) -> None:
         raise ArithmeticError(f"{what} has content {outside:.3g} off the M-sectors; its operator is not sector-diagonal")
 
 
+def _sector_diagonal(sym: SphereSymbol, irrep: SpinIrrep, what: str) -> np.ndarray:
+    """The diagonal of quantize(sym) for a scalar symbol that conserves M.
+
+    Once _check_sectors accepts sym, its m = 0 column alone is quantized:
+    the round-off it allows at m != 0 would build rows of Q[1] that the
+    diagonal never reads.
+    """
+    _check_sectors(sym, what)
+    return quantize_diagonals(SphereSymbol(sym.coeffs[:, sym.M : sym.M + 1]), SWKernel(irrep, sym.L))[0].real
+
+
 def _spectral_norms(C: np.ndarray) -> np.ndarray:
     """Largest singular value of each 2 x 2 matrix C[i], in closed form.
 
@@ -209,43 +217,24 @@ def almost_invariance_norms(
     }
 
 
-class BandSplitError(ArithmeticError, ValueError):
-    """The exact spectrum does not split into separated band clusters.
+def exact_band_projection(params: ModelParams) -> dict[float, np.ndarray]:
+    """The exact levels of H by band, {+1/2: upper, -1/2: lower}; fast spin 1/2, O(d).
 
-    A failed computation, hence an ArithmeticError; also a ValueError, so
-    callers that treat the spectrum as unusable input still catch it (the
-    pattern of numpy's AxisError, both a ValueError and an IndexError).
+    The M-sectors label every level: each 2 x 2 block of model.sector_blocks
+    gives its upper eigenvalue, mean + radius in closed form, to band +1/2
+    and its lower one to band -1/2.  The top edge (0, +) is an upper level;
+    the bottom edge (d - 1, -), at (2 lam - 1)/2 - lam/(2d), is one for
+    lam >= 1/2 and a lower level below, so in the topological phase the
+    upper band holds d + 1 levels and the lower d - 1.  Each band's levels
+    come in order of decreasing M.
     """
-
-
-@dataclass
-class BandCluster:
-    m: float
-    eigenvalues: np.ndarray
-    rank: int
-
-
-def exact_band_projection(spectrum: np.ndarray, d_s: int):
-    """Cluster an exact spectrum of H into d_s bands (highest band first).
-
-    Splits the sorted spectrum at the d_s - 1 largest gaps; demands they
-    exceed 3 times the largest intra-cluster gap.
-    """
-    w = np.sort(spectrum)
-    if d_s == 1:
-        return [BandCluster(0.0, w, len(w))]
-    gaps = np.diff(w)
-    cut_pos = np.sort(np.argsort(gaps)[-(d_s - 1):])
-    intra = np.delete(gaps, cut_pos)
-    if len(intra) and np.min(gaps[cut_pos]) < 3.0 * np.max(intra):
-        raise BandSplitError("spectral clusters not separated; no clean band split")
-    bounds = [0] + list(cut_pos + 1) + [len(w)]
-    s = (d_s - 1) / 2
-    out = []
-    for b in range(d_s):  # highest energy first <-> m = s, s-1, ...
-        lo, hi = bounds[d_s - 1 - b], bounds[d_s - b]
-        out.append(BandCluster(s - b, w[lo:hi], int(hi - lo)))
-    return out
+    blocks, (top, bottom) = sector_blocks(params)
+    a, b, c = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 0, 1]
+    mean, radius = (a + b) / 2, np.hypot((a - b) / 2, c)
+    upper, lower = np.r_[top, mean + radius], mean - radius
+    if params.lam >= 0.5:
+        return {0.5: np.r_[upper, bottom], -0.5: lower}
+    return {0.5: upper, -0.5: np.r_[lower, bottom]}
 
 
 # -- effective Hamiltonian ---------------------------------------------------
@@ -312,23 +301,19 @@ def band_spectrum_compare(
     cs: CoefficientSet = CALIBRATED,
     L: int = BAND_LIMIT,
 ):
-    """Hausdorff distance between exact band clusters and effective spectra; fast spin 1/2.
+    """Hausdorff distance between the exact levels of band m and its effective spectrum; fast spin 1/2.
 
-    The exact spectrum comes from the M-sectors of H (model.sector_spectrum).
-    The effective series is truncated at `order`; its symbol is axisymmetric,
-    so its operator is diagonal in the J3 basis and its spectrum is the
-    offset-0 diagonal.  O(d L) per dimension.
+    The exact levels are those the M-sectors label as band m
+    (exact_band_projection).  The effective series is truncated at
+    `order`; its symbol is axisymmetric, so its operator is diagonal in the
+    J3 basis and its spectrum is that diagonal.  O(d L) per dimension.
     """
     dists = []
     h = effective_hamiltonian(ModelParams(two_j_list[0], 1, lam), m, cs=cs, L=L)
     for two_j in two_j_list:
         params = ModelParams(two_j, 1, lam)
-        sym = h.evaluate(params.d_j, order)
-        _check_sectors(sym, "the effective symbol")
-        D = quantize_diagonals(sym, SWKernel(params.slow, sym.L))
-        eff = D[len(D) // 2].real
-        cluster = exact_band_projection(sector_spectrum(params), params.d_s)
-        dists.append(_hausdorff(cluster[band_index(1, m)].eigenvalues, eff))
+        eff = _sector_diagonal(h.evaluate(params.d_j, order), params.slow, "the effective symbol")
+        dists.append(_hausdorff(exact_band_projection(params)[m], eff))
     return {
         "hausdorff": dists,
         "fit": loglog_slope([t + 1 for t in two_j_list], dists),
@@ -363,9 +348,7 @@ def heisenberg_symbol(h0: SphereSymbol, o0: SphereSymbol, irrep: SpinIrrep, s: f
     memory, O(d^3) work, for any o0 of band limit 1), never the full
     tensor basis.
     """
-    _check_sectors(h0, "h0")
-    W = quantize_diagonals(h0, SWKernel(irrep, h0.L))
-    w = W[len(W) // 2].real
+    w = _sector_diagonal(h0, irrep, "h0")
     ker = SWKernel(irrep)
     D = quantize_diagonals(o0, ker)
     K = len(D) // 2

@@ -1,15 +1,17 @@
 """Oracles for the tests: the Hausdorff distance from the full distance
-matrix (the package finds each nearest point by a sorted merge), the
-Heisenberg conjugation through eigh (the package uses that quantize(h0) is
-diagonal), the spectrum and the invariance norm from the dense 2d x 2d
-Hamiltonian (the package reads them off the M-sectors), the order-1 effective Hamiltonian of a spin-1/2 fast sector
-from analytic theta-derivatives of u0, H0 and the band energy (the package
-forms the same block from synthesized symbols and their gradients), and
-the Egorov errors with every grid node flowed as a point (the package turns
-each theta ring as a phase on its phi harmonics), and for a spin-1/2 fast
-sector the exact band levels and the order-1 band symbol in closed form
-(the package solves 2 x 2 sector blocks and forms h1 from the star
-calculus)."""
+matrix (the package finds each nearest point by a sorted merge), the band
+clusters of a spectrum split at its largest gaps (the package labels each
+exact level by its M-sector), the Heisenberg conjugation through eigh (the
+package uses that quantize(h0) is diagonal), the spectrum and the
+invariance norm from the dense 2d x 2d Hamiltonian (the package reads them
+off the M-sectors), the order-1 effective Hamiltonian of a spin-1/2 fast
+sector from analytic theta-derivatives of u0, H0 and the band energy (the
+package forms the same block from synthesized symbols and their
+gradients), and the Egorov errors with every grid node flowed as a point
+(the package turns each theta ring as a phase on its phi harmonics), and
+for a spin-1/2 fast sector the exact band levels and the order-1 band
+symbol in closed form (the package solves 2 x 2 sector blocks and forms h1
+from the star calculus)."""
 
 from __future__ import annotations
 
@@ -34,6 +36,24 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 def dense_spectrum(params: ModelParams) -> np.ndarray:
     """Sorted eigenvalues of the dense Hamiltonian, any fast spin."""
     return np.linalg.eigvalsh(build_hamiltonian(params))
+
+
+def band_clusters(spectrum: np.ndarray, d_s: int) -> dict[float, np.ndarray]:
+    """{m: sorted levels}, highest band first: the spectrum of H split at its
+    d_s - 1 largest gaps, any fast spin (the package labels each level by
+    its M-sector instead).
+
+    ValueError unless each gap exceeds 3 times the largest spacing inside a
+    cluster: near the gap closing the clusters do not separate.
+    """
+    w = np.sort(spectrum)
+    gaps = np.diff(w)
+    cuts = np.sort(np.argsort(gaps)[len(gaps) - d_s + 1 :])
+    intra = np.delete(gaps, cuts)
+    if len(intra) and len(cuts) and gaps[cuts].min() < 3.0 * intra.max():
+        raise ValueError("spectral clusters not separated; no clean band split")
+    clusters = np.split(w, cuts + 1)[::-1]  # highest energy first <-> m = s, s - 1, ...
+    return {(d_s - 1) / 2 - k: c for k, c in enumerate(clusters)}
 
 
 def dense_invariance_norm(params: ModelParams, sym: SphereSymbol) -> float:

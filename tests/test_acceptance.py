@@ -9,7 +9,7 @@ the individual check.
 
 import numpy as np
 from model_oracle import exact_symbol_field, gap_profile, lower_hamiltonian_symbol_field
-from sapt_oracle import closed_form_hamiltonian
+from sapt_oracle import band_clusters, closed_form_hamiltonian
 from star_oracle import CALIBRATED_BEREZIN
 
 from sphere_sapt.berry import chern_analytic, chern_plaquette
@@ -18,7 +18,6 @@ from sphere_sapt.model import (
     ModelParams,
     build_hamiltonian,
     gap_N,
-    sector_spectrum,
 )
 from sphere_sapt.sapt import (
     almost_invariance_norms,
@@ -218,14 +217,17 @@ def test_acceptance_08_chern_integers():
 
 def test_acceptance_09_topological_obstruction():
     # exact band ranks d_j + 2m in the topological phase versus reference
-    # rank d_j; note the ordering: the upper band (m = +1/2) is the larger one
+    # rank d_j, from the M-sector labels and confirmed by the gap clusters of
+    # the spectrum; note the ordering: the upper band (m = +1/2) is the larger one
     ok = True
     p = ModelParams(8, 1, 0.8)
-    clusters = exact_band_projection(sector_spectrum(p), 2)
-    ranks = {c.m: c.rank for c in clusters}
+    bands = exact_band_projection(p)
+    ranks = {m: len(levels) for m, levels in bands.items()}
     ok = ok and ranks == {0.5: p.d_j + 1, -0.5: p.d_j - 1}
+    clusters = band_clusters(np.concatenate(list(bands.values())), 2)
+    ok = ok and all(np.array_equal(clusters[m], np.sort(levels)) for m, levels in bands.items())
     p2 = ModelParams(2, 1, 1.0)
-    r2 = tuple(c.rank for c in exact_band_projection(sector_spectrum(p2), 2))
+    r2 = tuple(map(len, exact_band_projection(p2).values()))
     ok = ok and r2 == (4, 2)
     _report(9, f"band ranks {ranks} vs reference {p.d_j}; mismatch exact", ok)
 

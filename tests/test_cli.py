@@ -321,6 +321,23 @@ def test_symbol_hermiticity_is_recorded_per_order(name, build, tmp_path):
         assert got["order0"] == 0.0 < got["order1"]
 
 
+def test_obstruction_inside_the_gapped_phase(tmp_path):
+    # at lam = 0.45 the levels cluster by no gap below two_j = 32; the
+    # M-sectors label them at every size
+    assert main(["obstruction", "--lambda", "0.45", "--out", str(tmp_path)]) == 0
+    rows = [r.split(",") for r in (tmp_path / "obstruction.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [("0.5", "9"), ("-0.5", "9")]
+
+
+def test_bands_inside_the_gapped_phase_fail_their_gates(tmp_path, capsys):
+    # at its default sizes two_j <= 80 lam = 0.45 is pre-asymptotic: the
+    # slopes miss their gates, which is a failed check and writes both files
+    assert main(["bands", "--lambda", "0.45", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "bands.json").read_text())
+    assert (tmp_path / "bands.csv").exists() and not any(c["pass"] for c in summary["checks"])
+
+
 def test_obstruction_at_two_j_10_5(tmp_path):
     assert main(["obstruction", "--lambda", "0.8", "--two-j", "100000", "--out", str(tmp_path)]) == 0
     rows = [r.split(",") for r in (tmp_path / "obstruction.csv").read_text().splitlines()[1:]]
@@ -385,7 +402,7 @@ def test_model_commands_build_no_dense_operator(tmp_path, monkeypatch):
     [
         (["bands", "--two-j", "10,10000000"], "band_spectrum_compare"),
         (["invariance-slopes", "--two-j", "10,10000000"], "almost_invariance_norms"),
-        (["obstruction", "--two-j", "10000000"], "sector_spectrum"),
+        (["obstruction", "--two-j", "10000000"], "exact_band_projection"),
         (["egorov", "--two-j", "10,20000"], "egorov_error"),
     ],
 )
@@ -466,7 +483,6 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
         pytest.param(["bands", "--band", "0.7"], 2, id="argv1-2"),  # not a band label of s = 1/2
         pytest.param(["bands", "--band", "5"], 2, id="argv2-2"),
         pytest.param(["invariance-slopes", "--band", "0.7", "--two-j", "10,20"], 2, id="argv3-2"),  # not snapped to 0.5
-        pytest.param(["bands", "--lambda", "0.45", "--two-j", "10,20"], 1, id="argv4-1"),  # clusters do not separate
         pytest.param(["gap", "--config", "misspelled.cfg"], 2, id="argv5-2"),  # unknown config key
         pytest.param(["chern", "--lambda", "0.5"], 2, id="argv6-2"),  # gap closing
         pytest.param(["gap", "--lambdas", "0.2,nan"], 2, id="argv7-2"),  # non-finite input
@@ -493,6 +509,7 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
         pytest.param(["bands", "--two-j", "10,10,20"], 2, id="argv28-2"),  # d = 11 written and fitted twice
         pytest.param(["egorov", "--two-j", "20,10,20"], 2, id="argv29-2"),
         pytest.param(["kernel-check", "--two-j", "2,2"], 2, id="argv30-2"),  # the rows of two_j = 2 twice
+        pytest.param(["obstruction", "--lambda", "0.5"], 2, id="argv31-2"),  # no Chern number to compare with
     ],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, argv, want):
@@ -531,6 +548,7 @@ _CAUSES = {
     ("chern", "--two-s", "-1"): "two_s must be >= 0, got -1",
     ("egorov", "--time", "0"): "--time must be nonzero",
     ("egorov", "--observable", "n3"): "unknown observable 'n3'",
+    ("obstruction", "--lambda", "0.5"): "Chern number undefined at the gap closing",
 }
 
 

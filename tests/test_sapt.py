@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from sapt_oracle import (
+    band_clusters,
     closed_form_hamiltonian,
     dense_spectrum,
     egorov_errors,
@@ -16,12 +17,11 @@ from sapt_oracle import (
 from sphere_oracle import full_width, synthesize_at
 from star_oracle import CALIBRATED_BEREZIN, PRINTED_BEREZIN, bilinear_from_parts
 
-from sphere_sapt import sapt, swq
+from sphere_sapt import sapt, spin, swq
 from sphere_sapt.fits import loglog_slope
-from sphere_sapt.model import ModelParams, gap_N, hamiltonian_symbol, principal_bands, sector_spectrum
+from sphere_sapt.model import ModelParams, gap_N, hamiltonian_symbol, principal_bands
 from sphere_sapt.sapt import (
     EGOROV_TIME_SIGN,
-    BandSplitError,
     almost_invariance_norms,
     band_spectrum_compare,
     classical_flow,
@@ -114,44 +114,60 @@ def test_almost_invariance_slopes():
 def test_exact_band_ranks_shifted_in_topological_phase():
     for two_j, lam, want in [(10, 0.8, (12, 10)), (6, 0.8, (8, 6)), (2, 1.0, (4, 2))]:
         p = ModelParams(two_j, 1, lam)
-        clusters = exact_band_projection(sector_spectrum(p), 2)
-        ranks = tuple(c.rank for c in clusters)
+        bands = exact_band_projection(p)
+        assert list(bands) == [0.5, -0.5]
+        ranks = tuple(map(len, bands.values()))
         assert ranks == want
-        assert clusters[0].m == 0.5 and clusters[1].m == -0.5
         # mismatch with the reference dimension d_j, asserted exactly
         assert ranks[0] == p.d_j + 1 and ranks[1] == p.d_j - 1
 
 
 def test_exact_band_ranks_trivial_phase():
     p = ModelParams(10, 1, 0.2)
-    clusters = exact_band_projection(sector_spectrum(p), 2)
-    assert tuple(c.rank for c in clusters) == (p.d_j, p.d_j)
+    assert tuple(map(len, exact_band_projection(p).values())) == (p.d_j, p.d_j)
 
 
 def test_band_ranks_higher_spin():
     p = ModelParams(10, 2, 0.8)
-    clusters = exact_band_projection(dense_spectrum(p), 3)
-    assert tuple(c.rank for c in clusters) == (13, 11, 9)
+    clusters = band_clusters(dense_spectrum(p), 3)
+    assert list(clusters) == [1.0, 0.0, -1.0]
+    assert tuple(map(len, clusters.values())) == (13, 11, 9)
 
 
 @pytest.mark.parametrize("two_j, two_s, lam", [(10, 1, 0.2), (10, 1, 0.8), (10, 2, 0.8), (6, 0, 0.3)])
 def test_band_clusters_partition_the_spectrum(two_j, two_s, lam):
     w = dense_spectrum(ModelParams(two_j, two_s, lam))
-    clusters = exact_band_projection(w[::-1], two_s + 1)  # any order
-    got = np.concatenate([c.eigenvalues for c in clusters[::-1]])
+    clusters = band_clusters(w[::-1], two_s + 1)  # any order
+    got = np.concatenate(list(clusters.values())[::-1])
     assert np.array_equal(got, w)
 
 
 def test_band_split_fails_at_degeneracy():
     p = ModelParams(8, 1, 0.5)
-    with pytest.raises(ValueError):
-        exact_band_projection(sector_spectrum(p), 2)
+    with pytest.raises(ValueError, match="not separated"):
+        band_clusters(np.concatenate(list(exact_band_projection(p).values())), 2)
 
 
-def test_band_split_failure_is_a_failed_computation():
-    with pytest.raises(ArithmeticError):
-        exact_band_projection(sector_spectrum(ModelParams(8, 1, 0.5)), 2)
-    assert issubclass(BandSplitError, ValueError)
+# lam on both sides of the gap closing, two_j from 2 to 10^4
+LABEL_LAMS = (0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49, 0.51, 0.55, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0)
+LABEL_SIZES = (*range(2, 60), 80, 100, 200, 10**3, 10**4)
+
+
+def test_labels_are_the_clusters_wherever_those_separate():
+    split = 0
+    for lam in LABEL_LAMS:
+        for two_j in LABEL_SIZES:
+            bands = exact_band_projection(ModelParams(two_j, 1, lam))
+            try:
+                clusters = band_clusters(np.concatenate(list(bands.values())), 2)
+            except ValueError:
+                continue
+            split += 1
+            assert list(clusters) == list(bands), (lam, two_j)
+            for m, levels in bands.items():
+                assert np.array_equal(clusters[m], np.sort(levels)), (lam, two_j, m)
+    # the heuristic separates most cases, not all: near lam = 1/2 it fails
+    assert 0.5 * len(LABEL_LAMS) * len(LABEL_SIZES) < split < len(LABEL_LAMS) * len(LABEL_SIZES)
 
 
 @pytest.mark.parametrize(
@@ -454,8 +470,8 @@ def test_egorov_oracle_catches_a_reversed_phase(monkeypatch):
     h0 = effective_hamiltonian(ModelParams(10, 1, LAM), BAND).terms[0]
     ker = SWKernel(make_irrep(40))
     want = dequantize(heisenberg(quantize(h0, ker), quantize(o0, ker), s), ker).coeffs
-    diagonals = swq.quantize_diagonals
-    monkeypatch.setattr(sapt, "quantize_diagonals", lambda sym, k: (-1 if sym is h0 else 1) * diagonals(sym, k))
+    diagonal = sapt._sector_diagonal
+    monkeypatch.setattr(sapt, "_sector_diagonal", lambda *args: -diagonal(*args))
     got = full_width(heisenberg_symbol(h0, o0, make_irrep(40), s).coeffs)
     assert np.max(np.abs(got - want)) > 1e-2 * np.max(np.abs(want))
 
@@ -482,6 +498,22 @@ def test_no_block_is_built_for_an_offset_the_symbol_does_not_carry(monkeypatch):
     calls.clear()
     quantize_diagonals(vector_symbol_coeffs()[0], SWKernel(p.slow))
     assert set(calls) == {1}, calls
+
+
+def test_band_spectra_build_the_diagonal_block_alone(monkeypatch):
+    # h1 carries ~3e-17 of round-off at m = +-1, which the sector check lets
+    # through; the spectrum is the offset-0 diagonal, so no row of Q[1] is built
+    calls = []
+
+    def recorded(two_j, m, L):
+        calls.append((two_j, m, L))
+        return spin.offset_block(two_j, m, L)
+
+    monkeypatch.setattr(swq, "offset_block", recorded)
+    h1 = effective_hamiltonian(ModelParams(10, 1, 0.2), 0.5).terms[1]
+    assert 0 < np.abs(h1.coeffs[:, h1.M + 1]).max() < 1e-12 * np.abs(h1.coeffs).max()
+    band_spectrum_compare(0.2, 0.5, [10, 20, 40, 80])
+    assert calls and {m for _, m, _ in calls} == {0}, calls
 
 
 def test_egorov_refuses_a_non_diagonal_hamiltonian(monkeypatch):

@@ -64,7 +64,7 @@ def test_bench_trace_runs(argv, tmp_path):
 
 def test_bench_trace_of_the_sector_commands(tmp_path):
     # the model commands under the span tracer: no dense Hamiltonian, no
-    # full tensor basis and no band clustering beyond obstruction and bands
+    # full tensor basis and no exact band levels beyond obstruction and bands
     env = {**os.environ}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     calls = {}

@@ -1,35 +1,41 @@
 """The M-sectors of the two-spin model against the dense 2d x 2d oracles.
 
 H and every quantized band symbol conserve M = J3 (x) 1 + 1 (x) S3, so the
-package reads the exact spectrum, the invariance norm and the Heisenberg
-evolution off 2 x 2 sector blocks and a few operator diagonals.  Each
-check below compares that path with the dense one and shows that a
-perturbed block (a ladder index off by one, a dropped edge sector, a
-diagonal read at the wrong offset) fails it.
+package reads the exact levels of each band, the invariance norm and the
+Heisenberg evolution off 2 x 2 sector blocks and a few operator
+diagonals.  Each check below compares that path with the dense one and
+shows that a perturbed block (a ladder index off by one, a dropped sector,
+a diagonal read at the wrong offset) fails it.
 """
 
 import numpy as np
 import pytest
-from sapt_oracle import dense_invariance_norm, dense_spectrum, exact_band_levels
+import test_acceptance
+from sapt_oracle import band_clusters, dense_invariance_norm, dense_spectrum, exact_band_levels
 from sphere_oracle import full_width
 
-from sphere_sapt import model, sapt
-from sphere_sapt.model import ModelParams, build_hamiltonian, sector_blocks, sector_spectrum
+from sphere_sapt import cli, sapt
+from sphere_sapt.model import ModelParams, build_hamiltonian, sector_blocks
 from sphere_sapt.sapt import moyal_projection, sector_commutator_norm
 from sphere_sapt.sphere import SphereSymbol
 from sphere_sapt.star import CALIBRATED
 from sphere_sapt.swq import quantize_diagonals
 
 
+def _spectrum(params) -> np.ndarray:
+    """The unlabelled sector spectrum: both bands' levels, sorted."""
+    return np.sort(np.concatenate(list(sapt.exact_band_projection(params).values())))
+
+
 def _spectrum_error(params) -> float:
-    got, want = np.sort(sector_spectrum(params)), dense_spectrum(params)
+    got, want = _spectrum(params), dense_spectrum(params)
     assert got.shape == want.shape, "the sectors miss eigenvalues"
     return float(np.max(np.abs(got - want)))
 
 
 def _off_by_one(params):
     # the ladder amplitude of J- S+ taken one index too low (sector_blocks is
-    # this module's binding, which monkeypatching the model leaves alone)
+    # this module's binding, which monkeypatching sapt leaves alone)
     blocks, edges = sector_blocks(params)
     i = np.arange(params.d_j - 1)
     blocks = blocks.copy()
@@ -56,8 +62,8 @@ def test_sector_spectrum_matches_eigvalsh(two_j, lam):
     assert _spectrum_error(ModelParams(two_j, 1, lam)) < 1e-12
 
 
-@pytest.mark.parametrize("two_j", [2, 7, 40, 1001, 10**5])
-@pytest.mark.parametrize("lam", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("two_j", [2, 7, 10, 20, 40, 1001, 10**5])
+@pytest.mark.parametrize("lam", [0.2, 0.45, 0.5, 0.8])
 def test_sector_spectrum_is_the_closed_form_band_levels(two_j, lam):
     p = ModelParams(two_j, 1, lam)
     (M_up, up), (M_low, low) = (exact_band_levels(p, m) for m in (0.5, -0.5))
@@ -66,19 +72,41 @@ def test_sector_spectrum_is_the_closed_form_band_levels(two_j, lam):
     # every full sector |M| <= j - 1/2 gives one level to each band, each edge M = +-(j + 1/2) one
     full = np.arange(-p.d_j + 2, p.d_j - 1, 2) / 2
     assert np.array_equal(np.sort(np.r_[M_up, M_low]), np.sort(np.r_[full, full, -p.d_j / 2, p.d_j / 2]))
-    got, want = np.sort(sector_spectrum(p)), np.sort(np.r_[up, low])
-    assert np.max(np.abs(got - want)) < 1e-15
-    if lam != 0.5 and two_j > 2:  # the clusters are the labelled bands, level for level
-        upper, lower = sapt.exact_band_projection(sector_spectrum(p), 2)
-        assert np.max(np.abs(upper.eigenvalues - np.sort(up))) < 1e-15
-        assert np.max(np.abs(lower.eigenvalues - np.sort(low))) < 1e-15
+    # the labels are the closed-form bands, level for level in order of decreasing M
+    # (at lam = 0.45 and two_j 10 and 20 the gap-clustering oracle cannot split them)
+    bands = sapt.exact_band_projection(p)
+    assert list(bands) == [0.5, -0.5]
+    for levels, want in ((bands[0.5], up), (bands[-0.5], low)):
+        assert levels.shape == want.shape and np.max(np.abs(levels - want[::-1])) < 1e-15
+
+
+def test_clustering_fails_where_the_labels_hold():
+    for two_j in (10, 20):
+        with pytest.raises(ValueError, match="not separated"):
+            band_clusters(_spectrum(ModelParams(two_j, 1, 0.45)), 2)
+
+
+def _bottom_edge_below(params):
+    # a wrong rule for lam >= 1/2: the bottom edge (d - 1, -), the upper
+    # band's last level, put in band -1/2 as below the gap closing
+    bands = sapt.exact_band_projection(params)
+    return {0.5: bands[0.5][:-1], -0.5: np.r_[bands[-0.5], bands[0.5][-1]]}
+
+
+def test_a_wrong_edge_rule_fails_the_rank_checks(monkeypatch, tmp_path):
+    # obstruction's rank check and acceptance 09 both read the labels
+    monkeypatch.setattr(cli, "exact_band_projection", _bottom_edge_below)
+    assert cli.main(["obstruction", "--lambda", "0.8", "--out", str(tmp_path)]) == 1
+    monkeypatch.setattr(test_acceptance, "exact_band_projection", _bottom_edge_below)
+    with pytest.raises(AssertionError, match="acceptance criterion 9 failed"):
+        test_acceptance.test_acceptance_09_topological_obstruction()
 
 
 def test_perturbed_sectors_fail_the_spectrum_oracle(monkeypatch):
     p = ModelParams(40, 1, 0.2)
-    monkeypatch.setattr(model, "sector_blocks", _off_by_one)
+    monkeypatch.setattr(sapt, "sector_blocks", _off_by_one)
     assert _spectrum_error(p) > 1e-4
-    monkeypatch.setattr(model, "sector_blocks", lambda params: (sector_blocks(params)[0], sector_blocks(params)[1][:1]))
+    monkeypatch.setattr(sapt, "sector_blocks", lambda params: (sector_blocks(params)[0][1:], sector_blocks(params)[1]))
     with pytest.raises(AssertionError, match="miss eigenvalues"):
         _spectrum_error(p)
 
