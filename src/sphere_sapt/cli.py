@@ -397,6 +397,9 @@ def _order_sweep(cfg, sweep, key: str, quantity: str, gate):
 
 
 def cmd_bands(cfg):
+    if cfg["lam"] == 0:  # H = 1 (x) S3: a slope fit of round-off would check nothing
+        raise ValueError("--lambda must be nonzero: at 0 the effective levels are the exact ones")
+
     def gate(order, slope):
         want, tol = {0: (-1.0, 0.3), 1: (-2.0, 0.4)}[order]
         return f"order {order} Hausdorff slope {want} +/- {tol}", abs(slope - want) < tol
@@ -405,6 +408,9 @@ def cmd_bands(cfg):
 
 
 def cmd_invariance_slopes(cfg):
+    if cfg["lam"] in (0, 1):  # H = 1 (x) S3 or (2/d) J.S: a slope fit of round-off would check nothing
+        raise ValueError(f"--lambda must lie strictly between 0 and 1: at {cfg['lam']:g} H commutes with the quantized projection")
+
     # this model beats the generic O(d^-1) bound already at order 0;
     # require at least the advertised decay
     def gate(order, slope):
@@ -434,6 +440,8 @@ def cmd_egorov(cfg):
         raise ValueError(f"unknown observable {name!r}, expected one of {sorted(obs)} (n3 is conserved)")
     if cfg["time"] == 0:  # a slope fit of round-off would check nothing
         raise ValueError("--time must be nonzero: at T = 0 both flows are the identity and the errors are round-off")
+    if cfg["lam"] in (0, 1):  # N = 1: the same
+        raise ValueError(f"--lambda must lie strictly between 0 and 1: at {cfg['lam']:g} N = 1 and both flows are the identity")
     two_j_list = _slope_sweep(cfg)
     # the full block Q[1] of every dimension (d^2 floats each, cached; the
     # observable's diagonal array is trimmed to the offsets |m| <= 1 it

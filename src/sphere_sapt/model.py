@@ -146,8 +146,6 @@ def reference_unitary_field(params: ModelParams, theta, phi) -> np.ndarray:
     Smooth on all of S^2 for lam < 1/2; for lam > 1/2 it is singular at
     theta = pi (non-trivial adiabatic bundle).
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
     ct, st = tilt_angles(theta, params.lam)
     beta = np.arctan2(st, ct)
     return wigner_zyz(params.fast, phi, beta, phi)
@@ -162,8 +160,6 @@ def principal_bands(params: ModelParams, theta, phi, m: float) -> BandData:
     """
     idx = band_index(params.two_s, m)
     u0 = reference_unitary_field(params, theta, phi)
-    e_m = np.zeros(params.d_s)
-    e_m[idx] = 1.0
-    frame = np.einsum("...ba,b->...a", u0.conj(), e_m)  # u0^dagger psi_m
+    frame = u0[..., idx, :].conj()  # u0^dagger psi_m
     projector = frame[..., :, None] * frame[..., None, :].conj()
     return BandData(frame, projector, u0)

@@ -62,10 +62,6 @@ EGOROV_TIME_SIGN = -1.0
 BAND_LIMIT = 24
 
 
-def _mesh(grid: Grid):
-    return np.meshgrid(grid.theta, grid.phi, indexing="ij")
-
-
 @lru_cache(maxsize=None)
 def _symbol_grid(L_exact: int, two_s: int) -> Grid:
     """Grid for the band symbols of a spin two_s / 2 fast sector.
@@ -78,6 +74,16 @@ def _symbol_grid(L_exact: int, two_s: int) -> Grid:
     a symbol with content at |m| > two_s.
     """
     return Grid(L_exact, two_s)
+
+
+def _band_grid(params: ModelParams, m: float, L: int):
+    """(grid, band index, theta mesh, phi mesh) of the band-m symbols at band
+    limit L, after refusing lam = 1/2 (no gap) and a label that is no band."""
+    if abs(params.lam - 0.5) < 1e-12:
+        raise ValueError("no spectral gap at lam = 1/2")
+    idx = band_index(params.two_s, m)
+    grid = _symbol_grid(4 * L, params.two_s)
+    return (grid, idx, *np.meshgrid(grid.theta, grid.phi, indexing="ij"))
 
 
 def moyal_projection(
@@ -93,11 +99,7 @@ def moyal_projection(
     the projection condition and the off-diagonal entries from the
     commutation condition divided by the band gaps.
     """
-    if abs(params.lam - 0.5) < 1e-12:
-        raise ValueError("no spectral gap at lam = 1/2")
-    idx = band_index(params.two_s, m)
-    grid = _symbol_grid(4 * L, params.two_s)
-    th2, ph2 = _mesh(grid)
+    grid, idx, th2, ph2 = _band_grid(params, m, L)
     bd = principal_bands(params, th2, ph2, m)
     pi0 = grid.analyze(bd.projector, L)
     H0 = hamiltonian_symbol(params)
@@ -124,13 +126,15 @@ def moyal_projection(
     return SemiclassicalSymbol([pi0, pi1])
 
 
-def _check_sectors(sym: SphereSymbol, what: str) -> None:
-    """ArithmeticError unless sym conserves M = J3 (x) 1 + 1 (x) S3.
+def _sector_diagonals(sym: SphereSymbol, irrep: SpinIrrep, what: str) -> np.ndarray:
+    """quantize_diagonals(sym) on the band-L kernel for a k x k symbol that
+    conserves M = J3 (x) 1 + 1 (x) S3.
 
-    Entry (a, b) of a k x k symbol may carry only e^{i m phi} with
-    m = a - b (a scalar symbol only m = 0); the sector path drops the rest.
-    Content beyond 1e-12 of the largest coefficient is more than the
-    round-off of the covariant band grid, and is refused.
+    Entry (a, b) may carry only e^{i m phi} with m = a - b (a scalar symbol
+    only m = 0).  Content beyond 1e-12 of the largest coefficient is more
+    than the round-off of the covariant band grid: ArithmeticError.  Only
+    the columns |m| < k that the sectors carry are quantized, so the
+    round-off allowed at the others builds no rows of Q[|m|].
     """
     k = sym.fast_shape[0] if sym.fast_shape else 1
     c = sym.coeffs.reshape(sym.L + 1, 2 * sym.M + 1, k * k)
@@ -139,17 +143,8 @@ def _check_sectors(sym: SphereSymbol, what: str) -> None:
     outside = float(np.abs(c[:, off]).max(initial=0.0))
     if outside > 1e-12 * np.abs(c).max():
         raise ArithmeticError(f"{what} has content {outside:.3g} off the M-sectors; its operator is not sector-diagonal")
-
-
-def _sector_diagonal(sym: SphereSymbol, irrep: SpinIrrep, what: str) -> np.ndarray:
-    """The diagonal of quantize(sym) for a scalar symbol that conserves M.
-
-    Once _check_sectors accepts sym, its m = 0 column alone is quantized:
-    the round-off it allows at m != 0 would build rows of Q[1] that the
-    diagonal never reads.
-    """
-    _check_sectors(sym, what)
-    return quantize_diagonals(SphereSymbol(sym.coeffs[:, sym.M : sym.M + 1]), SWKernel(irrep, sym.L))[0].real
+    w = min(k - 1, sym.M)
+    return quantize_diagonals(SphereSymbol(sym.coeffs[:, sym.M - w : sym.M + w + 1]), SWKernel(irrep, sym.L))
 
 
 def _spectral_norms(C: np.ndarray) -> np.ndarray:
@@ -177,9 +172,8 @@ def sector_commutator_norm(params: ModelParams, sym: SphereSymbol) -> float:
     [[a, c], [c, b]] and P's [[p, q], [q', r]] the commutator is
     [[c (q' - q), (a - b) q - c (p - r)], [(b - a) q' + c (p - r), c (q - q')]].
     """
-    _check_sectors(sym, "the projection symbol")
+    D = _sector_diagonals(sym, params.slow, "the projection symbol")
     H, _ = sector_blocks(params)
-    D = quantize_diagonals(sym, SWKernel(params.slow, sym.L))
     K = len(D) // 2
     p, r = D[K, 1:, 0, 0], D[K, :-1, 1, 1]
     q, q1 = (D[K - 1, 1:, 0, 1], D[K + 1, :-1, 1, 0]) if K else (0.0, 0.0)  # K = 0: no offset +-1
@@ -243,11 +237,8 @@ def exact_band_projection(params: ModelParams) -> dict[float, np.ndarray]:
 def _band_energy(params: ModelParams, m: float, L: int) -> SphereSymbol:
     """h0 = m N(theta), the energy of band m (lam != 1/2) and the leading term
     of its effective series: one analysis on the band-symbol grid."""
-    if abs(params.lam - 0.5) < 1e-12:
-        raise ValueError("no spectral gap at lam = 1/2")
-    band_index(params.two_s, m)  # refuses a label that is no band
-    grid = _symbol_grid(4 * L, params.two_s)
-    return grid.analyze(gap_N(_mesh(grid)[0], params.lam) * float(m), L)
+    grid, _, th2, _ = _band_grid(params, m, L)
+    return grid.analyze(gap_N(th2, params.lam) * float(m), L)
 
 
 def effective_hamiltonian(
@@ -263,9 +254,7 @@ def effective_hamiltonian(
     cs and u0 the fiber eigenbasis, all sampled on the band-symbol grid.
     """
     h0 = _band_energy(params, m, L)
-    idx = band_index(params.two_s, m)
-    grid = _symbol_grid(4 * L, params.two_s)
-    th2, ph2 = _mesh(grid)
+    grid, idx, th2, ph2 = _band_grid(params, m, L)
     bd = principal_bands(params, th2, ph2, m)
     u0 = grid.analyze(bd.u0, L)
     H0 = hamiltonian_symbol(params)
@@ -312,7 +301,7 @@ def band_spectrum_compare(
     h = effective_hamiltonian(ModelParams(two_j_list[0], 1, lam), m, cs=cs, L=L)
     for two_j in two_j_list:
         params = ModelParams(two_j, 1, lam)
-        eff = _sector_diagonal(h.evaluate(params.d_j, order), params.slow, "the effective symbol")
+        eff = _sector_diagonals(h.evaluate(params.d_j, order), params.slow, "the effective symbol")[0].real
         dists.append(_hausdorff(exact_band_projection(params)[m], eff))
     return {
         "hausdorff": dists,
@@ -348,7 +337,7 @@ def heisenberg_symbol(h0: SphereSymbol, o0: SphereSymbol, irrep: SpinIrrep, s: f
     memory, O(d^3) work, for any o0 of band limit 1), never the full
     tensor basis.
     """
-    w = _sector_diagonal(h0, irrep, "h0")
+    w = _sector_diagonals(h0, irrep, "h0")[0].real
     ker = SWKernel(irrep)
     D = quantize_diagonals(o0, ker)
     K = len(D) // 2

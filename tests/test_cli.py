@@ -338,6 +338,17 @@ def test_bands_inside_the_gapped_phase_fail_their_gates(tmp_path, capsys):
     assert (tmp_path / "bands.csv").exists() and not any(c["pass"] for c in summary["checks"])
 
 
+def test_bands_at_lambda_1_still_run(tmp_path):
+    # H = (2/d) J.S: the order-0 distances are exactly 1/(2d), and the
+    # order-1 ones keep the gauge defect of h1 in view (order 1 misses its gate)
+    assert main(["bands", "--lambda", "1", "--out", str(tmp_path)]) == 1
+    rows = [r.split(",") for r in (tmp_path / "bands.csv").read_text().splitlines()[1:]]
+    order0 = [(int(d), float(v)) for d, q, v in rows if q == "hausdorff_order0"]
+    assert len(order0) == 4 and all(abs(v - 1 / (2 * d)) < 1e-12 for d, v in order0)
+    assert all(float(v) > 1e-4 for _, q, v in rows if q == "hausdorff_order1")
+    assert (tmp_path / "bands.json").exists()
+
+
 def test_obstruction_at_two_j_10_5(tmp_path):
     assert main(["obstruction", "--lambda", "0.8", "--two-j", "100000", "--out", str(tmp_path)]) == 0
     rows = [r.split(",") for r in (tmp_path / "obstruction.csv").read_text().splitlines()[1:]]
@@ -488,7 +499,6 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
         pytest.param(["gap", "--lambdas", "0.2,nan"], 2, id="argv7-2"),  # non-finite input
         pytest.param(["egorov", "--time", "inf"], 2, id="argv8-2"),
         pytest.param(["star-slopes", "--pairs", "0", "--two-j", "10,20"], 2, id="argv9-2"),  # empty corpus
-        pytest.param(["invariance-slopes", "--lambda", "0", "--two-j", "10,20"], 1, id="argv10-1"),  # norms are exactly 0
         pytest.param(["star-slopes", "--band-limit", "0", "--two-j", "10,20"], 2, id="argv11-2"),  # constants multiply exactly
         pytest.param(["calibrate", "--band-limit", "0"], 2, id="argv12-2"),
         pytest.param(["calibrate", "--two-j", "1,8,2,4"], 2, id="argv13-2"),  # below 2 * band limit
@@ -510,6 +520,11 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
         pytest.param(["egorov", "--two-j", "20,10,20"], 2, id="argv29-2"),
         pytest.param(["kernel-check", "--two-j", "2,2"], 2, id="argv30-2"),  # the rows of two_j = 2 twice
         pytest.param(["obstruction", "--lambda", "0.5"], 2, id="argv31-2"),  # no Chern number to compare with
+        pytest.param(["egorov", "--lambda", "0"], 2, id="argv32-2"),  # N = 1: both flows are the identity
+        pytest.param(["egorov", "--lambda", "1"], 2, id="argv33-2"),
+        pytest.param(["invariance-slopes", "--lambda", "1"], 2, id="argv34-2"),  # (2/d) J.S commutes with Op(pi)
+        pytest.param(["invariance-slopes", "--lambda", "0"], 2, id="argv35-2"),  # the norms are exactly 0
+        pytest.param(["bands", "--lambda", "0"], 2, id="argv36-2"),  # H = 1 (x) S3: the levels agree to round-off
     ],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, argv, want):
@@ -526,7 +541,6 @@ def test_exit_codes(tmp_path, monkeypatch, capsys, argv, want):
 
 # the message of an exit names the cause: the option, or the value and its x
 _CAUSES = {
-    ("invariance-slopes", "--lambda", "0", "--two-j", "10,20"): "positive values, got y = 0.0 at x = 11.0",
     ("star-slopes", "--band-limit", "0", "--two-j", "10,20"): "--band-limit must be >= 1",
     ("calibrate", "--band-limit", "0"): "--band-limit must be >= 1",
     ("calibrate", "--two-j", "1,8,2,4"): "--two-j values must be >= 2 * --band-limit = 6, got 1",
@@ -549,6 +563,11 @@ _CAUSES = {
     ("egorov", "--time", "0"): "--time must be nonzero",
     ("egorov", "--observable", "n3"): "unknown observable 'n3'",
     ("obstruction", "--lambda", "0.5"): "Chern number undefined at the gap closing",
+    ("egorov", "--lambda", "0"): "--lambda must lie strictly between 0 and 1: at 0 N = 1",
+    ("egorov", "--lambda", "1"): "--lambda must lie strictly between 0 and 1: at 1 N = 1",
+    ("invariance-slopes", "--lambda", "1"): "at 1 H commutes with the quantized projection",
+    ("invariance-slopes", "--lambda", "0"): "at 0 H commutes with the quantized projection",
+    ("bands", "--lambda", "0"): "--lambda must be nonzero",
 }
 
 

@@ -470,8 +470,8 @@ def test_egorov_oracle_catches_a_reversed_phase(monkeypatch):
     h0 = effective_hamiltonian(ModelParams(10, 1, LAM), BAND).terms[0]
     ker = SWKernel(make_irrep(40))
     want = dequantize(heisenberg(quantize(h0, ker), quantize(o0, ker), s), ker).coeffs
-    diagonal = sapt._sector_diagonal
-    monkeypatch.setattr(sapt, "_sector_diagonal", lambda *args: -diagonal(*args))
+    diagonals = sapt._sector_diagonals
+    monkeypatch.setattr(sapt, "_sector_diagonals", lambda *args: -diagonals(*args))
     got = full_width(heisenberg_symbol(h0, o0, make_irrep(40), s).coeffs)
     assert np.max(np.abs(got - want)) > 1e-2 * np.max(np.abs(want))
 
@@ -521,6 +521,38 @@ def test_egorov_refuses_a_non_diagonal_hamiltonian(monkeypatch):
     monkeypatch.setattr(sapt, "_band_energy", lambda *a, **k: vector_symbol_coeffs()[0])
     with pytest.raises(ArithmeticError, match="off the M-sectors"):
         egorov_error(LAM, BAND, vector_symbol_coeffs()[2], 1.0, [10])
+
+
+def test_egorov_builds_no_band_frames(monkeypatch):
+    # h0 = m N(theta) needs no eigenbasis: egorov's quantum side stays off
+    # principal_bands and the eigensolvers behind it
+    def refused(*args):
+        raise AssertionError("principal_bands entered")
+
+    monkeypatch.setattr(sapt, "principal_bands", refused)
+    assert egorov_error(LAM, BAND, vector_symbol_coeffs()[0], 1.0, [10, 20])["errors"][1] > 1e-6
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_egorov_errors_are_round_off_where_the_gap_is_1(lam):
+    # N = 1 at lam = 0 and 1: h0 is constant and the flow stands still, so
+    # both sides are o0; the CLI refuses these couplings
+    errs = egorov_error(lam, BAND, vector_symbol_coeffs()[0], 1.0, [10, 20, 40, 80])["errors"]
+    assert max(errs) < 1e-12, errs
+
+
+def test_invariance_norms_are_round_off_at_lambda_1():
+    # H = (2/d) J.S commutes with the quantization of every rotation-covariant symbol
+    for order in (0, 1):
+        norms = almost_invariance_norms(1.0, BAND, [10, 20, 40, 80], order=order)["norms"]
+        assert max(norms) < 1e-13, (order, norms)
+
+
+def test_band_spectra_are_round_off_at_lambda_0():
+    # H = 1 (x) S3: the exact levels of band m are all m, and so is its effective spectrum
+    for order in (0, 1):
+        dists = band_spectrum_compare(0.0, BAND, [10, 20, 40, 80], order=order)["hausdorff"]
+        assert max(dists) < 1e-13, (order, dists)
 
 
 def test_egorov_time_sign_frozen():

@@ -14,7 +14,7 @@ import test_acceptance
 from sapt_oracle import band_clusters, dense_invariance_norm, dense_spectrum, exact_band_levels
 from sphere_oracle import full_width
 
-from sphere_sapt import cli, sapt
+from sphere_sapt import cli, sapt, spin, swq
 from sphere_sapt.model import ModelParams, build_hamiltonian, sector_blocks
 from sphere_sapt.sapt import moyal_projection, sector_commutator_norm
 from sphere_sapt.sphere import SphereSymbol
@@ -176,3 +176,21 @@ def test_content_off_the_sectors_is_refused():
         sector_commutator_norm(p, SphereSymbol(c))
     c[3, sym.L + 2, 0, 0] = 1e-14 * np.max(np.abs(c))  # round-off is dropped
     assert sector_commutator_norm(p, SphereSymbol(c)) == pytest.approx(sector_commutator_norm(p, sym), rel=1e-9)
+
+
+def test_round_off_off_the_sectors_builds_no_block(monkeypatch):
+    # the padded symbol's 1e-14 at m = 2 is let through, but no sector reads
+    # offset 2: only the rows of Q[0] and Q[1] are built
+    p = ModelParams(10, 1, 0.2)
+    sym = _projections()[0.2].evaluate(p.d_j, 1)
+    c = full_width(sym.coeffs)
+    c[3, sym.L + 2, 0, 0] = 1e-14 * np.max(np.abs(c))
+    calls = []
+
+    def recorded(two_j, m, L):
+        calls.append(m)
+        return spin.offset_block(two_j, m, L)
+
+    monkeypatch.setattr(swq, "offset_block", recorded)
+    assert sector_commutator_norm(p, SphereSymbol(c)) == sector_commutator_norm(p, sym)
+    assert calls and set(calls) <= {0, 1}, calls
