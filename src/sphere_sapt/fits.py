@@ -1,4 +1,4 @@
-"""Least-squares slope fitting for log-log convergence data."""
+"""Least-squares slope fitting for log-log convergence data, by thin QR (no LAPACK)."""
 
 from __future__ import annotations
 
@@ -51,11 +51,23 @@ class SlopeFit:
 def least_squares(A: np.ndarray, b: np.ndarray):
     """Coefficients x minimising |A x - b|, the residuals b - A x and the
     covariance of x, its residual variance over max(n - k, 1) degrees of
-    freedom for n rows and k columns."""
-    coef = np.linalg.lstsq(A, b, rcond=None)[0]
+    freedom for n rows and k columns, by thin QR: CGS2 over the columns, carrying
+    T = R^-1 along (Q = A T), x = T Q^T b and the covariance sigma^2 T T^T.
+    ArithmeticError for a column numerically dependent on the earlier ones."""
+    n, k = A.shape
+    Q, T = np.zeros((n, k)), np.zeros((k, k))
+    for c in range(k):
+        v, t = A[:, c], np.eye(k)[c]
+        for _pass in range(2):
+            r = Q.T @ v
+            v, t = v - Q @ r, t - T @ r
+        norm = np.linalg.norm(v)
+        if not norm > 1e-12 * np.linalg.norm(A[:, c]):
+            raise ArithmeticError(f"least squares: column {c} of the design depends on the earlier ones")
+        Q[:, c], T[:, c] = v / norm, t / norm
+    coef = T @ (Q.T @ b)
     resid = b - A @ coef
-    dof = max(len(b) - len(coef), 1)
-    return coef, resid, float(resid @ resid) / dof * np.linalg.inv(A.T @ A)
+    return coef, resid, float(resid @ resid) / max(n - k, 1) * (T @ T.T)
 
 
 def loglog_slope(x, y) -> SlopeFit:

@@ -2,8 +2,8 @@
 
 Spin matrices, trace-orthonormal tensor operators stored as one real
 matrix per band offset m (its rows up to a band limit L, built one offset
-at a time), and ZYZ rotations.  Basis ordering everywhere: index 0 is the highest
-weight, so J3 = diag(j, j-1, ..., -j).
+at a time), and ZYZ rotations; both from one Stieltjes recurrence, no LAPACK.
+Basis ordering everywhere: index 0 is the highest weight, J3 = diag(j, ..., -j).
 """
 
 from __future__ import annotations
@@ -58,10 +58,22 @@ class SpinIrrep:
 
     @cached_property
     def J2_eig(self) -> tuple:
-        """The eigenpairs (w, V) of J2, read-only: every rotation of this irrep reads them."""
-        w, V = np.linalg.eigh(self.Jvec[1])
-        w.setflags(write=False)
-        V.setflags(write=False)
+        """The eigenpairs (w, V) of J2, read-only: w = j, ..., -j exactly and V = P C,
+        P = diag(i^k), J2 = P J1 P^dagger.  Row k of C is the degree-k Krawtchouk
+        polynomial of the binomial weight on w, times sqrt(weight): J1's Stieltjes
+        recurrence (Feng et al., Phys. Rev. E 92, 043307, 2015).  ValueError from
+        two_j = 2044 on, where the weight's tail 2^-j is subnormal and eigenvectors are lost."""
+        two_j, k = self.two_j, np.arange(self.d)
+        # sqrt C(2j, i) by ratios out from the middle (lgamma's round-off is 1.5e-12 at 2000)
+        tail = np.cumprod(np.sqrt((two_j - k[two_j // 2 : -1]) / (k[two_j // 2 : -1] + 1)))
+        seed = np.concatenate([tail[two_j % 2 :][::-1], [1.0], tail])
+        seed /= np.linalg.norm(seed)
+        if seed[0] < np.finfo(float).tiny:
+            raise ValueError(f"J2's eigenbasis at two_j = {two_j} underflows: its weight's tail 2^-j is subnormal")
+        w = self.j - k
+        V = np.array([1, 1j, -1, -1j])[k % 4, None] * _stieltjes(seed, w, self.d)
+        for a in (w, V):
+            a.setflags(write=False)
         return w, V
 
 
@@ -90,14 +102,10 @@ def offset_block(two_j: int, m: int, L: int) -> np.ndarray:
     matrix-element construction in the Condon-Shortley convention
     (cross-checked in the test suite).
 
-    The family {T_lm}_{l >= m} is generated by a Stieltjes (Lanczos)
-    recurrence: the seed T_mm is the trace-normalized m-th power of J+ with
-    sign (-1)^m, and multiplying by the diagonal row quantum number steps up
-    in l.  Each step is orthogonalized twice against all earlier rows, one
-    matrix product per pass ("twice is enough", CGS2), which keeps the
-    block orthonormal to machine precision at any dimension.  Row r reads
-    only rows < r, so the rows l <= L are those of the full basis bit for
-    bit, at O(d L^2) work; the offsets are independent of each other.
+    The rows are the Stieltjes recurrence from the seed T_mm, the unit m-th
+    power of J+ with sign (-1)^m, on the row quantum numbers, which steps up
+    in l.  Row r reads only rows < r, so the rows l <= L are those of the
+    full basis bit for bit, at O(d L^2) work; the offsets are independent.
     """
     if not 0 <= m <= L <= two_j:
         raise ValueError(f"a tensor basis of two_j = {two_j} needs 0 <= m <= L <= {two_j}, got m = {m}, L = {L}")
@@ -109,17 +117,22 @@ def offset_block(two_j: int, m: int, L: int) -> np.ndarray:
         i = np.arange(two_j + 1 - k)
         seed = seed[: len(i)] * np.sqrt((i + k) * (two_j - i - k + 1))
         seed /= np.linalg.norm(seed)
-    n = two_j + 1 - m
-    m1 = two_j / 2 - np.arange(n)  # row quantum numbers of the band
-    Qm = np.empty((L + 1 - m, n))
-    Qm[0] = (-1) ** m * seed
-    for r in range(1, L + 1 - m):
-        w = m1 * Qm[r - 1]
+    return _stieltjes((-1) ** m * seed, two_j / 2 - np.arange(two_j + 1 - m), L + 1 - m)
+
+
+def _stieltjes(seed: np.ndarray, nodes: np.ndarray, rows: int) -> np.ndarray:
+    """The first rows of the Stieltjes (Lanczos) recurrence from a unit seed, read-only:
+    the last row times the nodes, orthogonalized twice against all earlier
+    rows (CGS2, orthonormal to machine precision; Gautschi 2004), normalized."""
+    Q = np.empty((rows, len(seed)))
+    Q[0] = seed
+    for r in range(1, rows):
+        w = nodes * Q[r - 1]
         for _pass in range(2):
-            w -= Qm[:r].T @ (Qm[:r] @ w)
-        Qm[r] = w / np.linalg.norm(w)
-    Qm.setflags(write=False)
-    return Qm
+            w -= Q[:r].T @ (Q[:r] @ w)
+        Q[r] = w / np.linalg.norm(w)
+    Q.setflags(write=False)
+    return Q
 
 
 @lru_cache(maxsize=None)
@@ -142,11 +155,10 @@ def wigner_zyz(irrep: SpinIrrep, alpha, beta, gamma) -> np.ndarray:
     (V e^{i beta w}) V^dagger over the eigenpairs (w, V) of J2, and is real,
     as i J2 = (J+ - J-) / 2 is: its imaginary round-off is dropped.
     """
-    mvals = irrep.j - np.arange(irrep.d)
-    w, V = irrep.J2_eig
+    w, V = irrep.J2_eig  # w = j, ..., -j: the eigenvalues of J3 too
     mid = ((V * np.exp(1j * np.multiply.outer(beta, w))[..., None, :]) @ V.conj().T).real
-    left = np.exp(-1j * np.multiply.outer(alpha, mvals))
-    right = np.exp(1j * np.multiply.outer(gamma, mvals))
+    left = np.exp(-1j * np.multiply.outer(alpha, w))
+    right = np.exp(1j * np.multiply.outer(gamma, w))
     return left[..., :, None] * mid * right[..., None, :]
 
 

@@ -235,6 +235,15 @@ def calibration_corpus(n_pairs: int, L: int, seed: int):
     ]
 
 
+def _richardson_weights(ds: np.ndarray) -> np.ndarray:
+    """Writing R_d = d (star - fg) = T1 + T2/d + T3/d^2 + ..., the weights w_i
+    with sum w_i = 1 and sum w_i / d_i = sum w_i / d_i^2 = 0 (three sizes;
+    two meet the first two) recover T1 up to O(1/prod d_i): the Lagrange
+    weights at x = 1/d = 0, prod_{k != i} x_k / (x_k - x_i)."""
+    x = 1.0 / ds
+    return np.array([np.prod(np.delete(x, i) / (np.delete(x, i) - x[i])) for i in range(len(x))])
+
+
 def calibrate_order1(two_j_list, corpus, product: str):
     """Fit the order-1 symmetric-part coefficients from exact star products.
 
@@ -263,21 +272,13 @@ def calibrate_order1(two_j_list, corpus, product: str):
         irr = make_irrep(tj)
         return pairwise(grid.synthesize(star_exact(F, G, irr) if product == "sw" else berezin_exact(F, G, irr)))
 
-    # Richardson through the three largest d: writing R_d = d (star - fg)
-    # = T1 + T2/d + T3/d^2 + ..., the weights w_i with sum w_i = 1 and
-    # sum w_i d_i^{-1} = sum w_i d_i^{-2} = 0 recover T1 up to O(1/(d1 d2 d3));
-    # with two sizes only the first two conditions, up to O(1/(d1 d2))
-    ds = d_list[-3:]
-    V = np.vander(1.0 / ds, len(ds), increasing=True).T
-    rhs = np.zeros(len(ds))
-    rhs[0] = 1.0
-    wts = np.linalg.solve(V, rhs)
+    ds = d_list[-3:]  # Richardson through the three largest d
     # the ansatz columns are B of the four unit coefficient sets
     names = ["f*g", "(Lam f)g + f(Lam g)", "grad.grad", "i n.(grad x grad)"]
     units = [CoefficientSet(nm, *row) for nm, row in zip(names, np.eye(4))]
     cols = np.stack([pairwise(order1_samples(F, G, u, grid)) for u in units], axis=-1)  # (pairs, nodes, 4)
     ex = np.stack([exact(tj) for tj in two_j_list])  # (dimensions, pairs, nodes)
-    t = np.tensordot(wts, ds[:, None, None] * (ex[-3:] - cols[..., 0]), axes=1)
+    t = np.tensordot(_richardson_weights(ds), ds[:, None, None] * (ex[-3:] - cols[..., 0]), axes=1)
 
     A = cols[..., :3].reshape(-1, 3)
     b = (t - cols[..., 3]).ravel()

@@ -370,8 +370,8 @@ def test_kernel_check_to_two_j_160(tmp_path):
 
 
 def test_model_commands_build_no_dense_operator(tmp_path, monkeypatch):
-    # no 2d x 2d Hamiltonian, no eigensolver or SVD beyond the 2 x 2 fast
-    # sector, and no full tensor basis in the four sector commands: their
+    # no 2d x 2d Hamiltonian, no eigensolver or SVD (not even of the 2 x 2 fast
+    # sector), and no full tensor basis in the four sector commands: their
     # symbols carry the offsets |m| <= 1 alone, so no kernel (the full one
     # included, which a band-32 symbol gets at two_j = 10) builds another block
     from sphere_sapt import model, sapt, spin, swq
@@ -390,12 +390,6 @@ def test_model_commands_build_no_dense_operator(tmp_path, monkeypatch):
     # the commands' quadrature grids are built anew, under the ban
     sapt._symbol_grid.cache_clear()
     make_grid.cache_clear()
-    eigh = np.linalg.eigh
-
-    def small_eigh(a, *args, **kwargs):
-        assert np.shape(a)[-1] <= 2, f"eigh of size {np.shape(a)[-1]}"
-        return eigh(a, *args, **kwargs)
-
     for mod in (model, cli):
         monkeypatch.setattr(mod, "build_hamiltonian", forbidden("build_hamiltonian"))
     monkeypatch.setattr(spin, "tensor_basis", forbidden("tensor_basis"))
@@ -403,9 +397,50 @@ def test_model_commands_build_no_dense_operator(tmp_path, monkeypatch):
     for mod in (np.linalg, np.linalg._linalg):  # numpy's own norm(ord=2) calls the latter's svd
         monkeypatch.setattr(mod, "eigvalsh", forbidden("eigvalsh"))
         monkeypatch.setattr(mod, "svd", forbidden("svd"))
-        monkeypatch.setattr(mod, "eigh", small_eigh)
+        monkeypatch.setattr(mod, "eigh", forbidden("eigh"))
     for name in ("obstruction", "bands", "invariance-slopes", "egorov"):
         assert main([name, "--out", str(tmp_path)]) == 0
+
+
+# every numpy.linalg routine that reaches LAPACK (norm of a vector does not)
+LAPACK = ("eigh", "eigvalsh", "eig", "lstsq", "inv", "solve", "svd", "qr", "det", "pinv", "cholesky")
+
+
+def test_default_paths_call_no_lapack(tmp_path, monkeypatch):
+    # each first LAPACK call pages in part of the BLAS library, which sets a short
+    # run's peak RSS: the nine commands at their defaults, the bench's kernel-check
+    # sweep and its L-convergence calls (band limits 32 and 64) call none.  The
+    # package caches are cleared first, so an irrep built by an earlier test cannot
+    # hide a call its first build makes, and again after, so the tests that follow
+    # start from the caches of a fresh process, not from this run's grids
+    from sphere_sapt.sapt import almost_invariance_norms, band_spectrum_compare
+    from sphere_sapt.star import CALIBRATED
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"numpy.linalg.{name} called")
+
+        return call
+
+    def clear_caches():
+        for module in [m for n, m in sys.modules.items() if n.startswith("sphere_sapt.")]:
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+    clear_caches()
+    for mod in (np.linalg, np.linalg._linalg):
+        for name in LAPACK:
+            monkeypatch.setattr(mod, name, forbidden(name))
+    try:
+        for name in cli.COMMANDS:
+            assert main([name, "--out", str(tmp_path)]) == 0
+        assert main(["kernel-check", "--two-j", "1,2,3,5,10,20,30", "--out", str(tmp_path)]) == 0
+        for L in (32, 64):
+            for sweep in (almost_invariance_norms, band_spectrum_compare):
+                sweep(0.2, 0.5, [10, 20, 40], order=1, cs=CALIBRATED, L=L)
+    finally:
+        clear_caches()
 
 
 @pytest.mark.parametrize(

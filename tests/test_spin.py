@@ -1,10 +1,12 @@
 """Spin irreps, Clebsch-Gordan coefficients, and the tensor-operator basis."""
 
+from math import lgamma, log
+
 import numpy as np
 import pytest
 
 from cg_oracle import clebsch_gordan
-from spin_oracle import coherent_state, dense
+from spin_oracle import coherent_state, dense, j2_eigh, rotation_eigh
 
 from sphere_sapt import spin
 from sphere_sapt.spin import (
@@ -198,16 +200,49 @@ def test_wigner_rotation_consistency():
         assert np.max(np.abs(Us[i] - wigner_zyz(ir, *angles[(slice(None),) + i]))) < 1e-14
 
 
-def test_rotations_of_one_irrep_diagonalize_j2_once(monkeypatch):
-    # the covariance check rotates by 20 angles per size: one eigh, not 20
-    ir, eigh, calls = SpinIrrep(7), np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+def test_rotations_of_one_irrep_build_the_j2_basis_once(monkeypatch):
+    # the covariance check rotates by 20 angles per size: one basis, and no eigensolver
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    for mod in (np.linalg, np.linalg._linalg):
+        monkeypatch.setattr(mod, "eigh", forbidden)
+    ir, stieltjes, calls = SpinIrrep(7), spin._stieltjes, []
+    monkeypatch.setattr(spin, "_stieltjes", lambda *a: calls.append(a) or stieltjes(*a))
     Us = [wigner_zyz(ir, a, 0.7, -a) for a in (0.1, 0.2, 0.3)]
-    assert len(calls) == 1 and not ir.J2_eig[1].flags.writeable
-    w, V = eigh(ir.Jvec[1])
+    assert len(calls) == 1 and not ir.J2_eig[0].flags.writeable and not ir.J2_eig[1].flags.writeable
+    w, V = ir.J2_eig
     mid = ((V * np.exp(0.7j * w)) @ V.conj().T).real
-    m = ir.j - np.arange(ir.d)
-    assert np.array_equal(Us[2], np.exp(-0.3j * m)[:, None] * mid * np.exp(-0.3j * m)[None, :])
+    assert np.array_equal(Us[2], np.exp(-0.3j * w)[:, None] * mid * np.exp(-0.3j * w)[None, :])
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 7, 30, 160, 640, 2000])
+def test_j2_eigenbasis_matches_the_eigh_oracle(two_j):
+    # w is j, ..., -j exactly, V is unitary to 1e-15, and the rotations agree
+    # with those over LAPACK's eigenpairs; a fresh irrep, so nothing stays cached
+    ir = SpinIrrep(two_j)
+    w, V = ir.J2_eig
+    assert np.array_equal(w, two_j / 2 - np.arange(two_j + 1))
+    assert np.max(np.abs(V.conj().T @ V - np.eye(two_j + 1))) < 1e-15
+    eig = j2_eigh(two_j)
+    for beta in (0.0, 0.7, np.pi / 2, np.pi, -2.1):
+        want = rotation_eigh(two_j, 0.3, beta, -1.1, eig)
+        assert np.max(np.abs(wigner_zyz(ir, 0.3, beta, -1.1) - want)) < 1e-13
+
+
+@pytest.mark.parametrize("two_j, subnormal, zeros", [(2000, 0, 0), (2100, 12, 0), (2200, 28, 12)])
+def test_j2_eigenbasis_refuses_a_subnormal_weight(two_j, subnormal, zeros):
+    # sqrt(C(2j, i)) / 2^j, its tail 2^-j: a zero entry stays zero through the
+    # recurrence (nodes times zero, minus rows that are zero there), so those
+    # coordinates are never spanned and eigenvectors are lost, and subnormal
+    # ones carry too few bits; J2_eig refuses both, naming two_j
+    i = np.arange(two_j + 1)
+    tail = np.exp([0.5 * (lgamma(two_j + 1) - lgamma(k + 1) - lgamma(two_j + 1 - k)) - two_j / 2 * log(2) for k in i])
+    assert np.count_nonzero((tail > 0) & (tail < np.finfo(float).tiny)) == subnormal
+    assert np.count_nonzero(tail == 0) == zeros
+    if subnormal or zeros:
+        with pytest.raises(ValueError, match=f"two_j = {two_j} underflows"):
+            SpinIrrep(two_j).J2_eig
 
 
 def test_coherent_state_expectations():
