@@ -28,7 +28,6 @@ OUT = os.environ.get("SPHERE_SAPT_OUT", "out/unreached")
 PKG = Path(cli.__file__).resolve().parent
 KEEP = {
     "cli._nonfinite_key": "error path: names the key of a non-finite summary value",
-    "cli._load_config_file": "config path: --config is not a default",
     "spin.tensor_basis": "wrapped by name in bench/spans.py; the tests' full-basis entry point",
     "swq.SWKernel.samples": "wrapped by name in bench/spans.py; the tests compare it with the dense oracle",
 }

@@ -10,12 +10,9 @@ files and maps what it raises to an exit code:
     1  a check failed, or the computation failed (ArithmeticError: e.g. a
        lattice Chern sum that is no integer, or a non-finite result)
     2  bad input (ValueError, LookupError, OSError: e.g. an unknown band
-       label, config key or file, or fewer than two sizes for a slope)
+       label, or fewer than two sizes for a slope)
 
-A run that raises writes no file.  Output directory: --out flag, else
-SPHERE_SAPT_OUT, else cwd.  An optional key=value config file can pre-set
-options; its keys are the option names, its values are converted like the
-flags, and explicit flags win.
+A run that raises writes no file.  Output directory: --out, else cwd.
 """
 
 from __future__ import annotations
@@ -200,7 +197,7 @@ def _emit(cfg, name: str, header, rows, checks, extra, wall_time_s: float) -> in
         text = json.dumps(summary, indent=2, default=float, allow_nan=False)
     except ValueError as e:
         raise ArithmeticError(f"{name}: non-finite value in the summary at {_nonfinite_key(summary)}") from e
-    out = cfg.get("out") or os.environ.get("SPHERE_SAPT_OUT") or "."
+    out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, f"{name}.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -561,40 +558,16 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         for key, default in defaults.items():
             flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
-            sp.add_argument(flag, dest=key, type=type(default), default=argparse.SUPPRESS, help=HELP[key])
-        sp.add_argument("--out", default=argparse.SUPPRESS, help="output directory")
-        sp.add_argument("--config", default=argparse.SUPPRESS, help="key=value config file")
+            sp.add_argument(flag, dest=key, type=type(default), default=default, help=HELP[key])
+        sp.add_argument("--out", default=".", help="output directory (default: the working directory)")
     return p
 
 
-def _load_config_file(path: str, defaults: dict) -> dict:
-    """Options from key=value lines, converted with the type of their default."""
-    known = {"out": "", **defaults}
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            k, v = line.split("=", 1)
-            k = k.strip().replace("-", "_")
-            if k not in known:
-                raise ValueError(f"unknown config key {k!r} in {path}")
-            out[k] = type(known[k])(v.strip())
-    return out
-
-
 def main(argv=None) -> int:
-    provided = vars(_build_parser().parse_args(argv))
-    name = provided.pop("command")
-    run, header, defaults = COMMANDS[name]
+    cfg = vars(_build_parser().parse_args(argv))
+    name = cfg.pop("command")
+    run, header, _ = COMMANDS[name]
     try:
-        cfg = dict(defaults)
-        if "config" in provided:
-            cfg.update(_load_config_file(provided.pop("config"), defaults))
-        cfg.update(provided)
         bad = [k for k, v in cfg.items() if isinstance(v, float) and not isfinite(v)]
         if bad:
             raise ValueError(f"non-finite value of {', '.join(bad)}")

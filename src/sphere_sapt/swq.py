@@ -304,7 +304,8 @@ def kernel_property_residuals(kernel: SWKernel, grid: Grid):
             mean = np.max(np.abs(pref * (w @ g[0]) - 1))
     del A, B  # the covariance step comes on top of neither
     res = {"hermitian": float(herm), "normalized": float(mean), "reproducing": float(rec)}
-    res["trace_duality"] = float(max(abs(a - pref * b) / max(1.0, abs(a)) for a, b in zip(lhs, fab)))
+    # the worst pair's error over the largest |tr(A B)|, so a small trace magnifies no round-off
+    res["trace_duality"] = float(np.max(np.abs(lhs - pref * fab)) / np.max(np.abs(lhs)))
     # covariance over random group elements: the kernel at n0 and its 20 rotated images
     theta0, phi0 = 1.1, 0.4
     n0 = np.array([np.sin(theta0) * np.cos(phi0), np.sin(theta0) * np.sin(phi0), np.cos(theta0)])

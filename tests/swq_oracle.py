@@ -117,7 +117,7 @@ def kernel_property_residuals(kernel, grid: Grid):
     res["normalized"] = float(np.max(np.abs(pref * mean.reshape(d, d) - np.eye(d))))
     res["reproducing"] = max(float(np.max(np.abs(pref * r.reshape(d, d) - T))) for r, T in zip(rec, targets))
     lhs = [np.trace(A @ B) for A, B in zip(AB[::2], AB[1::2])]
-    res["trace_duality"] = float(max(abs(a - pref * b) / max(1.0, abs(a)) for a, b in zip(lhs, fab)))
+    res["trace_duality"] = float(max(abs(a - pref * b) for a, b in zip(lhs, fab)) / max(map(abs, lhs)))
 
     # covariance over random group elements
     worst = 0.0

@@ -1,4 +1,4 @@
-"""Command-line harness: determinism, exit codes, config handling."""
+"""Command-line harness: determinism, exit codes, option handling."""
 
 import json
 import os
@@ -155,24 +155,22 @@ def test_invalid_flag_value_exits_2(tmp_path):
     assert main(["egorov", "--observable", "bogus", "--out", str(tmp_path)]) == 2
 
 
-def test_missing_config_file_exits_2(tmp_path):
-    assert main(["gap", "--config", str(tmp_path / "missing.cfg")]) == 2
+def test_a_config_file_is_no_option(tmp_path, capsys):
+    # options are flags alone: --config is refused by the parser like any unknown flag
+    (tmp_path / "run.cfg").write_text("thetas=4\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["gap", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
-def test_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("lambdas=0.3\nthetas=4\nout=%s\n" % tmp_path)
-    # flag wins over the config file value for thetas
-    assert main(["gap", "--config", str(cfg), "--thetas", "3"]) == 0
-    lines = (tmp_path / "gap.csv").read_text().splitlines()
-    assert len(lines) == 1 + 3
-    assert lines[1].startswith("0.3,")
-
-
-def test_env_var_output_dir(tmp_path, monkeypatch):
+def test_output_goes_to_the_working_directory_without_out(tmp_path, monkeypatch):
+    # no environment variable chooses the output directory: without --out it is the cwd
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("SPHERE_SAPT_OUT", str(tmp_path / "envdir"))
     assert main(["gap", "--thetas", "3"]) == 0
-    assert (tmp_path / "envdir" / "gap.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gap.csv", "gap.json"]
 
 
 def test_kernel_check_subcommand(tmp_path):
@@ -529,7 +527,6 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
         pytest.param(["bands", "--band", "0.7"], 2, id="argv1-2"),  # not a band label of s = 1/2
         pytest.param(["bands", "--band", "5"], 2, id="argv2-2"),
         pytest.param(["invariance-slopes", "--band", "0.7", "--two-j", "10,20"], 2, id="argv3-2"),  # not snapped to 0.5
-        pytest.param(["gap", "--config", "misspelled.cfg"], 2, id="argv5-2"),  # unknown config key
         pytest.param(["chern", "--lambda", "0.5"], 2, id="argv6-2"),  # gap closing
         pytest.param(["gap", "--lambdas", "0.2,nan"], 2, id="argv7-2"),  # non-finite input
         pytest.param(["egorov", "--time", "inf"], 2, id="argv8-2"),
@@ -542,8 +539,6 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
         pytest.param(["chern", "--grid", "-1"], 2, id="argv16-2"),
         pytest.param(["gap", "--thetas", "0"], 2, id="argv17-2"),  # would write a header-only CSV
         pytest.param(["gap", "--thetas", "-1"], 2, id="argv18-2"),
-        pytest.param(["gap", "--config", "missing.cfg"], 2, id="argv19-2"),  # no such file
-        pytest.param(["gap", "--config", "unparsed.cfg"], 2, id="argv20-2"),  # a line without '='
         pytest.param(["kernel-check", "--two-j", ""], 2, id="argv21-2"),
         pytest.param(["chern", "--two-s", "-1"], 2, id="argv22-2"),  # would write a header-only CSV
         pytest.param(["egorov", "--time", "0"], 2, id="argv23-2"),  # the errors are round-off: the slope would check nothing
@@ -564,8 +559,6 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, argv, want):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "misspelled.cfg").write_text("lamda=0.3\n")
-    (tmp_path / "unparsed.cfg").write_text("lam 0.3\n")
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == want
     err = capsys.readouterr().err.strip().splitlines()
@@ -589,8 +582,6 @@ _CAUSES = {
     ("chern", "--grid", "-1"): "--grid must be >= 1",
     ("gap", "--thetas", "0"): "--thetas must be >= 1",
     ("gap", "--thetas", "-1"): "--thetas must be >= 1",
-    ("gap", "--config", "missing.cfg"): "missing.cfg",
-    ("gap", "--config", "unparsed.cfg"): "bad config line: 'lam 0.3'",
     ("kernel-check", "--two-j", ""): "--two-j needs at least one value, got ''",
     ("gap", "--lambdas", ","): "--lambdas needs at least one value, got ','",
     ("gap", "--lambdas", ""): "--lambdas needs at least one value, got ''",
@@ -654,15 +645,6 @@ def test_nonfinite_summary_names_the_key(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_config_values_take_the_option_type(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("thetas=5\nlambdas=0.2\n")
-    assert main(["gap", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    assert json.loads((tmp_path / "gap.json").read_text())["config"]["thetas"] == 5
-    cfg.write_text("thetas=5.5\n")
-    assert main(["gap", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-
-
 def test_fits_carry_intercept_and_residual(tmp_path):
     assert main(["egorov", "--two-j", "10,20,40", "--out", str(tmp_path)]) == 0
     fit = json.loads((tmp_path / "egorov.json").read_text())["fit"]
@@ -697,20 +679,17 @@ _VALUES = {
 
 @st.composite
 def _invocations(draw):
-    """(argv, config-file lines) with every option of a command drawn small."""
+    """argv with every option of a command drawn small, each left at its default or given as a flag."""
     name = draw(st.sampled_from(sorted(cli.COMMANDS)))
-    argv, lines = [name], []
+    argv = [name]
     for key, default in cli.COMMANDS[name][2].items():
         if key == "two_j":
             value = draw(_SIZES if isinstance(default, int) else _joined(_SIZES))
         else:
             value = draw(_VALUES[key])
-        where = draw(st.sampled_from(["default", "flag", "config"]))
-        if where == "flag":
+        if draw(st.booleans()):
             argv.append(f"--{'lambda' if key == 'lam' else key.replace('_', '-')}={value}")
-        elif where == "config":
-            lines.append(f"{key}={value}")
-    return argv, lines
+    return argv
 
 
 def _strict(name):
@@ -719,13 +698,9 @@ def _strict(name):
 
 @settings(max_examples=40, deadline=None)
 @given(_invocations())
-def test_any_invocation_exits_cleanly(invocation):
-    argv, lines = invocation
+def test_any_invocation_exits_cleanly(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        if lines:
-            (Path(tmp) / "run.cfg").write_text("\n".join(lines) + "\n")
-            argv = argv + ["--config", str(Path(tmp) / "run.cfg")]
         rc = main(argv + ["--out", str(out)])
         assert rc in (0, 1, 2)
         written = sorted(out.iterdir()) if out.exists() else []

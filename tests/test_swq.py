@@ -149,6 +149,30 @@ def test_kernel_gates_fail_on_a_perturbed_entry(monkeypatch):
         assert res[key] > 1e-8, key
 
 
+@pytest.mark.parametrize("two_j", [10, 30, 80])
+def test_trace_duality_fails_on_a_weight_defect(two_j):
+    # a 1e-9 relative defect of the quadrature weights scales every int f_A f_B
+    # by 1 + 1e-9; over the largest |tr(A B)| that reads 1e-9 at every size,
+    # ten times the kernel-check gate (a Frobenius-norm denominator, which
+    # grows with d, would read it under the gate from two_j = 30 on)
+    grid = Grid(max(48, 2 * two_j))
+    grid.w_theta = grid.w_theta * (1 + 1e-9)
+    res = kernel_property_residuals(SWKernel(make_irrep(two_j)), grid)
+    assert res["trace_duality"] > 1e-10, res
+
+
+def test_trace_duality_does_not_swing_with_the_draw(monkeypatch):
+    # the residual is relative to the largest trace, not to each pair's: with
+    # one pair's trace small, a per-pair denominator reports that pair's
+    # absolute round-off, which swung 20x over these eight draws at two_j = 30
+    ker, grid = SWKernel(make_irrep(30)), make_grid(60)
+    got = []
+    for seed in range(8):
+        monkeypatch.setattr(swq, "Random", lambda _, seed=seed: Random(seed))
+        got.append(kernel_property_residuals(ker, grid)["trace_duality"])
+    assert max(got) < 1e-13 and max(got) < 8 * min(got), got
+
+
 def test_kernel_check_forms_dense_kernels_only_at_the_covariance_points(monkeypatch):
     # a dense kernel comes from SWKernel.at or from a scatter of diagonals
     # (quantize's path): the checks call at once, at the 21 covariance
