@@ -28,6 +28,7 @@ OUT = os.environ.get("SPHERE_SAPT_OUT", "out/unreached")
 PKG = Path(cli.__file__).resolve().parent
 KEEP = {
     "cli._nonfinite_key": "error path: names the key of a non-finite summary value",
+    "model.build_hamiltonian": "wrapped by name in bench/spans.py",
     "spin.tensor_basis": "wrapped by name in bench/spans.py; the tests' full-basis entry point",
     "swq.SWKernel.samples": "wrapped by name in bench/spans.py; the tests compare it with the dense oracle",
 }

@@ -32,7 +32,7 @@ import numpy as np
 
 from .berry import chern_analytic, chern_plaquette
 from .fits import loglog_slope
-from .model import ModelParams, build_hamiltonian, gap_N, hamiltonian_symbol
+from .model import ModelParams, gap_N, hamiltonian_diagonals, hamiltonian_symbol
 from .sapt import (
     BAND_LIMIT,
     almost_invariance_norms,
@@ -55,10 +55,12 @@ from .star import (
 )
 from .swq import (
     SWKernel,
+    _lower_scale,
+    _per_l,
     _uniform,
     dequantize,
+    dequantize_diagonals,
     kernel_property_residuals,
-    lower_symbol,
     quantize,
 )
 
@@ -248,12 +250,11 @@ def cmd_kernel_check(cfg):
         raise ValueError(f"--two-j needs at least one value, got {cfg['two_j']!r}")
     for two_j in two_j_list:
         # the tensor basis (the blocks Q[m], (d - m)^2 floats each, cached) and the grid's
-        # Legendre table, then the largest of three steps, in floats: the quadrature's 40
-        # random operators, 80 d^2, with one draw's temporaries, ~90 d^2; the covariance
+        # Legendre table, then the larger of two steps, in floats: the quadrature's 40
+        # random operators, 80 d^2, with one draw's temporaries, ~90 d^2; or the covariance
         # step's 21 dense kernels and their Legendre table, 63 d^2, with one rotation's
-        # products, ~83 d^2; or the symbol identities' dense H, 8 d^2, two of them while
-        # the next lambda's is built, ~33 d^2.  On top: one offset pair's profiles,
-        # 8 n_theta d, and 1 MiB of traces and grid nodes
+        # products, ~83 d^2 (the symbol identities read H's diagonals, O(d)).  On top: one
+        # offset pair's profiles, 8 n_theta d, and 1 MiB of traces and grid nodes
         n_theta, d = max(48, 2 * two_j) // 2 + 1, two_j + 1
         tables = 8 * d * (d + 1) * (2 * d + 1) // 6 + 8 * n_theta * d * d
         _check_memory(two_j, tables + 8 * (90 * d * d + 8 * n_theta * d) + 2**20)
@@ -277,13 +278,13 @@ def cmd_kernel_check(cfg):
         # exact (SW) and coherent-state symbol identities of the Hamiltonian: its
         # principal symbol with the n.S row (l = 1) scaled by sqrt(1 - d^-2) and by
         # 1 - 1/d (needs a slow sector strictly larger than the spin-1/2 fast one),
-        # read on the band-1 kernel, which returns the rows l <= 1 alone
+        # read from H's three offset diagonals on the band-1 kernel, which returns
+        # the rows l <= 1 alone; the lower symbol rescales the SW one per l
         worst_sym, ker1 = 0.0, SWKernel(ker.irrep, 1)
         for lam in (0.2, 0.8) if two_j > 1 else ():
             p = ModelParams(two_j, 1, lam)
-            H, h0 = build_hamiltonian(p), hamiltonian_symbol(p).coeffs
-            sw, low = dequantize(H, ker1, fast_dim=2), lower_symbol(H, ker1, fast_dim=2)
-            for sym, scale in ((sw, sqrt(1 - d**-2)), (low, 1 - 1 / d)):
+            sw, h0 = dequantize_diagonals(hamiltonian_diagonals(p), ker1), hamiltonian_symbol(p).coeffs
+            for sym, scale in ((sw, sqrt(1 - d**-2)), (_per_l(sw, _lower_scale(two_j)), 1 - 1 / d)):
                 want = h0.copy()
                 want[1] *= scale
                 worst_sym = max(worst_sym, float(np.max(np.abs(sym.coeffs - want))))

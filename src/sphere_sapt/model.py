@@ -1,7 +1,10 @@
 """The coupled two-spin (spin-orbit) model.
 
 H = (1 - lam) 1 (x) S3 + lam (2/d_slow) J . S on H_slow (x) H_fast, with the
-slow factor dequantized on the sphere.  Provides the principal symbol
+slow factor dequantized on the sphere.  H is kept as one array, its three
+slow offset diagonals of fast blocks (hamiltonian_diagonals, in the layout of
+swq.quantize_diagonals); its M-sector blocks and, in kernel-check, its
+symbols on the sphere are read from it.  Provides the principal symbol
 (operator-valued coefficients, l <= 1), the principal bands
 E_m(n, lam) = N(n, lam) m, eigenframes and projectors, the gap N, and the
 pointwise reference unitary in ZYZ form.
@@ -21,11 +24,13 @@ import numpy as np
 
 from .spin import SpinIrrep, make_irrep, wigner_zyz
 from .sphere import SphereSymbol, vector_symbol_coeffs
+from .swq import _scatter
 
 __all__ = [
     "ModelParams",
     "BandData",
     "band_index",
+    "hamiltonian_diagonals",
     "build_hamiltonian",
     "sector_blocks",
     "hamiltonian_symbol",
@@ -84,36 +89,52 @@ def band_index(two_s: int, m: float) -> int:
     return int(k)
 
 
+def hamiltonian_diagonals(params: ModelParams) -> np.ndarray:
+    """H's slow offset diagonals, row-indexed as swq.quantize_diagonals lays
+    them out: shape (3, d, d_s, d_s), entry [1 + a, r] the fast block
+    (r, r + a), zero where r + a leaves the matrix.  J.S = J3 S3 + (J+ S- + J- S+) / 2
+    gives, with J3 = j - r,
+
+        offset  0:  ((1 - lam) + (2 lam / d)(j - r)) S3
+        offset +1:  (lam / d) sqrt((r + 1)(2j - r)) S-
+        offset -1:  (lam / d) sqrt(r (2j - r + 1)) S+
+
+    for any fast spin.  O(d d_s^2) work and memory at any two_j.
+    """
+    lam, d, two_j, S = params.lam, params.d_j, params.two_j, params.fast.Jvec
+    Sp = (S[0] + 1j * S[1]).real  # S+ = S1 + i S2
+    r = np.arange(d)[:, None, None]
+    D = np.zeros((3, d) + Sp.shape)
+    D[1] = ((1 - lam) + 2 * lam / d * (two_j / 2 - r)) * S[2].real
+    D[2, :-1] = lam / d * np.sqrt((r[:-1] + 1) * (two_j - r[:-1])) * Sp.T
+    D[0, 1:] = lam / d * np.sqrt(r[1:] * (two_j - r[1:] + 1)) * Sp
+    return D
+
+
 def build_hamiltonian(params: ModelParams) -> np.ndarray:
-    """Exact Hamiltonian matrix on H_slow (x) H_fast."""
-    J = params.slow.Jvec
-    S = params.fast.Jvec
-    lam = params.lam
-    H = (1 - lam) * np.kron(np.eye(params.d_j), S[2])
-    H = H + lam * (2 / params.d_j) * sum(np.kron(J[a], S[a]) for a in range(3))
-    return H
+    """The dense 2d x 2d H on H_slow (x) H_fast, the scatter of its diagonals.
+    No command calls it."""
+    return _scatter(hamiltonian_diagonals(params))
 
 
 def sector_blocks(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """H on the sectors of M = J3 (x) 1 + 1 (x) S3, for a spin-1/2 fast sector.
+    """H on the sectors of M = J3 (x) 1 + 1 (x) S3, for a spin-1/2 fast sector,
+    read from hamiltonian_diagonals.
 
     H commutes with M.  With slow index i (J3 = j - i) and fast spin up (+)
     or down (-), sector M = j - i - 1/2 holds (i + 1, +) and (i, -), for
-    i = 0 .. d - 2, and J- S+ couples them with the ladder amplitude
-    sqrt((i + 1)(2j - i)).  Returns blocks, shape (d - 1, 2, 2), the real
+    i = 0 .. d - 2, coupled by J- S+ (offset -1 at row i + 1) and J+ S-
+    (offset +1 at row i).  Returns blocks, shape (d - 1, 2, 2), the real
     symmetric block of each sector in the basis ((i + 1, +), (i, -)), and
     edges, the energies of the two 1 x 1 sectors (0, +) and (d - 1, -),
     M = +-(j + 1/2).  O(d) work and memory at any two_j.
     """
     if params.two_s != 1:
         raise ValueError(f"the M-sectors are implemented for a spin-1/2 fast sector, got two_s = {params.two_s}")
-    lam, d, two_j = params.lam, params.d_j, params.two_j
-    mu = two_j / 2 - np.arange(d)  # slow J3 eigenvalues
-    up = (1 - lam) / 2 + lam / d * mu  # <(i, +)| H |(i, +)>
-    down = -(1 - lam) / 2 - lam / d * mu  # <(i, -)| H |(i, -)>
-    i = np.arange(d - 1)
-    c = lam / d * np.sqrt((i + 1) * (two_j - i))
-    blocks = np.stack([np.stack([up[1:], c], axis=-1), np.stack([c, down[:-1]], axis=-1)], axis=-2)
+    D = hamiltonian_diagonals(params)
+    up, down = D[1, :, 0, 0], D[1, :, 1, 1]  # <(i, +)| H |(i, +)> and <(i, -)| H |(i, -)>
+    rows = [[up[1:], D[0, 1:, 0, 1]], [D[2, :-1, 1, 0], down[:-1]]]
+    blocks = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
     return blocks, np.array([up[0], down[-1]])
 
 

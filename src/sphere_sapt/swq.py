@@ -13,7 +13,7 @@ the tensor-operator basis:
 which makes the round trips exact.  Matrix-valued (fast-sector) symbols
 quantize entrywise: the result acts on H_slow (x) H_fast as kron(T, b).
 Coherent-state lower symbols are a further diagonal rescaling by the
-Clebsch-Gordan factor <j j; l 0 | j j>.
+Clebsch-Gordan factor <j j; l 0 | j j> (`_per_l` by `_lower_scale`).
 
 An operator has one layout here: its offset diagonals indexed by row, a
 (2K + 1, d) + fast array whose entry [K + a, r] is the matrix element
@@ -25,8 +25,10 @@ offset K the symbol carries, dequantize_diagonals returns a symbol of
 width min(K, L) for an array of 2K + 1 offsets (an operator on offsets
 |a| <= K has no tensor component at |m| > K), and neither map builds the
 block of an offset with no content.  The dense quantize and dequantize
-are a scatter and a gather of that array.  The kernel sampled on a grid is,
-per offset, a theta-profile on that offset's rows.  On a grid with more
+are a scatter and a gather of that array; dequantize takes a scalar d x d
+operator, and an operator on H_slow (x) H_fast enters as its diagonals
+(the model's Hamiltonian as `model.hamiltonian_diagonals`).  The kernel
+sampled on a grid is, per offset, a theta-profile on that offset's rows.  On a grid with more
 than 2L phi nodes every phi sum of two kernels pairs offset a with -a, so
 the kernel checks build and integrate the profiles one offset pair at a
 time, never all at once, and store no trace over the grid.
@@ -49,7 +51,6 @@ __all__ = [
     "quantize_diagonals",
     "dequantize",
     "dequantize_diagonals",
-    "lower_symbol",
     "kernel_property_residuals",
 ]
 
@@ -168,13 +169,14 @@ def dequantize_diagonals(C: np.ndarray, kernel: SWKernel) -> SphereSymbol:
 
 
 def _scatter(D: np.ndarray) -> np.ndarray:
-    """The (d, d) + rest matrix whose row-indexed diagonals, (2K + 1, d) + rest, are D."""
+    """The matrix whose row-indexed diagonals are D: (d, d) for D of shape
+    (2K + 1, d), and (d k, d k) on H_slow (x) H_fast for (2K + 1, d, k, k)."""
     K, d = len(D) // 2, D.shape[1]
     A = np.zeros((d, d) + D.shape[2:], dtype=D.dtype)
     for a in range(-K, K + 1):
         i = np.arange(d)[_span(d, a)]
         A[i, i + a] = D[K + a, _span(d, a)]
-    return A
+    return A.transpose(0, 2, 1, 3).reshape(d * D.shape[2], -1) if D.ndim > 2 else A
 
 
 def _gather(A: np.ndarray, K: int) -> np.ndarray:
@@ -195,22 +197,14 @@ def quantize(sym: SphereSymbol, kernel: SWKernel) -> np.ndarray:
     Scalar symbols give a d x d matrix; k x k matrix-valued symbols give a
     (d k) x (d k) matrix on H_slow (x) H_fast.
     """
-    A, d, fast = _scatter(quantize_diagonals(sym, kernel)), kernel.d, sym.fast_shape
-    return A.transpose(0, 2, 1, 3).reshape(d * fast[0], d * fast[0]) if fast else A
+    return _scatter(quantize_diagonals(sym, kernel))
 
 
-def dequantize(A: np.ndarray, kernel: SWKernel, fast_dim: int | None = None) -> SphereSymbol:
-    """Band-L symbol of an operator, the gather of its diagonals: its tensor
-    components l <= L.
-
-    With the full kernel, L = 2j, this is the inverse of quantize.  If
-    fast_dim is given, A acts on H_slow (x) H_fast and the symbol is
-    fast_dim x fast_dim matrix-valued (partial trace over the slow sector
-    against the kernel).
-    """
-    d, k = kernel.d, fast_dim or 1
-    A4 = np.asarray(A, dtype=complex).reshape(d, k, d, k).transpose(0, 2, 1, 3)
-    return dequantize_diagonals(_gather(A4 if fast_dim else A4[..., 0, 0], kernel.L), kernel)
+def dequantize(A: np.ndarray, kernel: SWKernel) -> SphereSymbol:
+    """Band-L symbol of a d x d operator, the gather of its diagonals: its
+    tensor components l <= L.  With the full kernel, L = 2j, this is the
+    inverse of quantize."""
+    return dequantize_diagonals(_gather(np.asarray(A, dtype=complex), kernel.L), kernel)
 
 
 def _lower_scale(two_j: int) -> np.ndarray:
@@ -220,12 +214,6 @@ def _lower_scale(two_j: int) -> np.ndarray:
     """
     l = np.arange(1, two_j + 1)
     return np.sqrt(np.cumprod(np.concatenate([[1.0], (two_j - l + 1) / (two_j + l + 1)])))
-
-
-def lower_symbol(A: np.ndarray, kernel: SWKernel, fast_dim: int | None = None) -> SphereSymbol:
-    """Coherent-state diagonal expectation n -> <zeta_n| A |zeta_n>, to band
-    limit L of the kernel."""
-    return _per_l(dequantize(A, kernel, fast_dim=fast_dim), _lower_scale(kernel.two_j))
 
 
 def _per_l(sym: SphereSymbol, w: np.ndarray) -> SphereSymbol:

@@ -1,10 +1,12 @@
-"""The model's symbols, the tilt-angle derivative and the gap profile sampled
-on grids, as oracles for the tests.
+"""The model's dense Hamiltonian, its symbols, the tilt-angle derivative and
+the gap profile sampled on grids, as oracles for the tests.
 
-The package keeps one representation of the Hamiltonian's symbol, the
-coefficients `model.hamiltonian_symbol`; the fields here are sampled from
-their own node normals, so a test comparing the two compares independent
-paths.
+The package keeps one representation of the Hamiltonian, its three slow
+offset diagonals `model.hamiltonian_diagonals`; `dense_hamiltonian` builds
+the 2d x 2d matrix as krons of the dense spin matrices instead.  It keeps
+one representation of the Hamiltonian's symbol, the coefficients
+`model.hamiltonian_symbol`; the fields here are sampled from their own node
+normals, so a test comparing the two compares independent paths.
 """
 
 from __future__ import annotations
@@ -15,6 +17,13 @@ import numpy as np
 
 from sphere_sapt.model import ModelParams, gap_N
 from sphere_sapt.sphere import Grid
+
+
+def dense_hamiltonian(params: ModelParams) -> np.ndarray:
+    """H = (1 - lam) 1 (x) S3 + lam (2/d) J.S on H_slow (x) H_fast, any fast spin."""
+    J, S, lam = params.slow.Jvec, params.fast.Jvec, params.lam
+    H = (1 - lam) * np.kron(np.eye(params.d_j), S[2])
+    return H + lam * (2 / params.d_j) * sum(np.kron(J[a], S[a]) for a in range(3))
 
 
 def node_normals(grid: Grid) -> np.ndarray:

@@ -16,11 +16,11 @@ from the star calculus)."""
 from __future__ import annotations
 
 import numpy as np
-from model_oracle import tilt_derivative
+from model_oracle import dense_hamiltonian, tilt_derivative
 from sphere_oracle import synthesize_at
 
 from sphere_sapt import sapt
-from sphere_sapt.model import ModelParams, band_index, build_hamiltonian, gap_N, tilt_angles
+from sphere_sapt.model import ModelParams, band_index, gap_N, tilt_angles
 from sphere_sapt.sapt import classical_flow
 from sphere_sapt.sphere import SphereSymbol, make_grid
 from sphere_sapt.spin import make_irrep
@@ -35,7 +35,7 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 
 def dense_spectrum(params: ModelParams) -> np.ndarray:
     """Sorted eigenvalues of the dense Hamiltonian, any fast spin."""
-    return np.linalg.eigvalsh(build_hamiltonian(params))
+    return np.linalg.eigvalsh(dense_hamiltonian(params))
 
 
 def band_clusters(spectrum: np.ndarray, d_s: int) -> dict[float, np.ndarray]:
@@ -59,7 +59,7 @@ def band_clusters(spectrum: np.ndarray, d_s: int) -> dict[float, np.ndarray]:
 def dense_invariance_norm(params: ModelParams, sym: SphereSymbol) -> float:
     """||[H, P]||_2 from the dense H and P = quantize(sym) (an SVD of size 2d)."""
     P = quantize(sym, SWKernel(params.slow, sym.L))
-    H = build_hamiltonian(params)
+    H = dense_hamiltonian(params)
     return float(np.linalg.norm(H @ P - P @ H, 2))
 
 

@@ -10,11 +10,11 @@ coefficient sets, which only the tests use."""
 from __future__ import annotations
 
 import sphere_oracle
-from swq_oracle import raise_lower_symbol
+from swq_oracle import lower_symbol, partial_dequantize, raise_lower_symbol
 
 from sphere_sapt.sphere import SphereSymbol, angular_square, gradient_bilinears, make_grid
 from sphere_sapt.star import CoefficientSet, _combine, symbol_product
-from sphere_sapt.swq import SWKernel, dequantize, lower_symbol, quantize
+from sphere_sapt.swq import SWKernel, quantize
 
 # The coherent-state coefficient sets (berezin_exact series): the order-1
 # row of the printed table verbatim, and the frozen output of
@@ -28,7 +28,7 @@ def star_dense(f, g, irrep) -> SphereSymbol:
     """dequantize(quantize(f) @ quantize(g)) on the band-(L_f + L_g) kernel."""
     kernel = SWKernel(irrep, f.L + g.L)
     k = f.fast_shape[0] if f.fast_shape else None
-    return dequantize(quantize(f, kernel) @ quantize(g, kernel), kernel, fast_dim=k)
+    return partial_dequantize(quantize(f, kernel) @ quantize(g, kernel), kernel, fast_dim=k)
 
 
 def berezin_dense(f, g, irrep) -> SphereSymbol:

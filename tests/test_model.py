@@ -1,26 +1,33 @@
-"""The coupled two-spin model: Hamiltonian, symbols, bands, and gap."""
+"""The coupled two-spin model: Hamiltonian, symbols, bands, and gap.
+
+The package's Hamiltonian is its three slow offset diagonals; each check of
+an operator identity reads the independent dense H of model_oracle."""
 
 import numpy as np
 import pytest
 from model_oracle import (
+    dense_hamiltonian,
     exact_symbol_field,
     gap_profile,
     lower_hamiltonian_symbol_field,
     principal_symbol_field,
     tilt_derivative,
 )
+from swq_oracle import lower_symbol
 
+from sphere_sapt import cli, model
 from sphere_sapt.model import (
     ModelParams,
     band_index,
     build_hamiltonian,
     gap_N,
+    hamiltonian_diagonals,
     principal_bands,
     reference_unitary_field,
     tilt_angles,
 )
 from sphere_sapt.sphere import make_grid
-from sphere_sapt.swq import SWKernel, lower_symbol, quantize
+from sphere_sapt.swq import SWKernel, quantize
 
 
 def test_params_validation():
@@ -35,7 +42,7 @@ def test_params_validation():
 def test_decoupled_limit_spectrum():
     # lam = 0: H = 1 (x) S3, spectrum is m_s with multiplicity d_j
     p = ModelParams(4, 1, 0.0)
-    w = np.linalg.eigvalsh(build_hamiltonian(p))
+    w = np.linalg.eigvalsh(dense_hamiltonian(p))
     want = np.repeat([-0.5, 0.5], p.d_j)
     assert np.max(np.abs(np.sort(w) - want)) < 1e-13
 
@@ -44,7 +51,7 @@ def test_pure_coupling_multiplet_spectrum():
     # lam = 1, two_j = 2, s = 1/2: (2/d) J.S couples to j +/- 1/2 multiplets
     # with eigenvalues {1/3 (x4), -2/3 (x2)}
     p = ModelParams(2, 1, 1.0)
-    w = np.sort(np.linalg.eigvalsh(build_hamiltonian(p)))
+    w = np.sort(np.linalg.eigvalsh(dense_hamiltonian(p)))
     want = np.array([-2 / 3, -2 / 3, 1 / 3, 1 / 3, 1 / 3, 1 / 3])
     assert np.max(np.abs(w - want)) < 1e-13
 
@@ -58,7 +65,7 @@ def test_exact_symbol_identity(lam, two_j):
     grid = make_grid(2 * two_j)
     sym = grid.analyze(exact_symbol_field(p, grid), 1)
     H = quantize(sym, SWKernel(p.slow))
-    assert np.max(np.abs(H - build_hamiltonian(p))) < 1e-10
+    assert np.max(np.abs(H - dense_hamiltonian(p))) < 1e-10
 
 
 @pytest.mark.parametrize("lam", [0.2, 0.8])
@@ -66,10 +73,52 @@ def test_lower_symbol_identity(lam):
     # the coherent-state symbol carries the factor (1 - 1/d) instead
     p = ModelParams(5, 1, lam)
     grid = make_grid(2 * p.two_j)
-    sym = lower_symbol(build_hamiltonian(p), SWKernel(p.slow), fast_dim=p.d_s)
+    sym = lower_symbol(dense_hamiltonian(p), SWKernel(p.slow), fast_dim=p.d_s)
     got = grid.synthesize(sym.truncated(1))
     want = lower_hamiltonian_symbol_field(p, grid)
     assert np.max(np.abs(got - want)) < 1e-10
+
+
+SIZES = [(two_s, two_j) for two_s in (1, 2, 3) for two_j in (two_s + 1, 10, 80)]
+
+
+def _scatter_error(params) -> float:
+    """Largest entry of the scatter of H's diagonals minus the kron-built H."""
+    return float(np.max(np.abs(build_hamiltonian(params) - dense_hamiltonian(params))))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.2, 0.8, 1.0])
+@pytest.mark.parametrize("two_s, two_j", SIZES)
+def test_hamiltonian_diagonals_scatter_to_the_dense_hamiltonian(two_s, two_j, lam):
+    p = ModelParams(two_j, two_s, lam)
+    assert hamiltonian_diagonals(p).shape == (3, p.d_j, p.d_s, p.d_s)
+    assert _scatter_error(p) < 1e-15
+
+
+def _ladder_one_low(params):
+    # the offset +1 amplitude of row r taken one index low, sqrt(r (2j - r + 1)):
+    # offset -1's amplitude at row r, carried by S- instead of S+
+    D = hamiltonian_diagonals(params)
+    D[2, :-1] = D[0, :-1].swapaxes(-1, -2)
+    return D
+
+
+@pytest.mark.parametrize(
+    "perturbed",
+    [_ladder_one_low, lambda params: hamiltonian_diagonals(params)[::-1]],
+    ids=["ladder-one-index-low", "offsets-swapped"],
+)
+def test_perturbed_diagonals_fail_the_oracle_and_kernel_check(perturbed, tmp_path, monkeypatch):
+    # build_hamiltonian scatters model's binding, kernel-check reads cli's
+    monkeypatch.setattr(model, "hamiltonian_diagonals", perturbed)
+    monkeypatch.setattr(cli, "hamiltonian_diagonals", perturbed)
+    for two_s, two_j in SIZES:
+        for lam in (0.2, 0.8, 1.0):
+            assert _scatter_error(ModelParams(two_j, two_s, lam)) > 1e-3, (two_s, two_j, lam)
+    assert cli.main(["kernel-check", "--out", str(tmp_path)]) == 1
+    rows = [r.split(",") for r in (tmp_path / "kernel-check.csv").read_text().splitlines()[1:]]
+    got = {int(t): float(v) for t, prop, v in rows if prop == "model_symbol_identity"}
+    assert sorted(got) == [1, 2, 3, 5, 10, 20] and min(v for t, v in got.items() if t > 1) > 1e-10, got
 
 
 def test_gap_profile_endpoints_and_minimum():

@@ -43,9 +43,9 @@ def test_unreached_fails_on_a_stale_keep_entry(stale, tmp_path, monkeypatch):
 )
 def test_bench_trace_runs(argv, tmp_path):
     # bench/spans.py hooks star_exact(f, g, ...) and berezin_exact by the
-    # star commands' calls, and dequantize(A, kernel, fast_dim=None) and
-    # quantize(sym, kernel) by kernel-check's; a changed signature fails
-    # here.  No command enters its tensor_basis(two_j) hook.
+    # star commands' calls, and dequantize(A, kernel) and quantize(sym,
+    # kernel) by kernel-check's; a changed signature fails here.  No
+    # command enters its tensor_basis(two_j) hook.
     # calibrate runs at its default sizes: below two_j = 80 its unit-pair
     # gate fails on the physics, which would hide a failing hook
     trace = tmp_path / "trace.json"

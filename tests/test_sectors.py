@@ -11,11 +11,12 @@ a diagonal read at the wrong offset) fails it.
 import numpy as np
 import pytest
 import test_acceptance
+from model_oracle import dense_hamiltonian
 from sapt_oracle import band_clusters, dense_invariance_norm, dense_spectrum, exact_band_levels
 from sphere_oracle import full_width
 
 from sphere_sapt import cli, sapt, spin, swq
-from sphere_sapt.model import ModelParams, build_hamiltonian, sector_blocks
+from sphere_sapt.model import ModelParams, sector_blocks
 from sphere_sapt.sapt import moyal_projection, sector_commutator_norm
 from sphere_sapt.sphere import SphereSymbol
 from sphere_sapt.star import CALIBRATED
@@ -53,7 +54,7 @@ def test_sector_blocks_rebuild_the_dense_hamiltonian(two_j, lam):
         idx = [2 * (i + 1), 2 * i + 1]  # (i + 1, +) and (i, -) in kron(slow, fast) order
         H[np.ix_(idx, idx)] = block
     H[0, 0], H[-1, -1] = edges
-    assert np.max(np.abs(H - build_hamiltonian(p))) < 1e-15
+    assert np.max(np.abs(H - dense_hamiltonian(p))) < 1e-15
 
 
 @pytest.mark.parametrize("two_j", [2, 10, 40, 160, 320])

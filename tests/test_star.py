@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from star_oracle import CALIBRATED_BEREZIN, PRINTED_BEREZIN, berezin_dense, star_dense, truncation
 from sphere_oracle import full_width
-from swq_oracle import raise_lower_symbol
+from swq_oracle import lower_symbol, raise_lower_symbol
 
 from sphere_sapt import star
 from sphere_sapt.fits import loglog_slope
@@ -23,7 +23,7 @@ from sphere_sapt.star import (
     star_exact,
     star_truncation,
 )
-from sphere_sapt.swq import SWKernel, dequantize, lower_symbol, quantize
+from sphere_sapt.swq import SWKernel, dequantize, quantize
 
 
 def _sup(sym, grid=None):
@@ -121,7 +121,7 @@ def test_exact_products_build_no_dense_operator(monkeypatch, tmp_path):
         return spin.offset_block(two_j, m, L)
 
     for mod in (swq, star, cli):
-        for name in ("quantize", "dequantize", "lower_symbol"):
+        for name in ("quantize", "dequantize"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, forbidden)
     monkeypatch.setattr(spin, "tensor_basis", forbidden)

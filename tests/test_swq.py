@@ -9,7 +9,7 @@ from cg_oracle import clebsch_gordan
 from sphere_oracle import full_width, synthesize_at
 from spin_oracle import coherent_state
 import swq_oracle
-from swq_oracle import kernel_samples, raise_lower_symbol
+from swq_oracle import kernel_samples, lower_symbol, partial_dequantize, raise_lower_symbol
 
 from sphere_sapt import cli, swq
 from sphere_sapt.spin import make_irrep, tensor_basis
@@ -20,7 +20,6 @@ from sphere_sapt.swq import (
     dequantize_diagonals,
     kernel_property_residuals,
     _lower_scale,
-    lower_symbol,
     quantize,
     quantize_diagonals,
 )
@@ -57,7 +56,7 @@ def test_each_diagonal_alone_is_that_of_the_operator(fast, kernel_L):
         r = np.arange(max(0, -a), d - max(0, a))
         want[r] = A4[r, :, r + a, :].reshape((len(r),) + fast)
         assert np.array_equal(D[L + a], want), a
-    back = dequantize(A, ker, fast_dim=fast[0] if fast else None)
+    back = partial_dequantize(A, ker, fast_dim=fast[0] if fast else None)
     got = dequantize_diagonals(D, ker).coeffs
     assert got.shape[1] == 2 * L + 1
     assert np.array_equal(full_width(got), full_width(back.coeffs))
@@ -345,7 +344,7 @@ def test_matrix_valued_roundtrip_kron_structure():
     sym = _random_symbol(two_j, rng, fast=(k, k))
     Q = quantize(sym, ker)
     assert Q.shape == ((two_j + 1) * k, (two_j + 1) * k)
-    back = dequantize(Q, ker, fast_dim=k)
+    back = partial_dequantize(Q, ker, fast_dim=k)
     assert np.max(np.abs(back.truncated(two_j).coeffs - sym.coeffs)) < 1e-12
     # a product symbol f(n) E quantizes to kron(quantize(f), E)
     f = _random_symbol(two_j, rng)
