@@ -2,7 +2,8 @@
 
 The band bundle over the sphere is spanned by psi_m(n) = u0(n)^dagger e_m
 with u0 the ZYZ reference unitary of the model.  Its Chern number is 0 for
-lam < 1/2 and -2m above, jumping as the coupling crosses 1/2.  A
+lam < 1/2 and -2m above, jumping as the coupling crosses 1/2; both
+functions refuse the closing itself through ModelParams.require_gap.  A
 gauge-invariant plaquette method on the frames provides an exactly integer
 cross-check.
 """
@@ -13,7 +14,7 @@ from math import pi
 
 import numpy as np
 
-from .model import ModelParams, gap_N, principal_bands
+from .model import ModelParams, principal_bands
 
 __all__ = [
     "chern_analytic",
@@ -23,8 +24,7 @@ __all__ = [
 
 def chern_analytic(params: ModelParams, m: float) -> int:
     """Chern number of band m: 0 for lam < 1/2, -2m for lam > 1/2."""
-    if abs(params.lam - 0.5) < 1e-15:
-        raise ValueError("Chern number undefined at the gap closing lam = 1/2")
+    params.require_gap()
     if params.lam < 0.5:
         return 0
     return int(round(-2 * float(m)))
@@ -35,13 +35,11 @@ def chern_plaquette(params: ModelParams, m: float, n: int) -> int:
     theta links and n phi nodes.
 
     Includes the pole rows; any pointwise frame gauge gives the same
-    integer.  Raises at lam = 1/2 where the band touches its neighbour.
+    integer.  Raises where the model has no gap (ModelParams.require_gap).
     """
-    lam = params.lam
+    params.require_gap()
     theta = np.linspace(0.0, pi, n + 1)
     phi = 2 * pi * np.arange(n) / n
-    if np.min(gap_N(theta, lam)) < 1e-12:
-        raise ValueError("band degeneracy on the grid; Chern number undefined")
     th2, ph2 = np.meshgrid(theta, phi, indexing="ij")
     bd = principal_bands(params, th2, ph2, m)
     psi = bd.frame  # (n + 1, n, d_s)

@@ -345,6 +345,7 @@ def cmd_gap(cfg):
     rows = []
     worst = 0.0
     for lam in lambdas:
+        ModelParams(1, 0, lam)  # the model's check of the coupling; N reads no spin
         prof = gap_N(thetas, lam)
         for th, v in zip(thetas, prof):
             rows.append((lam, float(th), float(v)))

@@ -7,7 +7,9 @@ swq.quantize_diagonals); its M-sector blocks and, in kernel-check, its
 symbols on the sphere are read from it.  Provides the principal symbol
 (operator-valued coefficients, l <= 1), the principal bands
 E_m(n, lam) = N(n, lam) m, eigenframes and projectors, the gap N, and the
-pointwise reference unitary in ZYZ form.
+pointwise reference unitary in ZYZ form.  The bands touch only at
+(lam = 1/2, n = -e3); ModelParams.require_gap is the one rule that
+refuses a coupling there.
 
 Angle conventions: the tilted axis n_lam = ((1-lam) e3 + lam n)/N has polar
 angle theta' with cos(theta') = ((1-lam) + lam cos(theta))/N and
@@ -54,6 +56,13 @@ class ModelParams:
             raise ValueError("slow sector must be larger: two_j > two_s")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
+
+    def require_gap(self) -> None:
+        """The one rule for a gapped principal symbol.  Its bands touch only
+        where N(pi, lam) = |1 - 2 lam| vanishes: ValueError within 1e-12 of
+        the closing lam = 1/2."""
+        if abs(self.lam - 0.5) < 1e-12:
+            raise ValueError("no spectral gap within 1e-12 of the closing lam = 1/2")
 
     @property
     def d_j(self) -> int:
@@ -149,9 +158,12 @@ def hamiltonian_symbol(params: ModelParams) -> SphereSymbol:
 
 
 def gap_N(theta, lam: float):
-    """Spectral distance N(theta, lam) between adjacent principal bands."""
-    c = np.cos(theta)
-    return np.sqrt(lam**2 + (1 - lam) ** 2 + 2 * lam * (1 - lam) * c)
+    """Spectral distance N(theta, lam) between adjacent principal bands.
+
+    N^2 = (1 - 2 lam)^2 + 2 lam (1 - lam)(1 + cos theta), a sum of two
+    nonnegative terms for lam in [0, 1]: at theta = pi it is exactly
+    |1 - 2 lam|, with no cancellation near the closing lam = 1/2."""
+    return np.sqrt((1 - 2 * lam) ** 2 + 2 * lam * (1 - lam) * (1 + np.cos(theta)))
 
 
 def tilt_angles(theta, lam: float):
@@ -176,8 +188,7 @@ def principal_bands(params: ModelParams, theta, phi, m: float) -> BandData:
     """Band data of the principal symbol at the given points.
 
     m runs over s, s-1, ..., -s.  The gap closing at (lam = 1/2, n = -e3)
-    is not checked here: sapt refuses lam = 1/2 and chern_plaquette checks
-    the gap on its grid.
+    is not checked here: sapt and berry call ModelParams.require_gap.
     """
     idx = band_index(params.two_s, m)
     u0 = reference_unitary_field(params, theta, phi)

@@ -78,9 +78,9 @@ def _symbol_grid(L_exact: int, two_s: int) -> Grid:
 
 def _band_grid(params: ModelParams, m: float, L: int):
     """(grid, band index, theta mesh, phi mesh) of the band-m symbols at band
-    limit L, after refusing lam = 1/2 (no gap) and a label that is no band."""
-    if abs(params.lam - 0.5) < 1e-12:
-        raise ValueError("no spectral gap at lam = 1/2")
+    limit L, after refusing a coupling with no gap (ModelParams.require_gap)
+    and a label that is no band."""
+    params.require_gap()
     idx = band_index(params.two_s, m)
     grid = _symbol_grid(4 * L, params.two_s)
     return (grid, idx, *np.meshgrid(grid.theta, grid.phi, indexing="ij"))
@@ -235,7 +235,7 @@ def exact_band_projection(params: ModelParams) -> dict[float, np.ndarray]:
 
 
 def _band_energy(params: ModelParams, m: float, L: int) -> SphereSymbol:
-    """h0 = m N(theta), the energy of band m (lam != 1/2) and the leading term
+    """h0 = m N(theta), the energy of band m (a gapped lam) and the leading term
     of its effective series: one analysis on the band-symbol grid."""
     grid, _, th2, _ = _band_grid(params, m, L)
     return grid.analyze(gap_N(th2, params.lam) * float(m), L)
@@ -247,7 +247,7 @@ def effective_hamiltonian(
     cs: CoefficientSet = CALIBRATED,
     L: int = BAND_LIMIT,
 ) -> SemiclassicalSymbol:
-    """Scalar effective series h0 + d^-1 h1 of band m (lam != 1/2).
+    """Scalar effective series h0 + d^-1 h1 of band m (a gapped lam).
 
     h0 = m N(theta) is the band energy.  h1 is entry (m, m) of
     (B(u0, H0) - B(h0, u0)) u0^dagger, with B the order-1 star bilinear of
@@ -320,9 +320,7 @@ def classical_flow(lam: float, m: float, n0: np.ndarray, T: float) -> np.ndarray
     the exact rotation about e3 by the angle -m lam(1-lam) T / N(n3).
     """
     n = np.asarray(n0, dtype=float)
-    ct = np.clip(n[..., 2], -1.0, 1.0)
-    N = np.sqrt(lam**2 + (1 - lam) ** 2 + 2 * lam * (1 - lam) * ct)
-    a = -float(m) * lam * (1 - lam) * T / N
+    a = -float(m) * lam * (1 - lam) * T / gap_N(np.arccos(np.clip(n[..., 2], -1.0, 1.0)), lam)
     c, s = np.cos(a), np.sin(a)
     return np.stack([c * n[..., 0] - s * n[..., 1], s * n[..., 0] + c * n[..., 1], n[..., 2]], axis=-1)
 
@@ -363,6 +361,7 @@ def egorov_error(
     That is exact while o0's |m| stays below n_phi / 2, which the grid's
     2 L_o0 + 1 phi nodes or more ensure.
     """
+    h0 = _band_energy(ModelParams(two_j_list[0], 1, lam), m, BAND_LIMIT)
     grid = make_grid(max(48, 2 * o0.L))
     ring = np.stack([np.sin(grid.theta), 0 * grid.theta, np.cos(grid.theta)], axis=-1)  # phi = 0
     flowed = classical_flow(lam, m, ring, T)
@@ -371,7 +370,6 @@ def egorov_error(
     o_cl = np.fft.ifft(np.fft.fft(grid.synthesize(o0), axis=1) * np.exp(1j * np.outer(alpha, k)), axis=1)
 
     errs = []
-    h0 = _band_energy(ModelParams(two_j_list[0], 1, lam), m, BAND_LIMIT)
     for two_j in two_j_list:
         params = ModelParams(two_j, 1, lam)
         s = EGOROV_TIME_SIGN * (params.d_j / 2) * T

@@ -127,6 +127,29 @@ def test_chern_exit_codes(tmp_path):
     assert main(["chern", "--lambda", "0.5", "--grid", "16", "--out", str(tmp_path)]) == 2
 
 
+def test_gap_check_reads_zero_next_to_the_closing(tmp_path):
+    # N(pi, lam) = |1 - 2 lam| = 2e-9 exactly; chern's run there is in the refusal-window test
+    assert main(["gap", "--lambdas", "0.499999999,0.500000001", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "gap.json").read_text())["checks"][0]["worst"] == 0.0
+
+
+_CLOSING = "no spectral gap within 1e-12 of the closing lam = 1/2"
+
+
+@pytest.mark.parametrize("command", ["chern", "obstruction", "bands", "invariance-slopes", "egorov"])
+def test_one_refusal_window_around_the_closing(command, tmp_path, capsys):
+    # within 1e-12 of lam = 1/2 every command refuses with the model's one cause
+    for lam in ("0.4999999999999", "0.5", "0.5000000000001"):
+        assert main([command, "--lambda", lam, "--out", str(tmp_path / lam)]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {_CLOSING}"
+        assert not (tmp_path / lam).exists()
+    # 1e-9 away none does: the Chern numbers and ranks agree, and the sweeps
+    # run and fail their slope gates (pre-asymptotic at two_j 10-80 this close)
+    want = 0 if command in ("chern", "obstruction") else 1
+    for lam in ("0.499999999", "0.500000001"):
+        assert main([command, "--lambda", lam, "--out", str(tmp_path / lam)]) == want
+
+
 def test_chern_reads_no_slow_spin(tmp_path, capsys):
     # neither Chern number depends on the slow spin, so a fast spin of any
     # size runs on the smallest slow sector the model allows
@@ -561,6 +584,8 @@ def test_two_point_sweep_writes_strict_json(tmp_path):
         pytest.param(["invariance-slopes", "--lambda", "1"], 2, id="argv34-2"),  # (2/d) J.S commutes with Op(pi)
         pytest.param(["invariance-slopes", "--lambda", "0"], 2, id="argv35-2"),  # the norms are exactly 0
         pytest.param(["bands", "--lambda", "0"], 2, id="argv36-2"),  # H = 1 (x) S3: the levels agree to round-off
+        pytest.param(["gap", "--lambdas", "1.5"], 2, id="argv37-2"),  # outside the model's couplings
+        pytest.param(["gap", "--lambdas", "-0.5"], 2, id="argv38-2"),
     ],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, argv, want):
@@ -594,7 +619,10 @@ _CAUSES = {
     ("chern", "--two-s", "-1"): "two_s must be >= 0, got -1",
     ("egorov", "--time", "0"): "--time must be nonzero",
     ("egorov", "--observable", "n3"): "unknown observable 'n3'",
-    ("obstruction", "--lambda", "0.5"): "Chern number undefined at the gap closing",
+    ("chern", "--lambda", "0.5"): _CLOSING,
+    ("obstruction", "--lambda", "0.5"): _CLOSING,
+    ("gap", "--lambdas", "1.5"): "lambda must lie in [0, 1]",
+    ("gap", "--lambdas", "-0.5"): "lambda must lie in [0, 1]",
     ("egorov", "--lambda", "0"): "--lambda must lie strictly between 0 and 1: at 0 N = 1",
     ("egorov", "--lambda", "1"): "--lambda must lie strictly between 0 and 1: at 1 N = 1",
     ("invariance-slopes", "--lambda", "1"): "at 1 H commutes with the quantized projection",

@@ -129,6 +129,22 @@ def test_gap_profile_endpoints_and_minimum():
     assert mn < 1e-8
 
 
+@pytest.mark.parametrize("lam", [0.5] + [0.5 + s * 10.0**-k for k in range(1, 14) for s in (1, -1)])
+def test_gap_at_the_south_pole_is_exact(lam):
+    # N^2 = (1 - 2 lam)^2 + 2 lam (1 - lam)(1 + cos theta) has no cancellation at
+    # theta = pi; the expanded form lam^2 + (1 - lam)^2 + 2 lam (1 - lam) cos theta
+    # read 0.0 there for |lam - 1/2| <= 1e-9 and was 5% off at 1e-8
+    assert gap_N(np.pi, lam) == abs(1 - 2 * lam)
+
+
+def test_one_gap_rule():
+    for lam in (0.5, 0.5 + 9e-13, 0.5 - 9e-13):
+        with pytest.raises(ValueError, match="no spectral gap within 1e-12 of the closing lam = 1/2"):
+            ModelParams(4, 1, lam).require_gap()
+    for lam in (0.0, 0.5 + 1e-11, 0.5 - 1e-11, 1.0):
+        ModelParams(4, 1, lam).require_gap()
+
+
 def test_tilt_angle_derivative_fd():
     theta = np.linspace(0.1, np.pi - 0.1, 40)
     h = 1e-6
