@@ -25,9 +25,7 @@ __all__ = [
 def chern_analytic(params: ModelParams, m: float) -> int:
     """Chern number of band m: 0 for lam < 1/2, -2m for lam > 1/2."""
     params.require_gap()
-    if params.lam < 0.5:
-        return 0
-    return int(round(-2 * float(m)))
+    return int(round(-2 * float(m))) if params.topological else 0
 
 
 def chern_plaquette(params: ModelParams, m: float, n: int) -> int:

@@ -106,12 +106,6 @@ def _star_sweep(cfg) -> list[int]:
     return two_j
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _nonfinite_key(obj, path: str = "") -> str | None:
     """JSON key path (e.g. "checks[0].slope") of the first non-finite float."""
     if isinstance(obj, float):
@@ -184,7 +178,7 @@ def _emit(cfg, name: str, header, rows, checks, extra, wall_time_s: float) -> in
     """
     for row in rows:
         if not all(isfinite(x) for x in row if isinstance(x, float)):
-            raise ArithmeticError(f"{name}: non-finite value in row {tuple(map(_fmt, row))}")
+            raise ArithmeticError(f"{name}: non-finite value in row {row}")
     ok = all(c["pass"] for c in checks)
     summary = {
         "command": name,
@@ -204,8 +198,7 @@ def _emit(cfg, name: str, header, rows, checks, extra, wall_time_s: float) -> in
     with open(os.path.join(out, f"{name}.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
+        w.writerows(rows)
     with open(os.path.join(out, f"{name}.json"), "w") as fh:
         fh.write(text + "\n")
     for c in checks:
@@ -445,13 +438,13 @@ def cmd_egorov(cfg):
     # the full block Q[1] of every dimension (d^2 floats each, cached; the
     # observable's diagonal array is trimmed to the offsets |m| <= 1 it
     # carries, and an offset with no content builds no block) and the rows
-    # l <= 24 of Q[0] and Q[1] that quantize h0 (50 d, cached); at the
-    # largest, the three Legendre columns m <= 2 of the evolved symbol's
-    # synthesis on the 25 theta nodes of the error grid, with the previous
-    # size's until they are replaced (150 d), and the width-1 evolved symbol,
-    # the diagonals and their phases (~40 d); plus ~2 MiB of grids and tables
-    # that do not grow with d
-    blocks = sum((t + 1) ** 2 + 50 * (t + 1) for t in two_j_list)
+    # l <= BAND_LIMIT of Q[0] that quantize h0, an m = 0 symbol
+    # ((BAND_LIMIT + 1) d, cached); at the largest, the three Legendre
+    # columns m <= 2 of the evolved symbol's synthesis on the 25 theta nodes
+    # of the error grid, with the previous size's until they are replaced
+    # (150 d), and the width-1 evolved symbol, the diagonals and their phases
+    # (~40 d); plus ~2 MiB of grids and tables that do not grow with d
+    blocks = sum((t + 1) ** 2 + (BAND_LIMIT + 1) * (t + 1) for t in two_j_list)
     d = max(two_j_list) + 1
     _check_memory(max(two_j_list), 8 * (blocks + 190 * d) + 2**21)
     r = egorov_error(cfg["lam"], cfg["band"], vector_symbol_coeffs()[obs[name]], cfg["time"], two_j_list)

@@ -3,13 +3,14 @@
 H = (1 - lam) 1 (x) S3 + lam (2/d_slow) J . S on H_slow (x) H_fast, with the
 slow factor dequantized on the sphere.  H is kept as one array, its three
 slow offset diagonals of fast blocks (hamiltonian_diagonals, in the layout of
-swq.quantize_diagonals); its M-sector blocks and, in kernel-check, its
-symbols on the sphere are read from it.  Provides the principal symbol
+swq.quantize_diagonals); kernel-check reads its symbols from it, and
+sector_blocks reads it, as it reads every quantized band symbol, into the
+sectors of M = J3 (x) 1 + 1 (x) S3.  Provides the principal symbol
 (operator-valued coefficients, l <= 1), the principal bands
 E_m(n, lam) = N(n, lam) m, eigenframes and projectors, the gap N, and the
 pointwise reference unitary in ZYZ form.  The bands touch only at
 (lam = 1/2, n = -e3); ModelParams.require_gap is the one rule that
-refuses a coupling there.
+refuses a coupling there, and ModelParams.topological the one side of it.
 
 Angle conventions: the tilted axis n_lam = ((1-lam) e3 + lam n)/N has polar
 angle theta' with cos(theta') = ((1-lam) + lam cos(theta))/N and
@@ -63,6 +64,12 @@ class ModelParams:
         the closing lam = 1/2."""
         if abs(self.lam - 0.5) < 1e-12:
             raise ValueError("no spectral gap within 1e-12 of the closing lam = 1/2")
+
+    @property
+    def topological(self) -> bool:
+        """lam >= 1/2, the side of the closing with a nontrivial band bundle
+        (the closing itself labels its finite-d levels as this side's)."""
+        return self.lam >= 0.5
 
     @property
     def d_j(self) -> int:
@@ -126,24 +133,28 @@ def build_hamiltonian(params: ModelParams) -> np.ndarray:
     return _scatter(hamiltonian_diagonals(params))
 
 
-def sector_blocks(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """H on the sectors of M = J3 (x) 1 + 1 (x) S3, for a spin-1/2 fast sector,
-    read from hamiltonian_diagonals.
+def sector_blocks(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An operator that conserves M = J3 (x) 1 + 1 (x) S3 on its sectors,
+    read from its row-indexed offset diagonals D, shape (2K + 1, d, 2, 2)
+    (a spin-1/2 fast sector; the layout of hamiltonian_diagonals and
+    swq.quantize_diagonals): the one read for H and every band symbol.
 
-    H commutes with M.  With slow index i (J3 = j - i) and fast spin up (+)
-    or down (-), sector M = j - i - 1/2 holds (i + 1, +) and (i, -), for
-    i = 0 .. d - 2, coupled by J- S+ (offset -1 at row i + 1) and J+ S-
-    (offset +1 at row i).  Returns blocks, shape (d - 1, 2, 2), the real
-    symmetric block of each sector in the basis ((i + 1, +), (i, -)), and
-    edges, the energies of the two 1 x 1 sectors (0, +) and (d - 1, -),
-    M = +-(j + 1/2).  O(d) work and memory at any two_j.
+    With slow index i (J3 = j - i) and fast spin up (+) or down (-), sector
+    M = j - i - 1/2 holds (i + 1, +) and (i, -), for i = 0 .. d - 2, coupled
+    by offset -1 at row i + 1 (entry (+, -); J- S+ in H) and offset +1 at
+    row i (entry (-, +)); with K = 0 the blocks are diagonal.  Returns
+    blocks, shape (d - 1, 2, 2), each sector's block in the basis
+    ((i + 1, +), (i, -)), and edges, the entries of the two 1 x 1 sectors
+    (0, +) and (d - 1, -), M = +-(j + 1/2).  O(d) work and memory.
     """
-    if params.two_s != 1:
-        raise ValueError(f"the M-sectors are implemented for a spin-1/2 fast sector, got two_s = {params.two_s}")
-    D = hamiltonian_diagonals(params)
-    up, down = D[1, :, 0, 0], D[1, :, 1, 1]  # <(i, +)| H |(i, +)> and <(i, -)| H |(i, -)>
-    rows = [[up[1:], D[0, 1:, 0, 1]], [D[2, :-1, 1, 0], down[:-1]]]
-    blocks = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    if D.shape[2:] != (2, 2):
+        raise ValueError(f"the M-sectors are implemented for a spin-1/2 fast sector, got two_s = {D.shape[-1] - 1}")
+    K = len(D) // 2
+    up, down = D[K, :, 0, 0], D[K, :, 1, 1]  # <(i, +)| D |(i, +)> and <(i, -)| D |(i, -)>
+    blocks = np.zeros((D.shape[1] - 1, 2, 2), dtype=D.dtype)
+    blocks[:, 0, 0], blocks[:, 1, 1] = up[1:], down[:-1]
+    if K:
+        blocks[:, 0, 1], blocks[:, 1, 0] = D[K - 1, 1:, 0, 1], D[K + 1, :-1, 1, 0]
     return blocks, np.array([up[0], down[-1]])
 
 

@@ -12,11 +12,11 @@ take a CoefficientSet so the printed and calibrated expansions can be
 compared downstream.
 
 The operator side of the checks works on the sectors of M = J3 (x) 1 +
-1 (x) S3, which H and every quantized band symbol conserve.  The sectors
-say which band each exact level is in (exact_band_projection, O(d)), and
-the invariance norm and the Heisenberg evolution read a few diagonals of
-each operator, O(d L) (Egorov: O(d^3)) instead of dense 2d x 2d algebra
-and eigensolvers.
+1 (x) S3, which H and every quantized band symbol conserve; one function,
+model.sector_blocks, reads both into them.  The sectors say which band
+each exact level is in (exact_band_projection, O(d)), and the invariance
+norm and the Heisenberg evolution read a few diagonals of each operator,
+O(d L) (Egorov: O(d^3)) instead of dense 2d x 2d algebra and eigensolvers.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .model import (
     ModelParams,
     band_index,
     gap_N,
+    hamiltonian_diagonals,
     hamiltonian_symbol,
     principal_bands,
     sector_blocks,
@@ -166,18 +167,14 @@ def sector_commutator_norm(params: ModelParams, sym: SphereSymbol) -> float:
     """||[H, quantize(sym)]||_2 for an M-conserving 2 x 2 symbol: the largest
     norm over the 2 x 2 sectors (the 1 x 1 edge sectors commute).
 
-    The sector block of P = quantize(sym) on ((i + 1, +), (i, -)) takes the
-    offset-0 diagonals of entries (+, +) and (-, -), the offset -1 diagonal
-    of (+, -) and the offset +1 diagonal of (-, +).  With H's block
-    [[a, c], [c, b]] and P's [[p, q], [q', r]] the commutator is
+    Both operators' sector blocks come from model.sector_blocks.  With H's
+    block [[a, c], [c, b]] and P's [[p, q], [q', r]] the commutator is
     [[c (q' - q), (a - b) q - c (p - r)], [(b - a) q' + c (p - r), c (q - q')]].
     """
-    D = _sector_diagonals(sym, params.slow, "the projection symbol")
-    H, _ = sector_blocks(params)
-    K = len(D) // 2
-    p, r = D[K, 1:, 0, 0], D[K, :-1, 1, 1]
-    q, q1 = (D[K - 1, 1:, 0, 1], D[K + 1, :-1, 1, 0]) if K else (0.0, 0.0)  # K = 0: no offset +-1
+    P, _ = sector_blocks(_sector_diagonals(sym, params.slow, "the projection symbol"))
+    H, _ = sector_blocks(hamiltonian_diagonals(params))
     a, b, c = H[:, 0, 0], H[:, 1, 1], H[:, 0, 1]
+    p, q, q1, r = P[:, 0, 0], P[:, 0, 1], P[:, 1, 0], P[:, 1, 1]
     C = np.empty((len(c), 2, 2), dtype=complex)
     C[:, 0, 0] = c * (q1 - q)
     C[:, 1, 1] = -C[:, 0, 0]
@@ -218,15 +215,15 @@ def exact_band_projection(params: ModelParams) -> dict[float, np.ndarray]:
     gives its upper eigenvalue, mean + radius in closed form, to band +1/2
     and its lower one to band -1/2.  The top edge (0, +) is an upper level;
     the bottom edge (d - 1, -), at (2 lam - 1)/2 - lam/(2d), is one for
-    lam >= 1/2 and a lower level below, so in the topological phase the
-    upper band holds d + 1 levels and the lower d - 1.  Each band's levels
-    come in order of decreasing M.
+    lam >= 1/2 (ModelParams.topological) and a lower level below, so there
+    the upper band holds d + 1 levels and the lower d - 1.  Each band's
+    levels come in order of decreasing M.
     """
-    blocks, (top, bottom) = sector_blocks(params)
+    blocks, (top, bottom) = sector_blocks(hamiltonian_diagonals(params))
     a, b, c = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 0, 1]
     mean, radius = (a + b) / 2, np.hypot((a - b) / 2, c)
     upper, lower = np.r_[top, mean + radius], mean - radius
-    if params.lam >= 0.5:
+    if params.topological:
         return {0.5: np.r_[upper, bottom], -0.5: lower}
     return {0.5: upper, -0.5: np.r_[lower, bottom]}
 

@@ -672,6 +672,11 @@ def test_nonfinite_row_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_numpy_floats_are_written_as_numbers(tmp_path):
+    assert cli._emit({"out": str(tmp_path)}, "demo", ("x",), [(np.float64(0.1),)], [], {}, 0.0) == 0
+    assert (tmp_path / "demo.csv").read_text().splitlines() == ["x", "0.1"]
+
+
 def test_nonfinite_summary_names_the_key(tmp_path):
     checks = [{"name": "ok", "pass": True}, {"name": "fit", "pass": True, "slope": float("nan")}]
     with pytest.raises(ArithmeticError, match=r"summary at checks\[1\]\.slope$"):

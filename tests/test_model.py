@@ -16,6 +16,7 @@ from model_oracle import (
 from swq_oracle import lower_symbol
 
 from sphere_sapt import cli, model
+from sphere_sapt.berry import chern_analytic
 from sphere_sapt.model import (
     ModelParams,
     band_index,
@@ -26,6 +27,7 @@ from sphere_sapt.model import (
     reference_unitary_field,
     tilt_angles,
 )
+from sphere_sapt.sapt import exact_band_projection
 from sphere_sapt.sphere import make_grid
 from sphere_sapt.swq import SWKernel, quantize
 
@@ -143,6 +145,16 @@ def test_one_gap_rule():
             ModelParams(4, 1, lam).require_gap()
     for lam in (0.0, 0.5 + 1e-11, 0.5 - 1e-11, 1.0):
         ModelParams(4, 1, lam).require_gap()
+
+
+def test_one_closing_side(monkeypatch):
+    # berry's Chern number and sapt's edge label read the side of the closing
+    # from ModelParams.topological alone: flipping it flips both
+    assert [ModelParams(4, 1, lam).topological for lam in (0.0, 0.49, 0.5, 0.51, 1.0)] == [False, False, True, True, True]
+    p = ModelParams(4, 1, 0.2)
+    assert (chern_analytic(p, 0.5), len(exact_band_projection(p)[0.5])) == (0, p.d_j)
+    monkeypatch.setattr(ModelParams, "topological", property(lambda self: self.lam < 0.5))
+    assert (chern_analytic(p, 0.5), len(exact_band_projection(p)[0.5])) == (-1, p.d_j + 1)
 
 
 def test_tilt_angle_derivative_fd():

@@ -3,9 +3,11 @@
 H and every quantized band symbol conserve M = J3 (x) 1 + 1 (x) S3, so the
 package reads the exact levels of each band, the invariance norm and the
 Heisenberg evolution off 2 x 2 sector blocks and a few operator
-diagonals.  Each check below compares that path with the dense one and
-shows that a perturbed block (a ladder index off by one, a dropped sector,
-a diagonal read at the wrong offset) fails it.
+diagonals; model.sector_blocks is the one read of an operator's diagonals
+into its sectors, for H and for the quantized projector.  Each check below
+compares that path with the dense one and shows that a perturbed block (a
+ladder index off by one, a dropped sector, a diagonal read at the wrong
+offset or row) fails it.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from sapt_oracle import band_clusters, dense_invariance_norm, dense_spectrum, ex
 from sphere_oracle import full_width
 
 from sphere_sapt import cli, sapt, spin, swq
-from sphere_sapt.model import ModelParams, sector_blocks
+from sphere_sapt.model import ModelParams, hamiltonian_diagonals, sector_blocks
 from sphere_sapt.sapt import moyal_projection, sector_commutator_norm
 from sphere_sapt.sphere import SphereSymbol
 from sphere_sapt.star import CALIBRATED
@@ -35,26 +37,58 @@ def _spectrum_error(params) -> float:
 
 
 def _off_by_one(params):
-    # the ladder amplitude of J- S+ taken one index too low (sector_blocks is
-    # this module's binding, which monkeypatching sapt leaves alone)
-    blocks, edges = sector_blocks(params)
+    # the ladder amplitude of J- S+ taken one index too low, in both of H's
+    # entries that carry it (hamiltonian_diagonals is this module's binding,
+    # which monkeypatching sapt leaves alone)
+    D = hamiltonian_diagonals(params)
     i = np.arange(params.d_j - 1)
-    blocks = blocks.copy()
-    blocks[:, 0, 1] = blocks[:, 1, 0] = params.lam / params.d_j * np.sqrt(i * (params.two_j + 1 - i))
-    return blocks, edges
+    D[0, 1:, 0, 1] = D[2, :-1, 1, 0] = params.lam / params.d_j * np.sqrt(i * (params.two_j + 1 - i))
+    return D
+
+
+def _rebuild(blocks, edges) -> np.ndarray:
+    """The 2d x 2d matrix with these sector blocks and edges."""
+    d = len(blocks) + 1
+    A = np.zeros((2 * d, 2 * d), dtype=blocks.dtype)
+    for i, block in enumerate(blocks):
+        idx = [2 * (i + 1), 2 * i + 1]  # (i + 1, +) and (i, -) in kron(slow, fast) order
+        A[np.ix_(idx, idx)] = block
+    A[0, 0], A[-1, -1] = edges
+    return A
+
+
+def _rebuild_error(params) -> float:
+    # through sapt's binding, the one its consumers read, so a patch there reaches it
+    return float(np.max(np.abs(_rebuild(*sapt.sector_blocks(hamiltonian_diagonals(params))) - dense_hamiltonian(params))))
 
 
 @pytest.mark.parametrize("two_j", [2, 9, 40])
 @pytest.mark.parametrize("lam", [0.0, 0.2, 0.8, 1.0])
 def test_sector_blocks_rebuild_the_dense_hamiltonian(two_j, lam):
-    p = ModelParams(two_j, 1, lam)
-    blocks, edges = sector_blocks(p)
-    H = np.zeros((2 * p.d_j, 2 * p.d_j))
-    for i, block in enumerate(blocks):
-        idx = [2 * (i + 1), 2 * i + 1]  # (i + 1, +) and (i, -) in kron(slow, fast) order
-        H[np.ix_(idx, idx)] = block
-    H[0, 0], H[-1, -1] = edges
-    assert np.max(np.abs(H - dense_hamiltonian(p))) < 1e-15
+    assert _rebuild_error(ModelParams(two_j, 1, lam)) < 1e-15
+
+
+def _m_conserving(rng, K: int, d: int) -> np.ndarray:
+    """Random complex diagonals (2K + 1, d, 2, 2) of an operator that conserves
+    M: offset 0 in entries (+, +) and (-, -), offset -1 in (+, -) and +1 in
+    (-, +), zero where the column leaves the matrix."""
+    D = np.zeros((2 * K + 1, d, 2, 2), dtype=complex)
+    z = rng.normal(size=(d, 4)) + 1j * rng.normal(size=(d, 4))
+    D[K, :, 0, 0], D[K, :, 1, 1] = z[:, 0], z[:, 1]
+    if K:
+        D[K - 1, 1:, 0, 1], D[K + 1, :-1, 1, 0] = z[1:, 2], z[:-1, 3]
+    return D
+
+
+@pytest.mark.parametrize("K", [0, 1])
+@pytest.mark.parametrize("d", [2, 3, 11])
+def test_sector_blocks_are_the_sectors_of_the_dense_scatter(K, d):
+    # the sectors hold every entry of an M-conserving operator: rebuilt from
+    # its blocks and edges it is, entry for entry, the scatter of its diagonals
+    D = _m_conserving(np.random.default_rng(d + 7 * K), K, d)
+    blocks, edges = sector_blocks(D)
+    assert blocks.shape == (d - 1, 2, 2) and blocks.dtype == complex
+    assert np.array_equal(_rebuild(blocks, edges), swq._scatter(D))
 
 
 @pytest.mark.parametrize("two_j", [2, 10, 40, 160, 320])
@@ -105,16 +139,17 @@ def test_a_wrong_edge_rule_fails_the_rank_checks(monkeypatch, tmp_path):
 
 def test_perturbed_sectors_fail_the_spectrum_oracle(monkeypatch):
     p = ModelParams(40, 1, 0.2)
-    monkeypatch.setattr(sapt, "sector_blocks", _off_by_one)
+    monkeypatch.setattr(sapt, "hamiltonian_diagonals", _off_by_one)
     assert _spectrum_error(p) > 1e-4
-    monkeypatch.setattr(sapt, "sector_blocks", lambda params: (sector_blocks(params)[0][1:], sector_blocks(params)[1]))
+    monkeypatch.undo()
+    monkeypatch.setattr(sapt, "sector_blocks", lambda D: (sector_blocks(D)[0][1:], sector_blocks(D)[1]))
     with pytest.raises(AssertionError, match="miss eigenvalues"):
         _spectrum_error(p)
 
 
 def test_sectors_need_a_spin_half_fast_sector():
     with pytest.raises(ValueError, match="two_s = 2"):
-        sector_blocks(ModelParams(10, 2, 0.2))
+        sector_blocks(hamiltonian_diagonals(ModelParams(10, 2, 0.2)))
 
 
 def _projections():
@@ -134,7 +169,7 @@ def test_sector_norms_match_the_dense_norm(two_j):
 @pytest.mark.parametrize(
     "target, perturbed",
     [
-        ("sector_blocks", _off_by_one),
+        ("hamiltonian_diagonals", _off_by_one),
         ("quantize_diagonals", lambda sym, ker: quantize_diagonals(sym, ker)[::-1]),  # offsets swapped
     ],
     ids=["ladder-off-by-one", "offsets-swapped"],
@@ -145,6 +180,25 @@ def test_perturbed_blocks_fail_the_norm_oracle(monkeypatch, target, perturbed):
     want = dense_invariance_norm(p, sym)
     monkeypatch.setattr(sapt, target, perturbed)
     assert abs(sector_commutator_norm(p, sym) - want) > 0.1 * want
+
+
+def _offset_minus_one_a_row_low(D):
+    # the one read perturbed: offset -1 of entry (+, -) taken at row i, not i + 1
+    blocks, edges = sector_blocks(D)
+    blocks[:, 0, 1] = D[len(D) // 2 - 1, :-1, 0, 1]
+    return blocks, edges
+
+
+def test_one_perturbed_read_fails_both_consumers(monkeypatch):
+    # H's rebuild, the projector's invariance norm and the band spectrum all
+    # read through sector_blocks, so one wrong row fails all three
+    p = ModelParams(40, 1, 0.2)
+    sym = _projections()[0.2].evaluate(p.d_j, 1)
+    want = dense_invariance_norm(p, sym)
+    monkeypatch.setattr(sapt, "sector_blocks", _offset_minus_one_a_row_low)
+    assert _rebuild_error(p) > 1e-4
+    assert abs(sector_commutator_norm(p, sym) - want) > 0.1 * want
+    assert _spectrum_error(p) > 1e-4
 
 
 def test_a_symbol_without_offsets_one_matches_the_dense_norm():
