@@ -353,18 +353,16 @@ def egorov_error(
     Quantum side: heisenberg_symbol with s = (d_j/2) T and h0 = m N(theta),
     which is axisymmetric (ArithmeticError if it is not, as the propagator
     is then no diagonal phase).  Classical side: o0 composed with the
-    precession flow, which turns each theta ring by its own angle alpha, so
-    phi harmonic k of the ring's samples takes the phase e^{i k alpha}.
-    That is exact while o0's |m| stays below n_phi / 2, which the grid's
-    2 L_o0 + 1 phi nodes or more ensure.
+    precession flow, which turns each theta ring by its own angle alpha:
+    the grid synthesizes o0 with the theta-profile of each phi harmonic k
+    times e^{i k alpha}.
     """
     h0 = _band_energy(ModelParams(two_j_list[0], 1, lam), m, BAND_LIMIT)
     grid = make_grid(max(48, 2 * o0.L))
     ring = np.stack([np.sin(grid.theta), 0 * grid.theta, np.cos(grid.theta)], axis=-1)  # phi = 0
     flowed = classical_flow(lam, m, ring, T)
     alpha = np.arctan2(flowed[:, 1], flowed[:, 0])
-    k = np.fft.fftfreq(grid.n_phi, 1 / grid.n_phi)  # signed harmonic of each phi bin
-    o_cl = np.fft.ifft(np.fft.fft(grid.synthesize(o0), axis=1) * np.exp(1j * np.outer(alpha, k)), axis=1)
+    o_cl = grid.synthesize(o0, turn=alpha)
 
     errs = []
     for two_j in two_j_list:

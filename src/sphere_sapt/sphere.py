@@ -3,9 +3,10 @@
 Gauss-Legendre x uniform-phi quadrature grids (optionally with an
 azimuthal band limit that keeps only 2M+1 phi nodes), complex orthonormal
 spherical harmonics with Condon-Shortley phase (orthonormal for the
-un-normalized measure, total mass 4 pi), analysis/synthesis, tangential
-gradients from analytic theta/phi derivatives, and the rotation-invariant
-differential operators used by the star-product expansions.
+un-normalized measure, total mass 4 pi), analysis/synthesis (a matmul per
+m in theta, a product with the phase matrix e^{i m phi_p} in phi),
+tangential gradients from analytic theta/phi derivatives, and the
+rotation-invariant differential operators used by the star-product expansions.
 
 Scalar symbols carry coefficient arrays of shape (L+1, 2M+1), with an
 azimuthal width M <= L read from the shape; matrix valued symbols append
@@ -139,14 +140,6 @@ def _theta_derivative(P: np.ndarray, x: np.ndarray, K: int) -> np.ndarray:
     return dP
 
 
-def _wrap_add(f: np.ndarray, fm: np.ndarray) -> None:
-    """f[:, i mod n] += fm[i] for theta columns fm[i]; f has n columns."""
-    n = f.shape[1]
-    for k in range(0, len(fm), n):
-        block = fm[k : k + n].transpose(1, 0, 2)
-        f[:, : block.shape[1]] += block
-
-
 def _gauss_legendre(n: int):
     """The n-point Gauss-Legendre rule as (theta ascending, x = cos theta, weights summing to 2)."""
     # Tricomi's first guess with its 1/(8 n^2) correction, three Newton steps
@@ -196,9 +189,9 @@ class Grid:
         self.w_theta = wx * (2 * pi / n_phi)  # per-node weight, any phi
         self.n_theta = n_theta
         self.n_phi = n_phi
-        # one table for the largest band limit and column count asked so far,
-        # {L: (K, P, dP)}; dP is None until a gradient synthesis asks for it
-        self._tables: dict[int, tuple[int, np.ndarray, np.ndarray | None]] = {}
+        # one table (L, K, P, dP, E), built for the last request that the one
+        # before did not cover; dP is None until a gradient synthesis asks for it
+        self._table = (-1, -1, None, None, None)
 
     # -- cached tables ------------------------------------------------------
 
@@ -207,28 +200,35 @@ class Grid:
         return L if self.M is None else min(L, self.M)
 
     def _tab(self, L: int, K: int | None = None, deriv: bool = False):
-        """(P, dP) for a band limit >= L: P holds the columns m <= K + 1 (or
-        up to the band), dP the columns m <= K; K defaults to _mmax(L)."""
+        """(P, dP, E) for a band limit >= L: P holds the Legendre columns
+        m <= K + 1 (or up to the band), dP the columns m <= K, and E[p, K + m]
+        = e^{i m phi_p} for |m| <= K; K defaults to _mmax(L).  A table that
+        does not cover the request is rebuilt at its L and K alone, so a
+        narrow band-2000 table keeps no columns of a full band-40 one."""
         K = self._mmax(L) if K is None else K
-        Lt, (Kt, P, dP) = next(iter(self._tables.items()), (-1, (-1, None, None)))
+        Lt, Kt, P, dP, E = self._table
         if Lt < L or Kt < K:
-            Lt, Kt = max(Lt, L), max(Kt, K)
-            P, dP = _legendre(Lt, self.x, min(Lt, Kt + 1)), None
+            Lt, Kt, P, dP = L, K, _legendre(L, self.x, min(L, K + 1)), None
+            # m p mod n_phi in integers, and columns -m that conjugate columns m
+            # exactly, so real samples analyze to exactly hermitian coefficients
+            E = np.exp(2j * pi / self.n_phi * (np.arange(self.n_phi)[:, None] * np.arange(K + 1) % self.n_phi))
+            E = np.concatenate([E[:, :0:-1].conj(), E], axis=1)
         if deriv and dP is None:
             dP = _theta_derivative(P, self.x, Kt)
-        self._tables = {Lt: (Kt, P, dP)}
-        return P, dP
+        self._table = (Lt, Kt, P, dP, E)
+        return P, dP, E[:, Kt - K : Kt + K + 1]
 
     # -- transforms ---------------------------------------------------------
 
-    def synthesize(self, sym: SphereSymbol) -> np.ndarray:
-        """Sample a symbol on the grid; output (n_theta, n_phi, *fast)."""
-        return self._synth(sym.coeffs, deriv=False)
+    def synthesize(self, sym: SphereSymbol, turn: np.ndarray | None = None) -> np.ndarray:
+        """Sample a symbol on the grid, output (n_theta, n_phi, *fast): f(theta_t,
+        phi_p), or f(theta_t, phi_p + turn[t]) given one angle per theta ring."""
+        return self._synth(sym.coeffs, deriv=False, turn=turn)
 
-    def _synth(self, coeffs: np.ndarray, deriv: bool) -> np.ndarray:
+    def _synth(self, coeffs: np.ndarray, deriv: bool, turn: np.ndarray | None = None) -> np.ndarray:
         # f_m(theta) = sum_l P_l|m| c_lm as one real matmul over m >= 0 and
-        # one over m < 0, on float views of the complex columns; f_m lands
-        # at phi index m mod n_phi (aliased m add up), then one inverse FFT.
+        # one over m < 0, on float views of the complex columns, then a theta
+        # ring's samples E @ f_m (aliased m share a phase, so they add up).
         # Only the columns |m| <= K up to the last one with a nonzero
         # coefficient are transformed: the others would add exact zeros
         L, W = coeffs.shape[0] - 1, coeffs.shape[1] // 2
@@ -242,16 +242,17 @@ class Grid:
         K = mm
         while K and not (c[:, W - K].any() or c[:, W + K].any()):
             K -= 1
-        P, dP = self._tab(L, K, deriv)
+        P, dP, E = self._tab(L, K, deriv)
         T = (dP if deriv else P)[: L + 1, : K + 1].transpose(1, 2, 0)  # [m, theta, l]
         cf = c.view(float).transpose(1, 0, 2)  # [m + W, l, re/im of fast]
-        out = np.zeros((self.n_theta, self.n_phi, c.shape[-1]), dtype=complex)
-        f = out.view(float)
-        _wrap_add(f, T @ cf[W : W + K + 1])  # m = 0, 1, ..., K
-        neg = T[1:] @ cf[W - K : W][::-1]  # m = -1, -2, ..., -K
-        neg[::2] *= -1  # P_l,-m = (-1)^m P_lm
-        _wrap_add(f[:, ::-1], neg)
-        np.fft.ifft(out, axis=1, norm="forward", out=out)
+        fm = np.empty((2 * K + 1, self.n_theta, c.shape[-1]), dtype=complex)  # [m + K, theta, fast]
+        ff = fm.view(float)
+        np.matmul(T, cf[W : W + K + 1], out=ff[K:])  # m = 0, 1, ..., K
+        np.matmul(T[1:], cf[W - K : W][::-1], out=ff[:K][::-1])  # m = -1, -2, ..., -K
+        ff[:K][::-2] *= -1  # P_l,-m = (-1)^m P_lm
+        if turn is not None:
+            fm *= np.exp(1j * np.outer(np.arange(-K, K + 1), turn))[..., None]
+        out = E @ fm.transpose(1, 0, 2)
         return out.reshape((self.n_theta, self.n_phi) + coeffs.shape[2:])
 
     def synthesize_gradient(self, sym: SphereSymbol):
@@ -267,16 +268,17 @@ class Grid:
         """Project grid samples onto Y_lm for l <= L and |m| <= M: a symbol of
         width M = min(L, the grid's azimuthal limit)."""
         samples = np.asarray(samples, dtype=complex)
-        g = np.fft.fft(samples.reshape(self.n_theta, self.n_phi, -1), axis=1)
-        g *= self.w_theta[:, None, None]
         mm = self._mmax(L)
-        T = self._tab(L)[0][: L + 1, : mm + 1].transpose(1, 0, 2)  # [m, l, theta]
-        coeffs = np.zeros((L + 1, 2 * mm + 1, g.shape[-1]), dtype=complex)
+        P, _, E = self._tab(L)
+        # g[theta, mm + m] = sum_p e^{-i m phi_p} samples[theta, p], times the theta weight
+        g = E.conj().T @ samples.reshape(self.n_theta, self.n_phi, -1)
+        g *= self.w_theta[:, None, None]
+        T = P[: L + 1, : mm + 1].transpose(1, 0, 2)  # [m, l, theta]
+        coeffs = np.empty((L + 1, 2 * mm + 1, g.shape[-1]), dtype=complex)
         cf = coeffs.view(float).transpose(1, 0, 2)
-        m = np.arange(mm + 1)
-        gf = g.view(float)
-        np.matmul(T, gf[:, m % self.n_phi].transpose(1, 0, 2), out=cf[mm:])
-        np.matmul(T[1:], gf[:, -m[1:] % self.n_phi].transpose(1, 0, 2), out=cf[:mm][::-1])
+        gf = g.view(float).transpose(1, 0, 2)  # [mm + m, theta, re/im of fast]
+        np.matmul(T, gf[mm:], out=cf[mm:])
+        np.matmul(T[1:], gf[:mm][::-1], out=cf[:mm][::-1])
         coeffs[:, :mm][:, ::-2] *= -1  # P_l,-m = (-1)^m P_lm
         return SphereSymbol(coeffs.reshape((L + 1, 2 * mm + 1) + samples.shape[2:]))
 

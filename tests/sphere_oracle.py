@@ -3,7 +3,8 @@
 Associated Legendre tables by the (l, m) loop recurrence, and synthesis and
 analysis with the phi sum as a dense DFT einsum over a folded table
 Y[l, m+L, theta], always at the full width 2L+1: a coefficient array of
-width M < L is zero-padded first (`full_width`).  The package does the phi step as an FFT and the theta
+width M < L is zero-padded first (`full_width`).  The package does the
+phi step as a product with its grid's cached phase matrix and the theta
 step as one matmul per m; the tests compare both against these.  Point
 values of Y_lm and of a symbol anywhere on the sphere (the package samples
 symbols only at grid nodes) and the quadrature sum of a symbol's samples

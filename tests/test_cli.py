@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from sphere_sapt import cli, model
 from sphere_sapt.cli import main
 from sphere_sapt.sapt import effective_hamiltonian, moyal_projection
-from sphere_sapt.sphere import SphereSymbol
+from sphere_sapt.sphere import SphereSymbol, make_grid
 
 
 def test_gap_runs_and_writes_outputs(tmp_path):
@@ -260,6 +260,26 @@ def test_paper_checks_load_no_numpy_random(argv):
     # numpy.random brings ten extension modules and, through secrets and
     # hmac, OpenSSL's libcrypto: ~5 MB of resident memory none of these need
     assert _fresh_python(_LOADED.format(argv=argv)).splitlines()[-1] == "[]"
+
+
+_SUBMODULES = """import json, sys, tempfile
+import sphere_sapt, numpy
+before = set(sys.modules)
+from sphere_sapt.cli import main
+with tempfile.TemporaryDirectory() as out:
+    assert main([{name!r}, "--out", out]) == 0
+print(json.dumps(sorted(m for m in set(sys.modules) - before if m.startswith("numpy."))))"""
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_commands_load_no_numpy_submodule_of_their_own(name):
+    # beyond what `import numpy` loads, a command may load numpy.random for
+    # the corpus draw alone: numpy.fft (pocketfft, ~0.24 MB of peak RSS at
+    # import and ~0.6 MB more after its first transforms) has no caller, as
+    # a transform's phi step is a product with the grid's phase matrix
+    loaded = json.loads(_fresh_python(_SUBMODULES.format(name=name)).splitlines()[-1])
+    corpus_draw = name in ("star-slopes", "calibrate")
+    assert [m for m in loaded if not (corpus_draw and m.split(".")[:2] == ["numpy", "random"])] == []
 
 
 _POLYNOMIAL = """import sys, tempfile
@@ -517,6 +537,28 @@ def test_model_commands_fit_their_defaults_in_a_gibibyte(tmp_path, monkeypatch):
 def test_memory_counts_bound_the_measured_peak(argv, tmp_path, monkeypatch):
     # the size check counts at least what the run allocates (tracemalloc
     # sees numpy's buffers), so a path that grows past its count fails here
+    peak, counted = _peak_and_counts(argv, tmp_path, monkeypatch)
+    assert len(counted) == 1 and peak < counted[0], (peak, counted)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(["kernel-check"], ["egorov", "--two-j", "640,1280"]), (["egorov", "--two-j", "640,1280"], ["kernel-check"])],
+    ids=["kernel-check-then-egorov", "egorov-then-kernel-check"],
+)
+def test_a_grid_table_left_by_one_command_stays_inside_the_next_ones_count(first, second, tmp_path, monkeypatch):
+    # both sample on the cached make_grid(48): kernel-check asks its Legendre
+    # table for the columns m <= 20 at band 20, egorov for m <= 1 at band
+    # 1281.  A table that kept the other's columns or rows (41 columns at band
+    # 1281, either way round) would outgrow the second command's count
+    make_grid.cache_clear()  # the grid holds the two commands' tables alone
+    assert main(first + ["--out", str(tmp_path)]) == 0
+    peak, counted = _peak_and_counts(second, tmp_path, monkeypatch)
+    assert peak < max(counted), (peak, counted)  # kernel-check counts each size up front
+
+
+def _peak_and_counts(argv, tmp_path, monkeypatch):
+    """tracemalloc's peak over a run of argv, and the needs it passed to the size check."""
     counted = []
     monkeypatch.setattr(cli, "_check_memory", lambda two_j, need: counted.append(need))
     tracemalloc.start()
@@ -525,7 +567,7 @@ def test_memory_counts_bound_the_measured_peak(argv, tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(counted) == 1 and peak < counted[0], (peak, counted)
+    return peak, counted
 
 
 def _reject_constant(name):

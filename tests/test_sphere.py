@@ -163,6 +163,18 @@ def test_synthesize_at_matches_grid():
     assert np.max(np.abs(off - on_grid)) < 1e-12
 
 
+@pytest.mark.parametrize("L_exact, fast", [(12, ()), (8, (2, 2))])  # 2L + 1 > n_phi at 8
+def test_turned_synthesis_matches_point_values(L_exact, fast):
+    # ring t turned by turn[t] samples the symbol at (theta_t, phi_p + turn[t])
+    rng = np.random.default_rng(L_exact)
+    sym = _random_symbol(6, rng, fast)
+    grid = make_grid(L_exact)
+    turn = rng.uniform(-np.pi, np.pi, grid.n_theta)
+    th, ph = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    want = oracle.synthesize_at(sym, th.ravel(), (ph + turn[:, None]).ravel()).reshape(th.shape + fast)
+    assert _rel(grid.synthesize(sym, turn=turn), want) < 1e-12
+
+
 def test_synthesize_at_poles():
     # only m=0 harmonics contribute at the poles
     sym = vector_symbol_coeffs()[2]  # n3
@@ -211,7 +223,7 @@ def test_stack_pads_its_members_to_the_largest_band_limit():
         assert np.array_equal(batch.coeffs[..., p], oracle.full_width(sym.truncated(3).coeffs))
 
 
-# -- the FFT / per-m matmul transforms against the dense-DFT oracle ----------
+# -- the per-m matmul and phase-matrix transforms against the dense-DFT oracle
 
 
 def _rel(got, want):
@@ -228,6 +240,8 @@ def _rel(got, want):
         (16, 20, (2, 2)),
         (0, 0, ()),  # the 1x1 grid
         (0, 0, (2, 2)),
+        (15, 7, ()),  # an even n_phi
+        (15, 9, (2, 2)),  # an even n_phi, aliased
     ],
 )
 def test_transforms_match_dense_oracle(L_exact, L, fast):
@@ -253,27 +267,31 @@ def test_analyze_with_a_larger_cached_table():
     rng = np.random.default_rng(5)
     grid = Grid(24)  # a private grid, so the cache holds exactly what this test puts there
     samples = grid.synthesize(_random_symbol(12, rng, (2, 2)))
-    assert max(grid._tables) == 12
+    assert grid._table[:2] == (12, 12)
     for L in (3, 0):
         assert _rel(grid.analyze(samples, L).coeffs, oracle.analyze(grid, samples, L)) < 1e-12
 
 
 def test_synthesis_builds_only_the_columns_a_symbol_carries():
     # a band-40 symbol with content at |m| <= 1 needs the Legendre columns
-    # m <= 2 alone (m + 1 for the theta derivative); a full symbol of lower
-    # band and its gradient then widen the one cached table to cover both
+    # m <= 2 alone (m + 1 for the theta derivative) and the phases |m| <= 1;
+    # a full symbol of lower band and its gradient rebuild the one cached
+    # table at their own band and columns, and the narrow symbol's at its own
     rng = np.random.default_rng(9)
     grid = Grid(80)  # a private grid, so the cache holds exactly what this test puts there
     narrow = _random_symbol(40, rng)
     narrow.coeffs[:, np.r_[:39, 42:81]] = 0
     assert _rel(grid.synthesize(narrow), oracle.synthesize(grid, narrow.coeffs)) < 1e-12
-    (K, P, _), = grid._tables.values()
-    assert K == 1 and P.shape[:2] == (41, 3)
+    _, K, P, _, E = grid._table
+    assert K == 1 and P.shape[:2] == (41, 3) and E.shape == (grid.n_phi, 3)
     full = _random_symbol(12, rng, (2, 2))
     for got, want in zip(grid.synthesize_gradient(full), oracle.synthesize_gradient(grid, full.coeffs)):
         assert _rel(got, want) < 1e-12
+    L, K, P, dP, E = grid._table
+    assert (L, K) == (12, 12) and P.shape[:2] == dP.shape[:2] == (13, 13) and E.shape == (grid.n_phi, 25)
     assert _rel(grid.synthesize(narrow), oracle.synthesize(grid, narrow.coeffs)) < 1e-12
-    assert max(grid._tables) == 40 and grid._tables[40][0] == 12
+    L, K, P, _, _ = grid._table
+    assert (L, K) == (40, 1) and P.shape[:2] == (41, 3)
 
 
 def test_legendre_tables_equal_the_loop_recurrence():
@@ -288,8 +306,8 @@ def test_legendre_tables_equal_the_loop_recurrence():
 def test_m_limited_tables_are_the_first_columns_of_the_full_ones(M):
     full, limited = Grid(80), Grid(80, M)
     for L in (0, 1, 2, 7, 40):
-        want = full._tab(L, deriv=True)
-        got = limited._tab(L, deriv=True)
+        want = full._tab(L, deriv=True)[:2]
+        got = limited._tab(L, deriv=True)[:2]
         K = min(L, M)
         for g, w in zip(got, want):
             assert np.array_equal(g[: L + 1, : K + 1], w[: L + 1, : K + 1])
@@ -299,8 +317,9 @@ def test_synthesis_memory_stays_near_its_output():
     # a large matrix-valued shape: d x d samples at two_j = 30, F = 961.
     # Peak / output measured with tracemalloc: 2.02 for the dense-DFT
     # einsum, 4.03 for a version that concatenated the +-m coefficient
-    # stacks and copied the result through moveaxis, 1.51 for the in-place
-    # FFT path
+    # stacks and copied the result through moveaxis, 1.51 for an in-place
+    # FFT in phi, 2.00 for the product with the phase matrix, whose input
+    # f_m(theta) is as large as the output at this width (2L + 1 = n_phi)
     grid = make_grid(60)
     sym = _random_symbol(30, np.random.default_rng(0), (31, 31))
     grid.synthesize(sym)  # the Legendre table is built once, outside the count
@@ -325,9 +344,18 @@ def _m_limited_symbol(L, M, rng, fast=()):
 
 @pytest.mark.parametrize("L, M, fast", [(8, 0, ()), (8, 1, (2, 2)), (12, 3, (4, 4)), (2, 3, ())])
 def test_m_limited_grid_transforms_match_dense_oracle(L, M, fast):
+    _check_m_limited_grid(2 * L, L, M, fast)
+
+
+@pytest.mark.parametrize("L_exact, L, M, fast", [(15, 7, 0, ()), (15, 7, 3, (2, 2))])
+def test_m_limited_grid_with_an_odd_l_exact_matches_dense_oracle(L_exact, L, M, fast):
+    _check_m_limited_grid(L_exact, L, M, fast)
+
+
+def _check_m_limited_grid(L_exact, L, M, fast):
     rng = np.random.default_rng(L + M)
     sym = _m_limited_symbol(L, M, rng, fast)
-    grid = Grid(2 * L, M)
+    grid = Grid(L_exact, M)
     assert grid.n_phi == 2 * M + 1
     samples = grid.synthesize(sym)
     assert _rel(samples, oracle.synthesize(grid, sym.coeffs)) < 1e-12
